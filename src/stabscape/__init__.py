@@ -1,7 +1,7 @@
 """Energy-landscape toolkit for stabilizer-code Hamiltonians on periodic lattices."""
 
 from .lattice import LatticeGeometry, QubitIndex
-from .pauli import PauliOperator, commutes, pauli_mul, weight_and_support
+from .pauli import PauliOperator
 from .codes import (
     CodeInstance,
     CodeSpec,
@@ -12,7 +12,6 @@ from .codes import (
     get_code,
     registered_spec,
     registry_names,
-    translate_operator,
 )
 from .defects import (
     ScaleParams,
@@ -45,9 +44,6 @@ __all__ = [
     "LatticeGeometry",
     "QubitIndex",
     "PauliOperator",
-    "commutes",
-    "pauli_mul",
-    "weight_and_support",
     "CodeInstance",
     "CodeSpec",
     "Defect",
@@ -57,7 +53,6 @@ __all__ = [
     "get_code",
     "registered_spec",
     "registry_names",
-    "translate_operator",
     "ScaleParams",
     "classify_string_segment",
     "cluster_partition",

@@ -2,7 +2,8 @@
 configs and machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 a search
-was cut off by its budget (indeterminate, distinct from failure).
+was cut off by its budget (indeterminate, distinct from failure), 4 internal
+error (an uncaught exception, such as a failed self-audit; never a verdict).
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
-from .codes import CodeInstance, get_code, check_frustration_free, registry_names
+from .codes import CodeConstructionError, CodeInstance, get_code, check_frustration_free, registry_names
 from .defects import ScaleParams, ScanBudget, scan_for_strings
 from .lattice import QubitIndex
 from .oracle import SearchBudget, code_distance, min_barrier_logical
@@ -44,6 +46,7 @@ from .reports import (
 )
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,15 +133,40 @@ DEFAULTS = {
 }
 
 
+# Keys whose default is None but whose flag takes an int; every other
+# None-default key takes a string.
+_INT_KEYS_WITHOUT_DEFAULT = {"ltqo", "p", "track_level"}
+
+
+def _check_config_value(key: str, val) -> None:
+    """Reject a config-file value whose type differs from the flag's."""
+    default = DEFAULTS[key]
+    if default is None:
+        if val is None:
+            return
+        expected = int if key in _INT_KEYS_WITHOUT_DEFAULT else str
+    else:
+        expected = type(default)
+    accepted = (int, float) if expected is float else expected
+    if isinstance(val, bool) or not isinstance(val, accepted):
+        raise SystemExit(f"config key {key!r} must be {expected.__name__}, got {val!r}")
+    if key == "code" and val not in registry_names():
+        raise SystemExit(f"config key 'code': unknown code {val!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Fold defaults, config file, and explicit flags (flags win)."""
     config = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise SystemExit("config file must hold a JSON object")
         unknown = set(file_conf) - set(DEFAULTS)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_conf.items():
+            _check_config_value(key, val)
         config.update(file_conf)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -555,18 +583,25 @@ def main(argv=None) -> int:
             return 0 if exc.code == 0 else USAGE_ERROR
         print(exc.code, file=sys.stderr)
         return USAGE_ERROR
+    except (OSError, ValueError) as exc:  # unreadable or malformed config file
+        print(f"error: config file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         report = RUNNERS[args.subcommand](config)
+        # Output destination and format are I/O plumbing, not experiment
+        # parameters: identical experiments yield byte-identical reports.
+        report.config = {k: v for k, v in report.config.items() if k not in ("out", "format", "config")}
+        written = emit(report, config["out"], config["format"])
     except SystemExit as exc:
         print(exc.code, file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, CodeConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    # Output destination and format are I/O plumbing, not experiment
-    # parameters: identical experiments yield byte-identical reports.
-    report.config = {k: v for k, v in report.config.items() if k not in ("out", "format", "config")}
-    written = emit(report, config["out"], config["format"])
+    except Exception:
+        # A crash must not read as "a check failed" (1).
+        traceback.print_exc()
+        return INTERNAL_ERROR
     for check in report.checks:
         print(f"[{check.status.upper():>13}] {report.subcommand}:{check.name}"
               + (f"  ({check.notes})" if check.notes else ""))

@@ -125,6 +125,7 @@ class CodeInstance:
         self._stabilizer_matrix: BitMatrix | None = None
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
+        self._coset_space = None  # oracle.CosetSpace, built by oracle.coset_space
 
     # -- indexing -----------------------------------------------------------
 
@@ -397,8 +398,3 @@ def check_frustration_free(code: CodeInstance, exhaustive: bool | None = None) -
         rank = code.stabilizer_rank()
         k = code.n_qubits - rank
     return FrustrationReport(witness is None, witness, code.n_qubits, code.n_generators, rank, k, mode)
-
-
-def translate_operator(code: CodeInstance, op: PauliOperator, delta: Iterable[int]) -> PauliOperator:
-    """Shift an operator's support by ``delta`` (periodic)."""
-    return op.translate(delta)

@@ -194,7 +194,6 @@ def _restricted_solve(
     elements of the restricted space), all deterministically.
     """
     g = code.geometry
-    n = g.n_qubits
     sites = sorted(set(support_sites))
     target_syndrome = code.words_to_syndrome(target)
     if tidy:
@@ -210,18 +209,21 @@ def _restricted_solve(
     row_set = set(gen_rows)
     if any(code.generator_index(c, s) not in row_set for c, s in target_syndrome):
         return None  # a target defect is out of reach of this support
-    rhs = gf2.from_bool([gf2.get_bit(target, r) for r in gen_rows])
-    x = gf2.gf2_solve(sub, rhs)
+    x = gf2.gf2_solve(sub, gf2.to_bool(target, code.n_generators)[gen_rows])
     if x is None:
         return None
     if tidy:
         x = _tidy_solution(code, sub, x, sites, qubits)
+    return _lift(g, qubits, x)
+
+
+def _lift(geometry: LatticeGeometry, qubits: list[int], x: np.ndarray) -> PauliOperator:
+    """Global operator of a local solution ``x`` over the (X || Z) columns of
+    the given qubits, in the layout of ``restricted_syndrome_matrix``."""
     nq = len(qubits)
-    full = gf2.zeros(2 * n)
-    for local in gf2.nonzero_indices(x, 2 * nq):
-        local = int(local)
-        gf2.set_bit(full, qubits[local] if local < nq else qubits[local - nq] + n, 1)
-    return PauliOperator.from_symplectic(g, full)
+    local = gf2.nonzero_indices(x, 2 * nq)
+    cols = np.asarray(qubits, dtype=np.int64)[local % nq] + geometry.n_qubits * (local >= nq)
+    return PauliOperator.from_symplectic(geometry, gf2.from_indices(cols, 2 * geometry.n_qubits))
 
 
 def _local_weight(bits: np.ndarray, nq: int) -> int:
@@ -510,9 +512,10 @@ class _BoxSolver:
 
     The restricted syndrome matrix of a size-cube is the same for every
     placement (translation invariance), so its column space is factored once;
-    per placement only the row labels shift.  Achievability of an anchor
-    defect pattern is then a membership test against the cached basis, and a
-    witness solve runs only for the achievable patterns.
+    per placement only the row labels shift.  A defect pattern is achievable
+    iff it has even overlap with every vector of the left nullspace (the
+    orthogonal complement of the column space); that parity test is cheap,
+    and a witness solve runs only for the achievable patterns.
     """
 
     def __init__(self, code: CodeInstance, size: int):
@@ -523,9 +526,7 @@ class _BoxSolver:
         sites = g.box_sites(origin, self.size)
         self.matrix, self.qubits0, gen_rows0 = code.restricted_syndrome_matrix(sites)
         self.gen_cubes0 = [code.generator_at(r) for r in gen_rows0]
-        colspace, pivots = self.matrix.transpose().rref()
-        self._col_rows = [gf2.to_int(colspace.words[i]) for i in range(colspace.nrows)]
-        self._col_pivots = pivots
+        self._checks = gf2.nullspace(self.matrix.transpose()).to_bool_array()
         self._witness_cache: dict[tuple, PauliOperator | None] = {}
 
     def rows_for(self, corner: Site) -> dict[int, int]:
@@ -536,35 +537,17 @@ class _BoxSolver:
             for i, (cube, s) in enumerate(self.gen_cubes0)
         }
 
-    def _in_colspace(self, vec: int) -> bool:
-        for row, col in zip(self._col_rows, self._col_pivots):
-            if (vec >> col) & 1:
-                vec ^= row
-        return vec == 0
-
     def achievable_witness(self, local_pattern: tuple[int, ...]) -> PauliOperator | None:
         """Operator on the origin box flipping exactly the given local rows."""
         key = tuple(sorted(local_pattern))
         if key in self._witness_cache:
             return self._witness_cache[key]
-        vec = 0
-        for r in key:
-            vec |= 1 << r
+        rows = list(key)
         witness = None
-        if self._in_colspace(vec):
+        if not np.logical_xor.reduce(self._checks[:, rows], axis=1).any():
             rhs = np.zeros(self.matrix.nrows, dtype=np.uint8)
-            for r in key:
-                rhs[r] = 1
-            x = gf2.gf2_solve(self.matrix, rhs)
-            if x is not None:
-                g = self.code.geometry
-                nq = len(self.qubits0)
-                full = gf2.zeros(2 * g.n_qubits)
-                for local in gf2.nonzero_indices(x, 2 * nq):
-                    local = int(local)
-                    col = self.qubits0[local] if local < nq else self.qubits0[local - nq] + g.n_qubits
-                    gf2.set_bit(full, col, 1)
-                witness = PauliOperator.from_symplectic(g, full)
+            rhs[rows] = 1
+            witness = _lift(self.code.geometry, self.qubits0, gf2.gf2_solve(self.matrix, rhs))
         self._witness_cache[key] = witness
         return witness
 

@@ -179,7 +179,8 @@ class BitMatrix:
         """Reduced row-echelon form with deterministic leftmost pivoting.
 
         Returns the reduced matrix (zero rows dropped) and the pivot columns
-        in increasing order, so repeated runs give identical output.
+        in increasing order, so repeated runs give identical output.  Each
+        pivot column holds a single 1, which ``reduce_by_rref`` relies on.
         """
         work = self.words.copy()
         nrows = self.nrows
@@ -208,17 +209,18 @@ class BitMatrix:
         return len(self.rref()[1])
 
 
-def reduce_by_rref(rref: BitMatrix, pivots: list[int], vec: np.ndarray) -> np.ndarray:
+def reduce_by_rref(rref: BitMatrix, pivots: list[int] | np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Canonical residue of ``vec`` modulo the row space of an RREF basis.
 
     The residue is zero iff ``vec`` lies in the row space; two vectors share a
-    residue iff they differ by a row-space element.
+    residue iff they differ by a row-space element.  The basis is fully
+    reduced (each pivot column holds a single 1), so row ``r`` enters the
+    residue exactly when ``vec`` itself has bit ``pivots[r]`` set.  Callers
+    reducing many vectors pass ``pivots`` as an int array to skip converting
+    the list on every call.
     """
-    out = vec.copy()
-    for r, col in enumerate(pivots):
-        if get_bit(out, col):
-            out ^= rref.words[r]
-    return out
+    hits = to_bool(vec, rref.ncols)[pivots]
+    return vec ^ np.bitwise_xor.reduce(rref.words[hits], axis=0)
 
 
 def in_rowspan(rref: BitMatrix, pivots: list[int], vec: np.ndarray) -> bool:
@@ -241,44 +243,20 @@ def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     """
     rhs = np.asarray(rhs)
     if rhs.dtype == np.uint64:
-        b = to_bool(rhs, mat.nrows).astype(np.uint8)
+        b = to_bool(rhs, mat.nrows)
     else:
         if rhs.size != mat.nrows:
             raise ValueError("rhs length does not match row count")
-        b = rhs.astype(np.uint8) & 1
-    work = mat.words.copy()
-    nrows = mat.nrows
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for col in range(mat.ncols):
-        if r == nrows:
-            break
-        w, s = col >> 6, np.uint64(col & 63)
-        colbits = ((work[r:, w] >> s) & np.uint64(1)).astype(bool)
-        hits = np.nonzero(colbits)[0]
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-            b[[r, pr]] = b[[pr, r]]
-        mask = ((work[:, w] >> s) & np.uint64(1)).astype(bool)
-        mask[r] = False
-        if mask.any():
-            work[mask] ^= work[r]
-            if b[r]:
-                b[mask] ^= 1
-        pivots.append((r, col))
-        r += 1
-    # Rows past the pivot block are all-zero; a set rhs bit there means
-    # the system is inconsistent.
-    if b[r:].any():
+        b = (rhs.astype(np.uint8) & 1).astype(bool)
+    aug = np.zeros((mat.nrows, n_words(mat.ncols + 1)), dtype=np.uint64)
+    aug[:, : mat.words.shape[1]] = mat.words
+    aug[b, mat.ncols >> 6] |= np.uint64(1) << np.uint64(mat.ncols & 63)
+    rref, pivots = BitMatrix(aug, mat.ncols + 1).rref()
+    # The rhs column becomes a pivot iff some row reduces to 0 = 1.
+    if pivots and pivots[-1] == mat.ncols:
         return None
-    x = zeros(mat.ncols)
-    for row, col in pivots:
-        if b[row]:
-            set_bit(x, col, 1)
-    return x
+    solved = np.asarray(pivots, dtype=np.int64)[rref.column_bits(mat.ncols)]
+    return from_indices(solved, mat.ncols)
 
 
 def nullspace(mat: BitMatrix) -> BitMatrix:

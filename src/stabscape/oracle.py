@@ -58,8 +58,7 @@ class CosetSpace:
     def __init__(self, code: CodeInstance):
         self.code = code
         rref, pivots = code.stabilizer_rref()
-        self._rows = [gf2.to_int(rref.words[i]) for i in range(rref.nrows)]
-        self._pivots = list(pivots)
+        self._basis = (rref, np.asarray(pivots, dtype=np.int64))
         self.n = code.n_qubits
         g = code.geometry
         self.move_labels: list[tuple[QubitIndex, str]] = []
@@ -68,26 +67,19 @@ class CosetSpace:
         for j in range(self.n):
             qubit = g.qubit_at(j)
             for p in MOVE_PAULIS:
-                vec = 0
-                if p in "XY":
-                    vec |= 1 << j
-                if p in "ZY":
-                    vec |= 1 << (self.n + j)
+                vec = ((p in "XY") << j) | ((p in "ZY") << (self.n + j))
                 synd = 0
                 for cube, s in code.flips(qubit, p):
                     synd |= 1 << code.generator_index(cube, s)
                 self.move_labels.append((qubit, p))
-                self.move_dkey.append(self.canonical_int(vec))
+                self.move_dkey.append(self._key(gf2.from_int(vec, 2 * self.n)))
                 self.move_dsynd.append(synd)
 
-    def canonical_int(self, vec: int) -> int:
-        for row, col in zip(self._rows, self._pivots):
-            if (vec >> col) & 1:
-                vec ^= row
-        return vec
+    def _key(self, vec: np.ndarray) -> int:
+        return gf2.to_int(gf2.reduce_by_rref(*self._basis, vec))
 
     def key_of(self, op: PauliOperator) -> int:
-        return self.canonical_int(gf2.to_int(op.symplectic()))
+        return self._key(op.symplectic())
 
     def syndrome_int(self, syndrome: Syndrome) -> int:
         out = 0
@@ -96,15 +88,12 @@ class CosetSpace:
         return out
 
 
-_SPACES: dict[int, CosetSpace] = {}
-
-
 def coset_space(code: CodeInstance) -> CosetSpace:
-    space = _SPACES.get(id(code))
-    if space is None or space.code is not code:
-        space = CosetSpace(code)
-        _SPACES[id(code)] = space
-    return space
+    """The code's coset arithmetic, built on first use and kept on the code,
+    so it lives exactly as long as the code does."""
+    if code._coset_space is None:
+        code._coset_space = CosetSpace(code)
+    return code._coset_space
 
 
 def canonicalize(code: CodeInstance, op: PauliOperator) -> int:

@@ -140,16 +140,22 @@ def _pyramid_offsets(p: int) -> np.ndarray:
     return offsets
 
 
+def _require_pyramid_level(code: CodeInstance, p: int) -> None:
+    _require_cubic(code)
+    if p < 0:
+        raise ValueError(f"pyramid level must be non-negative, got {p}")
+    if 2**p > code.geometry.L:
+        raise ValueError(f"level {p} pyramid does not fit on L={code.geometry.L}")
+
+
 def pyramid_operator(code: CodeInstance, p: int, u: Site) -> PauliOperator:
     """The recursive bit-flip operator creating a level-p pyramid from vacuum.
 
     Acts by X on the first qubit of ``4**p`` distinct sites; its support is a
     self-similar set of fractal dimension 2.
     """
-    _require_cubic(code)
+    _require_pyramid_level(code, p)
     g = code.geometry
-    if 2**p > g.L:
-        raise ValueError(f"level {p} pyramid does not fit on L={g.L}")
     sites = (np.asarray(u, dtype=np.int64) + _pyramid_offsets(p)) % g.L
     flat = ((sites[:, 0] * g.L + sites[:, 1]) * g.L + sites[:, 2]) * g.q
     xwords = gf2.from_indices(flat, g.n_qubits)
@@ -179,9 +185,7 @@ def pyramid_path(code: CodeInstance, p: int, u: Site) -> ErrorPath:
     ``2**p == L`` the far corners wrap onto the apex and cancel it at the
     two top-level completion points; see ``energy_profile`` tests).
     """
-    _require_cubic(code)
-    if 2**p > code.geometry.L:
-        raise ValueError(f"level {p} pyramid does not fit on L={code.geometry.L}")
+    _require_pyramid_level(code, p)
     return ErrorPath(tuple(_pyramid_steps(code, p, tuple(u))))
 
 

@@ -171,18 +171,3 @@ class PauliOperator:
         shown = " ".join(f"{p}@{q.site}:{q.sub}" for q, p in terms[:4])
         more = "" if w <= 4 else f" ...({w} qubits)"
         return f"PauliOperator({shown}{more})"
-
-
-# Spec-level operation aliases -------------------------------------------------
-
-
-def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a * b
-
-
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    return a.commutes_with(b)
-
-
-def weight_and_support(a: PauliOperator) -> tuple[int, tuple[QubitIndex, ...]]:
-    return a.weight, a.support()

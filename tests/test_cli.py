@@ -190,3 +190,28 @@ def test_failed_check_gives_exit_one(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "check_frustration_free", broken)
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "2") == 1
+
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"L": "8"}))
+    assert main(["check", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+
+def test_too_small_lattice_is_usage_error(tmp_path):
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "1") == 2
+
+
+def test_negative_pyramid_level_is_usage_error(tmp_path):
+    assert run(tmp_path, "pyramid", "--code", "cubic1", "--L", "8", "--p", "-1") == 2
+
+
+def test_internal_error_gets_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    import stabscape.cli as cli
+
+    def crash(config):
+        raise RuntimeError("witness path exceeds the claimed barrier")
+
+    monkeypatch.setitem(cli.RUNNERS, "check", crash)
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "2") == 4
+    assert "witness path exceeds the claimed barrier" in capsys.readouterr().err

@@ -2,10 +2,15 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabscape import get_code
+from stabscape import get_code, gf2
 from stabscape.defects import (
+    _BoxSolver,
+    _lift,
     NONTRIVIAL,
     NOT_SEGMENT,
     TRIVIAL,
@@ -358,3 +363,47 @@ def test_scan_finds_domain_walls_on_rep():
     report = scan_for_strings(code, 1, 3.0, ScanBudget(), ScaleParams(ltqo=4))
     assert report.nontrivial
     assert all(f.aspect_ratio > 3.0 for f in report.nontrivial)
+
+
+# -- box-restricted algebra -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,L,size", [("toric2d", 4, 2), ("toric3d", 3, 1), ("cubic1", 4, 1)])
+def test_box_achievability_matches_solve(name, L, size):
+    """The left-nullspace parity test accepts exactly the solvable patterns,
+    checked on every pattern of up to three rows of the box."""
+    code = get_code(name, L)
+    solver = _BoxSolver(code, size)
+    nrows = solver.matrix.nrows
+    for k in (1, 2, 3):
+        for pattern in itertools.combinations(range(nrows), k):
+            rhs = np.zeros(nrows, dtype=np.uint8)
+            rhs[list(pattern)] = 1
+            witness = solver.achievable_witness(pattern)
+            assert (witness is None) == (gf2.gf2_solve(solver.matrix, rhs) is None)
+            if witness is not None:
+                assert code.syndrome_of(witness) == frozenset(solver.gen_cubes0[r] for r in pattern)
+
+
+def reference_lift(geometry, qubits, x):
+    """Bit-by-bit lift of a local (X || Z) solution to the full lattice."""
+    n, nq = geometry.n_qubits, len(qubits)
+    full = gf2.zeros(2 * n)
+    for local in gf2.nonzero_indices(x, 2 * nq):
+        local = int(local)
+        gf2.set_bit(full, qubits[local] if local < nq else qubits[local - nq] + n, 1)
+    return PauliOperator.from_symplectic(geometry, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corner=st.tuples(*[st.integers(0, 3)] * 3),
+    size=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lift_matches_bitwise_reference(corner, size, seed):
+    code = get_code("cubic1", 4)
+    g = code.geometry
+    _, qubits, _ = code.restricted_syndrome_matrix(g.box_sites(corner, size))
+    x = gf2.from_bool(np.random.default_rng(seed).random(2 * len(qubits)) < 0.3)
+    assert _lift(g, qubits, x) == reference_lift(g, qubits, x)

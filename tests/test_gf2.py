@@ -1,6 +1,8 @@
 """Packed GF(2) kernel tests: every solve is re-verified by multiplication."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabscape import gf2
 from stabscape.gf2 import BitMatrix
@@ -8,6 +10,62 @@ from stabscape.gf2 import BitMatrix
 
 def random_matrix(rng, nrows, ncols, density=0.4):
     return BitMatrix.from_bool_array(rng.random((nrows, ncols)) < density)
+
+
+# -- test-only references: the sequential routines the library replaced ------
+
+
+def reference_reduce(rref, pivots, vec):
+    """Pivot-by-pivot reduction against the running residue."""
+    out = vec.copy()
+    for r, col in enumerate(pivots):
+        if gf2.get_bit(out, col):
+            out ^= rref.words[r]
+    return out
+
+
+def reference_solve(mat, rhs_bits):
+    """Gaussian elimination carrying the rhs alongside the matrix rows."""
+    b = np.asarray(rhs_bits, dtype=np.uint8) & 1
+    work = mat.words.copy()
+    pivots = []
+    r = 0
+    for col in range(mat.ncols):
+        if r == mat.nrows:
+            break
+        w, s = col >> 6, np.uint64(col & 63)
+        hits = np.nonzero((work[r:, w] >> s) & np.uint64(1))[0]
+        if hits.size == 0:
+            continue
+        pr = r + int(hits[0])
+        if pr != r:
+            work[[r, pr]] = work[[pr, r]]
+            b[[r, pr]] = b[[pr, r]]
+        mask = ((work[:, w] >> s) & np.uint64(1)).astype(bool)
+        mask[r] = False
+        work[mask] ^= work[r]
+        if b[r]:
+            b[mask] ^= 1
+        pivots.append((r, col))
+        r += 1
+    if b[r:].any():
+        return None
+    x = gf2.zeros(mat.ncols)
+    for row, col in pivots:
+        if b[row]:
+            gf2.set_bit(x, col, 1)
+    return x
+
+
+@st.composite
+def matrices(draw, max_rows=12, max_cols=140):
+    """Small dense GF(2) matrices; column counts cross the 64-bit word edge."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.05, 0.3, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return BitMatrix.from_bool_array(rng.random((nrows, ncols)) < density), rng
 
 
 def test_pack_unpack_roundtrip(rng):
@@ -141,3 +199,36 @@ def test_matmul_vec(rng):
     out = gf2.matmul_vec(m, x)
     expect = m.to_bool_array().astype(np.uint8) @ xbits % 2
     assert np.array_equal(gf2.to_bool(out, 9).astype(np.uint8), expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_reduce_by_rref_matches_sequential_reference(case):
+    m, rng = case
+    rref, pivots = m.rref()
+    for _ in range(4):
+        v = gf2.from_bool(rng.random(m.ncols) < 0.5)
+        assert np.array_equal(gf2.reduce_by_rref(rref, pivots, v), reference_reduce(rref, pivots, v))
+    combo = gf2.zeros(m.ncols)
+    for i in range(m.nrows):
+        if rng.random() < 0.5:
+            combo ^= m.words[i]
+    assert gf2.is_zero(gf2.reduce_by_rref(rref, pivots, combo))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_gf2_solve_bit_identical_to_reference(case):
+    m, rng = case
+    random_rhs = (rng.random(m.nrows) < 0.5).astype(np.uint8)
+    image_rhs = m.parities_with(gf2.from_bool(rng.random(m.ncols) < 0.5))  # always consistent
+    for b in (random_rhs, image_rhs):
+        got = gf2.gf2_solve(m, b)
+        want = reference_solve(m, b)
+        assert (got is None) == (want is None)
+        packed = gf2.gf2_solve(m, gf2.from_bool(b))
+        assert (packed is None) == (got is None)
+        if got is not None:
+            assert np.array_equal(got, want)
+            assert np.array_equal(packed, got)
+            assert np.array_equal(m.parities_with(got), b)

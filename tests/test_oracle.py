@@ -1,5 +1,8 @@
 """Brute-force barrier and distance oracles on hand-checkable instances."""
 
+import gc
+import weakref
+
 import pytest
 
 from stabscape import get_code
@@ -173,3 +176,13 @@ def test_distance_budget_exhausted(toric3):
     res = code_distance(toric3, SearchBudget(state_cap=100))
     assert res.status == "budget_exhausted"
     assert res.d is None and res.d_upper is not None
+
+
+def test_searched_code_is_freed():
+    """The coset space lives on the code, so a searched code is not pinned."""
+    code = get_code("rep1d", 4)
+    assert min_barrier_logical(code, all_x(code)).omega == 2
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
