@@ -375,8 +375,13 @@ def run_rg(config: dict) -> Report:
     code = get_code(config["code"], config["L"])
     report = Report("rg", config)
     params = _scale_params(config)
+    if config["track_level"] is not None and config["track_level"] < 0:
+        raise SystemExit("--track-level must be non-negative")
     if config["path"]:
-        steps = ErrorPath.from_lines(Path(config["path"]).read_text().splitlines(), code.geometry.D)
+        path = Path(config["path"])
+        if not path.exists():
+            raise SystemExit(f"path file {config['path']!r} not found")
+        steps = ErrorPath.from_lines(path.read_text().splitlines(), code.geometry.D)
     elif config["p"] is not None:
         steps = pyramid_path(code, config["p"], _default_u(config, code))
     else:
@@ -384,7 +389,7 @@ def run_rg(config: dict) -> Report:
     history = syndrome_history(code, steps)
     analysis = level_histories(code, history, params)
     rows = [
-        (lvl.level, len(lvl.retained), len(lvl.interior()), len(lvl.errors))
+        (lvl.level, len(lvl.retained), len(lvl.interior()), len(lvl.retained) - 1)
         for lvl in analysis.levels
     ]
     report.add_series("levels", ("level", "retained", "interior", "errors"), rows)

@@ -79,19 +79,33 @@ class SparsityVerdict:
     scale_capped: bool  # xi(p+1) saturates the torus; comparisons degenerate
 
 
-def _combined_spread(geometry, pts_a: Sequence[Site], pts_b: Sequence[Site], spread_a: int, spread_b: int) -> int:
-    cross = max(geometry.dist(a, b) for a in pts_a for b in pts_b)
-    return max(spread_a, spread_b, cross)
+def _torus_distances(geometry: LatticeGeometry, cubes: Sequence[Site]) -> np.ndarray:
+    """Pairwise torus l-infinity distances between cubes, as an m x m matrix.
+
+    Built one axis at a time with a running max, so the work space stays m^2.
+    """
+    L = geometry.L
+    dist = np.zeros((len(cubes), len(cubes)), dtype=np.int64)
+    for axis in np.asarray(cubes, dtype=np.int64).T:
+        delta = np.abs(axis[:, None] - axis[None, :]) % L
+        np.maximum(dist, np.minimum(delta, L - delta), out=dist)
+    return dist
 
 
 def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: ScaleParams) -> SparsityVerdict:
-    """Decide level-``p`` sparsity by greedy single-linkage merging.
+    """Decide level-``p`` sparsity by complete-linkage merging.
 
-    Any two clusters whose union has diameter at most ``xi(p+1)`` are merged
-    (smallest union first, ties broken by lexicographic cluster order), until
-    no pair qualifies; the syndrome is sparse iff every remaining cluster has
-    diameter at most ``xi(p)``.  When the verdict is Sparse the returned
+    The two clusters whose union has the smallest diameter are merged while
+    that diameter is at most ``xi(p+1)``; ties go to the pair whose minimum
+    cubes come first in lexicographic order.  The syndrome is sparse iff every
+    remaining cluster has diameter at most ``xi(p)``; when it is, the returned
     partition satisfies both defining conditions exactly.
+
+    Complete linkage never merges below an earlier merge height: the linkage
+    of a merged cluster to any other, ``max(d_ik, d_jk)`` (the Lance-Williams
+    max rule), is at least the height just merged.  So every live cluster's
+    spread is at most the current minimum cross distance, a pair's union
+    diameter is ``1 + cross``, and the merges run on one distance matrix.
     """
     cubes = occupied_cubes(syndrome)
     if not cubes:
@@ -100,36 +114,42 @@ def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: Scale
         raise ValueError("level must be non-negative")
     xi_p, xi_p1 = params.xi(p), params.xi(p + 1)
 
-    clusters: list[tuple[Site, ...]] = [(c,) for c in sorted(cubes)]
-    spreads: list[int] = [0] * len(clusters)
-    while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                s = _combined_spread(geometry, clusters[i], clusters[j], spreads[i], spreads[j])
-                if 1 + s <= xi_p1:
-                    key = (1 + s, clusters[i][0], clusters[j][0])
-                    if best is None or key < best[0]:
-                        best = (key, i, j, s)
-        if best is None:
-            break
-        _, i, j, s = best
-        merged = tuple(sorted(clusters[i] + clusters[j]))
-        for idx in sorted((i, j), reverse=True):
-            del clusters[idx]
-            del spreads[idx]
-        clusters.append(merged)
-        spreads.append(s)
-        order = sorted(range(len(clusters)), key=lambda t: clusters[t][0])
-        clusters = [clusters[t] for t in order]
-        spreads = [spreads[t] for t in order]
+    order = sorted(cubes)
+    dist = _torus_distances(geometry, order)
+    top = int(dist.max())
+    if 1 + top <= xi_p1:  # every merge qualifies: one cluster
+        members, spreads = [order], [top]
+    else:
+        # Row k stands for the cluster whose minimum cube is order[k]; a merge
+        # keeps the smaller row, and the row-major argmin is the smallest
+        # (distance, row, column), i.e. the lexicographic tie-break.
+        members = [[c] for c in order]
+        spreads = [0] * len(order)
+        retired = np.iinfo(np.int64).max
+        np.fill_diagonal(dist, retired)
+        while True:
+            i, j = divmod(int(np.argmin(dist)), len(order))
+            height = int(dist[i, j])
+            if 1 + height > xi_p1:
+                break
+            linkage = np.maximum(dist[i], dist[j])
+            dist[i, :] = linkage
+            dist[:, i] = linkage
+            dist[j, :] = retired
+            dist[:, j] = retired
+            members[i] += members[j]
+            members[j] = []
+            spreads[i] = height
+        live = [k for k, m in enumerate(members) if m]
+        members = [members[k] for k in live]
+        spreads = [spreads[k] for k in live]
 
     diameters = tuple(1 + s for s in spreads)
     sparse = all(d <= xi_p for d in diameters)
     return SparsityVerdict(
         level=p,
         sparse=sparse,
-        clusters=tuple(frozenset(c) for c in clusters),
+        clusters=tuple(frozenset(c) for c in members),
         diameters=diameters,
         xi_p=xi_p,
         xi_p1=xi_p1,

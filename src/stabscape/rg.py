@@ -9,7 +9,8 @@ errors.  The ladder stops at the first level that retains nothing interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -66,14 +67,29 @@ def syndrome_history(
 
 @dataclass(frozen=True)
 class LevelHistory:
-    """One rung of the ladder: retained time indices and aggregated errors."""
+    """One rung of the ladder: retained time indices and aggregated errors.
+
+    ``errors[k]`` is the product of the path steps between the retained times
+    ``retained[k]`` and ``retained[k + 1]``.  The errors are full-lattice
+    operators, so they are built on first access and then kept; a ladder that
+    is only counted never holds them.
+    """
 
     level: int
     retained: tuple[int, ...]
-    errors: tuple[PauliOperator, ...]
+    history: SyndromeHistory = field(repr=False, compare=False)
+    geometry: LatticeGeometry = field(repr=False, compare=False)
 
     def interior(self) -> tuple[int, ...]:
         return self.retained[1:-1]
+
+    @cached_property
+    def errors(self) -> tuple[PauliOperator, ...]:
+        steps = self.history.steps
+        return tuple(
+            PauliOperator.from_terms(self.geometry, steps[a:b])
+            for a, b in zip(self.retained, self.retained[1:])
+        )
 
 
 @dataclass
@@ -94,21 +110,14 @@ def level_histories(code: CodeInstance, history: SyndromeHistory, params: ScaleP
     g = code.geometry
     T = history.T
     if T == 0:
-        lvl = LevelHistory(0, (0,), ())
-        return RGAnalysis([lvl], 0, empty_path=True)
-
-    def aggregated(retained: Sequence[int]) -> tuple[PauliOperator, ...]:
-        out = []
-        for a, b in zip(retained, retained[1:]):
-            out.append(PauliOperator.from_terms(g, history.steps[a:b]))
-        return tuple(out)
+        return RGAnalysis([LevelHistory(0, (0,), history, g)], 0, empty_path=True)
 
     dense_run: list[int] = []
     for t in range(1, T):
         s = history.syndromes[t]
         dense_run.append(min_dense_run(g, s, params) if s else -1)
 
-    levels = [LevelHistory(0, tuple(range(T + 1)), aggregated(range(T + 1)))]
+    levels = [LevelHistory(0, tuple(range(T + 1)), history, g)]
     p = 1
     while True:
         interior = tuple(t for t in range(1, T) if history.syndromes[t] and dense_run[t - 1] >= p - 1)
@@ -119,7 +128,7 @@ def level_histories(code: CodeInstance, history: SyndromeHistory, params: ScaleP
                     f"counting bound violated at t={t}: retained at level {p} "
                     f"with {len(history.syndromes[t])} defects"
                 )
-        levels.append(LevelHistory(p, retained, aggregated(retained)))
+        levels.append(LevelHistory(p, retained, history, g))
         if not interior:
             return RGAnalysis(levels, p)
         p += 1

@@ -215,3 +215,13 @@ def test_internal_error_gets_its_own_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.RUNNERS, "check", crash)
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "2") == 4
     assert "witness path exceeds the claimed barrier" in capsys.readouterr().err
+
+
+def test_rg_missing_path_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no_such_path.txt"
+    assert run(tmp_path, "rg", "--code", "cubic1", "--L", "4", "--path", str(missing)) == 2
+    assert "not found" in capsys.readouterr().err
+
+
+def test_negative_track_level_is_usage_error(tmp_path):
+    assert run(tmp_path, "rg", "--code", "cubic1", "--L", "8", "--p", "2", "--track-level", "-1") == 2

@@ -155,6 +155,78 @@ def test_sparse_partition_unique_against_exhaustive(rng):
     assert checked >= 20
 
 
+def pairwise_reference_partition(geometry, cubes, p, params):
+    """The retired greedy loop: on every merge, the union diameter of every
+    cluster pair (test oracle for the distance-matrix version)."""
+    xi_p, xi_p1 = params.xi(p), params.xi(p + 1)
+    clusters = [(c,) for c in sorted(occupied_cubes(cubes))]
+    spreads = [0] * len(clusters)
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                cross = max(geometry.dist(a, b) for a in clusters[i] for b in clusters[j])
+                s = max(spreads[i], spreads[j], cross)
+                if 1 + s <= xi_p1:
+                    key = (1 + s, clusters[i][0], clusters[j][0])
+                    if best is None or key < best[0]:
+                        best = (key, i, j, s)
+        if best is None:
+            break
+        _, i, j, s = best
+        merged = tuple(sorted(clusters[i] + clusters[j]))
+        for idx in sorted((i, j), reverse=True):
+            del clusters[idx]
+            del spreads[idx]
+        clusters.append(merged)
+        spreads.append(s)
+        order = sorted(range(len(clusters)), key=lambda t: clusters[t][0])
+        clusters = [clusters[t] for t in order]
+        spreads = [spreads[t] for t in order]
+    diameters = tuple(1 + s for s in spreads)
+    return (
+        tuple(frozenset(c) for c in clusters),
+        diameters,
+        all(d <= xi_p for d in diameters),
+        xi_p,
+        xi_p1,
+        xi_p1 >= geometry.L / 2,
+    )
+
+
+@st.composite
+def clumped_cubes(draw):
+    """Up to 14 cubes in a few clumps.  A coarse grid step makes distance ties
+    common, and small tori make wrap-around common; only on the large tori
+    can clusters stay apart at level 0 (xi(1) >= 10)."""
+    D = draw(st.sampled_from([2, 3]))
+    L = draw(st.sampled_from([4, 5, 32, 64]))
+    step = draw(st.sampled_from([1, 2, 5, 8]))
+    radius = draw(st.integers(0, 4))
+    site = st.tuples(*[st.integers(0, L - 1)] * D)
+    centers = draw(st.lists(site, min_size=1, max_size=6))
+    cubes = set()
+    for _ in range(draw(st.integers(1, 14))):
+        center = draw(st.sampled_from(centers))
+        offset = draw(st.tuples(*[st.integers(-radius, radius)] * D))
+        cubes.add(tuple((step * (c + o)) % L for c, o in zip(center, offset)))
+    return LatticeGeometry(D, L, 1), sorted(cubes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=clumped_cubes(),
+    alpha=st.sampled_from([1.0, 1.3, 2.0, 15.0]),
+    p=st.sampled_from([0, 0, 0, 1, 2]),
+)
+def test_cluster_partition_matches_pairwise_reference(case, alpha, p):
+    geo, cubes = case
+    params = ScaleParams(alpha=alpha)
+    v = cluster_partition(geo, cubes, p, params)
+    got = (v.clusters, v.diameters, v.sparse, v.xi_p, v.xi_p1, v.scale_capped)
+    assert got == pairwise_reference_partition(geo, cubes, p, params)
+
+
 def test_min_dense_run_examples():
     assert min_dense_run(GEO8, [(1, 1, 1)], PARAMS) == -1
     pair = [(1, 1, 1), (2, 1, 1)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabscape import get_code
 from stabscape.defects import ScaleParams
@@ -102,6 +104,27 @@ def test_pyramid_rg_pipeline(n):
     top = analysis.levels[-1]
     assert len(top.errors) == 1
     assert top.errors[0] == pyramid_operator(code, n, (0, 0, 0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, 1), st.sampled_from("XYZ")),
+        max_size=12,
+    )
+)
+def test_level_errors_built_on_first_access(cubic4, steps):
+    path = [(QubitIndex(site, sub), p) for site, sub, p in steps]
+    analysis = level_histories(cubic4, syndrome_history(cubic4, path), PARAMS)
+    assert all("errors" not in vars(lvl) for lvl in analysis.levels)
+    whole = PauliOperator.from_terms(cubic4.geometry, path)
+    for lvl in analysis.levels:
+        assert len(lvl.errors) == len(lvl.retained) - 1
+        assert "errors" in vars(lvl)
+        prod = PauliOperator.identity(cubic4.geometry)
+        for err in lvl.errors:
+            prod = prod * err
+        assert prod == whole
 
 
 def test_track_static_syndrome(cubic8):
