@@ -24,6 +24,7 @@ from .pauli import PauliOperator
 from .paths import (
     ErrorPath,
     apex_cube,
+    defect_after_each_step,
     energy_profile,
     logical_zbar,
     pyramid_operator,
@@ -201,7 +202,7 @@ def parse_operator(code: CodeInstance, text: str) -> PauliOperator:
     path = Path(text)
     if not path.exists():
         raise SystemExit(f"operator file {text!r} not found")
-    return ErrorPath.from_lines(path.read_text().splitlines(), g.D).product(code)
+    return ErrorPath.from_lines(path.read_text().splitlines(), g.D, g.q).product(code)
 
 
 def _default_u(config: dict, code: CodeInstance) -> tuple[int, ...]:
@@ -272,12 +273,11 @@ def run_pyramid(config: dict) -> Report:
         PASS if path.product(code) == op else FAIL,
     )
     if 2**p < code.geometry.L:
-        hist = syndrome_history(code, path)
-        misses = [t for t, s in enumerate(hist.syndromes) if t > 0 and apex not in s]
+        misses = int(np.count_nonzero(~defect_after_each_step(code, path, apex)))
         report.add_check(
             "apex_defect_after_every_step",
             PASS if not misses else FAIL,
-            {"missing_steps": value(len(misses), PROV_MEASURED)},
+            {"missing_steps": value(misses, PROV_MEASURED)},
         )
     else:
         zbar = logical_zbar(code, u)
@@ -381,7 +381,7 @@ def run_rg(config: dict) -> Report:
         path = Path(config["path"])
         if not path.exists():
             raise SystemExit(f"path file {config['path']!r} not found")
-        steps = ErrorPath.from_lines(path.read_text().splitlines(), code.geometry.D)
+        steps = ErrorPath.from_lines(path.read_text().splitlines(), code.geometry.D, code.geometry.q)
     elif config["p"] is not None:
         steps = pyramid_path(code, config["p"], _default_u(config, code))
     else:

@@ -21,7 +21,7 @@ import numpy as np
 from . import gf2
 from .gf2 import BitMatrix
 from .lattice import LatticeGeometry, QubitIndex, Site
-from .pauli import PauliOperator, single_paulis_anticommute
+from .pauli import CODE_CHARS, PAULI_CODE, PauliOperator, single_paulis_anticommute
 
 # Dense matrices are only built for instances up to this many qubits; larger
 # lattices must go through the template-local paths.
@@ -64,6 +64,8 @@ class CodeSpec:
                     raise CodeConstructionError(f"{self.name}/{sp.name}: offset {offset} leaves the elementary cube")
                 if len(label) != self.q or any(c not in "IXYZ" for c in label):
                     raise CodeConstructionError(f"{self.name}/{sp.name}: bad label {label!r}")
+            if len(set(sp.offsets())) != len(sp.entries):
+                raise CodeConstructionError(f"{self.name}/{sp.name}: repeated offset")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CodeSpec":
@@ -148,6 +150,12 @@ class CodeInstance:
     def generator_at(self, index: int) -> Defect:
         return self.geometry.site_at(index // self.n_species), index % self.n_species
 
+    def generators_at(self, indices: np.ndarray) -> list[Defect]:
+        """``generator_at`` over an index array."""
+        cubes, species = np.divmod(np.asarray(indices, dtype=np.int64), self.n_species)
+        coords = np.unravel_index(cubes, (self.geometry.L,) * self.geometry.D)
+        return list(zip(zip(*(c.tolist() for c in coords)), species.tolist()))
+
     def generator(self, cube: Site, species: int) -> PauliOperator:
         g = self.geometry
         cube = g.wrap(cube)
@@ -166,43 +174,69 @@ class CodeInstance:
 
     # -- syndromes ------------------------------------------------------------
 
-    def _build_flip_table(self) -> dict[tuple[int, str], tuple[tuple[int, Site], ...]]:
-        table: dict[tuple[int, str], tuple[tuple[int, Site], ...]] = {}
-        for sub in range(self.spec.q):
-            for p in "XYZ":
-                flips = []
-                for s, sp in enumerate(self.spec.species):
-                    for offset, label in sp.entries:
-                        if single_paulis_anticommute(p, label[sub]):
-                            flips.append((s, offset))
-                table[(sub, p)] = tuple(flips)
-        return table
+    def _build_flip_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense flip table, one row per ``4 * sub + pauli``: the template
+        offsets ``(4q, F, D)`` and species ``(4q, F)`` of the generators that
+        single-qubit Pauli flips, and a validity mask ``(4q, F)``.  Offsets
+        are distinct within a species, so one step never flips a generator
+        twice."""
+        rows = [
+            [(s, o) for s, sp in enumerate(self.spec.species) for o, label in sp.entries
+             if single_paulis_anticommute(p, label[sub])]
+            for sub in range(self.spec.q) for p in CODE_CHARS
+        ]
+        width = max(len(r) for r in rows)
+        padded = [r + [(0, (0,) * self.spec.D)] * (width - len(r)) for r in rows]
+        offsets = np.array([[o for _, o in r] for r in padded], dtype=np.int64).reshape(len(rows), width, self.spec.D)
+        species = np.array([[s for s, _ in r] for r in padded], dtype=np.int64).reshape(len(rows), width)
+        return offsets, species, np.arange(width) < np.array([len(r) for r in rows])[:, None]
+
+    def flip_events(self, sites, subs, paulis) -> tuple[np.ndarray, np.ndarray]:
+        """Generator flips of a run of single-qubit Paulis at ``sites (T, D)``,
+        ``subs (T,)`` with ``paulis (T,)`` coded x bit | z bit << 1.
+
+        Returns ``(step, generator)`` index arrays ordered by step.  The cost
+        is a fixed number of array operations whatever T is.  The caller keeps
+        every sub-qubit slot in ``0..q-1``: another slot would read another
+        slot's row of the table.
+        """
+        g = self.geometry
+        offsets, species, valid = self._flip_table
+        key = 4 * np.asarray(subs, dtype=np.int64) + paulis
+        step, slot = np.nonzero(valid[key])
+        k = key[step]
+        cubes = np.asarray(sites, dtype=np.int64).reshape(-1, g.D)[step] - offsets[k, slot]
+        return step, g.site_indices(cubes) * self.n_species + species[k, slot]
+
+    def qubit_flip_events(self, qubits, paulis) -> tuple[np.ndarray, np.ndarray]:
+        """``flip_events`` of single-qubit Paulis on flat qubit ids."""
+        g = self.geometry
+        sites, subs = np.divmod(np.asarray(qubits, dtype=np.int64), g.q)
+        return self.flip_events(np.array(np.unravel_index(sites, (g.L,) * g.D)).T, subs, paulis)
 
     def flips(self, qubit: QubitIndex, p: str) -> list[Defect]:
         """Generators anticommuting with the single-qubit Pauli ``p`` at ``qubit``."""
-        g = self.geometry
-        site = qubit.site
-        return [
-            (tuple((c - o) % g.L for c, o in zip(site, offset)), s)
-            for s, offset in self._flip_table[(qubit.sub, p)]
-        ]
+        if not 0 <= qubit.sub < self.geometry.q:
+            raise ValueError(f"sub-qubit slot {qubit.sub} outside 0..{self.geometry.q - 1}")
+        _, gens = self.flip_events([qubit.site], [qubit.sub], [PAULI_CODE[p]])
+        return self.generators_at(gens)
 
     def syndrome_of(self, op: PauliOperator) -> Syndrome:
-        """Defects of an operator: template-local, works at any lattice size."""
-        out: set[Defect] = set()
-        for qubit, p in op.terms():
-            for d in self.flips(qubit, p):
-                out.symmetric_difference_update({d})
-        return frozenset(out)
+        """Defects of an operator: the parity of its support's flip events,
+        template-local, so it works at any lattice size."""
+        g = self.geometry
+        xq = gf2.nonzero_indices(op.xwords, g.n_qubits)
+        zq = gf2.nonzero_indices(op.zwords, g.n_qubits)
+        # a Y term is its X and Z parts
+        paulis = np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], [len(xq), len(zq)])
+        _, gens = self.qubit_flip_events(np.concatenate([xq, zq]), paulis)
+        return self.words_to_syndrome(gf2.from_indices(gens, self.n_generators, parity=True))
 
     def syndrome_to_words(self, syndrome: Iterable[Defect]) -> np.ndarray:
         return gf2.from_indices([self.generator_index(c, s) for c, s in syndrome], self.n_generators)
 
     def words_to_syndrome(self, words: np.ndarray) -> Syndrome:
-        return frozenset(self.generator_at(int(i)) for i in gf2.nonzero_indices(words, self.n_generators))
-
-    def defect_cubes(self, syndrome: Iterable[Defect]) -> frozenset[Site]:
-        return frozenset(cube for cube, _ in syndrome)
+        return frozenset(self.generators_at(gf2.nonzero_indices(words, self.n_generators)))
 
     def touching_generators(self, sites: Iterable[Site]) -> list[int]:
         """Generators whose support meets the given sites (the only ones an
@@ -229,27 +263,12 @@ class CodeInstance:
         g = self.geometry
         site_list = sorted(set(sites))
         qubits = sorted(g.site_index(s) * g.q + sub for s in site_list for sub in range(g.q))
-        col_of = {q: i for i, q in enumerate(qubits)}
         nq = len(qubits)
-        site_set = set(site_list)
         gen_rows = self.touching_generators(site_list)
+        # column j is an X error on qubit j, column j + nq a Z error
+        cols, gens = self.qubit_flip_events(np.tile(qubits, 2), np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], nq))
         dense = np.zeros((len(gen_rows), 2 * nq), dtype=np.uint8)
-        for r, gi in enumerate(gen_rows):
-            cube, s = self.generator_at(gi)
-            for offset, label in self.spec.species[s].entries:
-                site = g.shift(cube, offset)
-                if site not in site_set:
-                    continue
-                base = g.site_index(site) * g.q
-                for sub, p in enumerate(label):
-                    if p == "I":
-                        continue
-                    j = col_of[base + sub]
-                    # syndrome bit = gen.x . err.z + gen.z . err.x
-                    if p in "ZY":
-                        dense[r, j] ^= 1
-                    if p in "XY":
-                        dense[r, j + nq] ^= 1
+        dense[np.searchsorted(gen_rows, gens), cols] = 1
         return BitMatrix.from_bool_array(dense), qubits, gen_rows
 
     # -- dense views ---------------------------------------------------------
@@ -331,16 +350,23 @@ def _template_commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] |
 
     For translation-invariant templates every generator pair is a translate of
     (species s at the origin cube, species t at a cube within the +-1 box), and
-    pairs further apart have disjoint supports, so this check is exact.
+    pairs further apart have disjoint supports, so this check is exact.  Each
+    translate is a ``{site: label}`` map, so the cost does not grow with L.
     """
     g = code.geometry
     origin = (0,) * g.D
-    near_cubes = {g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)}
+    near_cubes = sorted({g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)})
+
+    def translate(cube: Site, s: int) -> dict[Site, str]:
+        return {g.shift(cube, offset): label for offset, label in code.spec.species[s].entries}
+
     for s in range(code.n_species):
-        gen_s = code.generator(origin, s)
+        gen_s = translate(origin, s)
         for t in range(code.n_species):
-            for cube in sorted(near_cubes):
-                if not gen_s.commutes_with(code.generator(cube, t)):
+            for cube in near_cubes:
+                gen_t = translate(cube, t)
+                shared = gen_s.keys() & gen_t.keys()
+                if sum(single_paulis_anticommute(a, b) for x in shared for a, b in zip(gen_s[x], gen_t[x])) % 2:
                     return (origin, s), (cube, t)
     return None
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2
 from .codes import CodeInstance, Syndrome
 from .lattice import LatticeGeometry, QubitIndex, Site
-from .pauli import PauliOperator
+from .pauli import PAULI_CODE, PauliOperator
 
 
 class TQOViolationError(Exception):
@@ -215,21 +215,25 @@ def _restricted_solve(
     """
     g = code.geometry
     sites = sorted(set(support_sites))
-    target_syndrome = code.words_to_syndrome(target)
+    target_bits = gf2.to_bool(target, code.n_generators)
+    n_target = int(np.count_nonzero(target_bits))
     if tidy:
-        if len(target_syndrome) == 0:
+        if n_target == 0:
             return PauliOperator.identity(g)
-        for site in sites:
-            for sub in range(g.q):
-                qb = QubitIndex(site, sub)
-                for p in "XZY":
-                    if frozenset(code.flips(qb, p)) == target_syndrome:
-                        return PauliOperator.single(g, qb, p)
+        # the first single-qubit Pauli (site, sub, then X, Z, Y) whose flips
+        # are exactly the target: a flip in the target scores 1, any other
+        # flip pushes the score past n_target
+        cand = (g.site_indices(sites)[:, None] * g.q + np.arange(g.q)).ravel()
+        step, gens = code.qubit_flip_events(np.repeat(cand, 3), np.tile([PAULI_CODE[p] for p in "XZY"], len(cand)))
+        exact = np.bincount(step, np.where(target_bits[gens], 1, n_target + 1), minlength=3 * len(cand)) == n_target
+        if exact.any():
+            j, k = divmod(int(exact.argmax()), 3)
+            return PauliOperator.single(g, QubitIndex(sites[j // g.q], j % g.q), "XZY"[k])
     sub, qubits, gen_rows = code.restricted_syndrome_matrix(sites)
-    row_set = set(gen_rows)
-    if any(code.generator_index(c, s) not in row_set for c, s in target_syndrome):
+    rhs = target_bits[gen_rows]
+    if np.count_nonzero(rhs) != n_target:
         return None  # a target defect is out of reach of this support
-    x = gf2.gf2_solve(sub, gf2.to_bool(target, code.n_generators)[gen_rows])
+    x = gf2.gf2_solve(sub, rhs)
     if x is None:
         return None
     if tidy:
@@ -548,14 +552,19 @@ class _BoxSolver:
         self.gen_cubes0 = [code.generator_at(r) for r in gen_rows0]
         self._checks = gf2.nullspace(self.matrix.transpose()).to_bool_array()
         self._witness_cache: dict[tuple, PauliOperator | None] = {}
+        self._rows_cache: dict[Site, dict[int, int]] = {}
 
     def rows_for(self, corner: Site) -> dict[int, int]:
-        """Absolute generator index -> local row, for the box at ``corner``."""
-        code, g = self.code, self.code.geometry
-        return {
-            code.generator_index(g.shift(cube, corner), s): i
-            for i, (cube, s) in enumerate(self.gen_cubes0)
-        }
+        """Absolute generator index -> local row, for the box at ``corner``
+        (kept per corner: a scan revisits the same corners for many pairs)."""
+        rows = self._rows_cache.get(corner)
+        if rows is None:
+            code, g = self.code, self.code.geometry
+            rows = self._rows_cache[corner] = {
+                code.generator_index(g.shift(cube, corner), s): i
+                for i, (cube, s) in enumerate(self.gen_cubes0)
+            }
+        return rows
 
     def achievable_witness(self, local_pattern: tuple[int, ...]) -> PauliOperator | None:
         """Operator on the origin box flipping exactly the given local rows."""

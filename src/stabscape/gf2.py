@@ -33,16 +33,23 @@ def to_bool(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:nbits].astype(bool)
 
 
-def from_indices(indices, nbits: int) -> np.ndarray:
+def from_indices(indices, nbits: int, parity: bool = False) -> np.ndarray:
+    """Set the listed bits; with ``parity``, those listed an odd number of times."""
     words = zeros(nbits)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size:
-        np.bitwise_or.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
+        scatter = np.bitwise_xor if parity else np.bitwise_or
+        scatter.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
     return words
 
 
 def nonzero_indices(words: np.ndarray, nbits: int) -> np.ndarray:
-    return np.nonzero(to_bool(words, nbits))[0]
+    """Set bits in ascending order.  Only the nonzero words are unpacked,
+    so a sparse vector costs its support, not its length."""
+    nz = np.flatnonzero(words)
+    idx = np.flatnonzero(np.unpackbits(words[nz].view(np.uint8), bitorder="little"))
+    idx = nz[idx // WORD_BITS] * WORD_BITS + idx % WORD_BITS
+    return idx[idx < nbits]
 
 
 def get_bit(words: np.ndarray, j: int) -> int:
@@ -59,11 +66,6 @@ def set_bit(words: np.ndarray, j: int, value: int = 1) -> None:
 
 def popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Inner product mod 2."""
-    return popcount(a & b) & 1
 
 
 def is_zero(words: np.ndarray) -> bool:
@@ -96,13 +98,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
         return cls(np.zeros((nrows, n_words(ncols)), dtype=np.uint64), ncols)
-
-    @classmethod
-    def from_rows(cls, rows, ncols: int) -> "BitMatrix":
-        rows = list(rows)
-        if not rows:
-            return cls.zeros(0, ncols)
-        return cls(np.vstack(rows), ncols)
 
     @classmethod
     def from_bool_array(cls, arr) -> "BitMatrix":

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
+import numpy as np
+
 Site = tuple[int, ...]
 
 
@@ -62,6 +64,11 @@ class LatticeGeometry:
             coords.append(index % self.L)
             index //= self.L
         return tuple(reversed(coords))
+
+    def site_indices(self, sites) -> np.ndarray:
+        """``site_index`` over an ``(N, D)`` coordinate array."""
+        strides = self.L ** np.arange(self.D - 1, -1, -1, dtype=np.int64)
+        return (np.asarray(sites, dtype=np.int64).reshape(-1, self.D) % self.L) @ strides
 
     def qubit_index(self, qubit: QubitIndex) -> int:
         return self.site_index(qubit.site) * self.q + qubit.sub

@@ -19,7 +19,7 @@ import numpy as np
 from . import gf2
 from .codes import CodeInstance, Syndrome
 from .lattice import QubitIndex
-from .pauli import PauliOperator
+from .pauli import PAULI_CODE, PauliOperator
 from .paths import ErrorPath, energy_profile
 
 MOVE_PAULIS = "XYZ"
@@ -63,17 +63,17 @@ class CosetSpace:
         g = code.geometry
         self.move_labels: list[tuple[QubitIndex, str]] = []
         self.move_dkey: list[int] = []
-        self.move_dsynd: list[int] = []
         for j in range(self.n):
             qubit = g.qubit_at(j)
             for p in MOVE_PAULIS:
                 vec = ((p in "XY") << j) | ((p in "ZY") << (self.n + j))
-                synd = 0
-                for cube, s in code.flips(qubit, p):
-                    synd |= 1 << code.generator_index(cube, s)
                 self.move_labels.append((qubit, p))
                 self.move_dkey.append(self._key(gf2.from_int(vec, 2 * self.n)))
-                self.move_dsynd.append(synd)
+        codes = [PAULI_CODE[p] for p in MOVE_PAULIS]
+        moves, gens = code.qubit_flip_events(np.repeat(np.arange(self.n), len(codes)), np.tile(codes, self.n))
+        self.move_dsynd: list[int] = [0] * len(self.move_labels)
+        for m, gi in zip(moves.tolist(), gens.tolist()):
+            self.move_dsynd[m] |= 1 << gi
 
     def _key(self, vec: np.ndarray) -> int:
         return gf2.to_int(gf2.reduce_by_rref(*self._basis, vec))
@@ -160,7 +160,7 @@ def _reconstruct(space: CosetSpace, parents: dict, state: int) -> ErrorPath:
         steps.append(space.move_labels[j])
         cur = prev
     steps.reverse()
-    return ErrorPath(tuple(steps))
+    return ErrorPath.from_steps(steps)
 
 
 def _deepening_search(

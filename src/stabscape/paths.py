@@ -9,6 +9,7 @@ operators of the cubic code whose paths stay below the ``4p + 4`` ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -16,33 +17,58 @@ import numpy as np
 from . import gf2
 from .codes import CodeInstance, Defect, Syndrome
 from .lattice import QubitIndex, Site
-from .pauli import PauliOperator
+from .pauli import CODE_CHARS, PAULI_CODE, PauliOperator
 
 NOT_CENTRALIZING = "not_centralizing"
 STABILIZER = "stabilizer"
 LOGICAL = "logical"
 
 
-@dataclass(frozen=True)
 class ErrorPath:
-    """Ordered single-qubit error sequence; steps may repeat."""
+    """Ordered single-qubit error sequence; steps may repeat.
 
-    steps: tuple[tuple[QubitIndex, str], ...]
+    Held as arrays: ``sites (T, D)``, ``subs (T,)`` and ``paulis (T,)``, each
+    Pauli coded x bit | z bit << 1 (X=1, Z=2, Y=3).  ``steps`` is the same
+    path as ``(QubitIndex, label)`` pairs, built on first use.
+    """
+
+    def __init__(self, sites, subs, paulis):
+        self.subs = np.asarray(subs, dtype=np.int64)
+        self.paulis = np.asarray(paulis, dtype=np.int64)
+        self.sites = np.asarray(sites, dtype=np.int64).reshape(len(self.subs), -1 if len(self.subs) else 0)
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[tuple[QubitIndex, str]]) -> "ErrorPath":
+        steps = list(steps)
+        return cls([q.site for q, _ in steps], [q.sub for q, _ in steps], [PAULI_CODE[p] for _, p in steps])
+
+    @cached_property
+    def steps(self) -> tuple[tuple[QubitIndex, str], ...]:
+        return tuple(
+            (QubitIndex(tuple(site), sub), CODE_CHARS[p])
+            for site, sub, p in zip(self.sites.tolist(), self.subs.tolist(), self.paulis.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.subs)
 
     def __iter__(self) -> Iterator[tuple[QubitIndex, str]]:
         return iter(self.steps)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ErrorPath) and self.steps == other.steps
+
     def product(self, code: CodeInstance) -> PauliOperator:
-        return PauliOperator.from_terms(code.geometry, self.steps)
+        g = code.geometry
+        return PauliOperator.from_codes(g, g.site_indices(self.sites) * g.q + self.subs, self.paulis)
 
     def to_lines(self) -> list[str]:
         return [f"{q} {p}" for q, p in self.steps]
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str], D: int) -> "ErrorPath":
+    def from_lines(cls, lines: Iterable[str], D: int, q: int) -> "ErrorPath":
+        """Parse ``x.. sub P`` lines; a sub-qubit slot outside ``0..q-1`` is
+        rejected rather than aliased onto another site."""
         steps = []
         for raw in lines:
             line = raw.strip()
@@ -53,11 +79,31 @@ class ErrorPath:
                 raise ValueError(f"expected {D} coordinates, sub, and a Pauli: {line!r}")
             site = tuple(int(c) for c in parts[:D])
             sub = int(parts[D])
+            if not 0 <= sub < q:
+                raise ValueError(f"sub-qubit slot {sub} out of range in {line!r}")
             p = parts[D + 1].upper()
-            if p not in "XYZ":
+            if p not in ("X", "Y", "Z"):
                 raise ValueError(f"bad Pauli {p!r} in {line!r}")
             steps.append((QubitIndex(site, sub), p))
-        return cls(tuple(steps))
+        return cls.from_steps(steps)
+
+
+def as_path(steps: Iterable[tuple[QubitIndex, str]]) -> ErrorPath:
+    return steps if isinstance(steps, ErrorPath) else ErrorPath.from_steps(steps)
+
+
+def walk_events(
+    code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one syndrome walker: flip events ``(step, generator)`` in step
+    order.  Step ``t`` is the path's t-th error (1-based); the initial
+    defects enter as step-0 events."""
+    q = code.geometry.q
+    if len(path) and not (0 <= path.subs.min() and path.subs.max() < q):
+        raise ValueError(f"path has a sub-qubit slot outside 0..{q - 1}")
+    step, gens = code.flip_events(path.sites, path.subs, path.paulis)
+    init = np.array(sorted({code.generator_index(c, s) for c, s in initial}), dtype=np.int64)
+    return np.concatenate([np.zeros_like(init), step + 1]), np.concatenate([init, gens])
 
 
 @dataclass(frozen=True)
@@ -80,21 +126,33 @@ def energy_profile(
     steps: Iterable[tuple[QubitIndex, str]],
     initial: Iterable[Defect] = (),
 ) -> EnergyProfile:
-    """Walk a path, tracking the defect set incrementally.
+    """Defect count after every step of a path.
 
-    Each single-qubit step touches only the generators on its incident cubes,
-    so the cost per step is constant and independent of the lattice size.
+    The walker's events are sorted by (generator, step); within a
+    generator's events the even ranks create its defect (+1) and the odd
+    ranks remove it (-1), and the counts are the running sum of the signs.
+    The cost per step is constant and independent of the lattice size.
     """
-    defects: set[Defect] = set(initial)
-    counts = [len(defects)]
-    for qubit, p in steps:
-        for d in code.flips(qubit, p):
-            if d in defects:
-                defects.discard(d)
-            else:
-                defects.add(d)
-        counts.append(len(defects))
-    return EnergyProfile(tuple(counts), frozenset(defects))
+    path = as_path(steps)
+    step, gens = walk_events(code, path, initial)
+    order = np.argsort(gens, kind="stable")
+    step, gens = step[order], gens[order]
+    n = np.arange(len(gens))
+    run_start = np.maximum.accumulate(np.where(np.diff(gens, prepend=-1) != 0, n, 0))
+    created = (n - run_start) % 2 == 0
+    T = len(path)
+    counts = np.cumsum(np.bincount(step[created], minlength=T + 1) - np.bincount(step[~created], minlength=T + 1))
+    final = gens[created & (np.diff(gens, append=-1) != 0)]
+    return EnergyProfile(tuple(counts.tolist()), frozenset(code.generators_at(final)))
+
+
+
+def defect_after_each_step(code: CodeInstance, path: ErrorPath, defect: Defect) -> np.ndarray:
+    """Whether ``defect`` is present after each step ``1..T`` of a path
+    started from vacuum: the running parity of its flip events."""
+    step, gens = walk_events(code, path)
+    flips = np.bincount(step[gens == code.generator_index(*defect)], minlength=len(path) + 1)
+    return (np.cumsum(flips) % 2 == 1)[1:]
 
 
 # -- cubic-code pyramids --------------------------------------------------------
@@ -154,39 +212,22 @@ def pyramid_operator(code: CodeInstance, p: int, u: Site) -> PauliOperator:
     Acts by X on the first qubit of ``4**p`` distinct sites; its support is a
     self-similar set of fractal dimension 2.
     """
-    _require_pyramid_level(code, p)
-    g = code.geometry
-    sites = (np.asarray(u, dtype=np.int64) + _pyramid_offsets(p)) % g.L
-    flat = ((sites[:, 0] * g.L + sites[:, 1]) * g.L + sites[:, 2]) * g.q
-    xwords = gf2.from_indices(flat, g.n_qubits)
-    return PauliOperator(g, xwords, gf2.zeros(g.n_qubits))
-
-
-def _pyramid_steps(code: CodeInstance, p: int, u: Site) -> Iterator[tuple[QubitIndex, str]]:
-    g = code.geometry
-    if p == 0:
-        yield QubitIndex(g.wrap(u), 0), "X"
-        return
-    step = 2 ** (p - 1)
-    yield from _pyramid_steps(code, p - 1, u)
-    for axis in range(3):
-        shifted = list(u)
-        shifted[axis] += step
-        yield from _pyramid_steps(code, p - 1, tuple(shifted))
+    return pyramid_path(code, p, u).product(code)
 
 
 def pyramid_path(code: CodeInstance, p: int, u: Site) -> ErrorPath:
     """Depth-first single-qubit schedule for the level-p pyramid operator.
 
     Sub-pyramids are built apex-first, then the x, y, z translates, each
-    recursively; within level-0 blocks the order is fixed by the recursion.
+    recursively; ``_pyramid_offsets`` lists the sites in exactly that order.
     Along the path the defect count never exceeds ``4p + 4``, and while
     ``2**p < L`` the apex cube holds a defect after every step (at
     ``2**p == L`` the far corners wrap onto the apex and cancel it at the
     two top-level completion points; see ``energy_profile`` tests).
     """
     _require_pyramid_level(code, p)
-    return ErrorPath(tuple(_pyramid_steps(code, p, tuple(u))))
+    sites = (np.asarray(u, dtype=np.int64) + _pyramid_offsets(p)) % code.geometry.L
+    return ErrorPath(sites, np.zeros(len(sites), dtype=np.int64), np.full(len(sites), PAULI_CODE["X"]))
 
 
 def logical_zbar(code: CodeInstance, u: Site) -> PauliOperator:

@@ -15,14 +15,13 @@ import numpy as np
 from . import gf2
 from .lattice import LatticeGeometry, QubitIndex
 
-PAULI_CHARS = "IXYZ"
-
-_X_PART = {"I": 0, "X": 1, "Y": 1, "Z": 0}
-_Z_PART = {"I": 0, "X": 0, "Y": 1, "Z": 1}
+# Single-qubit Pauli codes: x bit | z bit << 1, so X=1, Z=2, Y=3.
+CODE_CHARS = "IXZY"
+PAULI_CODE = {c: i for i, c in enumerate(CODE_CHARS)}
 
 
 def pauli_char(xbit: int, zbit: int) -> str:
-    return "IXZY"[xbit + 2 * zbit] if not (xbit and zbit) else "Y"
+    return CODE_CHARS[xbit + 2 * zbit]
 
 
 def single_paulis_anticommute(a: str, b: str) -> bool:
@@ -56,17 +55,18 @@ class PauliOperator:
         cls, geometry: LatticeGeometry, terms: Iterable[tuple[QubitIndex, str]]
     ) -> "PauliOperator":
         """Product of single-qubit factors; repeated factors cancel in pairs."""
-        x = gf2.zeros(geometry.n_qubits)
-        z = gf2.zeros(geometry.n_qubits)
-        for qubit, p in terms:
-            if p not in "IXYZ":
+        terms = list(terms)
+        for _, p in terms:
+            if p not in PAULI_CODE:
                 raise ValueError(f"bad Pauli label {p!r}")
-            j = geometry.qubit_index(qubit)
-            if _X_PART[p]:
-                gf2.set_bit(x, j, gf2.get_bit(x, j) ^ 1)
-            if _Z_PART[p]:
-                gf2.set_bit(z, j, gf2.get_bit(z, j) ^ 1)
-        return cls(geometry, x, z)
+        return cls.from_codes(geometry, [geometry.qubit_index(q) for q, _ in terms], [PAULI_CODE[p] for _, p in terms])
+
+    @classmethod
+    def from_codes(cls, geometry: LatticeGeometry, qubits, paulis) -> "PauliOperator":
+        """Product of single-qubit Paulis given as qubit ids and Pauli codes."""
+        qubits, paulis = np.asarray(qubits, dtype=np.int64), np.asarray(paulis, dtype=np.int64)
+        x = gf2.from_indices(qubits[paulis & 1 == 1], geometry.n_qubits, parity=True)
+        return cls(geometry, x, gf2.from_indices(qubits[paulis & 2 == 2], geometry.n_qubits, parity=True))
 
     @classmethod
     def single(cls, geometry: LatticeGeometry, qubit: QubitIndex, p: str) -> "PauliOperator":

@@ -20,6 +20,7 @@ from .codes import CodeInstance, Defect, Syndrome
 from .defects import ScaleParams, cluster_partition, is_neutral, min_dense_run
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PauliOperator
+from .paths import as_path, walk_events
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,16 @@ def syndrome_history(
     path: Iterable[tuple[QubitIndex, str]],
     initial: Iterable[Defect] = (),
 ) -> SyndromeHistory:
-    steps = tuple(path)
-    defects: set[Defect] = set(initial)
-    syndromes = [frozenset(defects)]
-    for qubit, p in steps:
-        for d in code.flips(qubit, p):
-            if d in defects:
-                defects.discard(d)
-            else:
-                defects.add(d)
-        syndromes.append(frozenset(defects))
-    return SyndromeHistory(steps, tuple(syndromes))
+    """Per-step syndromes from the walker's events: each step toggles the
+    generators it flips (no step flips one generator twice)."""
+    path = as_path(path)
+    step, gens = walk_events(code, path, initial)
+    flipped = code.generators_at(gens)
+    bounds = np.searchsorted(step, np.arange(len(path) + 2)).tolist()
+    syndromes = [frozenset(flipped[: bounds[1]])]
+    for a, b in zip(bounds[1:], bounds[2:]):
+        syndromes.append(syndromes[-1].symmetric_difference(flipped[a:b]))
+    return SyndromeHistory(path.steps, tuple(syndromes))
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,9 @@ def box_counting_dimension(
     counts = []
     for s in scales:
         boxes = coords // int(s)
-        counts.append((int(s), int(np.unique(boxes, axis=0).shape[0])))
+        boxes -= boxes.min(axis=0)
+        keys = np.ravel_multi_index(tuple(boxes.T), tuple(boxes.max(axis=0) + 1))
+        counts.append((int(s), int(np.unique(keys).size)))
     if coords.shape[0] == 1:
         return BoxCountEstimate(0.0, counts, degenerate=True, anchor=tuple(anchor) if anchor else None)
     xs = np.log([1.0 / s for s, _ in counts])

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stabscape import get_code
+
+# Fixed examples on every checkout: no wall-clock deadline (shared machines
+# stall), a derandomized search, and no example database carried between runs.
+settings.register_profile("stabscape", deadline=None, derandomize=True, database=None)
+settings.load_profile("stabscape")
 
 
 @pytest.fixture(scope="session")

@@ -225,3 +225,15 @@ def test_rg_missing_path_file_is_usage_error(tmp_path, capsys):
 
 def test_negative_track_level_is_usage_error(tmp_path):
     assert run(tmp_path, "rg", "--code", "cubic1", "--L", "8", "--p", "2", "--track-level", "-1") == 2
+
+
+def test_out_of_range_sub_qubit_slot_is_usage_error(tmp_path, capsys):
+    # cubic1 has slots 0 and 1; slot 2 would alias onto the next site and
+    # slot -1 onto the previous one
+    for slot in ("2", "-1"):
+        op_file = tmp_path / f"slot{slot}.txt"
+        op_file.write_text(f"0 0 0 {slot} X\n")
+        assert run(tmp_path, "syndrome", "--code", "cubic1", "--L", "4", "--op", str(op_file)) == 2
+        assert run(tmp_path, "rg", "--code", "cubic1", "--L", "4", "--path", str(op_file)) == 2
+        assert "out of range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))

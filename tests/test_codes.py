@@ -59,6 +59,13 @@ def test_corrupted_spec_fails_with_witness():
     assert "anticommute" in str(err.value)
 
 
+def test_repeated_template_offset_rejected():
+    spec = registered_spec("rep1d").to_dict()
+    spec["species"][0]["offsets"][1] = spec["species"][0]["offsets"][0]
+    with pytest.raises(CodeConstructionError, match="repeated offset"):
+        CodeSpec.from_dict(spec)
+
+
 @pytest.mark.parametrize("L", [2, 3, 4, 6])
 def test_frustration_free_small_sizes(L):
     rep = check_frustration_free(get_code("cubic1", L))

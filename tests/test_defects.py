@@ -213,7 +213,7 @@ def clumped_cubes(draw):
     return LatticeGeometry(D, L, 1), sorted(cubes)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     case=clumped_cubes(),
     alpha=st.sampled_from([1.0, 1.3, 2.0, 15.0]),
@@ -467,7 +467,7 @@ def reference_lift(geometry, qubits, x):
     return PauliOperator.from_symplectic(geometry, full)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     corner=st.tuples(*[st.integers(0, 3)] * 3),
     size=st.integers(1, 3),

@@ -201,7 +201,7 @@ def test_matmul_vec(rng):
     assert np.array_equal(gf2.to_bool(out, 9).astype(np.uint8), expect)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(matrices())
 def test_reduce_by_rref_matches_sequential_reference(case):
     m, rng = case
@@ -216,7 +216,7 @@ def test_reduce_by_rref_matches_sequential_reference(case):
     assert gf2.is_zero(gf2.reduce_by_rref(rref, pivots, combo))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(matrices())
 def test_gf2_solve_bit_identical_to_reference(case):
     m, rng = case

@@ -176,9 +176,15 @@ def test_error_path_text_roundtrip(cubic4):
     path = pyramid_path(cubic4, 1, (0, 1, 2))
     lines = path.to_lines()
     assert lines[0].split()[-1] == "X"
-    back = ErrorPath.from_lines(lines, 3)
+    back = ErrorPath.from_lines(lines, 3, 2)
     assert back == path
     with pytest.raises(ValueError):
-        ErrorPath.from_lines(["0 0 0 0 Q"], 3)
+        ErrorPath.from_lines(["0 0 0 0 Q"], 3, 2)
     with pytest.raises(ValueError):
-        ErrorPath.from_lines(["0 0 0 X"], 3)
+        ErrorPath.from_lines(["0 0 0 X"], 3, 2)
+    with pytest.raises(ValueError):
+        ErrorPath.from_lines(["0 0 0 2 X"], 3, 2)
+    with pytest.raises(ValueError):
+        ErrorPath.from_lines(["0 0 0 -1 X"], 3, 2)
+    with pytest.raises(ValueError):
+        energy_profile(cubic4, [(QubitIndex((0, 0, 0), 2), "X")])

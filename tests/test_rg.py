@@ -106,7 +106,7 @@ def test_pyramid_rg_pipeline(n):
     assert top.errors[0] == pyramid_operator(code, n, (0, 0, 0))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     steps=st.lists(
         st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, 1), st.sampled_from("XYZ")),

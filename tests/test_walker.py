@@ -1,0 +1,379 @@
+"""The array-native syndrome walker against the per-step loops it replaced.
+
+Every ``reference_*`` function below is a test-only copy of a retired
+implementation: the per-step ``flips`` walk behind ``energy_profile``,
+``syndrome_history`` and ``syndrome_of``, the bit-at-a-time ``from_terms``,
+the recursive pyramid schedule, the full-lattice commutation audit, the
+per-entry restricted syndrome matrix, the per-qubit single-Pauli
+short-circuit of the local solver, the per-move flip loop of the oracle
+and the uncached ``rows_for`` map.
+"""
+
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabscape import get_code, gf2
+from stabscape.codes import CodeInstance, CodeSpec, _template_commutation_witness, registered_spec, registry_names
+from stabscape.defects import _BoxSolver, _restricted_solve
+from stabscape.lattice import QubitIndex
+from stabscape.pauli import PauliOperator, single_paulis_anticommute
+from stabscape.oracle import MOVE_PAULIS, CosetSpace
+from stabscape.paths import ErrorPath, defect_after_each_step, energy_profile, pyramid_path
+from stabscape.rg import box_counting_dimension, syndrome_history
+
+CODES = [("cubic1", 2), ("cubic1", 4), ("toric2d", 3), ("toric3d", 3), ("rep1d", 5)]
+
+
+@lru_cache(maxsize=None)
+def code_for(name, L):
+    return get_code(name, L)
+
+
+# -- retired implementations ---------------------------------------------------
+
+
+def reference_flips(code, qubit, p):
+    g = code.geometry
+    return [
+        (tuple((c - o) % g.L for c, o in zip(qubit.site, offset)), s)
+        for s, sp in enumerate(code.spec.species)
+        for offset, label in sp.entries
+        if single_paulis_anticommute(p, label[qubit.sub])
+    ]
+
+
+def reference_syndromes(code, steps, initial=()):
+    defects = set(initial)
+    syndromes = [frozenset(defects)]
+    for qubit, p in steps:
+        for d in reference_flips(code, qubit, p):
+            if d in defects:
+                defects.discard(d)
+            else:
+                defects.add(d)
+        syndromes.append(frozenset(defects))
+    return syndromes
+
+
+def reference_syndrome_of(code, op):
+    out = set()
+    for qubit, p in op.terms():
+        out.symmetric_difference_update(reference_flips(code, qubit, p))
+    return frozenset(out)
+
+
+def reference_from_terms(geometry, terms):
+    x, z = gf2.zeros(geometry.n_qubits), gf2.zeros(geometry.n_qubits)
+    for qubit, p in terms:
+        j = geometry.qubit_index(qubit)
+        if p in "XY":
+            gf2.set_bit(x, j, gf2.get_bit(x, j) ^ 1)
+        if p in "ZY":
+            gf2.set_bit(z, j, gf2.get_bit(z, j) ^ 1)
+    return PauliOperator(geometry, x, z)
+
+
+def reference_single_qubit_witness(code, sites, target):
+    if not target:
+        return PauliOperator.identity(code.geometry)
+    for site in sites:
+        for sub in range(code.geometry.q):
+            qubit = QubitIndex(site, sub)
+            for p in "XZY":
+                if frozenset(reference_flips(code, qubit, p)) == target:
+                    return PauliOperator.single(code.geometry, qubit, p)
+    return None
+
+
+def reference_pyramid_steps(g, p, u):
+    if p == 0:
+        yield QubitIndex(g.wrap(u), 0), "X"
+        return
+    step = 2 ** (p - 1)
+    yield from reference_pyramid_steps(g, p - 1, u)
+    for axis in range(3):
+        shifted = list(u)
+        shifted[axis] += step
+        yield from reference_pyramid_steps(g, p - 1, tuple(shifted))
+
+
+def reference_commutation_witness(code):
+    g = code.geometry
+    origin = (0,) * g.D
+    near_cubes = {g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)}
+    for s in range(code.n_species):
+        gen_s = code.generator(origin, s)
+        for t in range(code.n_species):
+            for cube in sorted(near_cubes):
+                if not gen_s.commutes_with(code.generator(cube, t)):
+                    return (origin, s), (cube, t)
+    return None
+
+
+def reference_restricted_matrix(code, sites):
+    g = code.geometry
+    site_list = sorted(set(sites))
+    qubits = sorted(g.site_index(s) * g.q + sub for s in site_list for sub in range(g.q))
+    col_of = {q: i for i, q in enumerate(qubits)}
+    nq = len(qubits)
+    site_set = set(site_list)
+    gen_rows = code.touching_generators(site_list)
+    dense = np.zeros((len(gen_rows), 2 * nq), dtype=np.uint8)
+    for r, gi in enumerate(gen_rows):
+        cube, s = code.generator_at(gi)
+        for offset, label in code.spec.species[s].entries:
+            site = g.shift(cube, offset)
+            if site not in site_set:
+                continue
+            base = g.site_index(site) * g.q
+            for sub, p in enumerate(label):
+                if p in "ZY":
+                    dense[r, col_of[base + sub]] ^= 1
+                if p in "XY":
+                    dense[r, col_of[base + sub] + nq] ^= 1
+    return dense, qubits, gen_rows
+
+
+# -- strategies ------------------------------------------------------------------
+
+
+@st.composite
+def walks(draw, max_steps=20):
+    """A code, a path on it (off-torus coordinates, Y, every sub-qubit slot,
+    and often a repeated tail), and an initial defect set."""
+    name, L = draw(st.sampled_from(CODES))
+    code = code_for(name, L)
+    g = code.geometry
+    step = st.tuples(st.tuples(*[st.integers(-1, L)] * g.D), st.integers(0, g.q - 1), st.sampled_from("XYZ"))
+    steps = [(QubitIndex(site, sub), p) for site, sub, p in draw(st.lists(step, max_size=max_steps))]
+    if steps and draw(st.booleans()):
+        steps += steps[: draw(st.integers(1, len(steps)))]
+    initial = draw(st.sets(st.integers(0, code.n_generators - 1), max_size=6))
+    return code, steps, frozenset(code.generator_at(i) for i in initial)
+
+
+# -- walker views ----------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(walk=walks())
+def test_energy_profile_matches_retired_loop(walk):
+    code, steps, initial = walk
+    expected = reference_syndromes(code, steps, initial)
+    for path in (steps, ErrorPath.from_steps(steps)):
+        prof = energy_profile(code, path, initial)
+        assert prof.counts == tuple(len(s) for s in expected)
+        assert prof.final_syndrome == expected[-1]
+
+
+def test_energy_profile_edge_cases(cubic4):
+    z = cubic4.species_index("z")
+    start = frozenset({((1, 1, 1), z)})
+    assert energy_profile(cubic4, [], start).counts == (1,)
+    assert energy_profile(cubic4, [], start).final_syndrome == start
+    y = (QubitIndex((1, 2, 3), 1), "Y")
+    prof = energy_profile(cubic4, [y, y, y], start)
+    assert prof.counts == tuple(len(s) for s in reference_syndromes(cubic4, [y, y, y], start))
+
+
+@settings(max_examples=200)
+@given(walk=walks())
+def test_syndrome_history_matches_retired_loop(walk):
+    code, steps, initial = walk
+    hist = syndrome_history(code, steps, initial)
+    assert hist.syndromes == tuple(reference_syndromes(code, steps, initial))
+    assert hist.steps == tuple(steps)
+
+
+@settings(max_examples=200)
+@given(walk=walks())
+def test_defect_after_each_step_matches_retired_loop(walk):
+    code, steps, initial = walk
+    expected = reference_syndromes(code, steps)
+    for defect in sorted(initial | expected[-1] | set().union(*expected))[:6]:
+        present = defect_after_each_step(code, ErrorPath.from_steps(steps), defect)
+        assert present.tolist() == [defect in s for s in expected[1:]]
+
+
+@pytest.mark.parametrize("sub", [-1, 2])
+def test_out_of_range_slot_rejected(cubic4, sub):
+    # cubic1 has slots 0 and 1; any other slot would read another slot's row
+    with pytest.raises(ValueError):
+        cubic4.flips(QubitIndex((0, 0, 0), sub), "X")
+    with pytest.raises(ValueError):
+        energy_profile(cubic4, [(QubitIndex((1, 1, 1), sub), "Z")])
+
+
+@settings(max_examples=200)
+@given(
+    name=st.sampled_from(registry_names()),
+    L=st.integers(2, 5),
+    terms=st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=3, max_size=3), st.integers(0, 3), st.sampled_from("XYZ")),
+        max_size=12,
+    ),
+)
+def test_syndrome_of_matches_retired_loop(name, L, terms):
+    code = code_for(name, L)
+    g = code.geometry
+    steps = [(QubitIndex(tuple(site[: g.D]), sub % g.q), p) for site, sub, p in terms]
+    op = PauliOperator.from_terms(g, steps)
+    assert code.syndrome_of(op) == reference_syndrome_of(code, op)
+    for qubit, p in steps:
+        assert code.flips(qubit, p) == reference_flips(code, qubit, p)
+
+
+def test_syndrome_of_at_large_L_is_sparse():
+    code = get_code("cubic1", 128)
+    op = PauliOperator.from_terms(code.geometry, [(QubitIndex((127, 0, 5), 0), "X"), (QubitIndex((3, 3, 3), 1), "Y")])
+    assert code.syndrome_of(op) == reference_syndrome_of(code, op)
+
+
+@settings(max_examples=200)
+@given(walk=walks())
+def test_path_product_matches_retired_from_terms(walk):
+    code, steps, _ = walk
+    expected = reference_from_terms(code.geometry, steps)
+    assert ErrorPath.from_steps(steps).product(code) == expected
+    assert PauliOperator.from_terms(code.geometry, steps) == expected
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 5), data=st.data())
+def test_pyramid_path_matches_recursive_schedule(n, data):
+    L = 2**n
+    code = code_for("cubic1", L)
+    p = data.draw(st.integers(0, n), label="p")  # p == n has 2**p == L
+    u = data.draw(st.tuples(*[st.integers(-L, 2 * L)] * 3), label="u")
+    path = pyramid_path(code, p, u)
+    expected = tuple(reference_pyramid_steps(code.geometry, p, u))
+    assert path.steps == expected
+    assert path == ErrorPath.from_steps(expected)
+
+
+# -- code construction and local solves --------------------------------------------
+
+
+@settings(max_examples=80)
+@given(
+    name=st.sampled_from(registry_names()),
+    L=st.integers(2, 5),
+    corrupt=st.none() | st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 2), st.sampled_from("IXYZ")),
+)
+def test_sparse_commutation_audit_matches_dense(name, L, corrupt):
+    spec = registered_spec(name).to_dict()
+    if corrupt is not None:
+        s, e, sub, c = corrupt
+        species = spec["species"][s % len(spec["species"])]
+        e %= len(species["labels"])
+        label = species["labels"][e]
+        species["labels"][e] = label[: sub % len(label)] + c + label[sub % len(label) + 1 :]
+    code = CodeInstance(CodeSpec.from_dict(spec), L)
+    assert _template_commutation_witness(code) == reference_commutation_witness(code)
+
+
+@settings(max_examples=100)
+@given(
+    name_L=st.sampled_from(CODES),
+    sites=st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=10),
+)
+def test_restricted_matrix_matches_retired_loop(name_L, sites):
+    code = code_for(*name_L)
+    g = code.geometry
+    region = [g.wrap(s[: g.D]) for s in sites]
+    mat, qubits, rows = code.restricted_syndrome_matrix(region)
+    dense, ref_qubits, ref_rows = reference_restricted_matrix(code, region)
+    assert (qubits, rows) == (ref_qubits, ref_rows)
+    assert np.array_equal(mat.to_bool_array(), dense.astype(bool))
+
+
+@settings(max_examples=150)
+@given(
+    name_L=st.sampled_from(CODES),
+    sites=st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_single_qubit_short_circuit_matches_retired_loop(name_L, sites, data):
+    code = code_for(*name_L)
+    g = code.geometry
+    region = sorted({g.wrap(s[: g.D]) for s in sites})
+    # targets hit by one Pauli in the region, by one outside it, and arbitrary sets
+    site = data.draw(st.sampled_from(region) | st.tuples(*[st.integers(0, g.L - 1)] * g.D), label="site")
+    qubit = QubitIndex(site, data.draw(st.integers(0, g.q - 1), label="sub"))
+    target = frozenset(reference_flips(code, qubit, data.draw(st.sampled_from("XYZ"), label="p")))
+    if data.draw(st.booleans(), label="arbitrary"):
+        drawn = data.draw(st.sets(st.integers(0, code.n_generators - 1), min_size=1, max_size=3), label="gens")
+        target = frozenset(code.generator_at(i) for i in drawn)
+    solved = _restricted_solve(code, region, code.syndrome_to_words(target))
+    expected = reference_single_qubit_witness(code, region, target)
+    if expected is not None:
+        assert solved == expected
+    else:
+        assert solved is None or solved.weight >= 2
+
+
+@pytest.mark.parametrize("name_L", CODES[:4])
+def test_oracle_move_syndromes_match_retired_loop(name_L):
+    code = code_for(*name_L)
+    space = CosetSpace(code)
+    g = code.geometry
+    expected = []
+    for j in range(code.n_qubits):
+        for p in MOVE_PAULIS:
+            synd = 0
+            for cube, s in reference_flips(code, g.qubit_at(j), p):
+                synd |= 1 << code.generator_index(cube, s)
+            expected.append(synd)
+    assert space.move_dsynd == expected
+
+
+@settings(max_examples=50)
+@given(corners=st.lists(st.tuples(*[st.integers(-6, 11)] * 3), min_size=1, max_size=8))
+def test_cached_rows_for_matches_fresh_map(corners):
+    code = code_for("cubic1", 6)
+    g = code.geometry
+    solver = _BoxSolver(code, 3)
+    for corner in corners + corners:
+        fresh = {
+            code.generator_index(g.shift(cube, corner), s): i for i, (cube, s) in enumerate(solver.gen_cubes0)
+        }
+        assert solver.rows_for(corner) == fresh
+    assert len(solver._rows_cache) == len(set(corners))
+
+
+# -- array helpers -----------------------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(nbits=st.integers(1, 9000), data=st.data())
+def test_nonzero_indices_and_parity_scatter(nbits, data):
+    listed = data.draw(st.lists(st.integers(0, nbits - 1), max_size=40), label="listed")
+    odd = sorted(j for j in set(listed) if listed.count(j) % 2)
+    words = gf2.from_indices(listed, nbits, parity=True)
+    assert np.flatnonzero(gf2.to_bool(words, nbits)).tolist() == odd
+    assert gf2.nonzero_indices(words, nbits).tolist() == odd
+    if nbits % 64:  # bits past nbits in the last word are not part of the vector
+        words[-1] |= np.uint64(1) << np.uint64(63)
+        assert gf2.nonzero_indices(words, nbits).tolist() == odd
+    assert gf2.nonzero_indices(gf2.from_indices(listed, nbits), nbits).tolist() == sorted(set(listed))
+
+
+@settings(max_examples=100)
+@given(
+    sites=st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=60),
+    anchor=st.none() | st.tuples(*[st.integers(0, 15)] * 3),
+    L=st.sampled_from([16, None]),  # unwrapped anchored boxes can be negative
+)
+def test_box_counts_match_row_unique(sites, anchor, L):
+    scales = [1, 2, 4, 8]
+    est = box_counting_dimension(sites, scales, L, anchor)
+    coords = np.asarray(sorted(set(sites)), dtype=np.int64)
+    if anchor is not None:
+        coords = coords - np.asarray(anchor)
+        coords = coords % L if L else coords
+    assert est.counts == [(s, int(np.unique(coords // s, axis=0).shape[0])) for s in scales]
