@@ -329,11 +329,19 @@ def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
     return parse_operator(code, text)
 
 
+def _search_budget(config: dict) -> SearchBudget:
+    if config["state_cap"] < 1:
+        raise SystemExit("--state-cap must be at least 1")
+    if config["omega_max"] < 0:
+        raise SystemExit("--omega-max must be non-negative")
+    return SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
+
+
 def run_barrier(config: dict) -> Report:
+    budget = _search_budget(config)
     code = get_code(config["code"], config["L"])
     report = Report("barrier", config)
     target = _parse_target(code, config)
-    budget = SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
     result = min_barrier_logical(code, target, budget)
     measured = {
         "states_visited": value(result.states_visited, PROV_ORACLE),
@@ -353,9 +361,10 @@ def run_barrier(config: dict) -> Report:
 
 
 def run_distance(config: dict) -> Report:
+    budget = _search_budget(config)
     code = get_code(config["code"], config["L"])
     report = Report("distance", config)
-    result = code_distance(code, SearchBudget(state_cap=config["state_cap"]))
+    result = code_distance(code, budget)
     measured = {
         "classes": value(result.classes_enumerated, PROV_ORACLE),
         "elements": value(result.elements_enumerated, PROV_ORACLE),

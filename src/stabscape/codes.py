@@ -281,27 +281,35 @@ class CodeInstance:
             )
 
     def stabilizer_matrix(self) -> BitMatrix:
-        """Generators as packed (X-part || Z-part) rows."""
+        """Generators as packed (X-part || Z-part) rows, set by one scatter per
+        template term over every cube at once (one index array per term keeps
+        the transient memory to a few lattice-sized arrays)."""
         if self._stabilizer_matrix is None:
             self._require_dense()
-            mat = BitMatrix.zeros(self.n_generators, 2 * self.n_qubits)
-            for idx in range(self.n_generators):
-                cube, s = self.generator_at(idx)
-                mat.words[idx] = self.generator(cube, s).symplectic()
+            g = self.geometry
+            mat = BitMatrix.zeros(self.n_generators, 2 * g.n_qubits)
+            grid = np.arange(g.n_sites).reshape((g.L,) * g.D)
+            for s, sp in enumerate(self.spec.species):
+                rows = np.arange(s, self.n_generators, self.n_species)
+                for offset, label in sp.entries:
+                    # the site at this offset from every cube: the site grid rolled back by it
+                    sites = np.roll(grid, [-c for c in offset], axis=tuple(range(g.D))).ravel()
+                    # a qubit's X bit is column sub, its Z bit n + sub; a Y term sets both
+                    bits = [sub + half * g.n_qubits for sub, p in enumerate(label)
+                            for half in (0, 1) if PAULI_CODE[p] >> half & 1]
+                    for bit in bits:
+                        cols = sites * g.q + bit
+                        mat.words[rows, cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
             self._stabilizer_matrix = mat
         return self._stabilizer_matrix
 
     def syndrome_matrix(self) -> BitMatrix:
         """Linear syndrome map: row ``a`` dotted with an (X||Z) error vector
-        gives the flip indicator of generator ``a`` (symplectic pairing)."""
+        gives the flip indicator of generator ``a`` (symplectic pairing), so
+        it is the stabilizer matrix with its X and Z halves swapped."""
         if self._syndrome_matrix is None:
-            stab = self.stabilizer_matrix()
-            n = self.n_qubits
-            mat = BitMatrix.zeros(self.n_generators, 2 * n)
-            for idx in range(self.n_generators):
-                bits = gf2.to_bool(stab.words[idx], 2 * n)
-                mat.words[idx] = gf2.from_bool(np.concatenate([bits[n:], bits[:n]]))
-            self._syndrome_matrix = mat
+            bits = self.stabilizer_matrix().to_bool_array()
+            self._syndrome_matrix = BitMatrix.from_bool_array(np.roll(bits, self.n_qubits, axis=1))
         return self._syndrome_matrix
 
     def stabilizer_rref(self) -> tuple[BitMatrix, list[int]]:

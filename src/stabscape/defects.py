@@ -626,6 +626,7 @@ def scan_for_strings(
     start = time.monotonic()
     origin = (0,) * g.D
     box1 = CubeBox(origin, rho)
+    cubes1 = set(box1.cubes(g))  # box1 is pinned at the origin for every placement
     seen: set[Site] = set()
     placements: list[CubeBox] = []
     for v in product(range(0, g.L, rho), repeat=g.D):
@@ -634,7 +635,7 @@ def scan_for_strings(
         neg = tuple((-c) % g.L for c in v)
         seen.update({v, neg})
         box2 = CubeBox(v, rho)
-        if set(box1.cubes(g)) & set(box2.cubes(g)):
+        if cubes1 & set(box2.cubes(g)):
             continue
         if anchor_aspect_ratio(g, box1, box2) > alpha:
             placements.append(box2)
@@ -689,7 +690,6 @@ def scan_for_strings(
                 syndrome = code.syndrome_of(op)
                 if syndrome != frozenset(code.generator_at(r) for r in chosen):
                     raise RuntimeError("box witness produced the wrong defect pattern")
-                cubes1 = set(box1.cubes(g))
                 in1 = frozenset(d for d in syndrome if d[0] in cubes1)
                 in2 = frozenset(syndrome - in1)
                 charged = tuple(i for i, cl in enumerate((in1, in2)) if not cached_neutral(cl, scale))

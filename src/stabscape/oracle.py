@@ -2,27 +2,30 @@
 
 Search states are stabilizer cosets, not raw Paulis: two operators differing
 by a stabilizer see identical defect landscapes ahead of them, so coset-level
-search is exact while shrinking the space from 4^n to 2^(n+k).  Coset keys are
-canonical symplectic vectors (reduced against the stabilizer basis) packed
-into python ints, and both the key and the syndrome evolve linearly under
-single-qubit moves, so a move is two XORs and a popcount.
+search is exact while shrinking the space from 4^n to 2^(n+k).  A coset key is
+the canonical symplectic vector (reduced against the stabilizer basis) held
+as uint64 words.  The key, the syndrome and a 64-bit fingerprint of the key
+are linear (``fp(a ^ b) = fp(a) ^ fp(b)``), so a move is three XORs.  Each
+ceiling pass is a level-synchronous BFS over blocks of (state, move)
+candidates; fingerprints sort and bucket them, the key words decide equality.
 """
 
 from __future__ import annotations
 
+import random
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, Syndrome
-from .lattice import QubitIndex
+from .codes import CodeInstance
 from .pauli import PAULI_CODE, PauliOperator
 from .paths import ErrorPath, energy_profile
 
 MOVE_PAULIS = "XYZ"
+BLOCK = 1 << 15  # candidates per block; its largest array, one syndrome word each, is 256 KiB
+FINGERPRINT_SEED = 0x5EED
 
 
 @dataclass
@@ -41,6 +44,7 @@ class BarrierResult:
     states_visited: int
     status: str  # "exact", "budget_exhausted", or "unreachable"
     ruled_out: int | None = None  # largest ceiling fully excluded
+    passes: tuple[tuple[int, int, int], ...] = ()  # (omega, states, frontier_peak) per ceiling pass
 
     @property
     def exact(self) -> bool:
@@ -48,44 +52,39 @@ class BarrierResult:
 
 
 class CosetSpace:
-    """Precomputed coset arithmetic for one code instance.
-
-    Keys are ints over 2n bits (X-part low, Z-part high) reduced to the
-    canonical representative modulo the stabilizer row space; the reduction is
-    linear, so neighbor keys come from XOR with per-move constants.
-    """
+    """Coset arithmetic for one code.  Keys are words over 2n bits (X-part low, Z-part high)
+    reduced modulo the stabilizer row space.  Row ``3 * j + MOVE_PAULIS.index(p)`` of
+    ``move_dkey``, ``move_dsynd`` and ``move_fp`` is what the Pauli ``p`` on qubit ``j``
+    XORs into the key, the syndrome and the fingerprint."""
 
     def __init__(self, code: CodeInstance):
         self.code = code
         rref, pivots = code.stabilizer_rref()
         self._basis = (rref, np.asarray(pivots, dtype=np.int64))
-        self.n = code.n_qubits
-        g = code.geometry
-        self.move_labels: list[tuple[QubitIndex, str]] = []
-        self.move_dkey: list[int] = []
-        for j in range(self.n):
-            qubit = g.qubit_at(j)
-            for p in MOVE_PAULIS:
-                vec = ((p in "XY") << j) | ((p in "ZY") << (self.n + j))
-                self.move_labels.append((qubit, p))
-                self.move_dkey.append(self._key(gf2.from_int(vec, 2 * self.n)))
-        codes = [PAULI_CODE[p] for p in MOVE_PAULIS]
-        moves, gens = code.qubit_flip_events(np.repeat(np.arange(self.n), len(codes)), np.tile(codes, self.n))
-        self.move_dsynd: list[int] = [0] * len(self.move_labels)
-        for m, gi in zip(moves.tolist(), gens.tolist()):
-            self.move_dsynd[m] |= 1 << gi
+        self.n = n = code.n_qubits
+        # The residue of a unit vector is itself, XOR the row whose pivot it hits.
+        bits = np.arange(2 * n)
+        unit = np.zeros((2 * n, gf2.n_words(2 * n)), dtype=np.uint64)
+        unit[bits, bits >> 6] = np.uint64(1) << (bits & 63).astype(np.uint64)
+        unit[self._basis[1]] ^= rref.words
+        self.move_dkey = np.stack([unit[:n], unit[:n] ^ unit[n:], unit[n:]], axis=1).reshape(3 * n, -1)
+        moves, gens = code.qubit_flip_events(np.arange(3 * n) // 3, np.tile([PAULI_CODE[p] for p in MOVE_PAULIS], n))
+        self.move_dsynd = np.zeros((3 * n, gf2.n_words(code.n_generators)), dtype=np.uint64)
+        np.bitwise_or.at(self.move_dsynd, (moves, gens >> 6), np.uint64(1) << (gens & 63).astype(np.uint64))
+        # The fingerprint XORs one fixed random word per key bit, so the unit residues' fingerprints
+        # follow from the basis rows' as their keys do (stdlib random: numpy.random costs ~6 MiB RSS).
+        ufp = np.frombuffer(random.Random(FINGERPRINT_SEED).randbytes(16 * n), np.uint64).copy()
+        ufp[self._basis[1]] ^= np.bitwise_xor.reduce(np.where(rref.to_bool_array(), ufp, np.uint64(0)), axis=1)
+        self.move_fp = np.stack([ufp[:n], ufp[:n] ^ ufp[n:], ufp[n:]], axis=1).ravel()
 
-    def _key(self, vec: np.ndarray) -> int:
-        return gf2.to_int(gf2.reduce_by_rref(*self._basis, vec))
+    def _key(self, vec: np.ndarray) -> np.ndarray:
+        return gf2.reduce_by_rref(*self._basis, vec)
 
     def key_of(self, op: PauliOperator) -> int:
-        return self._key(op.symplectic())
+        return gf2.to_int(self._key(op.symplectic()))
 
-    def syndrome_int(self, syndrome: Syndrome) -> int:
-        out = 0
-        for cube, s in syndrome:
-            out |= 1 << self.code.generator_index(cube, s)
-        return out
+    def path(self, moves: list[int]) -> ErrorPath:
+        return ErrorPath.from_steps((self.code.geometry.qubit_at(m // 3), MOVE_PAULIS[m % 3]) for m in moves)
 
 
 def coset_space(code: CodeInstance) -> CosetSpace:
@@ -102,115 +101,139 @@ def canonicalize(code: CodeInstance, op: PauliOperator) -> int:
     return coset_space(code).key_of(op)
 
 
-def _search_pass(
-    space: CosetSpace,
-    omega: int,
-    goal_key: int | None,
-    goal_synd: int | None,
-    budget: SearchBudget,
-    deadline: float | None,
-):
-    """One bounded-ceiling BFS from the identity coset.
+def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    eq = a[:, 0] == b[:, 0]
+    for c in range(1, a.shape[1]):
+        eq &= a[:, c] == b[:, c]
+    return eq
 
-    Returns (found_state, parents, visited_count, capped).  States whose
-    syndrome weight exceeds the ceiling are never entered; the vacuum start
-    and the goal state count against the ceiling like any other state.
+
+def _index(fps: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fingerprints, keys) sorted by fingerprint; the stable sort merges sorted runs in linear time."""
+    order = np.argsort(fps, kind="stable")
+    return fps[order], keys[order]
+
+
+def _lookup(index: tuple[np.ndarray, np.ndarray], fps: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which candidates an index holds.  Round t compares a candidate with the t-th entry
+    of its fingerprint's run, so colliding fingerprints cost rounds, never a wrong answer."""
+    sfp, skeys = index
+    pos = np.searchsorted(sfp, fps)
+    found = np.zeros(len(fps), dtype=bool)
+    live = np.flatnonzero(pos < len(sfp))
+    while len(live):
+        live = live[sfp[pos[live]] == fps[live]]
+        hit = _rows_equal(skeys[pos[live]], keys[live])
+        found[live[hit]] = True
+        live = live[~hit]
+        pos[live] += 1
+        live = live[pos[live] < len(sfp)]
+    return found
+
+
+def _fresh(indexes, fps: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Indices of the candidates whose key no index and no earlier candidate holds, sorted
+    by fingerprint.  Both sorts are stable, so equal keys stay in candidate order; the
+    key words join the sort only when two distinct keys share a fingerprint."""
+    order = np.argsort(fps, kind="stable")
+    same_fp = fps[order[1:]] == fps[order[:-1]]
+    dup = same_fp & _rows_equal(keys[order[1:]], keys[order[:-1]])
+    if (dup != same_fp).any():
+        order = np.lexsort((*keys.T[::-1], fps))
+        dup = (fps[order[1:]] == fps[order[:-1]]) & _rows_equal(keys[order[1:]], keys[order[:-1]])
+    first = order[np.concatenate([[True], ~dup])] if len(order) else order
+    for index in indexes:
+        first = first[~_lookup(index, fps[first], keys[first])]
+    return first
+
+
+def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: SearchBudget, deadline: float | None):
+    """One bounded-ceiling BFS from the identity coset to a goal key or goal
+    syndrome (exactly one is given); states above the ceiling are never entered.
+
+    Returns (moves to the goal or None, states entered, capped, largest
+    frontier level).  Moves are involutions, so a neighbour of level k lies
+    in level k-1, k or k+1: ``seen`` indexes k-1 and k, ``runs`` the part of
+    k+1 found so far.  New states keep their (state, move) discovery order,
+    the order of a FIFO search that applies one move at a time.
     """
-    dkey = space.move_dkey
-    dsynd = space.move_dsynd
-    nmoves = len(dkey)
-    start = 0
-    if goal_key == start and (goal_synd is None or goal_synd == 0):
-        return start, {start: None}, 1, False
-    if goal_key is None and goal_synd == 0:
-        return start, {start: None}, 1, False
-    parents: dict[int, int | None] = {start: None}
-    queue = deque([(start, 0)])
-    visited = 1
-    while queue:
-        key, synd = queue.popleft()
-        for j in range(nmoves):
-            nk = key ^ dkey[j]
-            if nk in parents:
-                continue
-            ns = synd ^ dsynd[j]
-            if ns.bit_count() > omega:
-                continue
-            parents[nk] = key * nmoves + j
-            visited += 1
-            if (goal_key is not None and nk == goal_key) or (
-                goal_synd is not None and ns == goal_synd
-            ):
-                return nk, parents, visited, False
-            if visited >= budget.state_cap or (
-                deadline is not None and time.monotonic() > deadline
-            ):
-                return None, parents, visited, True
-            queue.append((nk, ns))
-    return None, parents, visited, False
+    goal = goal_key if goal_key is not None else goal_synd
+    if not goal.any():
+        return [], 1, False, 1
+    dkey, dfp, dsynd, dsynd_t = space.move_dkey, space.move_fp, space.move_dsynd, space.move_dsynd.T.copy()
+    keys, synd, fps = np.zeros_like(dkey[:1]), np.zeros_like(dsynd[:1]), np.zeros_like(dfp[:1])
+    seen, history = (fps, keys), []  # history: (parent, move) arrays per level past the start
+    visited = peak = 1
+    step = max(1, BLOCK // len(dkey))  # frontier states per block
+    while len(keys):
+        runs, level, peak = [], [], max(peak, len(keys))
+        for a in range(0, len(keys), step):
+            weight = np.zeros((len(synd[a : a + step]), len(dkey)), dtype=np.uint16)
+            for c in range(dsynd.shape[1]):  # one word at a time: contiguous (state, move) planes
+                weight += np.bitwise_count(synd[a : a + step, c, None] ^ dsynd_t[c])
+            si, j = np.divmod(np.flatnonzero(weight <= omega) + a * len(dkey), len(dkey))
+            ckeys, cfps = keys[si] ^ dkey[j], fps[si] ^ dfp[j]
+            fresh = _fresh((seen, *runs), cfps, ckeys)
+            runs.append((cfps[fresh], ckeys[fresh]))
+            new = np.zeros(len(cfps), dtype=bool)  # a mask, not np.sort: no sort kernel to page in
+            new[fresh] = True
+            idx = np.flatnonzero(new)
+            si, j = si[idx], j[idx]
+            new = (ckeys[idx], synd[si] ^ dsynd[j], cfps[idx], si.astype(np.int32), j.astype(np.int32))
+            # The per-insertion goal and cap tests, replayed at each insertion's index.
+            hits = np.flatnonzero(_rows_equal(new[0] if goal_key is not None else new[1], goal[None]))
+            cap_at = max(budget.state_cap - visited - 1, 0)
+            if len(hits) and hits[0] <= cap_at:
+                moves, parent = [int(j[hits[0]])], int(si[hits[0]])
+                for par, mv in reversed(history):
+                    moves.append(int(mv[parent]))
+                    parent = int(par[parent])
+                return moves[::-1], visited + int(hits[0]) + 1, False, peak
+            if cap_at < len(idx):
+                return None, visited + cap_at + 1, True, peak
+            visited += len(idx)
+            if deadline is not None and len(idx) and time.monotonic() > deadline:
+                return None, visited, True, peak
+            level.append(new)
+            while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+                newer, older = runs.pop(), runs.pop()
+                runs.append(_index(np.concatenate([older[0], newer[0]]), np.concatenate([older[1], newer[1]])))
+        new_keys, synd, new_fps, parent, move = (np.concatenate(c) for c in zip(*level))
+        seen = _index(np.concatenate([fps, new_fps]), np.concatenate([keys, new_keys]))
+        keys, fps = new_keys, new_fps
+        history.append((parent, move))
+    return None, visited, False, peak
 
 
-def _reconstruct(space: CosetSpace, parents: dict, state: int) -> ErrorPath:
-    nmoves = len(space.move_dkey)
-    steps = []
-    cur = state
-    while parents[cur] is not None:
-        packed = parents[cur]
-        prev, j = divmod(packed, nmoves)
-        steps.append(space.move_labels[j])
-        cur = prev
-    steps.reverse()
-    return ErrorPath.from_steps(steps)
-
-
-def _deepening_search(
-    code: CodeInstance,
-    goal_key: int | None,
-    goal_synd: int | None,
-    omega_floor: int,
-    budget: SearchBudget,
-) -> BarrierResult:
+def _deepening_search(code: CodeInstance, goal_key, goal_synd, omega_floor: int, budget: SearchBudget) -> BarrierResult:
     space = coset_space(code)
     deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
-    total_visited = 0
+    passes: list[tuple[int, int, int]] = []
     for omega in range(omega_floor, budget.omega_max + 1):
-        state, parents, visited, capped = _search_pass(
-            space, omega, goal_key, goal_synd, budget, deadline
-        )
-        total_visited += visited
-        if state is not None:
-            witness = _reconstruct(space, parents, state)
+        moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, deadline)
+        passes.append((omega, visited, peak))
+        if moves is not None:
+            witness = space.path(moves)
             _audit_witness(code, space, witness, omega, goal_key, goal_synd)
-            return BarrierResult(omega, witness, total_visited, "exact", ruled_out=omega - 1)
+            return BarrierResult(omega, witness, sum(p[1] for p in passes), "exact", omega - 1, tuple(passes))
         if capped:
-            return BarrierResult(None, None, total_visited, "budget_exhausted", ruled_out=omega - 1)
-    return BarrierResult(None, None, total_visited, "budget_exhausted", ruled_out=budget.omega_max)
+            return BarrierResult(None, None, sum(p[1] for p in passes), "budget_exhausted", omega - 1, tuple(passes))
+    return BarrierResult(None, None, sum(p[1] for p in passes), "budget_exhausted", budget.omega_max, tuple(passes))
 
 
-def _audit_witness(
-    code: CodeInstance,
-    space: CosetSpace,
-    witness: ErrorPath,
-    omega: int,
-    goal_key: int | None,
-    goal_synd: int | None,
-) -> None:
+def _audit_witness(code: CodeInstance, space: CosetSpace, witness: ErrorPath, omega: int, goal_key, goal_synd) -> None:
     """Replay the witness: the profile must peak exactly at the claimed
     barrier (minimality already excludes anything lower) and land on goal."""
     profile = energy_profile(code, witness)
     if profile.barrier > omega:
         raise RuntimeError("witness path exceeds the claimed barrier")
-    if goal_synd is not None:
-        if space.syndrome_int(profile.final_syndrome) != goal_synd:
-            raise RuntimeError("witness path missed the target syndrome")
-    if goal_key is not None:
-        if space.key_of(witness.product(code)) != goal_key:
-            raise RuntimeError("witness path missed the target coset")
+    if goal_synd is not None and not np.array_equal(code.syndrome_to_words(profile.final_syndrome), goal_synd):
+        raise RuntimeError("witness path missed the target syndrome")
+    if goal_key is not None and not np.array_equal(space._key(witness.product(code).symplectic()), goal_key):
+        raise RuntimeError("witness path missed the target coset")
 
 
-def min_barrier_logical(
-    code: CodeInstance, target: PauliOperator, budget: SearchBudget | None = None
-) -> BarrierResult:
+def min_barrier_logical(code: CodeInstance, target: PauliOperator, budget: SearchBudget | None = None) -> BarrierResult:
     """Least ceiling under which some path implements the target's coset.
 
     Iterative deepening over the ceiling; each pass is a BFS over coset keys
@@ -220,13 +243,10 @@ def min_barrier_logical(
     budget = budget or SearchBudget()
     if code.syndrome_of(target):
         raise ValueError("target does not centralize the stabilizer group")
-    goal = canonicalize(code, target)
-    return _deepening_search(code, goal, None, 0, budget)
+    return _deepening_search(code, coset_space(code)._key(target.symplectic()), None, 0, budget)
 
 
-def min_barrier_cluster(
-    code: CodeInstance, syndrome, budget: SearchBudget | None = None
-) -> BarrierResult:
+def min_barrier_cluster(code: CodeInstance, syndrome, budget: SearchBudget | None = None) -> BarrierResult:
     """Least ceiling under which some path creates the syndrome from vacuum.
 
     Any coset carrying the syndrome is a goal.  The final state holds the
@@ -235,12 +255,10 @@ def min_barrier_cluster(
     """
     budget = budget or SearchBudget()
     syndrome = frozenset(syndrome)
-    space = coset_space(code)
     target_vec = code.syndrome_to_words(syndrome)
     if gf2.gf2_solve(code.syndrome_matrix(), target_vec) is None:
         return BarrierResult(None, None, 0, "unreachable")
-    goal = space.syndrome_int(syndrome)
-    return _deepening_search(code, None, goal, len(syndrome), budget)
+    return _deepening_search(code, None, target_vec, len(syndrome), budget)
 
 
 # -- code distance ---------------------------------------------------------------
@@ -257,13 +275,12 @@ class DistanceResult:
     d_upper: int | None = None
 
 
-def _gray_ints(basis: list[int]) -> "np.ndarray | list[int]":
-    """All subset XORs of the basis in Gray-code order (first element 0)."""
-    out = [0]
-    cur = 0
-    for i in range(1, 1 << len(basis)):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        out.append(cur)
+def _gray_ints(basis: list[int], dtype=object) -> np.ndarray:
+    """All subset XORs of the basis in Gray-code order (first element 0): each
+    basis row appends the sequence so far, reflected and XORed with it."""
+    out = np.zeros(1, dtype=dtype)
+    for b in basis:
+        out = np.concatenate([out, out[::-1] ^ b])
     return out
 
 
@@ -301,8 +318,7 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
     rref, _ = code.stabilizer_rref()
     stab_basis = [gf2.to_int(rref.words[i]) for i in range(rref.nrows)]
     mask = (1 << n) - 1
-    skip_x_free = code.is_classical_z()
-    skip_z_free = code.is_classical_x()
+    skip_x_free, skip_z_free = code.is_classical_z(), code.is_classical_x()
 
     def qubit_weight(v: int) -> int:
         return ((v & mask) | (v >> n)).bit_count()
@@ -314,42 +330,26 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
         d_upper = min((qubit_weight(r) for r in reps), default=None)
         return DistanceResult(None, None, "budget_exhausted", 0, 0, 0, d_upper)
     class_list = _gray_ints(reps)
-
     use_numpy = 2 * n <= 63
-    if use_numpy:
-        stab_arr = np.array(_gray_ints(stab_basis), dtype=np.uint64)
-        nmask = np.uint64(mask)
-        shift = np.uint64(n)
-    else:
-        stab_list = _gray_ints(stab_basis)
+    stab = _gray_ints(stab_basis, np.uint64 if use_numpy else object)
 
-    best = None
-    best_vec = None
-    skipped = 0
-    classes = 0
+    best = best_vec = None
+    skipped = classes = 0
     for cls in class_list[1:]:
-        if skip_x_free and (cls & mask) == 0:
-            skipped += 1
-            continue
-        if skip_z_free and (cls >> n) == 0:
+        if (skip_x_free and (cls & mask) == 0) or (skip_z_free and (cls >> n) == 0):
             skipped += 1
             continue
         classes += 1
         if use_numpy:
-            coset = stab_arr ^ np.uint64(cls)
-            weights = np.bitwise_count((coset & nmask) | (coset >> shift))
+            coset = stab ^ np.uint64(cls)
+            weights = np.bitwise_count((coset & np.uint64(mask)) | (coset >> np.uint64(n)))
             i = int(np.argmin(weights))
             w, v = int(weights[i]), int(coset[i])
-            if best is None or w < best:
-                best, best_vec = w, v
         else:
-            for s in stab_list:
-                v = s ^ cls
-                w = qubit_weight(v)
-                if best is None or w < best:
-                    best, best_vec = w, v
-    witness = None
-    if best_vec is not None:
-        witness = PauliOperator.from_symplectic(code.geometry, gf2.from_int(best_vec, 2 * n))
+            v = min((s ^ cls for s in stab), key=qubit_weight)  # the first lightest
+            w = qubit_weight(v)
+        if best is None or w < best:
+            best, best_vec = w, v
+    witness = None if best_vec is None else PauliOperator.from_symplectic(code.geometry, gf2.from_int(best_vec, 2 * n))
     elements = classes * (1 << len(stab_basis))
     return DistanceResult(best, witness, "exact", classes, elements, skipped, best)

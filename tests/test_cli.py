@@ -237,3 +237,17 @@ def test_out_of_range_sub_qubit_slot_is_usage_error(tmp_path, capsys):
         assert run(tmp_path, "rg", "--code", "cubic1", "--L", "4", "--path", str(op_file)) == 2
         assert "out of range" in capsys.readouterr().err
     assert not list(tmp_path.glob("*/report.json"))
+
+
+def test_state_cap_below_one_is_usage_error(tmp_path, capsys):
+    for cap in ("0", "-5"):
+        assert run(tmp_path, "barrier", "--code", "rep1d", "--L", "4", "--target", "all-x", "--state-cap", cap) == 2
+        assert run(tmp_path, "distance", "--code", "rep1d", "--L", "4", "--state-cap", cap) == 2
+        assert "--state-cap" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+
+
+def test_negative_omega_max_is_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "barrier", "--code", "rep1d", "--L", "4", "--target", "all-x", "--omega-max", "-1") == 2
+    assert "--omega-max" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))

@@ -169,3 +169,22 @@ def test_classical_detection(rep5, toric3):
     assert rep5.is_classical_z()
     assert not toric3.is_classical_z()
     assert not toric3.is_classical_x()
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_dense_matrices_match_per_generator_loop(name, L):
+    """The one-scatter stabilizer matrix and the half-swapped syndrome matrix
+    against the retired per-generator and per-row loops."""
+    from stabscape import gf2
+
+    code = get_code(name, L)
+    n = code.n_qubits
+    stab = np.array([code.generator(*code.generator_at(i)).symplectic() for i in range(code.n_generators)])
+    swapped = []
+    for row in stab:
+        bits = gf2.to_bool(row, 2 * n)
+        swapped.append(gf2.from_bool(np.concatenate([bits[n:], bits[:n]])))
+    assert code.stabilizer_matrix().ncols == code.syndrome_matrix().ncols == 2 * n
+    assert np.array_equal(code.stabilizer_matrix().words, stab)
+    assert np.array_equal(code.syndrome_matrix().words, np.array(swapped))

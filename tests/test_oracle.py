@@ -2,16 +2,26 @@
 
 import gc
 import weakref
+from collections import deque
+from functools import lru_cache
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabscape import get_code
+from stabscape import get_code, gf2, oracle
 from stabscape.lattice import QubitIndex
 from stabscape.oracle import (
     BarrierResult,
+    CosetSpace,
     SearchBudget,
+    _gray_ints,
+    _search_pass,
     canonicalize,
     code_distance,
+    coset_space,
     min_barrier_cluster,
     min_barrier_logical,
 )
@@ -178,6 +188,17 @@ def test_distance_budget_exhausted(toric3):
     assert res.d is None and res.d_upper is not None
 
 
+@given(basis=st.lists(st.integers(0, 2**100), max_size=8), small=st.booleans())
+def test_gray_ints_match_sequential_loop(basis, small):
+    """The reflected doubling against the retired one-XOR-per-element loop."""
+    if small:
+        basis = [b % 2**63 for b in basis]
+    expected = [0]
+    for i in range(1, 1 << len(basis)):
+        expected.append(expected[-1] ^ basis[(i & -i).bit_length() - 1])
+    assert _gray_ints(basis, np.uint64 if small else object).tolist() == expected
+
+
 def test_searched_code_is_freed():
     """The coset space lives on the code, so a searched code is not pinned."""
     code = get_code("rep1d", 4)
@@ -186,3 +207,140 @@ def test_searched_code_is_freed():
     del code
     gc.collect()
     assert ref() is None
+
+
+def test_passes_sum_to_states_visited(toric3):
+    g = toric3.geometry
+    xstring = PauliOperator.from_terms(g, [(QubitIndex((x, 0), 1), "X") for x in range(3)])
+    for budget in (SearchBudget(), SearchBudget(state_cap=40), SearchBudget(omega_max=1)):
+        res = min_barrier_logical(toric3, xstring, budget)
+        assert sum(states for _, states, _ in res.passes) == res.states_visited
+        assert [omega for omega, _, _ in res.passes] == list(range(len(res.passes)))
+        assert all(1 <= peak <= states for _, states, peak in res.passes)
+    cluster = min_barrier_cluster(toric3, {((0, 0), 0), ((1, 0), 0)})
+    assert cluster.passes[0][0] == 2 and sum(p[1] for p in cluster.passes) == cluster.states_visited
+
+
+def test_time_cap_ends_search_as_budget_exhausted():
+    code = get_code("toric2d", 5)
+    g = code.geometry
+    xstring = PauliOperator.from_terms(g, [(QubitIndex((x, 0), 1), "X") for x in range(5)])
+    res = min_barrier_logical(code, xstring, SearchBudget(time_cap=1e-9))
+    assert res.status == "budget_exhausted" and res.omega is None
+
+
+# -- the retired dict BFS: the reference for the level-synchronous pass ----------
+
+
+def reference_search_pass(space, omega, goal_key, goal_synd, state_cap):
+    """One move at a time over Python-int keys, FIFO order, a dict of parents.
+
+    Returns (moves or None, visited, capped)."""
+    dkey = [gf2.to_int(row) for row in space.move_dkey]
+    dsynd = [gf2.to_int(row) for row in space.move_dsynd]
+    nmoves = len(dkey)
+    start = 0
+    if goal_key == start and (goal_synd is None or goal_synd == 0):
+        return [], 1, False
+    if goal_key is None and goal_synd == 0:
+        return [], 1, False
+    parents = {start: None}
+    queue = deque([(start, 0)])
+    visited = 1
+    while queue:
+        key, synd = queue.popleft()
+        for j in range(nmoves):
+            nk = key ^ dkey[j]
+            if nk in parents:
+                continue
+            ns = synd ^ dsynd[j]
+            if ns.bit_count() > omega:
+                continue
+            parents[nk] = key * nmoves + j
+            visited += 1
+            if (goal_key is not None and nk == goal_key) or (goal_synd is not None and ns == goal_synd):
+                return reference_reconstruct(parents, nk, nmoves), visited, False
+            if visited >= state_cap:
+                return None, visited, True
+            queue.append((nk, ns))
+    return None, visited, False
+
+
+def reference_reconstruct(parents, state, nmoves):
+    moves = []
+    while parents[state] is not None:
+        state, j = divmod(parents[state], nmoves)
+        moves.append(j)
+    return moves[::-1]
+
+
+ENGINE_CODES = [(name, L) for name in ("rep1d", "toric2d", "toric3d", "cubic1") for L in (2, 3, 4)]
+REFERENCE_CAP = 400  # keeps the dict BFS fast; smaller caps are drawn below it
+
+
+@lru_cache(maxsize=None)
+def engine_code(name, L):
+    return get_code(name, L)
+
+
+def draw_goal(data, code, space):
+    """A logical goal (key words) or a syndrome goal, from a random operator."""
+    g = code.geometry
+    qubit_paulis = st.tuples(st.integers(0, g.n_qubits - 1), st.sampled_from("XYZ"))
+    steps = data.draw(st.lists(qubit_paulis, max_size=4), label="op")
+    op = PauliOperator.from_terms(g, [(g.qubit_at(q), p) for q, p in steps])
+    if data.draw(st.booleans(), label="syndrome goal"):
+        return None, code.syndrome_to_words(code.syndrome_of(op))
+    return space._key(op.symplectic()), None
+
+
+def compare_with_reference(space, omega, goal_key, goal_synd, cap, block=oracle.BLOCK):
+    as_int = lambda words: None if words is None else gf2.to_int(words)
+    expected = reference_search_pass(space, omega, as_int(goal_key), as_int(goal_synd), cap)
+    with mock.patch.object(oracle, "BLOCK", block):
+        budget = SearchBudget(state_cap=cap)
+        moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, None)
+    assert (moves, visited, capped) == expected
+    assert 1 <= peak <= visited
+    return expected
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_search_pass_matches_dict_bfs(data):
+    code = engine_code(*data.draw(st.sampled_from(ENGINE_CODES), label="code"))
+    space = coset_space(code)
+    goal_key, goal_synd = draw_goal(data, code, space)
+    omega = data.draw(st.integers(0, 6), label="omega")
+    # one frontier state per block, a few, or the shipped block size: a level
+    # spread over many blocks must dedupe across them
+    block = data.draw(st.sampled_from([1, 300, oracle.BLOCK]), label="block")
+    moves, visited, capped = compare_with_reference(space, omega, goal_key, goal_synd, REFERENCE_CAP, block)
+    # caps that trip on the first insertion, mid-level, just before the goal
+    # and on the goal's own insertion
+    caps = {1, 2, visited, max(visited - 1, 1), data.draw(st.integers(1, visited), label="cap")}
+    for cap in sorted(caps):
+        compare_with_reference(space, omega, goal_key, goal_synd, cap, block)
+
+
+@pytest.mark.parametrize("name_L", [("rep1d", 4), ("toric2d", 3), ("toric3d", 2), ("cubic1", 2)])
+@pytest.mark.parametrize("fp_bits", [0, 2])
+def test_degenerate_fingerprints_match_dict_bfs(name_L, fp_bits):
+    """Fingerprints of 0 or 2 bits make distinct keys collide all the time:
+    the key words alone must then keep the pass exact."""
+    code = engine_code(*name_L)
+    space = CosetSpace(code)
+    rng = np.random.default_rng(7)
+    masks = rng.integers(0, 2**63, size=(fp_bits, space.move_dkey.shape[1]), dtype=np.uint64)
+    space.move_fp = np.zeros(len(space.move_dkey), dtype=np.uint64)
+    for b, mask in enumerate(masks):  # a linear map of the key onto bits 62 - b
+        parity = np.bitwise_count(space.move_dkey & mask).sum(axis=1) & 1
+        space.move_fp |= parity.astype(np.uint64) << np.uint64(62 - b)
+    g = code.geometry
+    all_x = PauliOperator.from_terms(g, [(g.qubit_at(j), "X") for j in range(g.n_qubits)])
+    pair = PauliOperator.from_terms(g, [(g.qubit_at(0), "Y"), (g.qubit_at(g.n_qubits - 1), "X")])
+    goals = [(space._key(all_x.symplectic()), None), (None, code.syndrome_to_words(code.syndrome_of(pair)))]
+    for goal_key, goal_synd in goals:
+        for omega in range(5):
+            _, visited, _ = compare_with_reference(space, omega, goal_key, goal_synd, 300, block=64)
+            compare_with_reference(space, omega, goal_key, goal_synd, max(visited // 2, 1))
