@@ -128,6 +128,7 @@ class CodeInstance:
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
         self._coset_space = None  # oracle.CosetSpace, built by oracle.coset_space
+        self._box_solvers: dict = {}  # defects._BoxSolver by effective box size
 
     # -- indexing -----------------------------------------------------------
 
@@ -400,6 +401,29 @@ def build_code(spec: CodeSpec, L: int) -> CodeInstance:
 
 def get_code(name: str, L: int) -> CodeInstance:
     return build_code(registered_spec(name), L)
+
+
+def generator_syndromes_empty(code: CodeInstance) -> bool:
+    """Whether every generator has an empty syndrome, from one flip-event
+    pass over every generator's template terms: generator ``a`` commutes
+    with generator ``b`` iff its terms flip ``b`` an even number of times."""
+    g = code.geometry
+    cubes = np.arange(g.n_sites)
+    coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
+    owners, qubits, paulis = [], [], []
+    for s, sp in enumerate(code.spec.species):
+        for offset, label in sp.entries:
+            sites = g.site_indices(coords + np.asarray(offset, dtype=np.int64))
+            for sub, p in enumerate(label):
+                if p != "I":
+                    owners.append(cubes * code.n_species + s)
+                    qubits.append(sites * g.q + sub)
+                    paulis.append(np.full(g.n_sites, PAULI_CODE[p]))
+    step, gens = code.qubit_flip_events(np.concatenate(qubits), np.concatenate(paulis))
+    # every (generator, flipped generator) pair occurs an even number of times
+    # iff the sorted pairs match up two by two
+    pairs = np.sort(np.concatenate(owners)[step] * code.n_generators + gens)
+    return len(pairs) % 2 == 0 and bool((pairs[0::2] == pairs[1::2]).all())
 
 
 def check_frustration_free(code: CodeInstance, exhaustive: bool | None = None) -> FrustrationReport:

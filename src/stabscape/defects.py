@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, Syndrome
+from .codes import CodeInstance, Defect, Syndrome
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PAULI_CODE, PauliOperator
 
@@ -200,47 +200,6 @@ def _syndrome_footprint(code: CodeInstance, cubes: Iterable[Site]) -> set[Site]:
     return sites
 
 
-def _restricted_solve(
-    code: CodeInstance,
-    support_sites: Iterable[Site],
-    target: np.ndarray,
-    tidy: bool = True,
-) -> PauliOperator | None:
-    """Solve for an operator with the given syndrome, supported on ``sites``.
-
-    ``target`` is a packed indicator over all generators.  Solvability is
-    exact; with ``tidy`` the witness is also post-processed toward low weight
-    (single-qubit short-circuit, then greedy reduction by syndrome-free
-    elements of the restricted space), all deterministically.
-    """
-    g = code.geometry
-    sites = sorted(set(support_sites))
-    target_bits = gf2.to_bool(target, code.n_generators)
-    n_target = int(np.count_nonzero(target_bits))
-    if tidy:
-        if n_target == 0:
-            return PauliOperator.identity(g)
-        # the first single-qubit Pauli (site, sub, then X, Z, Y) whose flips
-        # are exactly the target: a flip in the target scores 1, any other
-        # flip pushes the score past n_target
-        cand = (g.site_indices(sites)[:, None] * g.q + np.arange(g.q)).ravel()
-        step, gens = code.qubit_flip_events(np.repeat(cand, 3), np.tile([PAULI_CODE[p] for p in "XZY"], len(cand)))
-        exact = np.bincount(step, np.where(target_bits[gens], 1, n_target + 1), minlength=3 * len(cand)) == n_target
-        if exact.any():
-            j, k = divmod(int(exact.argmax()), 3)
-            return PauliOperator.single(g, QubitIndex(sites[j // g.q], j % g.q), "XZY"[k])
-    sub, qubits, gen_rows = code.restricted_syndrome_matrix(sites)
-    rhs = target_bits[gen_rows]
-    if np.count_nonzero(rhs) != n_target:
-        return None  # a target defect is out of reach of this support
-    x = gf2.gf2_solve(sub, rhs)
-    if x is None:
-        return None
-    if tidy:
-        x = _tidy_solution(code, sub, x, sites, qubits)
-    return _lift(g, qubits, x)
-
-
 def _lift(geometry: LatticeGeometry, qubits: list[int], x: np.ndarray) -> PauliOperator:
     """Global operator of a local solution ``x`` over the (X || Z) columns of
     the given qubits, in the layout of ``restricted_syndrome_matrix``."""
@@ -250,114 +209,150 @@ def _lift(geometry: LatticeGeometry, qubits: list[int], x: np.ndarray) -> PauliO
     return PauliOperator.from_symplectic(geometry, gf2.from_indices(cols, 2 * geometry.n_qubits))
 
 
-def _local_weight(bits: np.ndarray, nq: int) -> int:
-    return int(np.count_nonzero(bits[:nq] | bits[nq:]))
-
-
-def _region_generator_moves(code: CodeInstance, sites: list[Site], qubit_cols: list[int]) -> list[np.ndarray]:
-    """Generators fully supported inside the region, in local column layout."""
+def _single_qubit_witness(code: CodeInstance, sites: Sequence[Site], target: Syndrome) -> PauliOperator | None:
+    """The first single-qubit Pauli (site, sub, then X, Z, Y) on the given
+    sites whose flips are exactly the nonempty ``target``, or None."""
     g = code.geometry
-    site_set = set(sites)
-    col_of = {q: i for i, q in enumerate(qubit_cols)}
-    nq = len(qubit_cols)
-    moves = []
-    for cube in sorted(site_set):
-        if not all(corner in site_set for corner in g.cube_corner_sites(cube)):
-            continue
-        for s in range(code.n_species):
-            gen = code.generator(cube, s)
-            local = np.zeros(2 * nq, dtype=bool)
-            ok = True
-            for q, p in gen.terms():
-                j = g.qubit_index(q)
-                if j not in col_of:
-                    ok = False
-                    break
-                if p in "XY":
-                    local[col_of[j]] = True
-                if p in "ZY":
-                    local[col_of[j] + nq] = True
-            if ok:
-                moves.append(local)
-    return moves
+    target_bits = gf2.to_bool(code.syndrome_to_words(target), code.n_generators)
+    # a flip in the target scores 1, any other flip pushes the score past len(target)
+    cand = (g.site_indices(sites)[:, None] * g.q + np.arange(g.q)).ravel()
+    step, gens = code.qubit_flip_events(np.repeat(cand, 3), np.tile([PAULI_CODE[p] for p in "XZY"], len(cand)))
+    exact = np.bincount(step, np.where(target_bits[gens], 1, len(target) + 1), minlength=3 * len(cand)) == len(target)
+    if not exact.any():
+        return None
+    j, k = divmod(int(exact.argmax()), 3)
+    return PauliOperator.single(g, QubitIndex(sites[j // g.q], j % g.q), "XZY"[k])
 
 
-def _tidy_solution(
-    code: CodeInstance,
-    sub: gf2.BitMatrix,
-    x: np.ndarray,
-    sites: list[Site],
-    qubit_cols: list[int],
-) -> np.ndarray:
-    """Greedily lower a restricted solution's qubit weight.
+class _BoxSolver:
+    """Syndrome algebra of one support-box shape: the one local solver.
 
-    XORs in syndrome-free directions (region-supported generators plus the
-    restricted nullspace basis) while the weight drops; deterministic and
-    bounded, a heuristic rather than a true minimum-weight decoder.
+    The restricted syndrome matrix of a size-cube is the same for every
+    placement (translation invariance), so it is factored once and per
+    placement only the row labels shift, by a lookup over the box's cube
+    offsets.  A defect pattern is achievable iff every defect is a row of the
+    box and the rows have even overlap with every vector of the left
+    nullspace; that test runs over every placement in a few array
+    operations, and the same factorization solves for a witness.
     """
-    nq = len(qubit_cols)
-    move_bits = _region_generator_moves(code, sites, qubit_cols)
-    moves = gf2.nullspace(sub)
-    move_bits += [gf2.to_bool(moves.words[i], sub.ncols) for i in range(moves.nrows)]
-    if not move_bits:
-        return x
-    cur = gf2.to_bool(x, sub.ncols)
-    best = _local_weight(cur, nq)
-    for _ in range(16):
-        improved = False
-        for mb in move_bits:
-            trial = cur ^ mb
-            w = _local_weight(trial, nq)
-            if w < best:
-                cur, best, improved = trial, w, True
-        if not improved:
-            break
-    return gf2.from_bool(cur)
+
+    def __init__(self, code: CodeInstance, size: int):
+        g = self.geometry = code.geometry  # not the code: the code keeps this solver
+        self.size = min(size, g.L)
+        matrix, self.qubits0, gen_rows0 = code.restricted_syndrome_matrix(g.box_sites((0,) * g.D, self.size))
+        nrows, self.ncols = matrix.nrows, matrix.ncols
+        # One elimination of [matrix | I]: the identity part of reduced row j
+        # lists the matrix rows that sum to it.  Reduced rows past the rank
+        # span the left nullspace; the rest give the pivot values of
+        # gf2_solve's solution, which is unique because the RREF is.
+        aug = np.hstack([matrix.to_bool_array(), np.eye(nrows, dtype=bool)])
+        reduced, pivots = gf2.BitMatrix.from_bool_array(aug).rref()
+        self._pivots = np.array([c for c in pivots if c < self.ncols], dtype=np.int64)
+        # row i's membership in every reduced row, packed
+        self._combos = reduced.select_columns(np.arange(self.ncols, self.ncols + nrows)).transpose().words
+        self._null_mask = gf2.from_indices(np.arange(len(self._pivots), nrows), nrows)
+        # local row of the generator of each species on the cube at offset o - 1
+        # from the corner, o in 0..size per axis; the box touches no other cube
+        cubes, species = np.divmod(np.asarray(gen_rows0, dtype=np.int64), code.n_species)
+        offsets = (np.array(np.unravel_index(cubes, (g.L,) * g.D)) + 1) % g.L
+        self._row_at = np.full((self.size + 1,) * g.D + (code.n_species,), -1, dtype=np.int64)
+        self._row_at[(*offsets, species)] = np.arange(nrows)
+        self._solutions: dict[tuple[int, ...], np.ndarray | None] = {}
+
+    def local_rows(self, defects: Sequence[Defect], corners: np.ndarray) -> np.ndarray:
+        """Local rows of the defects in the box at each corner, ``(P, m)``;
+        -1 marks a defect outside that box."""
+        g = self.geometry
+        cubes = np.array([c for c, _ in defects], dtype=np.int64).reshape(-1, g.D)
+        species = np.array([s for _, s in defects], dtype=np.int64)
+        offsets = (cubes[None] - np.asarray(corners, dtype=np.int64).reshape(-1, 1, g.D) + 1) % g.L
+        rows = self._row_at[(*np.moveaxis(np.minimum(offsets, self.size), -1, 0), species)]
+        return np.where((offsets <= self.size).all(axis=-1), rows, -1)
+
+    def achievable(self, rows: np.ndarray) -> np.ndarray:
+        """Whether the box can flip exactly each row set (last axis of ``rows``)."""
+        combined = np.bitwise_xor.reduce(self._combos[rows], axis=-2)
+        return (rows >= 0).all(axis=-1) & ~(combined & self._null_mask).any(axis=-1)
+
+    def achievable_witness(self, local_pattern) -> PauliOperator | None:
+        """Operator on the origin box flipping exactly the given local rows
+        (each a row of the box): ``gf2_solve``'s solution (free variables
+        zero), or None."""
+        key = tuple(sorted(int(r) for r in local_pattern))
+        if key not in self._solutions:  # a scan meets each pattern at many corners
+            combined = np.bitwise_xor.reduce(self._combos[list(key)], axis=0)
+            x = None
+            if not (combined & self._null_mask).any():
+                x = gf2.from_indices(self._pivots[gf2.nonzero_indices(combined, len(self._pivots))], self.ncols)
+            self._solutions[key] = x
+        x = self._solutions[key]
+        return None if x is None else _lift(self.geometry, self.qubits0, x)
 
 
-def _cube_placements(geometry: LatticeGeometry, corner: Site, extents: Sequence[int], size: int):
-    """All placements of an axis-aligned size-cube covering the given box.
+def _box_solver(code: CodeInstance, size: int) -> _BoxSolver:
+    """The code's box solver at effective size ``min(size, L)``, built once."""
+    eff = min(size, code.geometry.L)
+    if eff not in code._box_solvers:
+        code._box_solvers[eff] = _BoxSolver(code, eff)
+    return code._box_solvers[eff]
+
+
+def _cube_placements(geometry: LatticeGeometry, corner: Site, extents: Sequence[int], size: int) -> np.ndarray:
+    """Corners of every placement of an axis-aligned size-cube covering the
+    given box, as a ``(P, D)`` array.
 
     An axis the cube spans entirely contributes one placement, not L.
     """
     slacks = [0 if size >= geometry.L else size - e for e in extents]
-    for offs in product(*[range(s + 1) for s in slacks]):
-        yield tuple((c - o) % geometry.L for c, o in zip(corner, offs))
+    offsets = np.array(list(product(*[range(s + 1) for s in slacks])), dtype=np.int64)
+    return (np.asarray(corner, dtype=np.int64) - offsets) % geometry.L
+
+
+def _local_witness(code: CodeInstance, syndrome: Syndrome, size: int, corners: np.ndarray):
+    """Create ``syndrome`` inside the first of the size-boxes at ``corners``
+    that can: returns (corners tried, corner, witness), or
+    (len(corners), None, None) when no box can."""
+    solver = _box_solver(code, size)
+    rows = solver.local_rows(sorted(syndrome), corners)
+    ok = solver.achievable(rows)
+    if not ok.any():
+        return len(corners), None, None
+    k = int(ok.argmax())
+    corner = tuple(corners[k].tolist())
+    witness = _single_qubit_witness(code, sorted(code.geometry.box_sites(corner, solver.size)), syndrome)
+    if witness is None:
+        witness = solver.achievable_witness(rows[k]).translate(corner)
+    if code.syndrome_of(witness) != syndrome:
+        raise RuntimeError("box solver returned an inconsistent witness")
+    return k + 1, corner, witness
 
 
 def is_neutral(code: CodeInstance, syndrome, size: int) -> NeutralityResult:
     """Whether the defect cluster can be created, alone, by an operator whose
     support fits in a cube of linear ``size``.
 
-    Tries every placement of the size-cube that covers the cluster footprint,
-    solving the support-restricted syndrome system for each; the first witness
-    found is returned.  A cluster with no witness at this scale is charged.
+    Every placement of the size-cube that covers the cluster footprint is
+    tested at once; the witness is built for the first achievable one and is
+    valid but not weight-reduced.  A cluster with no witness at this scale is
+    charged.
     """
     syndrome = frozenset(syndrome)
     g = code.geometry
     if not syndrome:
         return NeutralityResult(True, PauliOperator.identity(g), "empty cluster")
-    cubes = occupied_cubes(syndrome)
-    footprint = _syndrome_footprint(code, cubes)
+    corner, extents = g.bounding_box(_syndrome_footprint(code, occupied_cubes(syndrome)))
     eff = min(size, g.L)
-    corner, extents = g.bounding_box(footprint)
     if max(extents) > eff:
         return NeutralityResult(False, None, f"cluster footprint {extents} exceeds size-{size} cube")
-    target = code.syndrome_to_words(syndrome)
-    tried = 0
-    for place in _cube_placements(g, corner, extents, eff):
-        tried += 1
-        witness = _restricted_solve(code, g.box_sites(place, eff), target)
-        if witness is not None:
-            if code.syndrome_of(witness) != syndrome:
-                raise RuntimeError("restricted solve returned an inconsistent witness")
-            return NeutralityResult(True, witness, f"witness in cube at {place}", tried)
-    return NeutralityResult(False, None, "no creation operator at this scale", tried)
+    tried, place, witness = _local_witness(code, syndrome, eff, _cube_placements(g, corner, extents, eff))
+    if witness is None:
+        return NeutralityResult(False, None, "no creation operator at this scale", tried)
+    return NeutralityResult(True, witness, f"witness in cube at {place}", tried)
 
 
 def creation_operator(code: CodeInstance, syndrome, params: ScaleParams | None = None) -> PauliOperator:
     """Creation witness supported on the 1-neighborhood of the cluster's
-    minimal enclosing cube.
+    minimal enclosing cube (valid, not weight-reduced).
 
     Raises ValueError for charged clusters, and TQOViolationError for the
     pathological case where the cluster is neutral at the TQO scale yet no
@@ -368,19 +363,11 @@ def creation_operator(code: CodeInstance, syndrome, params: ScaleParams | None =
     params = params or ScaleParams()
     if not syndrome:
         return PauliOperator.identity(g)
-    cubes = occupied_cubes(syndrome)
-    footprint = _syndrome_footprint(code, cubes)
-    corner, extents = g.bounding_box(footprint)
+    corner, extents = g.bounding_box(_syndrome_footprint(code, occupied_cubes(syndrome)))
     size = min(max(extents), g.L)
-    target = code.syndrome_to_words(syndrome)
-    for place in _cube_placements(g, corner, extents, size):
-        ball_corner = tuple((c - 1) % g.L for c in place)
-        support = g.box_sites(ball_corner, min(size + 2, g.L))
-        witness = _restricted_solve(code, support, target)
-        if witness is not None:
-            if code.syndrome_of(witness) != syndrome:
-                raise RuntimeError("restricted solve returned an inconsistent witness")
-            return witness
+    _, _, witness = _local_witness(code, syndrome, size + 2, _cube_placements(g, corner, extents, size) - 1)
+    if witness is not None:
+        return witness
     verdict = is_neutral(code, syndrome, params.ltqo_for(g))
     if verdict.neutral:
         raise TQOViolationError(
@@ -531,77 +518,25 @@ class StringScanReport:
         return any(f.aspect_ratio > alpha for f in self.nontrivial)
 
 
-class _BoxSolver:
-    """Cached syndrome algebra of one support-box shape.
-
-    The restricted syndrome matrix of a size-cube is the same for every
-    placement (translation invariance), so its column space is factored once;
-    per placement only the row labels shift.  A defect pattern is achievable
-    iff it has even overlap with every vector of the left nullspace (the
-    orthogonal complement of the column space); that parity test is cheap,
-    and a witness solve runs only for the achievable patterns.
-    """
-
-    def __init__(self, code: CodeInstance, size: int):
-        g = code.geometry
-        self.code = code
-        self.size = min(size, g.L)
-        origin = (0,) * g.D
-        sites = g.box_sites(origin, self.size)
-        self.matrix, self.qubits0, gen_rows0 = code.restricted_syndrome_matrix(sites)
-        self.gen_cubes0 = [code.generator_at(r) for r in gen_rows0]
-        self._checks = gf2.nullspace(self.matrix.transpose()).to_bool_array()
-        self._witness_cache: dict[tuple, PauliOperator | None] = {}
-        self._rows_cache: dict[Site, dict[int, int]] = {}
-
-    def rows_for(self, corner: Site) -> dict[int, int]:
-        """Absolute generator index -> local row, for the box at ``corner``
-        (kept per corner: a scan revisits the same corners for many pairs)."""
-        rows = self._rows_cache.get(corner)
-        if rows is None:
-            code, g = self.code, self.code.geometry
-            rows = self._rows_cache[corner] = {
-                code.generator_index(g.shift(cube, corner), s): i
-                for i, (cube, s) in enumerate(self.gen_cubes0)
-            }
-        return rows
-
-    def achievable_witness(self, local_pattern: tuple[int, ...]) -> PauliOperator | None:
-        """Operator on the origin box flipping exactly the given local rows."""
-        key = tuple(sorted(local_pattern))
-        if key in self._witness_cache:
-            return self._witness_cache[key]
-        rows = list(key)
-        witness = None
-        if not np.logical_xor.reduce(self._checks[:, rows], axis=1).any():
-            rhs = np.zeros(self.matrix.nrows, dtype=np.uint8)
-            rhs[rows] = 1
-            witness = _lift(self.code.geometry, self.qubits0, gf2.gf2_solve(self.matrix, rhs))
-        self._witness_cache[key] = witness
-        return witness
-
-
 def _support_placements(code: CodeInstance, box1: CubeBox, box2: CubeBox, size: int) -> list[Site]:
-    """Corners of the size-cubes that touch both anchors' generator footprints.
+    """Corners of the size-cubes that touch both anchors' generator footprints,
+    in sorted order.
 
     A segment's support must fit in one cube of the TQO scale, and it can only
     flip an anchor generator if it reaches that generator's footprint, so
-    these placements exhaust the searchable support regions.
+    these placements exhaust the searchable support regions.  An anchor's
+    footprint spans its corner plus ``0..anchor size`` on each axis, so the
+    reaching corners are a product of per-axis runs and so is the overlap.
     """
     g = code.geometry
     eff = min(size, g.L)
     if eff >= g.L:
         return [(0,) * g.D]  # one cube covers everything
 
-    def corners_reaching(footprint: set[Site]) -> set[Site]:
-        out: set[Site] = set()
-        for s in footprint:
-            out.update(g.box_sites(tuple(c - eff + 1 for c in s), eff))
-        return out
+    def reach(box: CubeBox, axis: int) -> set[int]:
+        return {(box.corner[axis] + o) % g.L for o in range(1 - eff, box.size + 1)}
 
-    f1 = _syndrome_footprint(code, box1.cubes(g))
-    f2 = _syndrome_footprint(code, box2.cubes(g))
-    return sorted(corners_reaching(f1) & corners_reaching(f2))
+    return list(product(*[sorted(reach(box1, a) & reach(box2, a)) for a in range(g.D)]))
 
 
 def scan_for_strings(
@@ -644,20 +579,8 @@ def scan_for_strings(
     findings: list[SegmentFinding] = []
     pairs_scanned = patterns_tested = 0
     exhausted = False
-    neutrality_cache: dict = {}
-
-    def cached_neutral(cluster: Syndrome, scale: int) -> bool:
-        if not cluster:
-            return True
-        cubes = sorted(c for c, _ in cluster)
-        base = cubes[0]
-        key = (frozenset(((tuple((x - y) % g.L for x, y in zip(c, base))), s) for c, s in cluster), scale)
-        if key not in neutrality_cache:
-            neutrality_cache[key] = is_neutral(code, cluster, scale).neutral
-        return neutrality_cache[key]
-
     scale = params.ltqo_for(g)
-    solver = _BoxSolver(code, scale)
+    solver = _box_solver(code, scale)
     for box2 in placements:
         if pairs_scanned >= budget.max_anchor_pairs or (
             budget.time_cap is not None and time.monotonic() - start > budget.time_cap
@@ -665,34 +588,32 @@ def scan_for_strings(
             exhausted = True
             break
         pairs_scanned += 1
-        anchor_cubes = box1.cubes(g) + box2.cubes(g)
-        anchor_rows = [code.generator_index(c, s) for c in anchor_cubes for s in range(code.n_species)]
-        anchor_pos = {r: i for i, r in enumerate(anchor_rows)}
+        anchors = [(c, s) for c in box1.cubes(g) + box2.cubes(g) for s in range(code.n_species)]
         ratio = anchor_aspect_ratio(g, box1, box2)
+        corners = _support_placements(code, box1, box2, scale)
         seen_patterns: set[int] = set()
-        for corner in _support_placements(code, box1, box2, scale):
+        for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
             if len(seen_patterns) >= budget.max_patterns_per_pair:
                 exhausted = True
                 break
-            local_rows = solver.rows_for(corner)
-            present = [r for r in anchor_rows if r in local_rows]
+            present = np.flatnonzero(local_rows >= 0).tolist()
             for subset in range(1, 1 << len(present)):
                 chosen = [present[i] for i in range(len(present)) if (subset >> i) & 1]
-                pattern_bits = sum(1 << anchor_pos[r] for r in chosen)
+                pattern_bits = sum(1 << i for i in chosen)
                 if pattern_bits in seen_patterns:
                     continue
-                witness0 = solver.achievable_witness(tuple(local_rows[r] for r in chosen))
+                witness0 = solver.achievable_witness(local_rows[chosen])
                 if witness0 is None:
                     continue
                 seen_patterns.add(pattern_bits)
                 patterns_tested += 1
                 op = witness0.translate(corner)
                 syndrome = code.syndrome_of(op)
-                if syndrome != frozenset(code.generator_at(r) for r in chosen):
+                if syndrome != frozenset(anchors[i] for i in chosen):
                     raise RuntimeError("box witness produced the wrong defect pattern")
                 in1 = frozenset(d for d in syndrome if d[0] in cubes1)
                 in2 = frozenset(syndrome - in1)
-                charged = tuple(i for i, cl in enumerate((in1, in2)) if not cached_neutral(cl, scale))
+                charged = tuple(i for i, cl in enumerate((in1, in2)) if not is_neutral(code, cl, scale).neutral)
                 if charged:
                     findings.append(
                         SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight)

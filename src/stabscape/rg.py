@@ -20,19 +20,30 @@ from .codes import CodeInstance, Defect, Syndrome
 from .defects import ScaleParams, cluster_partition, is_neutral, min_dense_run
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PauliOperator
-from .paths import as_path, walk_events
+from .paths import ErrorPath, as_path, walk_events
 
 
 @dataclass(frozen=True)
 class SyndromeHistory:
-    """Per-step syndromes of an error path, starting from a declared state."""
+    """Per-step syndromes of an error path, starting from a declared state.
 
-    steps: tuple[tuple[QubitIndex, str], ...]
+    ``path`` may be given as ``(QubitIndex, label)`` steps; it is held as
+    an :class:`ErrorPath`, whose ``steps`` view is built only on request.
+    """
+
+    path: ErrorPath
     syndromes: tuple[Syndrome, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "path", as_path(self.path))
+
+    @property
+    def steps(self) -> tuple[tuple[QubitIndex, str], ...]:
+        return self.path.steps
 
     @property
     def T(self) -> int:
-        return len(self.steps)
+        return len(self.path)
 
     @property
     def m(self) -> int:
@@ -62,7 +73,7 @@ def syndrome_history(
     syndromes = [frozenset(flipped[: bounds[1]])]
     for a, b in zip(bounds[1:], bounds[2:]):
         syndromes.append(syndromes[-1].symmetric_difference(flipped[a:b]))
-    return SyndromeHistory(path.steps, tuple(syndromes))
+    return SyndromeHistory(path, tuple(syndromes))
 
 
 @dataclass(frozen=True)
@@ -85,9 +96,10 @@ class LevelHistory:
 
     @cached_property
     def errors(self) -> tuple[PauliOperator, ...]:
-        steps = self.history.steps
+        g, path = self.geometry, self.history.path
+        qubits = g.site_indices(path.sites) * g.q + path.subs
         return tuple(
-            PauliOperator.from_terms(self.geometry, steps[a:b])
+            PauliOperator.from_codes(g, qubits[a:b], path.paulis[a:b])
             for a, b in zip(self.retained, self.retained[1:])
         )
 

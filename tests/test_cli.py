@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from stabscape.cli import main
 from stabscape.reports import config_hash
 
@@ -250,4 +252,33 @@ def test_state_cap_below_one_is_usage_error(tmp_path, capsys):
 def test_negative_omega_max_is_usage_error(tmp_path, capsys):
     assert run(tmp_path, "barrier", "--code", "rep1d", "--L", "4", "--target", "all-x", "--omega-max", "-1") == 2
     assert "--omega-max" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+
+
+# Each usage-error site no other test reaches: (argv, config file contents or
+# None, a fragment of the message that names the site).
+USAGE_SITES = {
+    "config-unknown-code": (["check"], {"code": "nope"}, "unknown code"),
+    "config-not-an-object": (["check"], [1, 2], "JSON object"),
+    "wrong-coordinate-count": (["syndrome", "--code", "cubic1", "--L", "4", "--op", "XI@0,0"], None, "3 coordinates"),
+    "wrong-label-length": (["syndrome", "--code", "cubic1", "--L", "4", "--op", "X@0,0,0"], None, "2 Pauli characters"),
+    "missing-operator-file": (["syndrome", "--code", "cubic1", "--L", "4", "--op", "{tmp}/none.op"], None, "not found"),
+    "pyramid-without-p": (["pyramid", "--code", "cubic1", "--L", "6"], None, "needs --p"),
+    "sweep-not-power-of-two": (["pyramid", "--code", "cubic1", "--sweep", "2,6"], None, "powers of two"),
+    "barrier-without-target": (["barrier", "--code", "rep1d", "--L", "4"], None, "requires --target"),
+    "rg-without-p": (["rg", "--code", "cubic1", "--L", "4"], None, "requires --p or --path"),
+    "fractal-without-p": (["fractal", "--code", "cubic1", "--L", "4"], None, "requires --p or --op"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(USAGE_SITES))
+def test_usage_error_sites_exit_two(tmp_path, capsys, site):
+    argv, config, fragment = USAGE_SITES[site]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if config is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        argv += ["--config", str(conf)]
+    assert run(tmp_path, *argv) == 2
+    assert fragment in capsys.readouterr().err
     assert not list(tmp_path.glob("*/report.json"))

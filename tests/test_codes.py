@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stabscape import build_code, check_frustration_free, get_code, registered_spec, registry_names
-from stabscape.codes import CodeConstructionError, CodeSpec
+from stabscape.codes import CodeConstructionError, CodeInstance, CodeSpec, generator_syndromes_empty
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
 from stabscape.paths import apex_cube
@@ -188,3 +188,19 @@ def test_dense_matrices_match_per_generator_loop(name, L):
     assert code.stabilizer_matrix().ncols == code.syndrome_matrix().ncols == 2 * n
     assert np.array_equal(code.stabilizer_matrix().words, stab)
     assert np.array_equal(code.syndrome_matrix().words, np.array(swapped))
+
+
+ANTICOMMUTING_SPEC = {
+    "name": "xx_z_chain", "D": 1, "q": 1,
+    "species": [{"offsets": [[0], [1]], "labels": ["X", "X"]}, {"offsets": [[0]], "labels": ["Z"]}],
+}
+
+
+@pytest.mark.parametrize("spec", [*registry_names(), "anticommuting"])
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_generator_audit_matches_per_generator_syndromes(spec, L):
+    spec = CodeSpec.from_dict(ANTICOMMUTING_SPEC) if spec == "anticommuting" else registered_spec(spec)
+    code = CodeInstance(spec, L)  # unvalidated, so the anticommuting spec builds
+    expected = all(not code.syndrome_of(gen) for _, gen in code.generators())
+    assert generator_syndromes_empty(code) == expected
+    assert expected == (spec.name != "xx_z_chain")

@@ -1,22 +1,26 @@
 """Cluster partitions, sparsity levels, neutrality, localization, segments."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stabscape import get_code, gf2
 from stabscape.defects import (
     _BoxSolver,
+    _box_solver,
     _lift,
+    _support_placements,
     NONTRIVIAL,
     NOT_SEGMENT,
     TRIVIAL,
     CubeBox,
     ScaleParams,
     ScanBudget,
+    TQOViolationError,
     classify_string_segment,
     cluster_diameter,
     cluster_partition,
@@ -443,18 +447,22 @@ def test_scan_finds_domain_walls_on_rep():
 @pytest.mark.parametrize("name,L,size", [("toric2d", 4, 2), ("toric3d", 3, 1), ("cubic1", 4, 1)])
 def test_box_achievability_matches_solve(name, L, size):
     """The left-nullspace parity test accepts exactly the solvable patterns,
-    checked on every pattern of up to three rows of the box."""
+    and the factored solve returns gf2_solve's own solution, checked on
+    every pattern of up to three rows of the box."""
     code = get_code(name, L)
     solver = _BoxSolver(code, size)
-    nrows = solver.matrix.nrows
+    matrix, qubits, gen_rows = code.restricted_syndrome_matrix(code.geometry.box_sites((0,) * code.geometry.D, size))
+    nrows = matrix.nrows
     for k in (1, 2, 3):
         for pattern in itertools.combinations(range(nrows), k):
             rhs = np.zeros(nrows, dtype=np.uint8)
             rhs[list(pattern)] = 1
             witness = solver.achievable_witness(pattern)
-            assert (witness is None) == (gf2.gf2_solve(solver.matrix, rhs) is None)
+            x = gf2.gf2_solve(matrix, rhs)
+            assert (witness is None) == (x is None)
             if witness is not None:
-                assert code.syndrome_of(witness) == frozenset(solver.gen_cubes0[r] for r in pattern)
+                assert witness == _lift(code.geometry, qubits, x)
+                assert code.syndrome_of(witness) == frozenset(code.generator_at(gen_rows[r]) for r in pattern)
 
 
 def reference_lift(geometry, qubits, x):
@@ -479,3 +487,138 @@ def test_lift_matches_bitwise_reference(corner, size, seed):
     _, qubits, _ = code.restricted_syndrome_matrix(g.box_sites(corner, size))
     x = gf2.from_bool(np.random.default_rng(seed).random(2 * len(qubits)) < 0.3)
     assert _lift(g, qubits, x) == reference_lift(g, qubits, x)
+
+
+# -- the box engine against the per-placement solve it replaced -------------------
+
+
+@lru_cache(maxsize=None)
+def code_for(name, L):
+    return get_code(name, L)
+
+
+def reference_first_box(code, syndrome, corners, size):
+    """Retired per-placement solve: build and solve the restricted syndrome
+    system of each box in turn; returns (boxes tried, first solvable corner)."""
+    g = code.geometry
+    bits = gf2.to_bool(code.syndrome_to_words(syndrome), code.n_generators)
+    for tried, corner in enumerate(corners, 1):
+        sub, _, gen_rows = code.restricted_syndrome_matrix(g.box_sites(corner, size))
+        rhs = bits[gen_rows]
+        if rhs.sum() == len(syndrome) and gf2.gf2_solve(sub, rhs) is not None:
+            return tried, corner
+    return len(corners), None
+
+
+def reference_placements(g, syndrome, size=None):
+    """Corners of the size-cubes covering the cluster footprint, in the
+    retired loop's order (size defaults to the footprint's largest extent),
+    or None when the footprint does not fit; with the size used."""
+    corner, extents = g.bounding_box({s for c, _ in syndrome for s in g.cube_corner_sites(c)})
+    size = min(max(extents) if size is None else size, g.L)
+    if max(extents) > size:
+        return None, size
+    slacks = [0 if size >= g.L else size - e for e in extents]
+    offs = itertools.product(*[range(s + 1) for s in slacks])
+    return [tuple((c - o) % g.L for c, o in zip(corner, off)) for off in offs], size
+
+
+@st.composite
+def clusters(draw):
+    """A code, a box size and a nonempty defect cluster: either the syndrome
+    of a random operator in a small box (the neutral-prone kind) or an
+    arbitrary defect set near one cube (on cubic1 nearly always charged).
+    The size is the footprint's extent plus a slack of -1 (does not fit) up
+    to the lattice size."""
+    name = draw(st.sampled_from(["rep1d", "toric2d", "toric3d", "cubic1"]), label="code")
+    L = draw(st.integers(2, 6), label="L")
+    code = code_for(name, L)
+    g = code.geometry
+    base = draw(st.tuples(*[st.integers(0, L - 1)] * g.D), label="base")
+    span = draw(st.integers(1, 3), label="span")
+    near = st.tuples(*[st.integers(0, span - 1)] * g.D).map(lambda d: g.shift(base, d))
+    if draw(st.booleans(), label="from_operator"):
+        terms = draw(st.lists(st.tuples(near, st.integers(0, g.q - 1), st.sampled_from("XYZ")), min_size=1, max_size=4))
+        syndrome = code.syndrome_of(PauliOperator.from_terms(g, [(QubitIndex(s, sub), p) for s, sub, p in terms]))
+    else:
+        syndrome = frozenset(draw(st.sets(st.tuples(near, st.integers(0, code.n_species - 1)), min_size=1, max_size=4)))
+    assume(syndrome)
+    _, fits = reference_placements(g, syndrome)
+    return code, syndrome, max(1, fits + draw(st.integers(-1, L - fits), label="slack"))
+
+
+@settings(max_examples=250)
+@given(case=clusters())
+def test_is_neutral_matches_per_placement_solve(case):
+    code, syndrome, size = case
+    g = code.geometry
+    res = is_neutral(code, syndrome, size)
+    corners, eff = reference_placements(g, syndrome, size)
+    if corners is None:
+        assert not res.neutral and "exceeds" in res.reason
+        return
+    tried, place = reference_first_box(code, syndrome, corners, eff)
+    assert res.neutral == (place is not None)
+    assert res.placements_tried == tried
+    if res.neutral:
+        assert code.syndrome_of(res.witness) == syndrome
+        assert res.witness.support_sites() <= set(g.box_sites(place, eff))
+
+
+@settings(max_examples=150)
+@given(case=clusters(), data=st.data())
+def test_box_verdict_at_any_corner_matches_per_placement_solve(case, data):
+    """Boxes that need not cover the cluster, as in a string scan: a defect
+    outside the box makes the pattern unachievable there."""
+    code, syndrome, size = case
+    g = code.geometry
+    corner = data.draw(st.tuples(*[st.integers(0, g.L - 1)] * g.D), label="corner")
+    solver = _box_solver(code, size)
+    verdict = solver.achievable(solver.local_rows(sorted(syndrome), np.array([corner])))
+    assert verdict.tolist() == [reference_first_box(code, syndrome, [corner], solver.size)[1] is not None]
+
+
+@settings(max_examples=150)
+@given(case=clusters())
+def test_creation_operator_matches_per_placement_solve(case):
+    """Witnesses on the 1-neighborhood of the minimal enclosing cube."""
+    code, syndrome, _ = case
+    g = code.geometry
+    corners, size = reference_placements(g, syndrome)
+    size = min(size + 2, g.L)
+    _, place = reference_first_box(code, syndrome, [g.shift(c, (-1,) * g.D) for c in corners], size)
+    if place is None:
+        with pytest.raises((ValueError, TQOViolationError)):
+            creation_operator(code, syndrome)
+        return
+    witness = creation_operator(code, syndrome)
+    assert code.syndrome_of(witness) == syndrome
+    assert witness.support_sites() <= set(g.box_sites(place, size))
+
+
+def reference_support_placements(code, box1, box2, size):
+    """Retired set-based expansion of the corners reaching both anchors."""
+    g = code.geometry
+    eff = min(size, g.L)
+    if eff >= g.L:
+        return [(0,) * g.D]
+
+    def corners_reaching(box):
+        footprint = {s for c in box.cubes(g) for s in g.cube_corner_sites(c)}
+        return {t for s in footprint for t in g.box_sites(tuple(c - eff + 1 for c in s), eff)}
+
+    return sorted(corners_reaching(box1) & corners_reaching(box2))
+
+
+@settings(max_examples=200)
+@given(
+    name_L=st.sampled_from([("rep1d", 8), ("toric2d", 6), ("toric3d", 4), ("cubic1", 6)]),
+    corner=st.tuples(*[st.integers(0, 7)] * 3),
+    rho=st.integers(1, 3),
+    size=st.integers(1, 8),
+)
+def test_support_placements_match_set_expansion(name_L, corner, rho, size):
+    code = code_for(*name_L)
+    g = code.geometry
+    box1, box2 = CubeBox((0,) * g.D, rho), CubeBox(g.wrap(corner[: g.D]), rho)
+    assert _support_placements(code, box1, box2, size) == reference_support_placements(code, box1, box2, size)
