@@ -180,6 +180,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
+    for key in ("rho", "ltqo", "max_pairs", "max_patterns"):  # sizes and budgets
+        if config[key] is not None and config[key] < 1:
+            raise SystemExit(f"--{key.replace('_', '-')} must be at least 1")
     config["subcommand"] = args.subcommand
     return config
 

@@ -159,13 +159,8 @@ class CodeInstance:
 
     def generator(self, cube: Site, species: int) -> PauliOperator:
         g = self.geometry
-        cube = g.wrap(cube)
-        terms = []
-        for offset, label in self.spec.species[species].entries:
-            site = g.shift(cube, offset)
-            for sub, p in enumerate(label):
-                if p != "I":
-                    terms.append((QubitIndex(site, sub), p))
+        terms = [(QubitIndex(g.shift(cube, offset), sub), p) for offset, label in self.spec.species[species].entries
+                 for sub, p in enumerate(label) if p != "I"]
         return PauliOperator.from_terms(g, terms)
 
     def generators(self) -> Iterable[tuple[Defect, PauliOperator]]:
@@ -243,13 +238,8 @@ class CodeInstance:
         """Generators whose support meets the given sites (the only ones an
         operator on those sites can flip)."""
         g = self.geometry
-        cubes: set[Site] = set()
-        for site in sites:
-            for delta in product((0, -1), repeat=g.D):
-                cubes.add(g.shift(site, delta))
-        return sorted(
-            self.generator_index(c, s) for c in cubes for s in range(self.n_species)
-        )
+        cubes = {g.shift(site, delta) for site in sites for delta in product((0, -1), repeat=g.D)}
+        return sorted(self.generator_index(c, s) for c in cubes for s in range(self.n_species))
 
     def restricted_syndrome_matrix(
         self, sites: Iterable[Site]
@@ -403,10 +393,14 @@ def get_code(name: str, L: int) -> CodeInstance:
     return build_code(registered_spec(name), L)
 
 
-def generator_syndromes_empty(code: CodeInstance) -> bool:
-    """Whether every generator has an empty syndrome, from one flip-event
-    pass over every generator's template terms: generator ``a`` commutes
-    with generator ``b`` iff its terms flip ``b`` an even number of times."""
+def commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
+    """The first anticommuting generator pair in row-major order, or None,
+    from one flip-event pass over every generator's template terms.
+
+    Generator ``i`` anticommutes with ``j`` iff its terms flip ``j`` an odd
+    number of times.  The count is symmetric, so the first pair is the
+    smallest odd-count key ``i * n_generators + j``.
+    """
     g = code.geometry
     cubes = np.arange(g.n_sites)
     coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
@@ -419,38 +413,35 @@ def generator_syndromes_empty(code: CodeInstance) -> bool:
                     owners.append(cubes * code.n_species + s)
                     qubits.append(sites * g.q + sub)
                     paulis.append(np.full(g.n_sites, PAULI_CODE[p]))
+    if not owners:
+        return None
     step, gens = code.qubit_flip_events(np.concatenate(qubits), np.concatenate(paulis))
-    # every (generator, flipped generator) pair occurs an even number of times
-    # iff the sorted pairs match up two by two
-    pairs = np.sort(np.concatenate(owners)[step] * code.n_generators + gens)
-    return len(pairs) % 2 == 0 and bool((pairs[0::2] == pairs[1::2]).all())
+    keys = np.sort(np.concatenate(owners)[step] * code.n_generators + gens)
+    # runs of equal keys by sort and diff (np.unique would import numpy.ma)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    odd = starts[np.diff(starts, append=len(keys)) % 2 == 1]
+    if not odd.size:
+        return None
+    i, j = divmod(int(keys[odd[0]]), code.n_generators)
+    return code.generator_at(i), code.generator_at(j)
+
+
+def generator_syndromes_empty(code: CodeInstance) -> bool:
+    """Whether every generator has an empty syndrome, i.e. every pair commutes."""
+    return commutation_witness(code) is None
 
 
 def check_frustration_free(code: CodeInstance, exhaustive: bool | None = None) -> FrustrationReport:
     """Confirm pairwise commutation and report the measured stabilizer rank.
 
-    Exhaustive mode checks every generator pair directly; otherwise only the
-    template-overlap classes are checked (exact for the shipped
-    translation-invariant codes, and feasible at any lattice size).
+    Exhaustive mode checks every generator pair (``commutation_witness``);
+    otherwise only the template-overlap classes are checked (exact for the
+    shipped translation-invariant codes, and feasible at any lattice size).
     """
     if exhaustive is None:
         exhaustive = code.n_qubits <= MAX_DENSE_QUBITS
-    witness = None
-    if exhaustive:
-        stab = code.stabilizer_matrix()
-        n = code.n_qubits
-        bits = stab.to_bool_array()
-        gx = bits[:, :n].astype(np.float32)
-        gz = bits[:, n:].astype(np.float32)
-        overlap = (gx @ gz.T + gz @ gx.T) % 2
-        bad = np.argwhere(overlap != 0)
-        if bad.size:
-            i, j = int(bad[0][0]), int(bad[0][1])
-            witness = (code.generator_at(i), code.generator_at(j))
-        mode = "exhaustive"
-    else:
-        witness = _template_commutation_witness(code)
-        mode = "template"
+    witness = commutation_witness(code) if exhaustive else _template_commutation_witness(code)
+    mode = "exhaustive" if exhaustive else "template"
     rank = k = None
     if code.n_qubits <= MAX_DENSE_QUBITS:
         rank = code.stabilizer_rank()

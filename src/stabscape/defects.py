@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -209,19 +209,19 @@ def _lift(geometry: LatticeGeometry, qubits: list[int], x: np.ndarray) -> PauliO
     return PauliOperator.from_symplectic(geometry, gf2.from_indices(cols, 2 * geometry.n_qubits))
 
 
-def _single_qubit_witness(code: CodeInstance, sites: Sequence[Site], target: Syndrome) -> PauliOperator | None:
+def _single_qubit_witness(code: CodeInstance, site_ids: np.ndarray, target: Syndrome) -> PauliOperator | None:
     """The first single-qubit Pauli (site, sub, then X, Z, Y) on the given
-    sites whose flips are exactly the nonempty ``target``, or None."""
+    flat site ids whose flips are exactly the nonempty ``target``, or None."""
     g = code.geometry
     target_bits = gf2.to_bool(code.syndrome_to_words(target), code.n_generators)
     # a flip in the target scores 1, any other flip pushes the score past len(target)
-    cand = (g.site_indices(sites)[:, None] * g.q + np.arange(g.q)).ravel()
+    cand = (site_ids[:, None] * g.q + np.arange(g.q)).ravel()
     step, gens = code.qubit_flip_events(np.repeat(cand, 3), np.tile([PAULI_CODE[p] for p in "XZY"], len(cand)))
     exact = np.bincount(step, np.where(target_bits[gens], 1, len(target) + 1), minlength=3 * len(cand)) == len(target)
     if not exact.any():
         return None
     j, k = divmod(int(exact.argmax()), 3)
-    return PauliOperator.single(g, QubitIndex(sites[j // g.q], j % g.q), "XZY"[k])
+    return PauliOperator.single(g, g.qubit_at(int(cand[j])), "XZY"[k])
 
 
 class _BoxSolver:
@@ -274,6 +274,21 @@ class _BoxSolver:
         combined = np.bitwise_xor.reduce(self._combos[rows], axis=-2)
         return (rows >= 0).all(axis=-1) & ~(combined & self._null_mask).any(axis=-1)
 
+    def achievable_subsets(self, rows: np.ndarray) -> Iterator[int]:
+        """Nonempty subsets of ``rows`` (bit i picks ``rows[i]``) that the box
+        can flip exactly, in ascending order.  A doubling table of the XORed
+        memberships of the subsets of the first 12 rows is tested once per
+        subset of the rest, so memory stays bounded however many rows there are."""
+        combos = self._combos[rows]
+        low_rows, high = combos[:12], combos[12:]
+        low = np.zeros((1, combos.shape[1]), dtype=np.uint64)
+        for row in low_rows:
+            low = np.vstack([low, low ^ row])
+        for h in range(1 << len(high)):
+            offset = np.bitwise_xor.reduce(high[(h >> np.arange(len(high))) & 1 == 1], axis=0)
+            subsets = np.flatnonzero(~((low ^ offset) & self._null_mask).any(axis=1)) + h * len(low)
+            yield from subsets[subsets > 0].tolist()
+
     def achievable_witness(self, local_pattern) -> PauliOperator | None:
         """Operator on the origin box flipping exactly the given local rows
         (each a row of the box): ``gf2_solve``'s solution (free variables
@@ -319,7 +334,10 @@ def _local_witness(code: CodeInstance, syndrome: Syndrome, size: int, corners: n
         return len(corners), None, None
     k = int(ok.argmax())
     corner = tuple(corners[k].tolist())
-    witness = _single_qubit_witness(code, sorted(code.geometry.box_sites(corner, solver.size)), syndrome)
+    # the box's sites in sorted coordinate order: sorted axes, row-major product
+    axes = [sorted((c + i) % code.geometry.L for i in range(solver.size)) for c in corner]
+    site_ids = code.geometry.site_indices(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+    witness = _single_qubit_witness(code, site_ids, syndrome)
     if witness is None:
         witness = solver.achievable_witness(rows[k]).translate(corner)
     if code.syndrome_of(witness) != syndrome:
@@ -551,30 +569,26 @@ def scan_for_strings(
     Anchor pairs are placed on a stride-``rho`` grid; since the shipped codes
     are translation invariant, one anchor is pinned at the origin and only
     relative placements (up to inversion) are enumerated.  For each placement
-    the support-restricted solve enumerates every achievable anchor defect
-    pattern up to the budget and classifies its anchors.  An empty report
-    bounds only the searched family, it is not a proof.
+    every subset of the anchor rows in each support box is tested at once,
+    and the achievable patterns, up to the budget, get their anchors
+    classified.  An empty report bounds only the searched family, it is not
+    a proof.
     """
     g = code.geometry
     budget = budget or ScanBudget()
     params = params or ScaleParams()
     start = time.monotonic()
-    origin = (0,) * g.D
-    box1 = CubeBox(origin, rho)
+    box1 = CubeBox((0,) * g.D, rho)
     cubes1 = set(box1.cubes(g))  # box1 is pinned at the origin for every placement
     seen: set[Site] = set()
     placements: list[CubeBox] = []
     for v in product(range(0, g.L, rho), repeat=g.D):
         if v in seen:
             continue
-        neg = tuple((-c) % g.L for c in v)
-        seen.update({v, neg})
+        seen.update({v, tuple((-c) % g.L for c in v)})
         box2 = CubeBox(v, rho)
-        if cubes1 & set(box2.cubes(g)):
-            continue
-        if anchor_aspect_ratio(g, box1, box2) > alpha:
-            placements.append(box2)
-    placements.sort(key=lambda b: b.corner)
+        if not cubes1 & set(box2.cubes(g)) and anchor_aspect_ratio(g, box1, box2) > alpha:
+            placements.append(box2)  # in corner order
 
     findings: list[SegmentFinding] = []
     pairs_scanned = patterns_tested = 0
@@ -597,14 +611,12 @@ def scan_for_strings(
                 exhausted = True
                 break
             present = np.flatnonzero(local_rows >= 0).tolist()
-            for subset in range(1, 1 << len(present)):
+            for subset in solver.achievable_subsets(local_rows[present]):
                 chosen = [present[i] for i in range(len(present)) if (subset >> i) & 1]
                 pattern_bits = sum(1 << i for i in chosen)
                 if pattern_bits in seen_patterns:
                     continue
                 witness0 = solver.achievable_witness(local_rows[chosen])
-                if witness0 is None:
-                    continue
                 seen_patterns.add(pattern_bits)
                 patterns_tested += 1
                 op = witness0.translate(corner)
@@ -615,9 +627,7 @@ def scan_for_strings(
                 in2 = frozenset(syndrome - in1)
                 charged = tuple(i for i, cl in enumerate((in1, in2)) if not is_neutral(code, cl, scale).neutral)
                 if charged:
-                    findings.append(
-                        SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight)
-                    )
+                    findings.append(SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight))
                 if len(seen_patterns) >= budget.max_patterns_per_pair:
                     exhausted = True
                     break

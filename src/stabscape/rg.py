@@ -169,10 +169,6 @@ class TrackingReport:
     locking_violations: list[tuple[int, int, int]]  # (worldline, time, distance)
     ambiguities: list[int]  # times with non-unique nearest-cluster matching
 
-    @property
-    def locking_holds(self) -> bool:
-        return not self.locking_violations
-
 
 def track_charged_clusters(
     code: CodeInstance,

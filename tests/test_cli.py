@@ -249,6 +249,23 @@ def test_state_cap_below_one_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*/report.json"))
 
 
+@pytest.mark.parametrize("flag,values", [
+    ("--rho", ("0", "-2")),
+    ("--ltqo", ("0", "-3")),
+    ("--max-pairs", ("0", "-1")),
+    ("--max-patterns", ("0", "-5")),
+])
+def test_scan_size_below_one_is_usage_error(tmp_path, capsys, flag, values):
+    for val in values:
+        assert run(tmp_path, "strings", "--code", "toric2d", "--L", "4", "--alpha", "1", flag, val) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:].replace("-", "_"): 0}))
+    assert run(tmp_path, "strings", "--code", "toric2d", "--L", "4", "--config", str(conf)) == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+
+
 def test_negative_omega_max_is_usage_error(tmp_path, capsys):
     assert run(tmp_path, "barrier", "--code", "rep1d", "--L", "4", "--target", "all-x", "--omega-max", "-1") == 2
     assert "--omega-max" in capsys.readouterr().err

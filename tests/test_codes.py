@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabscape import build_code, check_frustration_free, get_code, registered_spec, registry_names
-from stabscape.codes import CodeConstructionError, CodeInstance, CodeSpec, generator_syndromes_empty
+from stabscape.codes import (
+    CodeConstructionError,
+    CodeInstance,
+    CodeSpec,
+    SpeciesTemplate,
+    commutation_witness,
+    generator_syndromes_empty,
+)
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
 from stabscape.paths import apex_cube
@@ -204,3 +213,48 @@ def test_generator_audit_matches_per_generator_syndromes(spec, L):
     expected = all(not code.syndrome_of(gen) for _, gen in code.generators())
     assert generator_syndromes_empty(code) == expected
     assert expected == (spec.name != "xx_z_chain")
+
+
+def reference_gram_witness(code):
+    """Retired dense audit: the symplectic Gram matrix of the stabilizer
+    matrix as a float32 product; its first nonzero entry in row-major order,
+    as a generator pair, or None."""
+    n = code.n_qubits
+    bits = code.stabilizer_matrix().to_bool_array()
+    gx, gz = bits[:, :n].astype(np.float32), bits[:, n:].astype(np.float32)
+    bad = np.argwhere((gx @ gz.T + gz @ gx.T) % 2 != 0)
+    if not bad.size:
+        return None
+    return code.generator_at(int(bad[0][0])), code.generator_at(int(bad[0][1]))
+
+
+def corrupted(spec, edits):
+    """The spec with label characters overwritten: each edit is (species,
+    entry, slot, Pauli), indices taken modulo the spec's sizes.  All-identity
+    labels are kept, so no species goes empty."""
+    species = [list(sp.entries) for sp in spec.species]
+    for s, e, sub, p in edits:
+        entries = species[s % len(species)]
+        offset, label = entries[e % len(entries)]
+        sub %= spec.q
+        entries[e % len(entries)] = (offset, label[:sub] + p + label[sub + 1:])
+    templates = tuple(SpeciesTemplate(sp.name, tuple(es)) for sp, es in zip(spec.species, species))
+    return CodeSpec(f"{spec.name}-edited", spec.D, spec.q, templates)
+
+
+@pytest.mark.parametrize("name", [*registry_names(), "xx_z_chain"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@settings(max_examples=15)
+@given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 15), st.integers(0, 1), st.sampled_from("IXYZ")),
+                      max_size=3))
+def test_commutation_audit_matches_dense_gram(name, L, edits):
+    """The flip-event audit against the dense Gram matrix it replaced, on
+    unvalidated instances of shipped and corrupted specs: the same verdict
+    and the same first anticommuting pair."""
+    spec = CodeSpec.from_dict(ANTICOMMUTING_SPEC) if name == "xx_z_chain" else registered_spec(name)
+    code = CodeInstance(corrupted(spec, edits), L)
+    expected = reference_gram_witness(code)
+    report = check_frustration_free(code, exhaustive=True)
+    assert report.mode == "exhaustive"
+    assert report.commuting == (expected is None) == generator_syndromes_empty(code)
+    assert report.witness == commutation_witness(code) == expected

@@ -1,6 +1,7 @@
 """Cluster partitions, sparsity levels, neutrality, localization, segments."""
 
 import itertools
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -13,6 +14,7 @@ from stabscape.defects import (
     _BoxSolver,
     _box_solver,
     _lift,
+    _single_qubit_witness,
     _support_placements,
     NONTRIVIAL,
     NOT_SEGMENT,
@@ -20,7 +22,10 @@ from stabscape.defects import (
     CubeBox,
     ScaleParams,
     ScanBudget,
+    SegmentFinding,
+    StringScanReport,
     TQOViolationError,
+    anchor_aspect_ratio,
     classify_string_segment,
     cluster_diameter,
     cluster_partition,
@@ -566,6 +571,23 @@ def test_is_neutral_matches_per_placement_solve(case):
 
 
 @settings(max_examples=150)
+@given(case=clusters())
+def test_single_qubit_witness_scans_sites_in_coordinate_order(case):
+    """The short-circuit witness of ``is_neutral`` is the first single-qubit
+    Pauli over the box's sites in sorted coordinate order."""
+    code, syndrome, size = case
+    g = code.geometry
+    res = is_neutral(code, syndrome, size)
+    corners, eff = reference_placements(g, syndrome, size)
+    if not res.neutral:
+        return
+    _, place = reference_first_box(code, syndrome, corners, eff)
+    expected = _single_qubit_witness(code, g.site_indices(sorted(g.box_sites(place, eff))), syndrome)
+    if expected is not None:
+        assert res.witness == expected
+
+
+@settings(max_examples=150)
 @given(case=clusters(), data=st.data())
 def test_box_verdict_at_any_corner_matches_per_placement_solve(case, data):
     """Boxes that need not cover the cluster, as in a string scan: a defect
@@ -622,3 +644,121 @@ def test_support_placements_match_set_expansion(name_L, corner, rho, size):
     g = code.geometry
     box1, box2 = CubeBox((0,) * g.D, rho), CubeBox(g.wrap(corner[: g.D]), rho)
     assert _support_placements(code, box1, box2, size) == reference_support_placements(code, box1, box2, size)
+
+
+# -- the string scan against the per-subset loop it replaced ----------------------
+
+
+def reference_scan(code, rho, alpha, budget, params):
+    """Retired per-subset scan loop: every subset of every box's present
+    anchor rows, in ascending bitmask order, through its own
+    ``achievable_witness`` call."""
+    g = code.geometry
+    start = time.monotonic()
+    origin = (0,) * g.D
+    box1 = CubeBox(origin, rho)
+    cubes1 = set(box1.cubes(g))
+    seen = set()
+    placements = []
+    for v in itertools.product(range(0, g.L, rho), repeat=g.D):
+        if v in seen:
+            continue
+        neg = tuple((-c) % g.L for c in v)
+        seen.update({v, neg})
+        box2 = CubeBox(v, rho)
+        if cubes1 & set(box2.cubes(g)):
+            continue
+        if anchor_aspect_ratio(g, box1, box2) > alpha:
+            placements.append(box2)
+    placements.sort(key=lambda b: b.corner)
+    findings = []
+    pairs_scanned = patterns_tested = 0
+    exhausted = False
+    scale = params.ltqo_for(g)
+    solver = _box_solver(code, scale)
+    for box2 in placements:
+        if pairs_scanned >= budget.max_anchor_pairs or (
+            budget.time_cap is not None and time.monotonic() - start > budget.time_cap
+        ):
+            exhausted = True
+            break
+        pairs_scanned += 1
+        anchors = [(c, s) for c in box1.cubes(g) + box2.cubes(g) for s in range(code.n_species)]
+        ratio = anchor_aspect_ratio(g, box1, box2)
+        corners = _support_placements(code, box1, box2, scale)
+        seen_patterns = set()
+        for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
+            if len(seen_patterns) >= budget.max_patterns_per_pair:
+                exhausted = True
+                break
+            present = np.flatnonzero(local_rows >= 0).tolist()
+            for subset in range(1, 1 << len(present)):
+                chosen = [present[i] for i in range(len(present)) if (subset >> i) & 1]
+                pattern_bits = sum(1 << i for i in chosen)
+                if pattern_bits in seen_patterns:
+                    continue
+                witness0 = solver.achievable_witness(local_rows[chosen])
+                if witness0 is None:
+                    continue
+                seen_patterns.add(pattern_bits)
+                patterns_tested += 1
+                op = witness0.translate(corner)
+                syndrome = code.syndrome_of(op)
+                in1 = frozenset(d for d in syndrome if d[0] in cubes1)
+                in2 = frozenset(syndrome - in1)
+                charged = tuple(i for i, cl in enumerate((in1, in2)) if not is_neutral(code, cl, scale).neutral)
+                if charged:
+                    findings.append(SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight))
+                if len(seen_patterns) >= budget.max_patterns_per_pair:
+                    exhausted = True
+                    break
+    findings.sort(key=lambda f: (-f.aspect_ratio, f.box2.corner))
+    return StringScanReport(findings, pairs_scanned, patterns_tested, exhausted)
+
+
+@st.composite
+def scan_cases(draw):
+    """A small code, anchor size, aspect constant, TQO scale and tight
+    budgets, so both early breaks fire.  Anchor size 2 is drawn only where
+    it leaves anchor pairs and the reference loop's 2^m subsets per box stay
+    cheap; on cubic1 it gets the smallest scales and budgets."""
+    name, L, rho = draw(st.sampled_from([
+        ("rep1d", 4, 1), ("rep1d", 6, 1), ("rep1d", 8, 1), ("toric2d", 3, 1), ("toric2d", 4, 1), ("toric2d", 6, 1),
+        ("toric3d", 2, 1), ("toric3d", 3, 1), ("cubic1", 2, 1), ("cubic1", 3, 1), ("cubic1", 4, 1),
+        ("rep1d", 4, 2), ("rep1d", 8, 2), ("toric2d", 4, 2), ("toric2d", 6, 2), ("cubic1", 4, 2),
+    ]), label="code")
+    small = name == "cubic1" and rho == 2
+    alpha = draw(st.sampled_from([1.0, 1.2, 2.0, 3.0]), label="alpha")
+    ltqo = draw(st.sampled_from([1, 2] if small else [1, 2, 3, None]), label="ltqo")
+    budget = ScanBudget(
+        max_anchor_pairs=draw(st.integers(1, 2 if small else 8), label="max_anchor_pairs"),
+        max_patterns_per_pair=draw(st.integers(1, 4 if small else 16), label="max_patterns_per_pair"),
+    )
+    return code_for(name, L), rho, alpha, budget, ScaleParams(ltqo=ltqo)
+
+
+@settings(max_examples=120)
+@given(case=scan_cases())
+def test_scan_matches_per_subset_loop(case):
+    code, rho, alpha, budget, params = case
+    expected = reference_scan(code, rho, alpha, budget, params)
+    report = scan_for_strings(code, rho, alpha, budget, params)
+    assert report.pairs_scanned == expected.pairs_scanned
+    assert report.patterns_tested == expected.patterns_tested
+    assert report.budget_exhausted == expected.budget_exhausted
+    assert report.nontrivial == expected.nontrivial
+
+
+@pytest.mark.parametrize("rows", [0, 3, 12, 13, 14])
+def test_achievable_subsets_match_per_subset_test(rows):
+    """Subset tables below, at and across the 12-row chunk boundary against
+    one parity test per subset, on toric2d rows of which about half of all
+    subsets are achievable."""
+    code = code_for("toric2d", 6)
+    solver = _box_solver(code, 3)
+    local = np.arange(rows) * 2
+    expected = [
+        subset for subset in range(1, 1 << rows)
+        if solver.achievable(local[[i for i in range(rows) if subset >> i & 1]][None])[0]
+    ]
+    assert list(solver.achievable_subsets(local)) == expected

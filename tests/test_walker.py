@@ -311,7 +311,8 @@ def test_single_qubit_short_circuit_matches_retired_loop(name_L, sites, data):
         target = frozenset(code.generator_at(i) for i in drawn)
     if not target:
         return  # callers hand the short-circuit nonempty clusters only
-    assert _single_qubit_witness(code, region, target) == reference_single_qubit_witness(code, region, target)
+    witness = _single_qubit_witness(code, g.site_indices(region), target)
+    assert witness == reference_single_qubit_witness(code, region, target)
 
 
 @pytest.mark.parametrize("name_L", CODES[:4])
