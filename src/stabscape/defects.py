@@ -276,14 +276,11 @@ class _BoxSolver:
 
     def achievable_subsets(self, rows: np.ndarray) -> Iterator[int]:
         """Nonempty subsets of ``rows`` (bit i picks ``rows[i]``) that the box
-        can flip exactly, in ascending order.  A doubling table of the XORed
-        memberships of the subsets of the first 12 rows is tested once per
-        subset of the rest, so memory stays bounded however many rows there are."""
+        can flip exactly, in ascending order.  The subset-XOR table of the
+        memberships of the first 12 rows is tested once per subset of the
+        rest, so memory stays bounded however many rows there are."""
         combos = self._combos[rows]
-        low_rows, high = combos[:12], combos[12:]
-        low = np.zeros((1, combos.shape[1]), dtype=np.uint64)
-        for row in low_rows:
-            low = np.vstack([low, low ^ row])
+        low, high = gf2.subset_xors(combos[:12]), combos[12:]
         for h in range(1 << len(high)):
             offset = np.bitwise_xor.reduce(high[(h >> np.arange(len(high))) & 1 == 1], axis=0)
             subsets = np.flatnonzero(~((low ^ offset) & self._null_mask).any(axis=1)) + h * len(low)

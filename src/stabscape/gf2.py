@@ -77,9 +77,26 @@ def to_int(words: np.ndarray) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
-def from_int(value: int, nbits: int) -> np.ndarray:
-    nb = n_words(nbits) * 8
-    return np.frombuffer(value.to_bytes(nb, "little"), dtype=np.uint64).copy()
+def split_halves(vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high halves (X and Z parts) of word vectors over ``2n``
+    bits, each over ``n`` bits; words run along the last axis."""
+    nw, q, r = n_words(n), n >> 6, np.uint64(n & 63)
+    padded = np.concatenate([vecs, np.zeros_like(vecs[..., :1])], axis=-1)
+    high = padded[..., q : q + nw]
+    if r:
+        high = (high >> r) | (padded[..., q + 1 : q + 1 + nw] << (np.uint64(WORD_BITS) - r))
+    keep = np.full(nw, ~np.uint64(0))
+    keep[-1] >>= np.uint64(-n % WORD_BITS)
+    return vecs[..., :nw] & keep, high & keep
+
+
+def subset_xors(rows: np.ndarray) -> np.ndarray:
+    """Row ``s`` is the XOR of the rows picked by the bits of ``s`` (bit ``i``
+    picks ``rows[i]``), built by doubling: 2^len(rows) rows, row 0 zero."""
+    out = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        np.bitwise_xor(out[: 1 << i], row, out=out[1 << i : 2 << i])
+    return out
 
 
 class BitMatrix:

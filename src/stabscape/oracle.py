@@ -275,81 +275,55 @@ class DistanceResult:
     d_upper: int | None = None
 
 
-def _gray_ints(basis: list[int], dtype=object) -> np.ndarray:
-    """All subset XORs of the basis in Gray-code order (first element 0): each
-    basis row appends the sequence so far, reflected and XORed with it."""
-    out = np.zeros(1, dtype=dtype)
-    for b in basis:
-        out = np.concatenate([out, out[::-1] ^ b])
-    return out
-
-
-def _logical_class_reps(code: CodeInstance) -> list[int]:
-    """One symplectic int per independent logical direction (2k of them)."""
+def _logical_class_reps(code: CodeInstance) -> np.ndarray:
+    """One centralizer row per independent logical direction (2k of them), as
+    (X||Z) word rows: each row of the centralizer basis that the stabilizers
+    and the rows before it do not span.  One elimination picks them all: with
+    the stabilizer basis stacked first and the vectors as columns, leftmost
+    pivoting takes every stabilizer column, then exactly those rows."""
+    rref, _ = code.stabilizer_rref()
     centralizer = gf2.nullspace(code.syndrome_matrix())
-    rref, pivots = code.stabilizer_rref()
-    by_high: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(centralizer.nrows):
-        vec = centralizer.words[i].copy()
-        residue = gf2.to_int(gf2.reduce_by_rref(rref, pivots, vec))
-        raw = gf2.to_int(vec)
-        while residue:
-            high = residue.bit_length() - 1
-            if high not in by_high:
-                by_high[high] = residue
-                reps.append(raw)
-                break
-            residue ^= by_high[high]
-    return reps
+    stacked = gf2.BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * code.n_qubits)
+    _, pivots = stacked.transpose().rref()
+    return centralizer.words[np.asarray(pivots[rref.nrows :], dtype=np.int64) - rref.nrows]
 
 
 def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:
     """Minimum weight over centralizer elements outside the stabilizer group.
 
     Enumerates logical classes times the stabilizer subgroup exactly when the
-    budget allows.  For classical instances (all generators diagonal) the
-    purely diagonal classes act trivially on the classical ground states and
-    are skipped, so the reported distance is the state-changing one.
+    budget allows, in blocks of (class, stabilizer) pairs over the X and Z
+    halves of two subset-XOR tables; the witness is the first lightest pair.
+    For classical instances (all generators diagonal) the purely diagonal
+    classes act trivially on the classical ground states and are skipped, so
+    the reported distance is the state-changing one.
     """
     budget = budget or SearchBudget()
     n = code.n_qubits
     reps = _logical_class_reps(code)
-    rref, _ = code.stabilizer_rref()
-    stab_basis = [gf2.to_int(rref.words[i]) for i in range(rref.nrows)]
-    mask = (1 << n) - 1
-    skip_x_free, skip_z_free = code.is_classical_z(), code.is_classical_x()
-
-    def qubit_weight(v: int) -> int:
-        return ((v & mask) | (v >> n)).bit_count()
-
-    total = (1 << len(reps)) * (1 << len(stab_basis))
-    if total > budget.state_cap:
+    stab_basis = code.stabilizer_rref()[0].words
+    if (1 << len(reps)) * (1 << len(stab_basis)) > budget.state_cap:
         # Too many elements to enumerate exactly; the raw class generators
         # still give an upper bound on the distance.
-        d_upper = min((qubit_weight(r) for r in reps), default=None)
+        x, z = gf2.split_halves(reps, n)
+        d_upper = int(np.bitwise_count(x | z).sum(axis=1).min()) if len(reps) else None
         return DistanceResult(None, None, "budget_exhausted", 0, 0, 0, d_upper)
-    class_list = _gray_ints(reps)
-    use_numpy = 2 * n <= 63
-    stab = _gray_ints(stab_basis, np.uint64 if use_numpy else object)
-
-    best = best_vec = None
-    skipped = classes = 0
-    for cls in class_list[1:]:
-        if (skip_x_free and (cls & mask) == 0) or (skip_z_free and (cls >> n) == 0):
-            skipped += 1
-            continue
-        classes += 1
-        if use_numpy:
-            coset = stab ^ np.uint64(cls)
-            weights = np.bitwise_count((coset & np.uint64(mask)) | (coset >> np.uint64(n)))
-            i = int(np.argmin(weights))
-            w, v = int(weights[i]), int(coset[i])
-        else:
-            v = min((s ^ cls for s in stab), key=qubit_weight)  # the first lightest
-            w = qubit_weight(v)
-        if best is None or w < best:
-            best, best_vec = w, v
-    witness = None if best_vec is None else PauliOperator.from_symplectic(code.geometry, gf2.from_int(best_vec, 2 * n))
-    elements = classes * (1 << len(stab_basis))
-    return DistanceResult(best, witness, "exact", classes, elements, skipped, best)
+    cx, cz = (gf2.subset_xors(half)[1:] for half in gf2.split_halves(reps, n))
+    skip = (code.is_classical_z() & ~cx.any(axis=1)) | (code.is_classical_x() & ~cz.any(axis=1))
+    cx, cz = cx[~skip], cz[~skip]
+    sx, sz = (gf2.subset_xors(half) for half in gf2.split_halves(stab_basis, n))
+    span = min(len(sx), BLOCK)  # stabilizers per block
+    step = max(1, BLOCK // len(sx))  # classes per block
+    best = None  # (weight, class, stabilizer)
+    for c in range(0, len(cx), step):
+        for s in range(0, len(sx), span):
+            cs, ss = slice(c, c + step), slice(s, s + span)
+            weights = np.bitwise_count((cx[cs, None] ^ sx[ss]) | (cz[cs, None] ^ sz[ss])).sum(axis=-1)
+            i, j = np.unravel_index(np.argmin(weights), weights.shape)  # row-major: the first lightest
+            if best is None or weights[i, j] < best[0]:
+                best = (int(weights[i, j]), c + int(i), s + int(j))
+    d = witness = None
+    if best is not None:
+        d, c, s = best
+        witness = PauliOperator(code.geometry, cx[c] ^ sx[s], cz[c] ^ sz[s])
+    return DistanceResult(d, witness, "exact", len(cx), len(cx) * len(sx), int(skip.sum()), d)

@@ -74,9 +74,7 @@ class PauliOperator:
 
     @classmethod
     def from_symplectic(cls, geometry: LatticeGeometry, vec: np.ndarray) -> "PauliOperator":
-        n = geometry.n_qubits
-        bits = gf2.to_bool(vec, 2 * n)
-        return cls(geometry, gf2.from_bool(bits[:n]), gf2.from_bool(bits[n:]))
+        return cls(geometry, *gf2.split_halves(vec, geometry.n_qubits))
 
     # -- group structure ---------------------------------------------------
 

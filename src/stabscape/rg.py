@@ -270,13 +270,15 @@ def box_counting_dimension(
     for s in scales:
         boxes = coords // int(s)
         boxes -= boxes.min(axis=0)
-        keys = np.ravel_multi_index(tuple(boxes.T), tuple(boxes.max(axis=0) + 1))
-        counts.append((int(s), int(np.unique(keys).size)))
+        keys = np.sort(np.ravel_multi_index(tuple(boxes.T), tuple(boxes.max(axis=0) + 1)))
+        # distinct boxes by sort and diff (np.unique would import numpy.ma)
+        counts.append((int(s), int(np.count_nonzero(np.diff(keys))) + 1))
     if coords.shape[0] == 1:
         return BoxCountEstimate(0.0, counts, degenerate=True, anchor=tuple(anchor) if anchor else None)
     xs = np.log([1.0 / s for s, _ in counts])
     ys = np.log([c for _, c in counts])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    dx = xs - xs.mean()
+    slope = float(dx @ (ys - ys.mean()) / (dx @ dx))  # least squares in closed form, as np.polyfit
     return BoxCountEstimate(slope, counts, anchor=tuple(anchor) if anchor else None)
 
 

@@ -1,8 +1,14 @@
 """CLI behavior: exit codes, config resolution, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stabscape
 
 from stabscape.cli import main
 from stabscape.reports import config_hash
@@ -111,6 +117,33 @@ def test_check_subcommand(tmp_path):
     assert report["status"] == "pass"
     names = [c["name"] for c in report["checks"]]
     assert "pairwise_commutation" in names and "bitflip_defect_pattern" in names
+
+
+def test_check_runs_the_commutation_audit_once(tmp_path, monkeypatch):
+    """In exhaustive mode the generator-syndrome check reads the audit's witness."""
+    import stabscape.codes as codes
+
+    calls = []
+    audit = codes.commutation_witness
+    monkeypatch.setattr(codes, "commutation_witness", lambda code: calls.append(code) or audit(code))
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "8") == 0
+    assert len(calls) == 1
+    names = {c["name"]: c["status"] for c in json.loads(report_bytes(tmp_path, "check"))["checks"]}
+    assert names["pairwise_commutation"] == names["generator_syndromes_empty"] == "pass"
+
+
+def test_fractal_does_not_import_numpy_ma(tmp_path):
+    """Box counting sorts and fits in closed form: numpy.ma stays unloaded."""
+    script = (
+        "import sys\n"
+        "from stabscape.cli import main\n"
+        f"assert main(['fractal', '--code', 'cubic1', '--L', '16', '--p', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(stabscape.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_reports_byte_identical(tmp_path):

@@ -78,8 +78,37 @@ def test_pack_unpack_roundtrip(rng):
 
 def test_int_roundtrip(rng):
     bits = rng.random(130) < 0.5
-    words = gf2.from_bool(bits)
-    assert np.array_equal(gf2.from_int(gf2.to_int(words), 130), words)
+    value = gf2.to_int(gf2.from_bool(bits))
+    assert value < 1 << 130
+    assert [bool(value >> j & 1) for j in range(130)] == bits.tolist()
+
+
+@given(nrows=st.integers(0, 8), width=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_subset_xors_match_per_subset_xor(nrows, width, seed):
+    """The doubling table against one XOR per subset; width 0 is a 1-D row list."""
+    shape = (nrows, width) if width else (nrows,)
+    rows = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
+    table = gf2.subset_xors(rows)
+    assert table.shape == (1 << nrows, *shape[1:]) and table.dtype == np.uint64
+    for s in range(1 << nrows):
+        expected = np.zeros(shape[1:], dtype=np.uint64)
+        for i in range(nrows):
+            if s >> i & 1:
+                expected ^= rows[i]
+        assert np.array_equal(table[s], expected)
+
+
+def test_split_halves_match_bool_split(rng):
+    """Word shifts against unpacking 2n bits and repacking each half, across
+    the word edge (n = 64, 128) and past it, for one vector and for rows."""
+    for n in range(1, 201):
+        bits = rng.random((3, 2 * n)) < 0.5
+        rows = BitMatrix.from_bool_array(bits).words
+        x, z = gf2.split_halves(rows, n)
+        assert np.array_equal(x, BitMatrix.from_bool_array(bits[:, :n]).words)
+        assert np.array_equal(z, BitMatrix.from_bool_array(bits[:, n:]).words)
+        x1, z1 = gf2.split_halves(rows[1], n)
+        assert np.array_equal(x1, x[1]) and np.array_equal(z1, z[1])
 
 
 def test_from_indices():

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import get_code, gf2, oracle
+from stabscape.codes import CodeSpec, build_code
 from stabscape.lattice import QubitIndex
 from stabscape.oracle import (
     BarrierResult,
     CosetSpace,
     SearchBudget,
-    _gray_ints,
+    _logical_class_reps,
     _search_pass,
     canonicalize,
     code_distance,
@@ -188,15 +189,96 @@ def test_distance_budget_exhausted(toric3):
     assert res.d is None and res.d_upper is not None
 
 
-@given(basis=st.lists(st.integers(0, 2**100), max_size=8), small=st.booleans())
-def test_gray_ints_match_sequential_loop(basis, small):
-    """The reflected doubling against the retired one-XOR-per-element loop."""
-    if small:
-        basis = [b % 2**63 for b in basis]
-    expected = [0]
+# -- the retired int routine: the reference for the word-array distance ----------
+
+
+def reference_class_reps(code):
+    """Greedy residue loop: a centralizer row is kept when its residue modulo
+    the stabilizers does not reduce to zero against the kept residues."""
+    centralizer = gf2.nullspace(code.syndrome_matrix())
+    rref, pivots = code.stabilizer_rref()
+    by_high, reps = {}, []
+    for row in centralizer.words:
+        residue = gf2.to_int(gf2.reduce_by_rref(rref, pivots, row.copy()))
+        while residue:
+            high = residue.bit_length() - 1
+            if high not in by_high:
+                by_high[high] = residue
+                reps.append(gf2.to_int(row))
+                break
+            residue ^= by_high[high]
+    return reps
+
+
+def reference_gray(basis):
+    """Subset XORs in Gray-code order, one XOR per element."""
+    out = [0]
     for i in range(1, 1 << len(basis)):
-        expected.append(expected[-1] ^ basis[(i & -i).bit_length() - 1])
-    assert _gray_ints(basis, np.uint64 if small else object).tolist() == expected
+        out.append(out[-1] ^ basis[(i & -i).bit_length() - 1])
+    return out
+
+
+def reference_distance(code, state_cap):
+    """(d, status, classes, elements, skipped, d_upper) by Gray enumeration
+    of Python-int classes against a uint64 stabilizer table."""
+    n = code.n_qubits
+    mask = (1 << n) - 1
+    weight = lambda v: ((v & mask) | (v >> n)).bit_count()
+    reps = reference_class_reps(code)
+    stab_basis = [gf2.to_int(row) for row in code.stabilizer_rref()[0].words]
+    if (1 << len(reps)) * (1 << len(stab_basis)) > state_cap:
+        return None, "budget_exhausted", 0, 0, 0, min(map(weight, reps), default=None)
+    assert 2 * n <= 63
+    stab = np.array(reference_gray(stab_basis), dtype=np.uint64)
+    best = None
+    skipped = classes = 0
+    for cls in reference_gray(reps)[1:]:
+        if (code.is_classical_z() and cls & mask == 0) or (code.is_classical_x() and cls >> n == 0):
+            skipped += 1
+            continue
+        classes += 1
+        coset = stab ^ np.uint64(cls)
+        weights = np.bitwise_count((coset & np.uint64(mask)) | (coset >> np.uint64(n)))
+        best = int(weights.min()) if best is None else min(best, int(weights.min()))
+    return best, "exact", classes, classes * len(stab), skipped, best
+
+
+# xrep1d: the XX repetition code, the one classical-X instance (its Z-free classes are skipped)
+XREP_SPEC = '{"name": "xrep1d", "D": 1, "q": 1, "species": [{"name": "x", "offsets": [[0], [1]], "labels": ["X", "X"]}]}'
+DISTANCE_CODES = [("rep1d", L) for L in range(2, 9)] + [("xrep1d", 3), ("xrep1d", 6)]
+DISTANCE_CODES += [("toric2d", 2), ("toric2d", 3), ("cubic1", 2), ("toric3d", 2)]
+
+
+@lru_cache(maxsize=None)
+def distance_code(name, L):
+    return build_code(CodeSpec.from_json(XREP_SPEC), L) if name == "xrep1d" else engine_code(name, L)
+
+
+@pytest.mark.parametrize("name_L", DISTANCE_CODES)
+def test_logical_class_reps_match_greedy_residue_loop(name_L):
+    code = distance_code(*name_L)
+    reps = _logical_class_reps(code)
+    assert reps.dtype == np.uint64 and len(reps) == 2 * code.k
+    assert [gf2.to_int(row) for row in reps] == reference_class_reps(code)
+
+
+@pytest.mark.parametrize("name_L", DISTANCE_CODES)
+@settings(max_examples=6)
+@given(cap=st.integers(1, 2**12))
+def test_distance_matches_retired_int_routine(name_L, cap):
+    """The default cap, and a small one that often leaves only ``d_upper``."""
+    code = distance_code(*name_L)
+    for state_cap in (SearchBudget().state_cap, cap):
+        d, status, classes, elements, skipped, d_upper = reference_distance(code, state_cap)
+        res = code_distance(code, SearchBudget(state_cap=state_cap))
+        assert (res.d, res.status, res.classes_enumerated, res.elements_enumerated) == (d, status, classes, elements)
+        assert (res.skipped_diagonal_classes, res.d_upper) == (skipped, d_upper)
+        if d is None:
+            assert res.witness is None
+        else:
+            assert res.witness.weight == d
+            assert code.syndrome_of(res.witness) == frozenset()
+            assert not code.in_stabilizer_group(res.witness)
 
 
 def test_searched_code_is_freed():

@@ -202,6 +202,22 @@ def test_box_counting_pyramid_dimension_two():
         assert est.counts[0] == (1, 4**p)
 
 
+def test_box_counting_matches_set_count_and_polyfit():
+    """Sort-and-diff counts against a set of box tuples, and the closed-form
+    slope against np.polyfit, on pyramid supports at three base sites."""
+    code = get_code("cubic1", 32)
+    for p in range(6):
+        for u in [(0, 0, 0), (5, 17, 30), (31, 1, 20)]:
+            sites = pyramid_operator(code, p, u).support_sites()
+            coords = np.array(sorted(sites))
+            for scales in ([1, 2, 4], [2**j for j in range(max(p, 3))], [1, 3, 5, 7]):
+                est = box_counting_dimension(sites, scales, 32)
+                assert est.counts == [(s, len({tuple(c) for c in coords // s})) for s in scales]
+                if not est.degenerate:
+                    logs = np.log([[1.0 / s, c] for s, c in est.counts]).T
+                    assert abs(est.gamma - np.polyfit(*logs, 1)[0]) <= 1e-9
+
+
 def test_box_counting_guards():
     with pytest.raises(ValueError):
         box_counting_dimension([], [1, 2, 4])
