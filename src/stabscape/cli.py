@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gf2
 from .codes import (
     CodeConstructionError,
     CodeInstance,
@@ -551,23 +552,41 @@ def run_check(config: dict) -> Report:
             terms.append((QubitIndex(site, int(rng.integers(0, g.q))), "XYZ"[int(rng.integers(0, 3))]))
         return PauliOperator.from_terms(g, terms)
 
-    linear_ok = True
-    for _ in range(50):
-        a, b = random_op(), random_op()
-        if code.syndrome_of(a * b) != code.syndrome_of(a) ^ code.syndrome_of(b):
-            linear_ok = False
-            break
+    def draws(count: int, draw) -> tuple[list, list[dict]]:
+        """``count`` draws, with the rng state after each one."""
+        out, states = [], []
+        for _ in range(count):
+            out.append(draw())
+            states.append(rng.bit_generator.state)
+        return out, states
+
+    def passes(bad: np.ndarray, states: list[dict]) -> bool:
+        """Whether no draw failed.  On a failure the rng goes back to its state
+        after the first failing draw, where a draw-and-test loop stops, so the
+        later audits draw the same operators for a given seed."""
+        if not bad.any():
+            return True
+        rng.bit_generator.state = states[int(np.argmax(bad))]
+        return False
+
+    def syndromes(ops) -> np.ndarray:
+        return code.syndrome_words(np.stack([op.xwords for op in ops]), np.stack([op.zwords for op in ops]))
+
+    pairs, states = draws(50, lambda: (random_op(), random_op()))
+    s = syndromes([a for a, _ in pairs] + [b for _, b in pairs] + [a * b for a, b in pairs]).reshape(3, len(pairs), -1)
+    linear_ok = passes((s[2] != s[0] ^ s[1]).any(axis=1), states)
     report.add_check("syndrome_linearity", PASS if linear_ok else FAIL)
 
-    covariant_ok = True
-    for _ in range(20):
-        op = random_op()
-        delta = tuple(int(c) for c in rng.integers(0, g.L, size=g.D))
-        shifted = code.syndrome_of(op.translate(delta))
-        expected = frozenset((g.shift(cube, delta), s) for cube, s in code.syndrome_of(op))
-        if shifted != expected:
-            covariant_ok = False
-            break
+    moves, states = draws(20, lambda: (random_op(), rng.integers(0, g.L, size=g.D)))
+    s = syndromes([op for op, _ in moves] + [op.translate(delta.tolist()) for op, delta in moves]).reshape(2, len(moves), -1)
+    # every defect of S[op], moved by its row's delta, against S[op.translate(delta)]
+    rows, gens = gf2.nonzero_bits(s[0])
+    cubes, species = np.divmod(gens, code.n_species)
+    coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
+    moved = g.site_indices(coords + np.array([delta for _, delta in moves])[rows]) * code.n_species + species
+    width = s.shape[-1] * gf2.WORD_BITS
+    expected = gf2.from_indices(rows * width + moved, len(moves) * width).reshape(s[1].shape)
+    covariant_ok = passes((s[1] != expected).any(axis=1), states)
     report.add_check("translation_covariance", PASS if covariant_ok else FAIL)
 
     # The exhaustive commutation audit already took every generator's syndrome.
@@ -575,13 +594,10 @@ def run_check(config: dict) -> Report:
     report.add_check("generator_syndromes_empty", PASS if empty else FAIL)
 
     if config["code"] == "cubic1":
-        ok = True
-        for _ in range(20):
-            u = tuple(int(c) for c in rng.integers(0, g.L, size=3))
-            op = PauliOperator.single(g, QubitIndex(u, 0), "X")
-            if code.syndrome_of(op) != pyramid_syndrome(code, 0, apex_cube(code, u)):
-                ok = False
-                break
+        sites = [tuple(int(c) for c in rng.integers(0, g.L, size=3)) for _ in range(20)]
+        flips = syndromes([PauliOperator.single(g, QubitIndex(u, 0), "X") for u in sites])
+        ok = all(code.words_to_syndrome(row) == pyramid_syndrome(code, 0, apex_cube(code, u))
+                 for row, u in zip(flips, sites))
         report.add_check("bitflip_defect_pattern", PASS if ok else FAIL)
     return report
 

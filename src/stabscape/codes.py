@@ -10,6 +10,7 @@ cheap, while desk-scale instances expose dense GF(2) views for solving.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -217,16 +218,26 @@ class CodeInstance:
         _, gens = self.flip_events([qubit.site], [qubit.sub], [PAULI_CODE[p]])
         return self.generators_at(gens)
 
-    def syndrome_of(self, op: PauliOperator) -> Syndrome:
-        """Defects of an operator: the parity of its support's flip events,
-        template-local, so it works at any lattice size."""
-        g = self.geometry
-        xq = gf2.nonzero_indices(op.xwords, g.n_qubits)
-        zq = gf2.nonzero_indices(op.zwords, g.n_qubits)
+    def syndrome_words(self, xwords: np.ndarray, zwords: np.ndarray) -> np.ndarray:
+        """Syndromes of a batch of operators, given as ``(B, Wq)`` X and Z word
+        rows, as ``(B, Wg)`` generator word rows: the parity of the flip
+        events of every support qubit, template-local, so it works at any
+        lattice size and costs the batch's total support."""
+        xrow, xq = gf2.nonzero_bits(xwords)
+        zrow, zq = gf2.nonzero_bits(zwords)
         # a Y term is its X and Z parts
         paulis = np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], [len(xq), len(zq)])
-        _, gens = self.qubit_flip_events(np.concatenate([xq, zq]), paulis)
-        return self.words_to_syndrome(gf2.from_indices(gens, self.n_generators, parity=True))
+        step, gens = self.qubit_flip_events(np.concatenate([xq, zq]), paulis)
+        nw = gf2.n_words(self.n_generators)
+        # row r's generator j is bit r * width + j of one flat vector
+        flat = np.concatenate([xrow, zrow])[step]
+        flat *= nw * gf2.WORD_BITS
+        flat += gens
+        return gf2.from_indices(flat, len(xwords) * nw * gf2.WORD_BITS, parity=True).reshape(len(xwords), nw)
+
+    def syndrome_of(self, op: PauliOperator) -> Syndrome:
+        """Defects of one operator (``syndrome_words`` of a one-row batch)."""
+        return self.words_to_syndrome(self.syndrome_words(op.xwords[None], op.zwords[None])[0])
 
     def syndrome_to_words(self, syndrome: Iterable[Defect]) -> np.ndarray:
         return gf2.from_indices([self.generator_index(c, s) for c, s in syndrome], self.n_generators)
@@ -344,30 +355,48 @@ class FrustrationReport:
         return self.commuting
 
 
+def _term_flips(code: CodeInstance, cubes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, generator)`` per flip event of the template terms of every
+    generator on the given cube ids: generator ``owner`` anticommutes with
+    ``generator`` iff the pair occurs an odd number of times."""
+    g = code.geometry
+    coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
+    owners, qubits, paulis = [], [], []
+    for s, sp in enumerate(code.spec.species):
+        for offset, label in sp.entries:
+            sites = g.site_indices(coords + np.asarray(offset, dtype=np.int64))
+            for sub, p in enumerate(label):
+                if p != "I":
+                    owners.append(cubes * code.n_species + s)
+                    qubits.append(sites * g.q + sub)
+                    paulis.append(np.full(len(cubes), PAULI_CODE[p]))
+    if not owners:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    step, gens = code.qubit_flip_events(np.concatenate(qubits), np.concatenate(paulis))
+    return np.concatenate(owners)[step], gens
+
+
 def _template_commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
     """Check all overlapping generator pairs via template translates.
 
     For translation-invariant templates every generator pair is a translate of
     (species s at the origin cube, species t at a cube within the +-1 box), and
-    pairs further apart have disjoint supports, so this check is exact.  Each
-    translate is a ``{site: label}`` map, so the cost does not grow with L.
+    pairs further apart have disjoint supports, so this check is exact.  Only
+    the origin generators' terms are walked, so the cost does not grow with
+    L; the first witness is the least odd (s, t, cube) key, cubes in sorted
+    coordinate order.  The few keys are counted in Python: an array sort
+    here would page NumPy's sort code into every job that builds a code.
     """
     g = code.geometry
-    origin = (0,) * g.D
-    near_cubes = sorted({g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)})
-
-    def translate(cube: Site, s: int) -> dict[Site, str]:
-        return {g.shift(cube, offset): label for offset, label in code.spec.species[s].entries}
-
-    for s in range(code.n_species):
-        gen_s = translate(origin, s)
-        for t in range(code.n_species):
-            for cube in near_cubes:
-                gen_t = translate(cube, t)
-                shared = gen_s.keys() & gen_t.keys()
-                if sum(single_paulis_anticommute(a, b) for x in shared for a, b in zip(gen_s[x], gen_t[x])) % 2:
-                    return (origin, s), (cube, t)
-    return None
+    owners, gens = _term_flips(code, np.zeros(1, dtype=np.int64))
+    cubes, t = np.divmod(gens, code.n_species)
+    counts = Counter(((owners * code.n_species + t) * g.n_sites + cubes).tolist())
+    odd = [key for key, count in counts.items() if count % 2]
+    if not odd:
+        return None
+    st, cube = divmod(min(odd), g.n_sites)
+    s, t = divmod(st, code.n_species)
+    return ((0,) * g.D, s), (g.site_at(cube), t)
 
 
 def build_code(spec: CodeSpec, L: int) -> CodeInstance:
@@ -401,22 +430,8 @@ def commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
     number of times.  The count is symmetric, so the first pair is the
     smallest odd-count key ``i * n_generators + j``.
     """
-    g = code.geometry
-    cubes = np.arange(g.n_sites)
-    coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
-    owners, qubits, paulis = [], [], []
-    for s, sp in enumerate(code.spec.species):
-        for offset, label in sp.entries:
-            sites = g.site_indices(coords + np.asarray(offset, dtype=np.int64))
-            for sub, p in enumerate(label):
-                if p != "I":
-                    owners.append(cubes * code.n_species + s)
-                    qubits.append(sites * g.q + sub)
-                    paulis.append(np.full(g.n_sites, PAULI_CODE[p]))
-    if not owners:
-        return None
-    step, gens = code.qubit_flip_events(np.concatenate(qubits), np.concatenate(paulis))
-    keys = np.sort(np.concatenate(owners)[step] * code.n_generators + gens)
+    owners, gens = _term_flips(code, np.arange(code.geometry.n_sites))
+    keys = np.sort(owners * code.n_generators + gens)
     # runs of equal keys by sort and diff (np.unique would import numpy.ma)
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     odd = starts[np.diff(starts, append=len(keys)) % 2 == 1]

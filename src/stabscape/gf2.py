@@ -43,12 +43,23 @@ def from_indices(indices, nbits: int, parity: bool = False) -> np.ndarray:
     return words
 
 
-def nonzero_indices(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Set bits in ascending order.  Only the nonzero words are unpacked,
-    so a sparse vector costs its support, not its length."""
+def nonzero_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, bit)`` of every set bit of a 2-d word array, row-major and
+    ascending.  Only the nonzero words are unpacked, so sparse rows cost
+    their support, not their length."""
     nz = np.flatnonzero(words)
-    idx = np.flatnonzero(np.unpackbits(words[nz].view(np.uint8), bitorder="little"))
-    idx = nz[idx // WORD_BITS] * WORD_BITS + idx % WORD_BITS
+    idx = np.flatnonzero(np.unpackbits(words.ravel()[nz].view(np.uint8), bitorder="little"))
+    # bit index over the flattened array, built in place to keep the peak low
+    flat = nz[idx >> 6]
+    flat *= WORD_BITS
+    idx &= WORD_BITS - 1
+    flat += idx
+    return np.divmod(flat, words.shape[1] * WORD_BITS)
+
+
+def nonzero_indices(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Set bits of one vector in ascending order (``nonzero_bits`` of one row)."""
+    idx = nonzero_bits(words.reshape(1, -1))[1]
     return idx[idx < nbits]
 
 
@@ -97,6 +108,26 @@ def subset_xors(rows: np.ndarray) -> np.ndarray:
     for i, row in enumerate(rows):
         np.bitwise_xor(out[: 1 << i], row, out=out[1 << i : 2 << i])
     return out
+
+
+def _echelon(rows: list[int]) -> tuple[dict[int, int], list[int]]:
+    """Forward elimination of int rows: a dict from each lead (lowest set bit,
+    ``x & -x``) to one row with that lead, spanning the input, and the indices
+    of the input rows that got a new lead (those the rows before them do not
+    span).  Reducing a row only raises its lead, so it ends at a new lead or
+    at zero."""
+    table: dict[int, int] = {}
+    kept: list[int] = []
+    for i, x in enumerate(rows):
+        while x:
+            lead = x & -x
+            y = table.get(lead)
+            if y is None:
+                table[lead] = x
+                kept.append(i)
+                break
+            x ^= y
+    return table, kept
 
 
 class BitMatrix:
@@ -187,35 +218,38 @@ class BitMatrix:
         """Row-wise inner products with ``vec``, mod 2 (uint8 array)."""
         return (np.bitwise_count(self.words & vec).sum(axis=1) & 1).astype(np.uint8)
 
+    def independent_rows(self) -> list[int]:
+        """Indices of the rows that the rows before them do not span, in order."""
+        return _echelon([to_int(row) for row in self.words])[1]
+
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row-echelon form with deterministic leftmost pivoting.
 
         Returns the reduced matrix (zero rows dropped) and the pivot columns
         in increasing order, so repeated runs give identical output.  Each
         pivot column holds a single 1, which ``reduce_by_rref`` relies on.
+        The RREF is unique, so the elimination order does not show: rows are
+        python ints, reduced against a dict of rows keyed by their lowest set
+        bit, and only the bits at pivot columns are ever visited.
         """
-        work = self.words.copy()
-        nrows = self.nrows
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            if r == nrows:
-                break
-            w, b = col >> 6, np.uint64(col & 63)
-            colbits = ((work[r:, w] >> b) & np.uint64(1)).astype(bool)
-            hits = np.nonzero(colbits)[0]
-            if hits.size == 0:
-                continue
-            pr = r + int(hits[0])
-            if pr != r:
-                work[[r, pr]] = work[[pr, r]]
-            mask = ((work[:, w] >> b) & np.uint64(1)).astype(bool)
-            mask[r] = False
-            if mask.any():
-                work[mask] ^= work[r]
-            pivots.append(col)
-            r += 1
-        return BitMatrix(work[: len(pivots)].copy(), self.ncols), pivots
+        table, _ = _echelon([to_int(row) for row in self.words])
+        # back-substitution from the highest lead down: every bit a row holds
+        # at a later lead is cleared by that lead's already reduced row
+        done = 0
+        for lead in sorted(table, reverse=True):
+            x = table[lead]
+            y = x & done
+            while y:
+                b = y & -y
+                x ^= table[b]
+                y ^= b
+            table[lead] = x
+            done |= lead
+        leads = sorted(table)
+        width = self.words.shape[1] * 8
+        data = bytearray(b"".join(table[lead].to_bytes(width, "little") for lead in leads))
+        words = np.frombuffer(data, dtype=np.uint64).reshape(len(leads), self.words.shape[1])
+        return BitMatrix(words, self.ncols), [lead.bit_length() - 1 for lead in leads]
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -278,14 +278,13 @@ class DistanceResult:
 def _logical_class_reps(code: CodeInstance) -> np.ndarray:
     """One centralizer row per independent logical direction (2k of them), as
     (X||Z) word rows: each row of the centralizer basis that the stabilizers
-    and the rows before it do not span.  One elimination picks them all: with
-    the stabilizer basis stacked first and the vectors as columns, leftmost
-    pivoting takes every stabilizer column, then exactly those rows."""
+    and the rows before it do not span, picked by one forward elimination
+    over the stabilizer basis stacked above the centralizer rows."""
     rref, _ = code.stabilizer_rref()
     centralizer = gf2.nullspace(code.syndrome_matrix())
     stacked = gf2.BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * code.n_qubits)
-    _, pivots = stacked.transpose().rref()
-    return centralizer.words[np.asarray(pivots[rref.nrows :], dtype=np.int64) - rref.nrows]
+    kept = np.asarray(stacked.independent_rows(), dtype=np.int64)
+    return centralizer.words[kept[kept >= rref.nrows] - rref.nrows]
 
 
 def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:

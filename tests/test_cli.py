@@ -6,11 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stabscape
 
 from stabscape.cli import main
+from stabscape.codes import CodeInstance
+from stabscape.lattice import QubitIndex
+from stabscape.pauli import PauliOperator
 from stabscape.reports import config_hash
 
 
@@ -130,6 +134,80 @@ def test_check_runs_the_commutation_audit_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     names = {c["name"]: c["status"] for c in json.loads(report_bytes(tmp_path, "check"))["checks"]}
     assert names["pairwise_commutation"] == names["generator_syndromes_empty"] == "pass"
+
+
+def reference_random_op(rng, g):
+    """The random operator of the check audits, drawn term by term."""
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        site = tuple(int(c) for c in rng.integers(0, g.L, size=g.D))
+        terms.append((QubitIndex(site, int(rng.integers(0, g.q))), "XYZ"[int(rng.integers(0, 3))]))
+    return PauliOperator.from_terms(g, terms)
+
+
+def recording_kernel(monkeypatch, corrupt=None):
+    """Wrap ``syndrome_words``: every call's operator words are recorded, and
+    ``corrupt = (call, row)`` flips generator 0 of that row of that call."""
+    kernel = CodeInstance.syndrome_words
+    calls = []
+
+    def wrapped(self, xwords, zwords):
+        out = kernel(self, xwords, zwords)
+        if corrupt is not None and corrupt[0] == len(calls):
+            out[corrupt[1], 0] ^= np.uint64(1)
+        calls.append((xwords.copy(), zwords.copy()))
+        return out
+
+    monkeypatch.setattr(CodeInstance, "syndrome_words", wrapped)
+    return calls
+
+
+def test_check_takes_no_single_operator_syndromes(tmp_path, monkeypatch):
+    """Each syndrome audit is one batched kernel call."""
+    def forbidden(self, op):
+        raise AssertionError("syndrome_of called")
+
+    monkeypatch.setattr(CodeInstance, "syndrome_of", forbidden)
+    calls = recording_kernel(monkeypatch)
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "4") == 0
+    assert [len(x) for x, _ in calls] == [150, 40, 20]
+
+
+@pytest.mark.parametrize("call, row, audit", [
+    (0, 76, "syndrome_linearity"),  # the b of pair 26
+    (0, 149, "syndrome_linearity"),  # the product of the last pair
+    (1, 3, "translation_covariance"),  # an operator
+    (1, 21, "translation_covariance"),  # a translate
+    (2, 11, "bitflip_defect_pattern"),
+])
+def test_corrupted_kernel_row_fails_its_audit(tmp_path, monkeypatch, call, row, audit):
+    recording_kernel(monkeypatch, corrupt=(call, row))
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "4") == 1
+    statuses = {c["name"]: c["status"] for c in json.loads(report_bytes(tmp_path, "check"))["checks"]}
+    assert statuses.pop(audit) == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
+def test_audits_after_a_failure_draw_what_the_loop_drew(tmp_path, monkeypatch):
+    """A draw-and-test loop stops drawing at the first failing pair; the later
+    audits draw the operators that loop would have drawn next."""
+    seed, failing_pair = 11, 3
+    calls = recording_kernel(monkeypatch, corrupt=(0, 100 + failing_pair))
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "4", "--seed", str(seed)) == 1
+    g = stabscape.get_code("cubic1", 4).geometry
+    rng = np.random.default_rng(seed)
+    for _ in range(failing_pair + 1):
+        reference_random_op(rng, g), reference_random_op(rng, g)
+    moved = []
+    for _ in range(20):
+        op = reference_random_op(rng, g)
+        moved.append((op, tuple(int(c) for c in rng.integers(0, g.L, size=g.D))))
+    covariance = [op for op, _ in moved] + [op.translate(delta) for op, delta in moved]
+    sites = [tuple(int(c) for c in rng.integers(0, g.L, size=3)) for _ in range(20)]
+    bitflips = [PauliOperator.single(g, QubitIndex(u, 0), "X") for u in sites]
+    for (xwords, zwords), ops in zip(calls[1:], (covariance, bitflips)):
+        assert np.array_equal(xwords, np.stack([op.xwords for op in ops]))
+        assert np.array_equal(zwords, np.stack([op.zwords for op in ops]))
 
 
 def test_fractal_does_not_import_numpy_ma(tmp_path):

@@ -57,6 +57,40 @@ def reference_solve(mat, rhs_bits):
     return x
 
 
+def reference_rref(mat):
+    """Leftmost-pivot elimination one column at a time, full-height row ops."""
+    work = mat.words.copy()
+    pivots = []
+    r = 0
+    for col in range(mat.ncols):
+        if r == mat.nrows:
+            break
+        w, b = col >> 6, np.uint64(col & 63)
+        hits = np.nonzero((work[r:, w] >> b) & np.uint64(1))[0]
+        if hits.size == 0:
+            continue
+        pr = r + int(hits[0])
+        if pr != r:
+            work[[r, pr]] = work[[pr, r]]
+        mask = ((work[:, w] >> b) & np.uint64(1)).astype(bool)
+        mask[r] = False
+        work[mask] ^= work[r]
+        pivots.append(col)
+        r += 1
+    return work[: len(pivots)], pivots
+
+
+def reference_independent_rows(mat):
+    """Greedy: a row is kept when it raises the rank of the rows before it."""
+    kept, rank = [], 0
+    for i in range(mat.nrows):
+        r = len(reference_rref(BitMatrix(mat.words[: i + 1], mat.ncols))[1])
+        if r > rank:
+            kept.append(i)
+            rank = r
+    return kept
+
+
 @st.composite
 def matrices(draw, max_rows=12, max_cols=140):
     """Small dense GF(2) matrices; column counts cross the 64-bit word edge."""
@@ -261,3 +295,48 @@ def test_gf2_solve_bit_identical_to_reference(case):
             assert np.array_equal(got, want)
             assert np.array_equal(packed, got)
             assert np.array_equal(m.parities_with(got), b)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Matrices with 0 rows or 0 columns, widths on and across the word edge,
+    repeated rows and sparse to dense fills."""
+    nrows = draw(st.integers(0, 40))
+    ncols = draw(st.sampled_from([0, 1, 63, 64, 65, 128, 130]) | st.integers(0, 200))
+    density = draw(st.sampled_from([0.01, 0.05, 0.3, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((nrows, ncols)) < density
+    if nrows > 1 and draw(st.booleans()):
+        bits[rng.integers(0, nrows, size=nrows // 2)] = bits[rng.integers(0, nrows, size=nrows // 2)]
+    return BitMatrix.from_bool_array(bits)
+
+
+@settings(max_examples=300)
+@given(elimination_inputs())
+def test_rref_matches_column_loop(m):
+    reduced, pivots = m.rref()
+    want, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert reduced.words.shape == want.shape and reduced.ncols == m.ncols
+    assert np.array_equal(reduced.words, want)
+    assert reduced.words.flags.writeable
+    reduced.words[...] = 0  # the caller owns the words: the input is untouched
+    assert np.array_equal(m.rref()[0].words, want)
+
+
+@settings(max_examples=150)
+@given(elimination_inputs())
+def test_independent_rows_match_greedy_reference(m):
+    kept = m.independent_rows()
+    assert kept == reference_independent_rows(m)
+    assert len(kept) == m.rank()
+
+
+@settings(max_examples=100)
+@given(elimination_inputs())
+def test_nonzero_bits_match_bool_unpack(m):
+    rows, bits = gf2.nonzero_bits(m.words)
+    want_rows, want_bits = np.nonzero(m.to_bool_array())
+    assert np.array_equal(rows, want_rows) and np.array_equal(bits, want_bits)
+    for i in range(m.nrows):
+        assert np.array_equal(gf2.nonzero_indices(m.words[i], m.ncols), want_bits[want_rows == i])

@@ -2,7 +2,8 @@
 
 Every ``reference_*`` function below is a test-only copy of a retired
 implementation: the per-step ``flips`` walk behind ``energy_profile``,
-``syndrome_history`` and ``syndrome_of``, the bit-at-a-time ``from_terms``,
+``syndrome_history`` and ``syndrome_of``, the one-operator flip-event
+``syndrome_of`` behind the batched kernel, the bit-at-a-time ``from_terms``,
 the recursive pyramid schedule, the full-lattice commutation audit, the
 per-entry restricted syndrome matrix, the per-qubit single-Pauli
 short-circuit of the local solver, the per-move flip loop of the oracle
@@ -65,6 +66,16 @@ def reference_syndrome_of(code, op):
     for qubit, p in op.terms():
         out.symmetric_difference_update(reference_flips(code, qubit, p))
     return frozenset(out)
+
+
+def reference_single_syndrome(code, op):
+    """One operator's flip-event parity, its X and Z supports walked alone."""
+    g = code.geometry
+    xq = gf2.nonzero_indices(op.xwords, g.n_qubits)
+    zq = gf2.nonzero_indices(op.zwords, g.n_qubits)
+    paulis = np.repeat([1, 2], [len(xq), len(zq)])
+    _, gens = code.qubit_flip_events(np.concatenate([xq, zq]), paulis)
+    return code.words_to_syndrome(gf2.from_indices(gens, code.n_generators, parity=True))
 
 
 def reference_from_terms(geometry, terms):
@@ -232,6 +243,32 @@ def test_syndrome_of_at_large_L_is_sparse():
     code = get_code("cubic1", 128)
     op = PauliOperator.from_terms(code.geometry, [(QubitIndex((127, 0, 5), 0), "X"), (QubitIndex((3, 3, 3), 1), "Y")])
     assert code.syndrome_of(op) == reference_syndrome_of(code, op)
+
+
+@settings(max_examples=150)
+@given(
+    name=st.sampled_from(["rep1d", "toric2d", "toric3d", "cubic1"]),
+    L=st.integers(2, 8),
+    ops=st.lists(
+        st.lists(st.tuples(st.lists(st.integers(0, 7), min_size=3, max_size=3), st.integers(0, 3),
+                           st.sampled_from("XYZ")), max_size=10),
+        max_size=6,
+    ),
+)
+def test_syndrome_words_match_one_operator_walker(name, L, ops):
+    """The batched kernel, row by row, against one operator at a time; an
+    empty term list is the identity, and an empty batch has no rows."""
+    code = code_for(name, L)
+    g = code.geometry
+    batch = [PauliOperator.from_terms(g, [(QubitIndex(tuple(c % L for c in site[: g.D]), sub % g.q), p)
+                                          for site, sub, p in terms]) for terms in ops]
+    xwords = np.array([op.xwords for op in batch], dtype=np.uint64).reshape(len(batch), gf2.n_words(g.n_qubits))
+    zwords = np.array([op.zwords for op in batch], dtype=np.uint64).reshape(len(batch), gf2.n_words(g.n_qubits))
+    words = code.syndrome_words(xwords, zwords)
+    assert words.shape == (len(batch), gf2.n_words(code.n_generators))
+    for row, op in zip(words, batch):
+        expected = reference_single_syndrome(code, op)
+        assert code.words_to_syndrome(row) == expected == code.syndrome_of(op)
 
 
 @settings(max_examples=200)
