@@ -18,6 +18,7 @@ from .defects import (
     classify_string_segment,
     cluster_partition,
     creation_operator,
+    dense_runs,
     is_neutral,
     localize,
     min_dense_run,
@@ -57,6 +58,7 @@ __all__ = [
     "classify_string_segment",
     "cluster_partition",
     "creation_operator",
+    "dense_runs",
     "is_neutral",
     "localize",
     "min_dense_run",

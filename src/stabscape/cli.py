@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .codes import (
 from .defects import ScaleParams, ScanBudget, scan_for_strings
 from .lattice import QubitIndex
 from .oracle import SearchBudget, code_distance, min_barrier_logical
-from .pauli import PauliOperator
+from .pauli import PAULI_CODE, PauliOperator, stacked_words
 from .paths import (
     ErrorPath,
     apex_cube,
@@ -58,7 +59,10 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 4
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    keeps no state in it, and building it costs more than most parses."""
     parser = argparse.ArgumentParser(
         prog="stabscape",
         description="Energy-landscape experiments on stabilizer-code Hamiltonians.",
@@ -545,12 +549,24 @@ def run_check(config: dict) -> Report:
     )
     rng = np.random.default_rng(config["seed"])
 
-    def random_op() -> PauliOperator:
-        terms = []
+    def random_op() -> tuple[list, list[int], list[int]]:
+        """Sites, sub-qubit slots and Pauli codes of a random operator's factors."""
+        sites, subs, paulis = [], [], []
         for _ in range(int(rng.integers(1, 6))):
-            site = tuple(int(c) for c in rng.integers(0, g.L, size=g.D))
-            terms.append((QubitIndex(site, int(rng.integers(0, g.q))), "XYZ"[int(rng.integers(0, 3))]))
-        return PauliOperator.from_terms(g, terms)
+            sites.append(rng.integers(0, g.L, size=g.D))
+            subs.append(int(rng.integers(0, g.q)))
+            paulis.append(PAULI_CODE["XYZ"[int(rng.integers(0, 3))]])
+        return sites, subs, paulis
+
+    def syndromes(ops, shifts=None) -> np.ndarray:
+        """Syndrome words of the operators, row k moved by ``shifts[k]``: one
+        stacked build of their words and one kernel call."""
+        rows = np.repeat(np.arange(len(ops)), [len(p) for _, _, p in ops])
+        sites = np.concatenate([s for s, _, _ in ops])
+        if shifts is not None:
+            sites = sites + shifts[rows]
+        qubits = g.site_indices(sites) * g.q + np.concatenate([u for _, u, _ in ops])
+        return code.syndrome_words(*stacked_words(g, qubits, np.concatenate([p for _, _, p in ops]), rows, len(ops)))
 
     def draws(count: int, draw) -> tuple[list, list[dict]]:
         """``count`` draws, with the rng state after each one."""
@@ -569,21 +585,23 @@ def run_check(config: dict) -> Report:
         rng.bit_generator.state = states[int(np.argmax(bad))]
         return False
 
-    def syndromes(ops) -> np.ndarray:
-        return code.syndrome_words(np.stack([op.xwords for op in ops]), np.stack([op.zwords for op in ops]))
-
     pairs, states = draws(50, lambda: (random_op(), random_op()))
-    s = syndromes([a for a, _ in pairs] + [b for _, b in pairs] + [a * b for a, b in pairs]).reshape(3, len(pairs), -1)
+    ops = [a for a, _ in pairs] + [b for _, b in pairs]
+    # each pair's product: both operators' factors in one row
+    ops += [tuple(fa + fb for fa, fb in zip(a, b)) for a, b in pairs]
+    s = syndromes(ops).reshape(3, len(pairs), -1)
     linear_ok = passes((s[2] != s[0] ^ s[1]).any(axis=1), states)
     report.add_check("syndrome_linearity", PASS if linear_ok else FAIL)
 
     moves, states = draws(20, lambda: (random_op(), rng.integers(0, g.L, size=g.D)))
-    s = syndromes([op for op, _ in moves] + [op.translate(delta.tolist()) for op, delta in moves]).reshape(2, len(moves), -1)
+    deltas = np.array([delta for _, delta in moves])
+    ops = [op for op, _ in moves]
+    s = syndromes(ops + ops, np.concatenate([np.zeros_like(deltas), deltas])).reshape(2, len(moves), -1)
     # every defect of S[op], moved by its row's delta, against S[op.translate(delta)]
     rows, gens = gf2.nonzero_bits(s[0])
     cubes, species = np.divmod(gens, code.n_species)
     coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
-    moved = g.site_indices(coords + np.array([delta for _, delta in moves])[rows]) * code.n_species + species
+    moved = g.site_indices(coords + deltas[rows]) * code.n_species + species
     width = s.shape[-1] * gf2.WORD_BITS
     expected = gf2.from_indices(rows * width + moved, len(moves) * width).reshape(s[1].shape)
     covariant_ok = passes((s[1] != expected).any(axis=1), states)
@@ -595,7 +613,7 @@ def run_check(config: dict) -> Report:
 
     if config["code"] == "cubic1":
         sites = [tuple(int(c) for c in rng.integers(0, g.L, size=3)) for _ in range(20)]
-        flips = syndromes([PauliOperator.single(g, QubitIndex(u, 0), "X") for u in sites])
+        flips = syndromes([([u], [0], [PAULI_CODE["X"]]) for u in sites])
         ok = all(code.words_to_syndrome(row) == pyramid_syndrome(code, 0, apex_cube(code, u))
                  for row, u in zip(flips, sites))
         report.add_check("bitflip_defect_pattern", PASS if ok else FAIL)

@@ -62,8 +62,8 @@ def occupied_cubes(syndrome_or_cubes: Iterable) -> frozenset[Site]:
 
 
 def cluster_diameter(geometry: LatticeGeometry, cubes: Iterable[Site]) -> int:
-    """Diameter of a cube set: 1 + max pairwise torus distance."""
-    return 1 + geometry.spread(cubes)
+    """Diameter of a nonempty cube set: 1 + max pairwise torus distance."""
+    return 1 + int(_torus_distances(geometry, list(cubes)).max())
 
 
 @dataclass(frozen=True)
@@ -92,20 +92,45 @@ def _torus_distances(geometry: LatticeGeometry, cubes: Sequence[Site]) -> np.nda
     return dist
 
 
-def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: ScaleParams) -> SparsityVerdict:
-    """Decide level-``p`` sparsity by complete-linkage merging.
+def _complete_linkage(dist: np.ndarray, cap: float) -> Iterator[tuple[int, int, int]]:
+    """Complete-linkage merges of the cubes behind ``dist`` (sorted order),
+    as ``(kept row, retired row, height)``, while ``1 + height <= cap``.
 
-    The two clusters whose union has the smallest diameter are merged while
-    that diameter is at most ``xi(p+1)``; ties go to the pair whose minimum
-    cubes come first in lexicographic order.  The syndrome is sparse iff every
-    remaining cluster has diameter at most ``xi(p)``; when it is, the returned
-    partition satisfies both defining conditions exactly.
+    The two clusters whose union has the smallest diameter merge first; ties
+    go to the pair whose minimum cubes come first in lexicographic order.
+    Row k stands for the cluster whose minimum cube is cube k; a merge keeps
+    the smaller row, and the row-major argmin is the smallest (distance, row,
+    column), i.e. the lexicographic tie-break.
 
     Complete linkage never merges below an earlier merge height: the linkage
     of a merged cluster to any other, ``max(d_ik, d_jk)`` (the Lance-Williams
-    max rule), is at least the height just merged.  So every live cluster's
-    spread is at most the current minimum cross distance, a pair's union
-    diameter is ``1 + cross``, and the merges run on one distance matrix.
+    max rule), is at least the height just merged.  So heights never
+    decrease, a merged cluster's spread is the height it merged at, and the
+    merges below a smaller cap are a prefix of these.  ``dist`` is consumed.
+    """
+    m = len(dist)
+    retired = np.iinfo(np.int64).max
+    np.fill_diagonal(dist, retired)
+    while True:
+        i, j = divmod(int(np.argmin(dist)), m)
+        height = int(dist[i, j])
+        if 1 + height > cap:
+            return
+        linkage = np.maximum(dist[i], dist[j])
+        dist[i, :] = linkage
+        dist[:, i] = linkage
+        dist[j, :] = retired
+        dist[:, j] = retired
+        yield i, j, height
+
+
+def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: ScaleParams) -> SparsityVerdict:
+    """Decide level-``p`` sparsity by complete-linkage merging.
+
+    Clusters merge (see ``_complete_linkage``) while their union's diameter
+    is at most ``xi(p+1)``.  The syndrome is sparse iff every remaining
+    cluster has diameter at most ``xi(p)``; when it is, the returned
+    partition satisfies both defining conditions exactly.
     """
     cubes = occupied_cubes(syndrome)
     if not cubes:
@@ -120,23 +145,9 @@ def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: Scale
     if 1 + top <= xi_p1:  # every merge qualifies: one cluster
         members, spreads = [order], [top]
     else:
-        # Row k stands for the cluster whose minimum cube is order[k]; a merge
-        # keeps the smaller row, and the row-major argmin is the smallest
-        # (distance, row, column), i.e. the lexicographic tie-break.
         members = [[c] for c in order]
         spreads = [0] * len(order)
-        retired = np.iinfo(np.int64).max
-        np.fill_diagonal(dist, retired)
-        while True:
-            i, j = divmod(int(np.argmin(dist)), len(order))
-            height = int(dist[i, j])
-            if 1 + height > xi_p1:
-                break
-            linkage = np.maximum(dist[i], dist[j])
-            dist[i, :] = linkage
-            dist[:, i] = linkage
-            dist[j, :] = retired
-            dist[:, j] = retired
+        for i, j, height in _complete_linkage(dist, xi_p1):
             members[i] += members[j]
             members[j] = []
             spreads[i] = height
@@ -157,6 +168,55 @@ def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: Scale
     )
 
 
+def _dense_run(geometry: LatticeGeometry, cubes: frozenset[Site], params: ScaleParams) -> int:
+    """Dense run of one syndrome's occupied cubes, from one distance matrix.
+
+    Let q be the lowest level with ``1 + top <= xi(q+1)``, ``top`` the
+    largest distance between the cubes.  From q up every merge qualifies, so
+    the syndrome is one cluster, dense at q (for q > 0) and sparse above.
+    Below q the level-p partition is the prefix of one merge run to ``xi(q)``
+    with ``1 + height <= xi(p+1)``; its largest spread is the prefix's last
+    height, and the syndrome is sparse at p iff that height plus 1 is at
+    most ``xi(p)``.
+    """
+    dist = _torus_distances(geometry, sorted(cubes))
+    top = int(dist.max())
+    q = 0
+    while 1 + top > params.xi(q + 1):
+        q += 1
+    if q == 0:
+        return -1 if top == 0 else 0
+    heights = [h for _, _, h in _complete_linkage(dist, params.xi(q))]
+    for p in range(q):
+        below = [h for h in heights if 1 + h <= params.xi(p + 1)]
+        if 1 + (below[-1] if below else 0) <= params.xi(p):
+            return p - 1
+    return q
+
+
+def dense_runs(geometry: LatticeGeometry, syndromes: Sequence, params: ScaleParams) -> list[int]:
+    """Dense run (see ``min_dense_run``) of every syndrome, in one pass.
+
+    Torus distances never exceed ``L // 2``, so from the cap level P, the
+    lowest with ``1 + L // 2 <= xi(P+1)``, every syndrome is one cluster at
+    its level.  At ``P = 0`` (every ``L < 300`` at the default alpha) the run
+    is -1 for a single occupied cube and 0 otherwise, with no distances.
+    Otherwise each syndrome's merges run once, to its own cap
+    (``_dense_run``), on one distance matrix at a time.
+    """
+    cube_sets = [occupied_cubes(s) for s in syndromes]
+    if not all(cube_sets):
+        raise ValueError("sparsity is undefined for the empty syndrome")
+    if 1 + geometry.L // 2 <= params.xi(1):
+        runs = [0 if len(cubes) > 1 else -1 for cubes in cube_sets]
+    else:
+        runs = [_dense_run(geometry, cubes, params) for cubes in cube_sets]
+    for cubes, run in zip(cube_sets, runs):
+        if len(cubes) < run + 2:
+            raise RuntimeError(f"counting bound violated: {len(cubes)} cubes, dense run {run}")
+    return runs
+
+
 def min_dense_run(geometry: LatticeGeometry, syndrome, params: ScaleParams) -> int:
     """Largest ``p`` with the syndrome dense at every level ``0..p`` (-1 if
     already sparse at level 0).
@@ -165,18 +225,7 @@ def min_dense_run(geometry: LatticeGeometry, syndrome, params: ScaleParams) -> i
     is re-checked here because its failure would mean the partition logic is
     broken, not that the input is unusual.
     """
-    cubes = occupied_cubes(syndrome)
-    if not cubes:
-        raise ValueError("sparsity is undefined for the empty syndrome")
-    p = 0
-    while True:
-        if cluster_partition(geometry, cubes, p, params).sparse:
-            run = p - 1
-            break
-        p += 1
-    if len(cubes) < run + 2:
-        raise RuntimeError(f"counting bound violated: {len(cubes)} cubes, dense run {run}")
-    return run
+    return dense_runs(geometry, [syndrome], params)[0]
 
 
 # -- neutrality ---------------------------------------------------------------

@@ -94,17 +94,6 @@ class LatticeGeometry:
         A, B = list(A), list(B)
         return min(self.dist(a, b) for a in A for b in B)
 
-    def spread(self, sites: Iterable[Site]) -> int:
-        """Maximum pairwise distance within a coordinate set (0 for a point)."""
-        pts = list(sites)
-        best = 0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = self.dist(pts[i], pts[j])
-                if d > best:
-                    best = d
-        return best
-
     # -- regions -----------------------------------------------------------
 
     def box_sites(self, corner: Iterable[int], size) -> list[Site]:

@@ -29,6 +29,18 @@ def single_paulis_anticommute(a: str, b: str) -> bool:
     return a != "I" and b != "I" and a != b
 
 
+def stacked_words(geometry: LatticeGeometry, qubits, paulis, rows, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z words, each ``(count, words)``, of ``count`` operators given as
+    single-qubit Paulis: qubit ids, Pauli codes and the row of the operator
+    each belongs to.  Repeated factors within a row cancel in pairs."""
+    paulis = np.asarray(paulis, dtype=np.int64)
+    width = gf2.n_words(geometry.n_qubits) * gf2.WORD_BITS
+    flat = np.asarray(rows, dtype=np.int64) * width + np.asarray(qubits, dtype=np.int64)
+    x = gf2.from_indices(flat[paulis & 1 == 1], count * width, parity=True)
+    z = gf2.from_indices(flat[paulis & 2 == 2], count * width, parity=True)
+    return x.reshape(count, -1), z.reshape(count, -1)
+
+
 class PauliOperator:
     """Immutable phase-free Pauli over one lattice's qubit set."""
 
@@ -64,9 +76,8 @@ class PauliOperator:
     @classmethod
     def from_codes(cls, geometry: LatticeGeometry, qubits, paulis) -> "PauliOperator":
         """Product of single-qubit Paulis given as qubit ids and Pauli codes."""
-        qubits, paulis = np.asarray(qubits, dtype=np.int64), np.asarray(paulis, dtype=np.int64)
-        x = gf2.from_indices(qubits[paulis & 1 == 1], geometry.n_qubits, parity=True)
-        return cls(geometry, x, gf2.from_indices(qubits[paulis & 2 == 2], geometry.n_qubits, parity=True))
+        x, z = stacked_words(geometry, qubits, paulis, 0, 1)
+        return cls(geometry, x[0], z[0])
 
     @classmethod
     def single(cls, geometry: LatticeGeometry, qubit: QubitIndex, p: str) -> "PauliOperator":

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes import CodeInstance, Defect, Syndrome
-from .defects import ScaleParams, cluster_partition, is_neutral, min_dense_run
+from .defects import ScaleParams, cluster_partition, dense_runs, is_neutral
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PauliOperator
 from .paths import ErrorPath, as_path, walk_events
@@ -124,15 +124,13 @@ def level_histories(code: CodeInstance, history: SyndromeHistory, params: ScaleP
     if T == 0:
         return RGAnalysis([LevelHistory(0, (0,), history, g)], 0, empty_path=True)
 
-    dense_run: list[int] = []
-    for t in range(1, T):
-        s = history.syndromes[t]
-        dense_run.append(min_dense_run(g, s, params) if s else -1)
+    occupied = [t for t in range(1, T) if history.syndromes[t]]
+    runs = dense_runs(g, [history.syndromes[t] for t in occupied], params)
 
     levels = [LevelHistory(0, tuple(range(T + 1)), history, g)]
     p = 1
     while True:
-        interior = tuple(t for t in range(1, T) if history.syndromes[t] and dense_run[t - 1] >= p - 1)
+        interior = tuple(t for t, run in zip(occupied, runs) if run >= p - 1)
         retained = (0,) + interior + (T,)
         for t in interior:
             if len(history.syndromes[t]) < p + 1:

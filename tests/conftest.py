@@ -50,3 +50,14 @@ def random_operator(code, rng, max_terms=6):
         site = tuple(int(c) for c in rng.integers(0, g.L, size=g.D))
         terms.append((QubitIndex(site, int(rng.integers(0, g.q))), "XYZ"[int(rng.integers(0, 3))]))
     return PauliOperator.from_terms(g, terms)
+
+
+def retired_dense_run(geometry, cubes, params):
+    """The retired per-level loop: ``cluster_partition`` at p = 0, 1, ...
+    until sparse (test oracle for ``dense_runs``)."""
+    from stabscape.defects import cluster_partition
+
+    p = 0
+    while not cluster_partition(geometry, cubes, p, params).sparse:
+        p += 1
+    return p - 1

@@ -11,7 +11,7 @@ import pytest
 
 import stabscape
 
-from stabscape.cli import main
+from stabscape.cli import build_parser, main
 from stabscape.codes import CodeInstance
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
@@ -208,6 +208,41 @@ def test_audits_after_a_failure_draw_what_the_loop_drew(tmp_path, monkeypatch):
     for (xwords, zwords), ops in zip(calls[1:], (covariance, bitflips)):
         assert np.array_equal(xwords, np.stack([op.xwords for op in ops]))
         assert np.array_equal(zwords, np.stack([op.zwords for op in ops]))
+
+
+def fresh_process(argv, out):
+    """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
+    src = str(Path(stabscape.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "stabscape.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_runs_like_a_fresh_process(tmp_path, capsys):
+    """In-process calls share one parser; a usage error between two
+    subcommands leaves no trace in the next call."""
+    jobs = [
+        ["syndrome", "--code", "cubic1", "--L", "4", "--op", "XI@1,2,3"],
+        ["rg", "--code", "nope", "--L", "4"],  # argparse rejects the choice
+        ["rg", "--code", "cubic1", "--L", "8", "--p", "2"],
+    ]
+    for i, argv in enumerate(jobs):
+        here, there = tmp_path / f"here{i}", tmp_path / f"there{i}"
+        code = main(argv + ["--out", str(here)])
+        out, err = capsys.readouterr()
+        want_code, want_out, want_err = fresh_process(argv, there)
+        assert code == want_code == (2 if i == 1 else 0)
+        assert err == want_err
+        assert out.replace(str(here), "OUT") == want_out.replace(str(there), "OUT")
+        reports = [sorted(d.glob("*/report.json")) for d in (here, there)]
+        assert [len(r) for r in reports] == [0, 0] if i == 1 else [1, 1]
+        if i != 1:
+            assert reports[0][0].read_bytes() == reports[1][0].read_bytes()
 
 
 def test_fractal_does_not_import_numpy_ma(tmp_path):

@@ -6,9 +6,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import retired_dense_run
 from stabscape import get_code, gf2
 from stabscape.defects import (
     _BoxSolver,
@@ -30,6 +31,7 @@ from stabscape.defects import (
     cluster_diameter,
     cluster_partition,
     creation_operator,
+    dense_runs,
     is_neutral,
     localize,
     min_dense_run,
@@ -203,13 +205,10 @@ def pairwise_reference_partition(geometry, cubes, p, params):
     )
 
 
-@st.composite
-def clumped_cubes(draw):
+def clump(draw, D, L):
     """Up to 14 cubes in a few clumps.  A coarse grid step makes distance ties
     common, and small tori make wrap-around common; only on the large tori
     can clusters stay apart at level 0 (xi(1) >= 10)."""
-    D = draw(st.sampled_from([2, 3]))
-    L = draw(st.sampled_from([4, 5, 32, 64]))
     step = draw(st.sampled_from([1, 2, 5, 8]))
     radius = draw(st.integers(0, 4))
     site = st.tuples(*[st.integers(0, L - 1)] * D)
@@ -219,7 +218,25 @@ def clumped_cubes(draw):
         center = draw(st.sampled_from(centers))
         offset = draw(st.tuples(*[st.integers(-radius, radius)] * D))
         cubes.add(tuple((step * (c + o)) % L for c, o in zip(center, offset)))
-    return LatticeGeometry(D, L, 1), sorted(cubes)
+    return sorted(cubes)
+
+
+@st.composite
+def clumped_cubes(draw):
+    D = draw(st.sampled_from([2, 3]))
+    L = draw(st.sampled_from([4, 5, 32, 64]))
+    return LatticeGeometry(D, L, 1), clump(draw, D, L)
+
+
+@st.composite
+def clumped_histories(draw):
+    """A few clumped cube sets on one torus.  Over these tori and the alphas
+    of the test below, the cap level P (the lowest with 1 + L // 2 <=
+    xi(P+1)) takes the values 0, 1 and 2, and sets spread past xi(1) merge
+    below the cap."""
+    D = draw(st.sampled_from([2, 3]))
+    L = draw(st.sampled_from([4, 8, 32, 64, 256]))
+    return LatticeGeometry(D, L, 1), [clump(draw, D, L) for _ in range(draw(st.integers(1, 5)))]
 
 
 @settings(max_examples=400)
@@ -234,6 +251,27 @@ def test_cluster_partition_matches_pairwise_reference(case, alpha, p):
     v = cluster_partition(geo, cubes, p, params)
     got = (v.clusters, v.diameters, v.sparse, v.xi_p, v.xi_p1, v.scale_capped)
     assert got == pairwise_reference_partition(geo, cubes, p, params)
+
+
+@settings(max_examples=250)
+@given(case=clumped_histories(), alpha=st.sampled_from([1.0, 1.3, 2.0, 15.0]))
+# merges at heights 5, 30 and 80 below the cap xi(2) = 100: the level-1
+# partition's largest spread is its last merge height, not its first
+@example(case=(LatticeGeometry(2, 256, 1), [[(0, 0), (5, 0), (50, 0), (80, 0), (0, 128)]]), alpha=1.0)
+# diameter exactly xi(1) = 10: one cluster at level 0, sparse at level 1
+@example(case=(LatticeGeometry(2, 32, 1), [[(0, 0), (9, 0)]]), alpha=1.0)
+def test_dense_runs_match_the_per_level_loop(case, alpha):
+    geo, history = case
+    params = ScaleParams(alpha=alpha)
+    runs = dense_runs(geo, history, params)
+    assert runs == [retired_dense_run(geo, cubes, params) for cubes in history]
+    assert runs == [min_dense_run(geo, cubes, params) for cubes in history]
+
+
+def test_dense_runs_reject_an_empty_syndrome():
+    with pytest.raises(ValueError):
+        dense_runs(GEO8, [[(1, 1, 1)], []], PARAMS)
+    assert dense_runs(GEO8, [], PARAMS) == []
 
 
 def test_min_dense_run_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import retired_dense_run
 from stabscape import get_code
 from stabscape.defects import ScaleParams
 from stabscape.lattice import LatticeGeometry, QubitIndex
@@ -125,6 +126,43 @@ def test_level_errors_built_on_first_access(cubic4, steps):
         for err in lvl.errors:
             prod = prod * err
         assert prod == whole
+
+
+def retired_ladder(code, history, params):
+    """The retired per-syndrome ladder: every occupied syndrome's dense run
+    from ``cluster_partition`` level by level, then the retained times of
+    each level.  Returns the retained tuples and p_max."""
+    g, T = code.geometry, history.T
+    runs = [retired_dense_run(g, s, params) if s else -1 for s in history.syndromes[1:T]]
+    ladder = [tuple(range(T + 1))]
+    p = 1
+    while True:
+        interior = tuple(t for t in range(1, T) if history.syndromes[t] and runs[t - 1] >= p - 1)
+        ladder.append((0,) + interior + (T,))
+        if not interior:
+            return ladder, p
+        p += 1
+
+
+@st.composite
+def short_paths(draw):
+    """A short random path on cubic1 or toric3d.  At L = 24 and alpha = 1 the
+    cap level is 1, so scattered defects take the merge path."""
+    code = get_code(draw(st.sampled_from(["cubic1", "toric3d"])), draw(st.sampled_from([3, 8, 24, 24])))
+    g = code.geometry
+    site = st.tuples(*[st.integers(0, g.L - 1)] * g.D)
+    steps = draw(st.lists(st.tuples(site, st.integers(0, g.q - 1), st.sampled_from("XYZ")), min_size=1, max_size=14))
+    return code, [(QubitIndex(s, sub), p) for s, sub, p in steps]
+
+
+@settings(max_examples=150)
+@given(case=short_paths(), alpha=st.sampled_from([1.0, 1.3, 2.0, 15.0]))
+def test_level_histories_match_the_retired_ladder(case, alpha):
+    code, path = case
+    params = ScaleParams(alpha=alpha)
+    history = syndrome_history(code, path)
+    analysis = level_histories(code, history, params)
+    assert ([lvl.retained for lvl in analysis.levels], analysis.p_max) == retired_ladder(code, history, params)
 
 
 def test_track_static_syndrome(cubic8):
