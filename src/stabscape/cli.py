@@ -494,7 +494,7 @@ def run_fractal(config: dict) -> Report:
         scales = [int(s) for s in str(config["scales"]).split(",")]
     else:
         scales = default_scales
-    est = box_counting_dimension(sites, scales, code.geometry.L)
+    est = box_counting_dimension(sites, scales)
     report.add_series("boxcounts", ("scale", "count"), est.counts)
     report.add_check(
         "box_counting",

@@ -80,17 +80,6 @@ class CodeSpec:
             species.append(SpeciesTemplate(sp.get("name", f"s{i}"), entries))
         return cls(data["name"], int(data["D"]), int(data["q"]), tuple(species))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "D": self.D,
-            "q": self.q,
-            "species": [
-                {"name": sp.name, "offsets": [list(o) for o in sp.offsets()], "labels": [l for _, l in sp.entries]}
-                for sp in self.species
-            ],
-        }
-
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
         return cls.from_dict(json.loads(text))
@@ -124,6 +113,10 @@ class CodeInstance:
         self.geometry = LatticeGeometry(spec.D, L, spec.q)
         self.n_species = len(spec.species)
         self.n_generators = self.n_species * self.geometry.n_sites
+        # one row (species, sub, pauli, *offset) per non-identity template term
+        self._terms = np.array([(s, sub, PAULI_CODE[p], *o) for s, sp in enumerate(spec.species)
+                                for o, label in sp.entries for sub, p in enumerate(label) if p != "I"],
+                               dtype=np.int64).reshape(-1, 3 + spec.D)
         self._flip_table = self._build_flip_table()
         self._stabilizer_matrix: BitMatrix | None = None
         self._syndrome_matrix: BitMatrix | None = None
@@ -158,16 +151,21 @@ class CodeInstance:
         coords = np.unravel_index(cubes, (self.geometry.L,) * self.geometry.D)
         return list(zip(zip(*(c.tolist() for c in coords)), species.tolist()))
 
-    def generator(self, cube: Site, species: int) -> PauliOperator:
+    def generator_terms(self, cubes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(generator, qubit, pauli)`` arrays with one entry per non-identity
+        template term of every generator on the given cube ids, cube-major,
+        each Pauli coded x bit | z bit << 1."""
         g = self.geometry
-        terms = [(QubitIndex(g.shift(cube, offset), sub), p) for offset, label in self.spec.species[species].entries
-                 for sub, p in enumerate(label) if p != "I"]
-        return PauliOperator.from_terms(g, terms)
+        cubes = np.asarray(cubes, dtype=np.int64)
+        species, subs, paulis = self._terms[:, :3].T
+        coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T.reshape(-1, 1, g.D)
+        qubits = g.site_indices(coords + self._terms[:, 3:]) * g.q + np.tile(subs, len(cubes))
+        return (cubes[:, None] * self.n_species + species).ravel(), qubits, np.tile(paulis, len(cubes))
 
-    def generators(self) -> Iterable[tuple[Defect, PauliOperator]]:
-        for idx in range(self.n_generators):
-            cube, s = self.generator_at(idx)
-            yield (cube, s), self.generator(cube, s)
+    def generator(self, cube: Site, species: int) -> PauliOperator:
+        gens, qubits, paulis = self.generator_terms([self.geometry.site_index(cube)])
+        mine = gens % self.n_species == species
+        return PauliOperator.from_codes(self.geometry, qubits[mine], paulis[mine])
 
     # -- syndromes ------------------------------------------------------------
 
@@ -283,26 +281,18 @@ class CodeInstance:
             )
 
     def stabilizer_matrix(self) -> BitMatrix:
-        """Generators as packed (X-part || Z-part) rows, set by one scatter per
-        template term over every cube at once (one index array per term keeps
-        the transient memory to a few lattice-sized arrays)."""
+        """Generators as packed (X-part || Z-part) rows, set by one scatter of
+        every generator's template terms."""
         if self._stabilizer_matrix is None:
             self._require_dense()
-            g = self.geometry
-            mat = BitMatrix.zeros(self.n_generators, 2 * g.n_qubits)
-            grid = np.arange(g.n_sites).reshape((g.L,) * g.D)
-            for s, sp in enumerate(self.spec.species):
-                rows = np.arange(s, self.n_generators, self.n_species)
-                for offset, label in sp.entries:
-                    # the site at this offset from every cube: the site grid rolled back by it
-                    sites = np.roll(grid, [-c for c in offset], axis=tuple(range(g.D))).ravel()
-                    # a qubit's X bit is column sub, its Z bit n + sub; a Y term sets both
-                    bits = [sub + half * g.n_qubits for sub, p in enumerate(label)
-                            for half in (0, 1) if PAULI_CODE[p] >> half & 1]
-                    for bit in bits:
-                        cols = sites * g.q + bit
-                        mat.words[rows, cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
-            self._stabilizer_matrix = mat
+            n = self.n_qubits
+            gens, qubits, paulis = self.generator_terms(np.arange(self.geometry.n_sites))
+            # a qubit's X bit is column qubit, its Z bit n + qubit; a Y term sets both
+            x, z = paulis & 1 == 1, paulis & 2 == 2
+            width = gf2.n_words(2 * n) * gf2.WORD_BITS
+            flat = np.concatenate([gens[x] * width + qubits[x], gens[z] * width + qubits[z] + n])
+            words = gf2.from_indices(flat, self.n_generators * width).reshape(self.n_generators, -1)
+            self._stabilizer_matrix = BitMatrix(words, 2 * n)
         return self._stabilizer_matrix
 
     def syndrome_matrix(self) -> BitMatrix:
@@ -359,21 +349,9 @@ def _term_flips(code: CodeInstance, cubes: np.ndarray) -> tuple[np.ndarray, np.n
     """``(owner, generator)`` per flip event of the template terms of every
     generator on the given cube ids: generator ``owner`` anticommutes with
     ``generator`` iff the pair occurs an odd number of times."""
-    g = code.geometry
-    coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
-    owners, qubits, paulis = [], [], []
-    for s, sp in enumerate(code.spec.species):
-        for offset, label in sp.entries:
-            sites = g.site_indices(coords + np.asarray(offset, dtype=np.int64))
-            for sub, p in enumerate(label):
-                if p != "I":
-                    owners.append(cubes * code.n_species + s)
-                    qubits.append(sites * g.q + sub)
-                    paulis.append(np.full(len(cubes), PAULI_CODE[p]))
-    if not owners:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    step, gens = code.qubit_flip_events(np.concatenate(qubits), np.concatenate(paulis))
-    return np.concatenate(owners)[step], gens
+    owners, qubits, paulis = code.generator_terms(cubes)
+    step, gens = code.qubit_flip_events(qubits, paulis)
+    return owners[step], gens
 
 
 def _template_commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:

@@ -31,13 +31,11 @@ class ScaleParams:
 
     ``alpha`` is the no-strings aspect constant (15 for the cubic code family),
     ``xi(p) = (10 * alpha) ** p`` the level-p unit of length, ``ltqo`` the
-    locality scale for neutrality solves (defaults to ``L // 2``), and ``beta``
-    is recorded metadata for the ``ltqo >= L**beta`` assumption.
+    locality scale for neutrality solves (defaults to ``L // 2``).
     """
 
     alpha: float = 15.0
     ltqo: int | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -577,9 +575,6 @@ class StringScanReport:
     patterns_tested: int
     budget_exhausted: bool
     notes: str = ""
-
-    def found_violation(self, alpha: float) -> bool:
-        return any(f.aspect_ratio > alpha for f in self.nontrivial)
 
 
 def _support_placements(code: CodeInstance, box1: CubeBox, box2: CubeBox, size: int) -> list[Site]:

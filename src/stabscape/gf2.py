@@ -22,11 +22,7 @@ def zeros(nbits: int) -> np.ndarray:
 
 def from_bool(bits) -> np.ndarray:
     """Pack a boolean/0-1 array into a word vector."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    pad = n_words(bits.size) * WORD_BITS - bits.size
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return np.packbits(bits, bitorder="little").view(np.uint64)
+    return BitMatrix.from_bool_array(np.reshape(bits, (1, -1))).words[0]
 
 
 def to_bool(words: np.ndarray, nbits: int) -> np.ndarray:
@@ -149,29 +145,15 @@ class BitMatrix:
 
     @classmethod
     def from_bool_array(cls, arr) -> "BitMatrix":
-        arr = np.asarray(arr, dtype=np.uint8)
-        nrows, ncols = arr.shape
+        """Pack a 2-d boolean/0-1 array, one word-row per row; every packer
+        in this module goes through here."""
+        nrows, ncols = np.shape(arr)
         mat = cls.zeros(nrows, ncols)
-        if nrows == 0 or ncols == 0:
-            return mat
-        pad = mat.words.shape[1] * WORD_BITS - ncols
-        if pad:
-            arr = np.concatenate([arr, np.zeros((nrows, pad), dtype=np.uint8)], axis=1)
-        packed = np.ascontiguousarray(np.packbits(arr, axis=1, bitorder="little"))
-        mat.words = packed.view(np.uint64)
+        if nrows and ncols:
+            bits = np.zeros((nrows, mat.words.shape[1] * WORD_BITS), dtype=np.uint8)
+            bits[:, :ncols] = arr
+            mat.words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
         return mat
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.words.copy(), self.ncols)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.words[i]
-
-    def get(self, i: int, j: int) -> int:
-        return get_bit(self.words[i], j)
-
-    def set(self, i: int, j: int, value: int = 1) -> None:
-        set_bit(self.words[i], j, value)
 
     def to_bool_array(self) -> np.ndarray:
         if self.nrows == 0:
@@ -186,33 +168,10 @@ class BitMatrix:
 
     def select_columns(self, cols) -> "BitMatrix":
         """Submatrix keeping the given columns, in the given order."""
-        cols = np.asarray(cols, dtype=np.int64)
-        sub = BitMatrix.zeros(self.nrows, len(cols))
-        if len(cols) == 0 or self.nrows == 0:
-            return sub
-        full = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")[:, cols]
-        pad = sub.words.shape[1] * WORD_BITS - len(cols)
-        if pad:
-            full = np.concatenate([full, np.zeros((self.nrows, pad), dtype=np.uint8)], axis=1)
-        packed = np.ascontiguousarray(np.packbits(full, axis=1, bitorder="little"))
-        sub.words = packed.view(np.uint64)
-        return sub
-
-    def select_rows(self, rows) -> "BitMatrix":
-        return BitMatrix(self.words[np.asarray(rows, dtype=np.int64)].copy(), self.ncols)
+        return BitMatrix.from_bool_array(self.to_bool_array()[:, np.asarray(cols, dtype=np.int64)])
 
     def transpose(self) -> "BitMatrix":
-        out = BitMatrix.zeros(self.ncols, self.nrows)
-        if self.nrows == 0 or self.ncols == 0:
-            return out
-        full = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")[:, : self.ncols]
-        fullT = np.ascontiguousarray(full.T)
-        pad = out.words.shape[1] * WORD_BITS - self.nrows
-        if pad:
-            fullT = np.concatenate([fullT, np.zeros((self.ncols, pad), dtype=np.uint8)], axis=1)
-        packed = np.ascontiguousarray(np.packbits(fullT, axis=1, bitorder="little"))
-        out.words = packed.view(np.uint64)
-        return out
+        return BitMatrix.from_bool_array(self.to_bool_array().T)
 
     def parities_with(self, vec: np.ndarray) -> np.ndarray:
         """Row-wise inner products with ``vec``, mod 2 (uint8 array)."""
@@ -273,12 +232,6 @@ def in_rowspan(rref: BitMatrix, pivots: list[int], vec: np.ndarray) -> bool:
     return is_zero(reduce_by_rref(rref, pivots, vec))
 
 
-def gf2_in_span(basis: BitMatrix, vec: np.ndarray) -> bool:
-    """Membership of ``vec`` in the row space of ``basis`` (any basis)."""
-    rref, pivots = basis.rref()
-    return in_rowspan(rref, pivots, vec)
-
-
 def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     """Solve ``mat @ x = rhs`` over GF(2).
 
@@ -318,8 +271,3 @@ def nullspace(mat: BitMatrix) -> BitMatrix:
     if pivots:
         basis[:, pivots] = rref_bool[:, free_cols].T
     return BitMatrix.from_bool_array(basis)
-
-
-def matmul_vec(mat: BitMatrix, x: np.ndarray) -> np.ndarray:
-    """``mat @ x`` over GF(2), returned as a packed vector over nrows bits."""
-    return from_bool(mat.parities_with(x))

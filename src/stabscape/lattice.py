@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class LatticeGeometry:
     def qubit_at(self, index: int) -> QubitIndex:
         return QubitIndex(self.site_at(index // self.q), index % self.q)
 
-    def all_sites(self) -> Iterator[Site]:
-        return product(range(self.L), repeat=self.D)
-
     # -- metric ----------------------------------------------------------
 
     def axis_dist(self, a: int, b: int) -> int:
@@ -103,14 +100,6 @@ class LatticeGeometry:
             size = (size,) * self.D
         ranges = [range(c, c + s) for c, s in zip(corner, size)]
         return [self.wrap(s) for s in product(*ranges)]
-
-    def neighborhood(self, sites: Iterable[Site], r: int) -> set[Site]:
-        """All sites within torus distance ``r`` of the given set."""
-        out: set[Site] = set()
-        width = min(2 * r + 1, self.L)
-        for s in sites:
-            out.update(self.box_sites(tuple(c - r for c in s), width))
-        return out
 
     def min_cover_interval(self, coords: Iterable[int]) -> tuple[int, int]:
         """Shortest circular interval ``[start, start+length)`` covering coords.

@@ -80,9 +80,6 @@ class CosetSpace:
     def _key(self, vec: np.ndarray) -> np.ndarray:
         return gf2.reduce_by_rref(*self._basis, vec)
 
-    def key_of(self, op: PauliOperator) -> int:
-        return gf2.to_int(self._key(op.symplectic()))
-
     def path(self, moves: list[int]) -> ErrorPath:
         return ErrorPath.from_steps((self.code.geometry.qubit_at(m // 3), MOVE_PAULIS[m % 3]) for m in moves)
 
@@ -98,7 +95,7 @@ def coset_space(code: CodeInstance) -> CosetSpace:
 def canonicalize(code: CodeInstance, op: PauliOperator) -> int:
     """Canonical coset key: equal for two Paulis iff their product is a
     stabilizer; the identity coset maps to 0."""
-    return coset_space(code).key_of(op)
+    return gf2.to_int(coset_space(code)._key(op.symplectic()))
 
 
 def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

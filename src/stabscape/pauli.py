@@ -134,10 +134,6 @@ class PauliOperator:
         g = self.geometry
         return {g.site_at(int(i) // g.q) for i in self.support_indices()}
 
-    def pauli_at(self, qubit: QubitIndex) -> str:
-        j = self.geometry.qubit_index(qubit)
-        return pauli_char(gf2.get_bit(self.xwords, j), gf2.get_bit(self.zwords, j))
-
     def terms(self) -> list[tuple[QubitIndex, str]]:
         out = []
         for i in self.support_indices():
@@ -165,12 +161,6 @@ class PauliOperator:
                 xb = np.roll(xb, d % g.L, axis=axis)
                 zb = np.roll(zb, d % g.L, axis=axis)
         return PauliOperator(g, gf2.from_bool(xb.reshape(-1)), gf2.from_bool(zb.reshape(-1)))
-
-    def restricted_to(self, qubit_indices: Iterable[int]) -> "PauliOperator":
-        """The factor of this operator supported on the given qubits."""
-        g = self.geometry
-        mask = gf2.from_indices(list(qubit_indices), g.n_qubits)
-        return PauliOperator(g, self.xwords & mask, self.zwords & mask)
 
     def __repr__(self) -> str:
         w = self.weight

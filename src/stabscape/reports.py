@@ -25,7 +25,6 @@ PROV_CONSTRUCTED = "constructed"  # explicit construction evaluated exactly
 PROV_ORACLE = "oracle"  # exhaustive search result
 PROV_BOUND = "bound"  # analytic ceiling the measurement is compared against
 PROV_MEASURED = "measured"  # direct measurement on the instance
-PROV_FIXTURE = "fixture"  # frozen value from an earlier exhaustive run
 
 
 def value(v, provenance: str) -> dict:

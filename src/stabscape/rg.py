@@ -51,10 +51,6 @@ class SyndromeHistory:
         return max(len(s) for s in self.syndromes)
 
     @property
-    def initial(self) -> Syndrome:
-        return self.syndromes[0]
-
-    @property
     def final(self) -> Syndrome:
         return self.syndromes[-1]
 
@@ -153,11 +149,6 @@ class WorldLine:
 
     clusters: list[frozenset[Site]]
 
-    def drift(self, geometry: LatticeGeometry) -> int:
-        """Largest excursion from the initial position."""
-        first = self.clusters[0]
-        return max(geometry.set_dist(c, first) for c in self.clusters)
-
 
 @dataclass
 class TrackingReport:
@@ -241,29 +232,20 @@ class BoxCountEstimate:
     gamma: float
     counts: list[tuple[int, int]]  # (scale, occupied boxes)
     degenerate: bool = False
-    anchor: tuple[int, ...] | None = None
 
 
-def box_counting_dimension(
-    sites: Iterable[Site],
-    scales: Sequence[int],
-    L: int | None = None,
-    anchor: Sequence[int] | None = None,
-) -> BoxCountEstimate:
+def box_counting_dimension(sites: Iterable[Site], scales: Sequence[int]) -> BoxCountEstimate:
     """Box-counting dimension of a site set.
 
-    Boxes are axis-aligned cubes of each scale anchored at the origin (or at
-    ``anchor``); the estimate is the least-squares slope of log(count)
-    against log(1/scale).  At least 3 scales are required.
+    Boxes are axis-aligned cubes of each scale anchored at the origin; the
+    estimate is the least-squares slope of log(count) against log(1/scale).
+    At least 3 distinct scales, each at least 1, are required.
     """
     coords = np.asarray(sorted(set(sites)), dtype=np.int64)
     if coords.size == 0:
         raise ValueError("empty support")
-    if len(scales) < 3:
-        raise ValueError("need at least 3 scales")
-    if anchor is not None:
-        coords = coords - np.asarray(anchor, dtype=np.int64)
-        coords = coords % L if L else coords
+    if len(set(scales)) < 3 or min(scales) < 1:
+        raise ValueError(f"need at least 3 distinct box scales, each at least 1; got {list(scales)}")
     counts = []
     for s in scales:
         boxes = coords // int(s)
@@ -272,32 +254,12 @@ def box_counting_dimension(
         # distinct boxes by sort and diff (np.unique would import numpy.ma)
         counts.append((int(s), int(np.count_nonzero(np.diff(keys))) + 1))
     if coords.shape[0] == 1:
-        return BoxCountEstimate(0.0, counts, degenerate=True, anchor=tuple(anchor) if anchor else None)
+        return BoxCountEstimate(0.0, counts, degenerate=True)
     xs = np.log([1.0 / s for s, _ in counts])
     ys = np.log([c for _, c in counts])
     dx = xs - xs.mean()
     slope = float(dx @ (ys - ys.mean()) / (dx @ dx))  # least squares in closed form, as np.polyfit
-    return BoxCountEstimate(slope, counts, anchor=tuple(anchor) if anchor else None)
-
-
-def box_counting_anchor_spread(
-    sites: Iterable[Site],
-    scales: Sequence[int],
-    L: int,
-    n_anchors: int = 4,
-    seed: int = 0,
-) -> tuple[BoxCountEstimate, list[BoxCountEstimate], float]:
-    """Baseline estimate plus re-runs at random anchors; returns the spread."""
-    sites = list(sites)
-    base = box_counting_dimension(sites, scales, L)
-    rng = np.random.default_rng(seed)
-    D = len(sites[0])
-    others = []
-    for _ in range(n_anchors):
-        anchor = tuple(int(a) for a in rng.integers(0, L, size=D))
-        others.append(box_counting_dimension(sites, scales, L, anchor))
-    gammas = [base.gamma] + [o.gamma for o in others]
-    return base, others, float(max(gammas) - min(gammas))
+    return BoxCountEstimate(slope, counts)
 
 
 def support_connectivity(

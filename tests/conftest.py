@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -35,6 +38,11 @@ def rep5():
     return get_code("rep1d", 5)
 
 
+def spec_dict(name):
+    """A shipped code spec as the JSON object it is stored as."""
+    return json.loads(resources.files("stabscape.specs").joinpath(f"{name}.json").read_text())
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
@@ -61,3 +69,60 @@ def retired_dense_run(geometry, cubes, params):
     while not cluster_partition(geometry, cubes, p, params).sparse:
         p += 1
     return p - 1
+
+
+def reference_generator(code, cube, s):
+    """The retired generator build: one ``QubitIndex`` term per non-identity
+    template entry, multiplied out by ``from_terms``."""
+    from stabscape.lattice import QubitIndex
+    from stabscape.pauli import PauliOperator
+
+    g = code.geometry
+    terms = [(QubitIndex(g.shift(cube, offset), sub), p) for offset, label in code.spec.species[s].entries
+             for sub, p in enumerate(label) if p != "I"]
+    return PauliOperator.from_terms(g, terms)
+
+
+def reference_stabilizer_words(code):
+    """The retired stabilizer-matrix scatter: one ``np.roll`` of the site grid
+    per template term, OR-ed into packed (X-part || Z-part) rows."""
+    from stabscape import gf2
+    from stabscape.pauli import PAULI_CODE
+
+    g = code.geometry
+    words = np.zeros((code.n_generators, gf2.n_words(2 * g.n_qubits)), dtype=np.uint64)
+    grid = np.arange(g.n_sites).reshape((g.L,) * g.D)
+    for s, sp in enumerate(code.spec.species):
+        rows = np.arange(s, code.n_generators, code.n_species)
+        for offset, label in sp.entries:
+            sites = np.roll(grid, [-c for c in offset], axis=tuple(range(g.D))).ravel()
+            bits = [sub + half * g.n_qubits for sub, p in enumerate(label)
+                    for half in (0, 1) if PAULI_CODE[p] >> half & 1]
+            for bit in bits:
+                cols = sites * g.q + bit
+                words[rows, cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
+    return words
+
+
+def reference_template_witness(code):
+    """The retired template audit: origin generators against every generator
+    in the +-1 box, built by ``reference_generator``; the least (s, t, cube)
+    anticommuting pair, or None."""
+    from itertools import product
+
+    g = code.geometry
+    origin = (0,) * g.D
+    near_cubes = {g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)}
+    for s in range(code.n_species):
+        gen_s = reference_generator(code, origin, s)
+        for t in range(code.n_species):
+            for cube in sorted(near_cubes):
+                if not gen_s.commutes_with(reference_generator(code, cube, t)):
+                    return (origin, s), (cube, t)
+    return None
+
+
+def neighborhood(geometry, sites, r):
+    """All sites within torus distance ``r`` of the given sites."""
+    width = min(2 * r + 1, geometry.L)
+    return {s for site in sites for s in geometry.box_sites(tuple(c - r for c in site), width)}

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import neighborhood
 from stabscape import check_frustration_free, get_code
 from stabscape.cli import main as cli_main
 from stabscape.defects import ScaleParams, ScanBudget, localize, min_dense_run, scan_for_strings
@@ -122,7 +123,7 @@ def test_criterion_04_support_scaling_and_dimension():
     for p in range(4, 9):
         code = get_code("cubic1", 2**p)
         sites = pyramid_operator(code, p, (0, 0, 0)).support_sites()
-        est = box_counting_dimension(sites, [2**j for j in range(p)], 2**p)
+        est = box_counting_dimension(sites, [2**j for j in range(p)])
         gammas[p] = est.gamma
         assert abs(est.gamma - 2.0) <= 0.1, f"gamma at p={p}: {est.gamma}"
     verdict(
@@ -232,7 +233,7 @@ def test_criterion_08_localization_on_toric():
         syndrome = code.syndrome_of(err)
         assert len(syndrome) == 2, "construction should make exactly two defects"
         footprint = {s for c, _ in syndrome for s in g.cube_corner_sites(c)}
-        region = g.neighborhood(footprint, 1)
+        region = neighborhood(g, footprint, 1)
         out = localize(code, err, region)
         assert out is not None, "a homologous representative exists in the neighborhood"
         # localize re-verifies internally; re-check independently anyway

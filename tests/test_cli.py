@@ -431,6 +431,13 @@ USAGE_SITES = {
     "barrier-without-target": (["barrier", "--code", "rep1d", "--L", "4"], None, "requires --target"),
     "rg-without-p": (["rg", "--code", "cubic1", "--L", "4"], None, "requires --p or --path"),
     "fractal-without-p": (["fractal", "--code", "cubic1", "--L", "4"], None, "requires --p or --op"),
+    # a zero scale divided by zero (exit 4); a negative or repeated one gave gamma = NaN and a pass
+    "fractal-zero-scale": (["fractal", "--code", "cubic1", "--L", "8", "--p", "3", "--scales=0,1,2"], None,
+                           "3 distinct box scales"),
+    "fractal-negative-scale": (["fractal", "--code", "cubic1", "--L", "8", "--p", "3", "--scales=-1,1,2"], None,
+                               "3 distinct box scales"),
+    "fractal-repeated-scales": (["fractal", "--code", "cubic1", "--L", "8", "--p", "3", "--scales=1,1,1"], None,
+                                "3 distinct box scales"),
 }
 
 

@@ -15,10 +15,16 @@ from stabscape.codes import (
     generator_syndromes_empty,
 )
 from stabscape.lattice import QubitIndex
-from stabscape.pauli import PauliOperator
+from stabscape.pauli import PauliOperator, single_paulis_anticommute
 from stabscape.paths import apex_cube
 
-from conftest import random_operator
+from conftest import (
+    random_operator,
+    reference_generator,
+    reference_stabilizer_words,
+    reference_template_witness,
+    spec_dict,
+)
 
 
 def test_registry_ships_expected_codes():
@@ -35,8 +41,7 @@ def test_rep1d_L5(rep5):
     assert rep5.n_generators == 5
     # generators are adjacent ZZ pairs
     gen = rep5.generator((2,), 0)
-    assert gen.pauli_at(QubitIndex((2,), 0)) == "Z"
-    assert gen.pauli_at(QubitIndex((3,), 0)) == "Z"
+    assert dict(gen.terms()) == {QubitIndex((2,), 0): "Z", QubitIndex((3,), 0): "Z"}
     assert gen.weight == 2
 
 
@@ -60,7 +65,7 @@ def test_L_too_small_rejected():
 
 
 def test_corrupted_spec_fails_with_witness():
-    spec = registered_spec("cubic1").to_dict()
+    spec = spec_dict("cubic1")
     spec["name"] = "cubic1-broken"
     spec["species"][0]["labels"][0] = "ZI"  # flip one corner label
     with pytest.raises(CodeConstructionError) as err:
@@ -69,7 +74,7 @@ def test_corrupted_spec_fails_with_witness():
 
 
 def test_repeated_template_offset_rejected():
-    spec = registered_spec("rep1d").to_dict()
+    spec = spec_dict("rep1d")
     spec["species"][0]["offsets"][1] = spec["species"][0]["offsets"][0]
     with pytest.raises(CodeConstructionError, match="repeated offset"):
         CodeSpec.from_dict(spec)
@@ -84,8 +89,8 @@ def test_frustration_free_small_sizes(L):
 
 def test_generator_syndromes_empty(cubic4, toric3, rep5):
     for code in (cubic4, toric3, rep5):
-        for _, gen in code.generators():
-            assert code.syndrome_of(gen) == frozenset()
+        for i in range(code.n_generators):
+            assert code.syndrome_of(code.generator(*code.generator_at(i))) == frozenset()
 
 
 def test_bitflip_pyramid_pattern(cubic4, rng):
@@ -180,29 +185,53 @@ def test_classical_detection(rep5, toric3):
     assert not toric3.is_classical_x()
 
 
-@pytest.mark.parametrize("name", registry_names())
-@pytest.mark.parametrize("L", [2, 3, 4, 5])
-def test_dense_matrices_match_per_generator_loop(name, L):
-    """The one-scatter stabilizer matrix and the half-swapped syndrome matrix
-    against the retired per-generator and per-row loops."""
-    from stabscape import gf2
-
-    code = get_code(name, L)
-    n = code.n_qubits
-    stab = np.array([code.generator(*code.generator_at(i)).symplectic() for i in range(code.n_generators)])
-    swapped = []
-    for row in stab:
-        bits = gf2.to_bool(row, 2 * n)
-        swapped.append(gf2.from_bool(np.concatenate([bits[n:], bits[:n]])))
-    assert code.stabilizer_matrix().ncols == code.syndrome_matrix().ncols == 2 * n
-    assert np.array_equal(code.stabilizer_matrix().words, stab)
-    assert np.array_equal(code.syndrome_matrix().words, np.array(swapped))
-
-
 ANTICOMMUTING_SPEC = {
     "name": "xx_z_chain", "D": 1, "q": 1,
     "species": [{"offsets": [[0], [1]], "labels": ["X", "X"]}, {"offsets": [[0]], "labels": ["Z"]}],
 }
+
+
+@pytest.mark.parametrize("name", [*registry_names(), "anticommuting"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_dense_matrices_match_per_generator_loop(name, L):
+    """Every view of ``generator_terms`` against the retired builds it
+    replaced: the per-term ``np.roll`` stabilizer scatter, the ``QubitIndex``
+    generator build and a term-by-term pairing of generator supports.  The
+    instance is unvalidated, so the anticommuting spec builds too."""
+    from stabscape import gf2
+    from stabscape.codes import _template_commutation_witness, _term_flips
+
+    spec = CodeSpec.from_dict(ANTICOMMUTING_SPEC) if name == "anticommuting" else registered_spec(name)
+    code = CodeInstance(spec, L)
+    n = code.n_qubits
+    gens = [reference_generator(code, *code.generator_at(i)) for i in range(code.n_generators)]
+    stab = reference_stabilizer_words(code)
+    assert np.array_equal(stab, np.array([gen.symplectic() for gen in gens]))
+    assert code.stabilizer_matrix().ncols == code.syndrome_matrix().ncols == 2 * n
+    assert code.stabilizer_matrix().words.tobytes() == stab.tobytes()
+    swapped = []
+    for row in stab:
+        bits = gf2.to_bool(row, 2 * n)
+        swapped.append(gf2.from_bool(np.concatenate([bits[n:], bits[:n]])))
+    assert np.array_equal(code.syndrome_matrix().words, np.array(swapped))
+    for i, gen in enumerate(gens):
+        assert code.generator(*code.generator_at(i)) == gen
+
+    # generator i's term at a qubit flips generator j iff j's term there anticommutes with it
+    on_qubit = {}
+    for j, gen in enumerate(gens):
+        for q, p in gen.terms():
+            on_qubit.setdefault(q, []).append((j, p))
+    pairs = sorted((i, j) for i, gen in enumerate(gens) for q, p in gen.terms()
+                   for j, p2 in on_qubit[q] if single_paulis_anticommute(p, p2))
+    owners, flipped = _term_flips(code, np.arange(code.geometry.n_sites))
+    assert sorted(zip(owners.tolist(), flipped.tolist())) == pairs
+
+    if name == "anticommuting":
+        first = next((code.generator_at(i), code.generator_at(j)) for i, a in enumerate(gens)
+                     for j, b in enumerate(gens) if not a.commutes_with(b))
+        assert commutation_witness(code) == first
+        assert _template_commutation_witness(code) == reference_template_witness(code) is not None
 
 
 @pytest.mark.parametrize("spec", [*registry_names(), "anticommuting"])
@@ -210,7 +239,7 @@ ANTICOMMUTING_SPEC = {
 def test_generator_audit_matches_per_generator_syndromes(spec, L):
     spec = CodeSpec.from_dict(ANTICOMMUTING_SPEC) if spec == "anticommuting" else registered_spec(spec)
     code = CodeInstance(spec, L)  # unvalidated, so the anticommuting spec builds
-    expected = all(not code.syndrome_of(gen) for _, gen in code.generators())
+    expected = all(not code.syndrome_of(code.generator(*code.generator_at(i))) for i in range(code.n_generators))
     assert generator_syndromes_empty(code) == expected
     assert expected == (spec.name != "xx_z_chain")
 

@@ -77,7 +77,7 @@ def test_weight_and_support():
     e = op(((0, 0), "X"), ((1, 1), "Y"), ((3, 2), "Z"))
     assert e.weight == 3
     assert set(e.support()) == {QubitIndex((0, 0)), QubitIndex((1, 1)), QubitIndex((3, 2))}
-    assert e.pauli_at(QubitIndex((1, 1))) == "Y"
+    assert dict(e.terms())[QubitIndex((1, 1))] == "Y"
 
 
 def test_from_terms_cancels_repeats():
@@ -99,12 +99,6 @@ def test_translate_identity_and_period(rng):
 def test_symplectic_roundtrip(rng):
     e = random_pauli(rng)
     assert PauliOperator.from_symplectic(GEO, e.symplectic()) == e
-
-
-def test_restricted_to():
-    e = op(((0, 0), "X"), ((1, 1), "Y"))
-    keep = [GEO.qubit_index(QubitIndex((1, 1)))]
-    assert e.restricted_to(keep) == op(((1, 1), "Y"))
 
 
 def test_mul_is_symplectic_xor(rng):

@@ -13,7 +13,6 @@ from stabscape.pauli import PauliOperator
 from stabscape.paths import pyramid_operator, pyramid_path
 from stabscape.rg import (
     SyndromeHistory,
-    box_counting_anchor_spread,
     box_counting_dimension,
     level_histories,
     support_connectivity,
@@ -174,7 +173,7 @@ def test_track_static_syndrome(cubic8):
     assert not report.continuity_violations
     assert not report.locking_violations
     for wl in worldlines:
-        assert wl.drift(cubic8.geometry) == 0
+        assert max(cubic8.geometry.set_dist(c, wl.clusters[0]) for c in wl.clusters) == 0
 
 
 def test_track_toric_transport_violates_locking():
@@ -189,7 +188,7 @@ def test_track_toric_transport_violates_locking():
     assert report.g_constant and report.charged_counts[0] == 2
     assert not report.continuity_violations  # one step moves one unit
     assert report.locking_violations  # transport beyond alpha * xi(0)
-    assert max(wl.drift(g) for wl in worldlines) == 3
+    assert max(g.set_dist(c, wl.clusters[0]) for wl in worldlines for c in wl.clusters) == 3
 
 
 def test_track_cubic_low_weight_paths_show_no_locking_violations(cubic8, rng):
@@ -227,7 +226,7 @@ def test_box_counting_analytic_sets():
     solid = [(x, y, z) for x in range(L) for y in range(L) for z in range(L)]
     scales = [1, 2, 4, 8, 16]
     for sites, expect in ((line, 1.0), (plane, 2.0), (solid, 3.0)):
-        est = box_counting_dimension(sites, scales, L)
+        est = box_counting_dimension(sites, scales)
         assert abs(est.gamma - expect) <= 0.05
 
 
@@ -235,7 +234,7 @@ def test_box_counting_pyramid_dimension_two():
     for p in (4, 5, 6):
         code = get_code("cubic1", 2**p)
         sites = pyramid_operator(code, p, (0, 0, 0)).support_sites()
-        est = box_counting_dimension(sites, [2**j for j in range(p)], 2**p)
+        est = box_counting_dimension(sites, [2**j for j in range(p)])
         assert abs(est.gamma - 2.0) <= 0.1
         assert est.counts[0] == (1, 4**p)
 
@@ -249,7 +248,7 @@ def test_box_counting_matches_set_count_and_polyfit():
             sites = pyramid_operator(code, p, u).support_sites()
             coords = np.array(sorted(sites))
             for scales in ([1, 2, 4], [2**j for j in range(max(p, 3))], [1, 3, 5, 7]):
-                est = box_counting_dimension(sites, scales, 32)
+                est = box_counting_dimension(sites, scales)
                 assert est.counts == [(s, len({tuple(c) for c in coords // s})) for s in scales]
                 if not est.degenerate:
                     logs = np.log([[1.0 / s, c] for s, c in est.counts]).T
@@ -261,17 +260,13 @@ def test_box_counting_guards():
         box_counting_dimension([], [1, 2, 4])
     with pytest.raises(ValueError):
         box_counting_dimension([(0, 0, 0)], [1, 2])
+    # a zero scale divides by zero, a negative one gives a NaN slope, and
+    # fewer than 3 distinct scales leave the fit undetermined
+    for scales in ([0, 1, 2], [-1, 1, 2], [1, 1, 1], [1, 1, 2, 2], [1, 2, 4, 0]):
+        with pytest.raises(ValueError, match="3 distinct box scales"):
+            box_counting_dimension([(0, 0, 0), (1, 2, 3)], scales)
     est = box_counting_dimension([(3, 3, 3)], [1, 2, 4])
     assert est.degenerate and est.gamma == 0.0
-
-
-def test_box_counting_anchor_spread_small_on_plane():
-    L = 32
-    plane = [(x, y, 0) for x in range(L) for y in range(L)]
-    base, others, spread = box_counting_anchor_spread(plane, [1, 2, 4, 8], L, seed=7)
-    assert abs(base.gamma - 2.0) <= 0.05
-    assert len(others) == 4
-    assert spread <= 0.2
 
 
 # -- connectivity -------------------------------------------------------------------

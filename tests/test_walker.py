@@ -11,7 +11,6 @@ and the per-corner generator-to-row map of the box solver.
 """
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import pytest
@@ -19,13 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import get_code, gf2
-from stabscape.codes import CodeInstance, CodeSpec, _template_commutation_witness, registered_spec, registry_names
+from stabscape.codes import CodeInstance, CodeSpec, _template_commutation_witness, registry_names
 from stabscape.defects import _BoxSolver, _single_qubit_witness
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator, single_paulis_anticommute
 from stabscape.oracle import MOVE_PAULIS, CosetSpace
 from stabscape.paths import ErrorPath, defect_after_each_step, energy_profile, pyramid_path
 from stabscape.rg import box_counting_dimension, syndrome_history
+
+from conftest import reference_template_witness, spec_dict
 
 CODES = [("cubic1", 2), ("cubic1", 4), ("toric2d", 3), ("toric3d", 3), ("rep1d", 5)]
 
@@ -111,19 +112,6 @@ def reference_pyramid_steps(g, p, u):
         shifted = list(u)
         shifted[axis] += step
         yield from reference_pyramid_steps(g, p - 1, tuple(shifted))
-
-
-def reference_commutation_witness(code):
-    g = code.geometry
-    origin = (0,) * g.D
-    near_cubes = {g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)}
-    for s in range(code.n_species):
-        gen_s = code.generator(origin, s)
-        for t in range(code.n_species):
-            for cube in sorted(near_cubes):
-                if not gen_s.commutes_with(code.generator(cube, t)):
-                    return (origin, s), (cube, t)
-    return None
 
 
 def reference_restricted_matrix(code, sites):
@@ -303,7 +291,7 @@ def test_pyramid_path_matches_recursive_schedule(n, data):
     corrupt=st.none() | st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 2), st.sampled_from("IXYZ")),
 )
 def test_sparse_commutation_audit_matches_dense(name, L, corrupt):
-    spec = registered_spec(name).to_dict()
+    spec = spec_dict(name)
     if corrupt is not None:
         s, e, sub, c = corrupt
         species = spec["species"][s % len(spec["species"])]
@@ -311,7 +299,7 @@ def test_sparse_commutation_audit_matches_dense(name, L, corrupt):
         label = species["labels"][e]
         species["labels"][e] = label[: sub % len(label)] + c + label[sub % len(label) + 1 :]
     code = CodeInstance(CodeSpec.from_dict(spec), L)
-    assert _template_commutation_witness(code) == reference_commutation_witness(code)
+    assert _template_commutation_witness(code) == reference_template_witness(code)
 
 
 @settings(max_examples=100)
@@ -404,16 +392,9 @@ def test_nonzero_indices_and_parity_scatter(nbits, data):
 
 
 @settings(max_examples=100)
-@given(
-    sites=st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=60),
-    anchor=st.none() | st.tuples(*[st.integers(0, 15)] * 3),
-    L=st.sampled_from([16, None]),  # unwrapped anchored boxes can be negative
-)
-def test_box_counts_match_row_unique(sites, anchor, L):
+@given(sites=st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=60))
+def test_box_counts_match_row_unique(sites):
     scales = [1, 2, 4, 8]
-    est = box_counting_dimension(sites, scales, L, anchor)
+    est = box_counting_dimension(sites, scales)
     coords = np.asarray(sorted(set(sites)), dtype=np.int64)
-    if anchor is not None:
-        coords = coords - np.asarray(anchor)
-        coords = coords % L if L else coords
     assert est.counts == [(s, int(np.unique(coords // s, axis=0).shape[0])) for s in scales]
