@@ -310,7 +310,7 @@ class CodeInstance:
         return self._stab_rref
 
     def stabilizer_rank(self) -> int:
-        return len(self.stabilizer_rref()[1])
+        return len(self.stabilizer_matrix().independent_rows())
 
     @property
     def k(self) -> int:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -280,7 +282,8 @@ class _BoxSolver:
     offsets.  A defect pattern is achievable iff every defect is a row of the
     box and the rows have even overlap with every vector of the left
     nullspace; that test runs over every placement in a few array
-    operations, and the same factorization solves for a witness.
+    operations, the patterns that pass it at one placement are walked as a
+    kernel, and the same factorization solves for a witness.
     """
 
     def __init__(self, code: CodeInstance, size: int):
@@ -295,9 +298,10 @@ class _BoxSolver:
         aug = np.hstack([matrix.to_bool_array(), np.eye(nrows, dtype=bool)])
         reduced, pivots = gf2.BitMatrix.from_bool_array(aug).rref()
         self._pivots = np.array([c for c in pivots if c < self.ncols], dtype=np.int64)
-        # row i's membership in every reduced row, packed
+        # row i's membership in every reduced row, packed, and as an int
         self._combos = reduced.select_columns(np.arange(self.ncols, self.ncols + nrows)).transpose().words
         self._null_mask = gf2.from_indices(np.arange(len(self._pivots), nrows), nrows)
+        self._memberships = [gf2.to_int(c) for c in self._combos]
         # local row of the generator of each species on the cube at offset o - 1
         # from the corner, o in 0..size per axis; the box touches no other cube
         cubes, species = np.divmod(np.asarray(gen_rows0, dtype=np.int64), code.n_species)
@@ -322,16 +326,24 @@ class _BoxSolver:
         return (rows >= 0).all(axis=-1) & ~(combined & self._null_mask).any(axis=-1)
 
     def achievable_subsets(self, rows: np.ndarray) -> Iterator[int]:
-        """Nonempty subsets of ``rows`` (bit i picks ``rows[i]``) that the box
-        can flip exactly, in ascending order.  The subset-XOR table of the
-        memberships of the first 12 rows is tested once per subset of the
-        rest, so memory stays bounded however many rows there are."""
-        combos = self._combos[rows]
-        low, high = gf2.subset_xors(combos[:12]), combos[12:]
-        for h in range(1 << len(high)):
-            offset = np.bitwise_xor.reduce(high[(h >> np.arange(len(high))) & 1 == 1], axis=0)
-            subsets = np.flatnonzero(~((low ^ offset) & self._null_mask).any(axis=1)) + h * len(low)
-            yield from subsets[subsets > 0].tolist()
+        """Nonempty anchor patterns (bit i picks anchor i, at local row
+        ``rows[i]``, -1 if outside the box) that the box can flip exactly, in
+        ascending order.  They are the kernel of "pattern -> XOR of its rows'
+        left-nullspace memberships": the rows that one forward elimination of
+        the memberships, each tagged with its anchor bit above them, leaves led
+        by a tag.  A row is reduced only by earlier ones, so these come in
+        input order, each topped by its own tag.  Cleared of the earlier top
+        bits, their subset XORs ascend with the subset; the walk goes in
+        chunks of 4096 and costs 2^(kernel dimension), not 2^m."""
+        rank, width = len(self._pivots), len(self._memberships)
+        tagged = [self._memberships[r] >> rank | 1 << (width + i) for i, r in enumerate(rows.tolist()) if r >= 0]
+        basis: list[int] = []
+        for x in (x >> width for lead, x in gf2._echelon(tagged)[0].items() if lead >> width):
+            basis.append(reduce(lambda x, b: min(x, x ^ b), basis, x))  # min clears b's top bit
+        low = reduce(lambda table, b: table + [x ^ b for x in table], basis[:12], [0])
+        for h in range(1 << max(len(basis) - 12, 0)):
+            offset = reduce(xor, [b for j, b in enumerate(basis[12:]) if h >> j & 1], 0)
+            yield from (x ^ offset for x in (low[1:] if h == 0 else low))
 
     def achievable_witness(self, local_pattern) -> PauliOperator | None:
         """Operator on the origin box flipping exactly the given local rows
@@ -339,11 +351,9 @@ class _BoxSolver:
         zero), or None."""
         key = tuple(sorted(int(r) for r in local_pattern))
         if key not in self._solutions:  # a scan meets each pattern at many corners
-            combined = np.bitwise_xor.reduce(self._combos[list(key)], axis=0)
-            x = None
-            if not (combined & self._null_mask).any():
-                x = gf2.from_indices(self._pivots[gf2.nonzero_indices(combined, len(self._pivots))], self.ncols)
-            self._solutions[key] = x
+            combined, rank = reduce(xor, [self._memberships[r] for r in key], 0), len(self._pivots)
+            self._solutions[key] = None if combined >> rank else gf2.from_indices(
+                self._pivots[[j for j in range(rank) if combined >> j & 1]], self.ncols)
         x = self._solutions[key]
         return None if x is None else _lift(self.geometry, self.qubits0, x)
 
@@ -466,9 +476,7 @@ def localize(code: CodeInstance, op: PauliOperator, region_sites: Iterable[Site]
     y = gf2.gf2_solve(system, rhs)
     if y is None:
         return None
-    combo = gf2.zeros(2 * n)
-    for r in gf2.nonzero_indices(y, rref.nrows):
-        combo ^= rref.words[int(r)]
+    combo = np.bitwise_xor.reduce(rref.words[gf2.to_bool(y, rref.nrows)], axis=0)
     result = PauliOperator.from_symplectic(g, e ^ combo)
     # Post-condition audit: support containment, syndrome equality, membership.
     if not result.support_sites() <= region:
@@ -574,7 +582,6 @@ class StringScanReport:
     pairs_scanned: int
     patterns_tested: int
     budget_exhausted: bool
-    notes: str = ""
 
 
 def _support_placements(code: CodeInstance, box1: CubeBox, box2: CubeBox, size: int) -> list[Site]:
@@ -610,10 +617,10 @@ def scan_for_strings(
     Anchor pairs are placed on a stride-``rho`` grid; since the shipped codes
     are translation invariant, one anchor is pinned at the origin and only
     relative placements (up to inversion) are enumerated.  For each placement
-    every subset of the anchor rows in each support box is tested at once,
-    and the achievable patterns, up to the budget, get their anchors
-    classified.  An empty report bounds only the searched family, it is not
-    a proof.
+    the defect patterns each support box can create on the anchors are walked
+    in ascending order (``_BoxSolver.achievable_subsets``), and the new ones,
+    up to the budget, get their anchors classified.  An empty report bounds
+    only the searched family, it is not a proof.
     """
     g = code.geometry
     budget = budget or ScanBudget()
@@ -621,22 +628,19 @@ def scan_for_strings(
     start = time.monotonic()
     box1 = CubeBox((0,) * g.D, rho)
     cubes1 = set(box1.cubes(g))  # box1 is pinned at the origin for every placement
+    scale = params.ltqo_for(g)
+    solver = _box_solver(code, scale)
+    findings: list[SegmentFinding] = []
+    pairs_scanned = patterns_tested = 0
+    exhausted = False
     seen: set[Site] = set()
-    placements: list[CubeBox] = []
     for v in product(range(0, g.L, rho), repeat=g.D):
         if v in seen:
             continue
         seen.update({v, tuple((-c) % g.L for c in v)})
         box2 = CubeBox(v, rho)
-        if not cubes1 & set(box2.cubes(g)) and anchor_aspect_ratio(g, box1, box2) > alpha:
-            placements.append(box2)  # in corner order
-
-    findings: list[SegmentFinding] = []
-    pairs_scanned = patterns_tested = 0
-    exhausted = False
-    scale = params.ltqo_for(g)
-    solver = _box_solver(code, scale)
-    for box2 in placements:
+        if cubes1 & set(box2.cubes(g)) or not (ratio := anchor_aspect_ratio(g, box1, box2)) > alpha:
+            continue
         if pairs_scanned >= budget.max_anchor_pairs or (
             budget.time_cap is not None and time.monotonic() - start > budget.time_cap
         ):
@@ -644,23 +648,19 @@ def scan_for_strings(
             break
         pairs_scanned += 1
         anchors = [(c, s) for c in box1.cubes(g) + box2.cubes(g) for s in range(code.n_species)]
-        ratio = anchor_aspect_ratio(g, box1, box2)
         corners = _support_placements(code, box1, box2, scale)
         seen_patterns: set[int] = set()
         for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
             if len(seen_patterns) >= budget.max_patterns_per_pair:
                 exhausted = True
                 break
-            present = np.flatnonzero(local_rows >= 0).tolist()
-            for subset in solver.achievable_subsets(local_rows[present]):
-                chosen = [present[i] for i in range(len(present)) if (subset >> i) & 1]
-                pattern_bits = sum(1 << i for i in chosen)
+            for pattern_bits in solver.achievable_subsets(local_rows):
                 if pattern_bits in seen_patterns:
                     continue
-                witness0 = solver.achievable_witness(local_rows[chosen])
+                chosen = [i for i in range(len(anchors)) if pattern_bits >> i & 1]
+                op = solver.achievable_witness(local_rows[chosen]).translate(corner)
                 seen_patterns.add(pattern_bits)
                 patterns_tested += 1
-                op = witness0.translate(corner)
                 syndrome = code.syndrome_of(op)
                 if syndrome != frozenset(anchors[i] for i in chosen):
                     raise RuntimeError("box witness produced the wrong defect pattern")

@@ -126,3 +126,21 @@ def neighborhood(geometry, sites, r):
     """All sites within torus distance ``r`` of the given sites."""
     width = min(2 * r + 1, geometry.L)
     return {s for site in sites for s in geometry.box_sites(tuple(c - r for c in site), width)}
+
+
+def reference_achievable_subsets(solver, rows):
+    """The retired subset-table walk (test oracle for
+    ``_BoxSolver.achievable_subsets``): the XORed reduced-row memberships of
+    all 2^m subsets of the m rows inside the box, built by doubling for the
+    first 12 rows and offset once per subset of the rest, each tested against
+    the left nullspace; the achievable subsets as anchor bits, ascending."""
+    from stabscape import gf2
+
+    present = np.flatnonzero(np.asarray(rows) >= 0)
+    combos = solver._combos[np.asarray(rows)[present]]
+    low, high = gf2.subset_xors(combos[:12]), combos[12:]
+    for h in range(1 << len(high)):
+        offset = np.bitwise_xor.reduce(high[(h >> np.arange(len(high))) & 1 == 1], axis=0)
+        subsets = np.flatnonzero(~((low ^ offset) & solver._null_mask).any(axis=1)) + h * len(low)
+        for subset in subsets[subsets > 0].tolist():
+            yield sum(1 << int(a) for i, a in enumerate(present) if subset >> i & 1)

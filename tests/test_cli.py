@@ -115,6 +115,20 @@ def test_strings_subcommand(tmp_path):
     assert report["checks"][0]["measured"]["nontrivial_found"]["value"] > 0
 
 
+@pytest.mark.parametrize("argv,pairs,patterns", [
+    (["--code", "cubic1", "--L", "4", "--rho", "2", "--ltqo", "3", "--alpha", "1"], 7, 448),
+    (["--code", "toric2d", "--L", "6", "--alpha", "3", "--max-pairs", "1"], 1, 3),
+    (["--code", "toric2d", "--L", "6", "--alpha", "3", "--max-patterns", "1"], 7, 7),
+])
+def test_scan_budgets_end_as_indeterminate(tmp_path, argv, pairs, patterns):
+    """Each scan budget ends the scan with exit 3; the first case has up to
+    32 anchor rows per support box, so it ends only if the walk costs the
+    achievable patterns and not every subset of the rows."""
+    assert run(tmp_path, "strings", *argv) == 3
+    measured = json.loads(report_bytes(tmp_path, "strings"))["checks"][0]["measured"]
+    assert (measured["pairs_scanned"]["value"], measured["patterns_tested"]["value"]) == (pairs, patterns)
+
+
 def test_check_subcommand(tmp_path):
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "4") == 0
     report = json.loads(report_bytes(tmp_path, "check"))

@@ -87,6 +87,14 @@ def test_frustration_free_small_sizes(L):
     assert rep.rank is not None and rep.k == rep.n_qubits - rep.rank
 
 
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_stabilizer_rank_is_the_rref_rank(name, L):
+    """The forward pass alone counts the pivots of the full RREF."""
+    code = get_code(name, L)
+    assert code.stabilizer_rank() == len(code.stabilizer_rref()[1])
+
+
 def test_generator_syndromes_empty(cubic4, toric3, rep5):
     for code in (cubic4, toric3, rep5):
         for i in range(code.n_generators):

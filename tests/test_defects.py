@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import neighborhood, retired_dense_run
+from conftest import neighborhood, reference_achievable_subsets, retired_dense_run
 from stabscape import get_code, gf2
 from stabscape.defects import (
     _BoxSolver,
@@ -800,3 +800,81 @@ def test_achievable_subsets_match_per_subset_test(rows):
         if solver.achievable(local[[i for i in range(rows) if subset >> i & 1]][None])[0]
     ]
     assert list(solver.achievable_subsets(local)) == expected
+
+
+def null_memberships(solver, rows):
+    """Left-nullspace membership of each row, as ints, from the packed table."""
+    return [gf2.to_int(c) for c in solver._combos[rows] & solver._null_mask]
+
+
+def membership_rank(memberships):
+    """GF(2) rank of int vectors, by a basis with one vector per top bit."""
+    basis = []
+    for x in memberships:
+        for b in sorted(basis, reverse=True):
+            x = min(x, x ^ b)
+        basis += [x] if x else []
+    return len(basis)
+
+
+@st.composite
+def kernel_rows(draw, solver, dim):
+    """Anchor rows whose achievable patterns form a kernel of dimension
+    ``dim``: 1-3 seed rows with independent memberships, then one row per
+    kernel dimension drawn from the rows whose memberships the seeds span
+    (the seeds themselves among them), shuffled among absent anchors."""
+    order = draw(st.permutations(range(len(solver._combos))), label="order")
+    members = null_memberships(solver, np.arange(len(solver._combos)))
+    n_seeds = draw(st.integers(0 if dim == 0 else 1, 3), label="seeds")
+    seeds = []
+    for r in order:
+        if len(seeds) < n_seeds and membership_rank([members[s] for s in seeds] + [members[r]]) > len(seeds):
+            seeds.append(r)
+    spanned = [r for r in order if membership_rank([members[s] for s in seeds] + [members[r]]) == len(seeds)]
+    picked = draw(st.lists(st.sampled_from(spanned), min_size=dim, max_size=dim), label="picked") if dim else []
+    absent = draw(st.integers(0, 4), label="absent")
+    return np.array(draw(st.permutations(seeds + picked + [-1] * absent), label="rows"), dtype=np.int64)
+
+
+@pytest.mark.parametrize("dim", [0, 2, 12, 13, 14])
+@pytest.mark.parametrize("name,L,size", [("rep1d", 32, 16), ("toric2d", 6, 3), ("toric3d", 3, 2), ("cubic1", 4, 2)])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_achievable_subsets_walk_matches_subset_table(name, L, size, dim, data):
+    """The kernel walk yields the retired 2^m table's subsets, in its order,
+    at kernel dimensions below, at and across the 4096-pattern chunk."""
+    solver = _box_solver(code_for(name, L), size)
+    rows = data.draw(kernel_rows(solver, dim), label="rows")
+    expected = list(reference_achievable_subsets(solver, rows))
+    assert len(expected) == (1 << dim) - 1
+    assert list(solver.achievable_subsets(rows)) == expected
+
+
+@st.composite
+def wide_cases(draw):
+    """32-64 distinct rows of a box (a few anchors absent), too many for the
+    subset table."""
+    name, L, size = draw(st.sampled_from([("toric2d", 6, 3), ("toric3d", 3, 2), ("cubic1", 4, 2), ("cubic1", 4, 3)]))
+    solver = _box_solver(code_for(name, L), size)
+    order = draw(st.permutations(range(len(solver._combos))))
+    m = draw(st.integers(32, min(64, len(order))))
+    rows = draw(st.permutations(list(order[:m]) + [-1] * draw(st.integers(0, 4))))
+    return solver, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=40)
+@given(case=wide_cases())
+def test_achievable_subsets_walk_on_wide_boxes(case):
+    """Where 2^m subsets cannot be listed: the walk ascends, every pattern
+    it yields is achievable, and it yields 2^(kernel dimension) - 1 patterns
+    whenever that is at most 2^14."""
+    solver, rows = case
+    present = rows[rows >= 0]
+    dim = len(present) - membership_rank(null_memberships(solver, present))
+    walk = solver.achievable_subsets(rows)
+    head = list(itertools.islice(walk, 300))
+    assert head == sorted(set(head))
+    for bits in head:
+        assert solver.achievable(rows[[i for i in range(len(rows)) if bits >> i & 1]][None])[0]
+    if dim <= 14:
+        assert len(head) + sum(1 for _ in walk) == (1 << dim) - 1
