@@ -59,6 +59,58 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 4
 
 
+# Every flag once, as a (flag, type, default, least value, help) row.  The
+# type is int, float, str, or the tuple of strings the flag may take; a least
+# value of None leaves the flag unbounded.  A flag's config key is its name
+# without the dashes, with "_" for "-".  Every subcommand takes the shared
+# rows; a flag that several subcommands take is one named row.
+SHARED_OPTIONS = [
+    ("--code", tuple(registry_names()), "cubic1", None, "registered code name"),
+    ("--L", int, 4, None, "linear lattice size"),
+    ("--alpha", float, 15.0, 1, "no-strings aspect constant (default 15)"),
+    ("--ltqo", int, None, 1, "TQO length scale (default L // 2)"),
+    ("--seed", int, 0, None, "seed for randomized suites (default 0)"),
+    ("--out", str, "runs", None, "output directory (default ./runs)"),
+    ("--format", ("json", "csv", "both"), "both", None, "report formats (default both)"),
+]
+_LEVEL = ("--p", int, None, None, "pyramid level of the generated path or support (pyramid: default log2 L)")
+_OP = ("--op", str, None, None, "operator: LABEL@x,y,z or a step-per-line file")
+_STATE_CAP = ("--state-cap", int, 10_000_000, 1, "search state or enumeration budget (default 1e7)")
+SUBCOMMANDS = {
+    "syndrome": ("apply an operator and print its defects", [_OP]),
+    "pyramid": ("build a pyramid path and audit its profile", [
+        _LEVEL,
+        ("--u", str, None, None, "base site, comma-separated (default origin)"),
+        ("--sweep", str, None, None, "comma-separated lattice sizes for a barrier-vs-L series"),
+    ]),
+    "barrier": ("exact minimal energy barrier (oracle)", [
+        ("--target", str, None, None, "all-x, pyramid:P, or an operator file"),
+        ("--omega-max", int, 64, 0, "barrier ceiling for the search"),
+        _STATE_CAP,
+    ]),
+    "distance": ("exact code distance (oracle)", [_STATE_CAP]),
+    "rg": ("level histories and world lines of a path", [
+        _LEVEL,
+        ("--path", str, None, None, "path file (step per line) instead of a pyramid"),
+        ("--track-level", int, None, 0, "also track charged-cluster world lines at this level"),
+    ]),
+    "fractal": ("box-counting dimension of a support", [
+        _LEVEL,
+        _OP,
+        ("--scales", str, None, None, "comma-separated box scales"),
+    ]),
+    "strings": ("scan for non-trivial string segments", [
+        ("--rho", int, 1, 1, "anchor size (default 1)"),
+        ("--max-pairs", int, 2000, 1, "anchor-pair budget"),
+        ("--max-patterns", int, 64, 1, "patterns per pair budget"),
+    ]),
+    "check": ("frustration-freeness and fixture audits", []),
+}
+OPTIONS = {row[0][2:].replace("-", "_"): row
+           for row in SHARED_OPTIONS + [row for _, rows in SUBCOMMANDS.values() for row in rows]}
+DEFAULTS = {key: default for key, (_, _, default, _, _) in OPTIONS.items()}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then shared: parsing
@@ -68,126 +120,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-landscape experiments on stabilizer-code Hamiltonians.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (summary, rows) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; explicit flags override its entries")
-        p.add_argument("--code", choices=registry_names(), help="registered code name")
-        p.add_argument("--L", type=int, help="linear lattice size")
-        p.add_argument("--alpha", type=float, help="no-strings aspect constant (default 15)")
-        p.add_argument("--ltqo", type=int, help="TQO length scale (default L // 2)")
-        p.add_argument("--seed", type=int, help="seed for randomized suites (default 0)")
-        p.add_argument("--out", help="output directory (default ./runs)")
-        p.add_argument("--format", choices=("json", "csv", "both"), help="report formats (default both)")
-
-    p = sub.add_parser("syndrome", help="apply an operator and print its defects")
-    common(p)
-    p.add_argument("--op", help="operator: LABEL@x,y,z or a step-per-line file")
-
-    p = sub.add_parser("pyramid", help="build a pyramid path and audit its profile")
-    common(p)
-    p.add_argument("--p", type=int, help="pyramid level (default: log2 L)")
-    p.add_argument("--u", help="base site, comma-separated (default origin)")
-    p.add_argument("--sweep", help="comma-separated lattice sizes for a barrier-vs-L series")
-
-    p = sub.add_parser("barrier", help="exact minimal energy barrier (oracle)")
-    common(p)
-    p.add_argument("--target", help="all-x, pyramid:P, or an operator file")
-    p.add_argument("--omega-max", type=int, help="barrier ceiling for the search")
-    p.add_argument("--state-cap", type=int, help="state budget (default 1e7)")
-
-    p = sub.add_parser("distance", help="exact code distance (oracle)")
-    common(p)
-    p.add_argument("--state-cap", type=int, help="enumeration budget (default 1e7)")
-
-    p = sub.add_parser("rg", help="level histories and world lines of a path")
-    common(p)
-    p.add_argument("--p", type=int, help="pyramid level for the generated path")
-    p.add_argument("--path", help="path file (step per line) instead of a pyramid")
-    p.add_argument("--track-level", type=int, help="also track charged-cluster world lines at this level")
-
-    p = sub.add_parser("fractal", help="box-counting dimension of a support")
-    common(p)
-    p.add_argument("--p", type=int, help="pyramid level for the generated support")
-    p.add_argument("--op", help="operator file instead of a pyramid")
-    p.add_argument("--scales", help="comma-separated box scales")
-
-    p = sub.add_parser("strings", help="scan for non-trivial string segments")
-    common(p)
-    p.add_argument("--rho", type=int, help="anchor size (default 1)")
-    p.add_argument("--max-pairs", type=int, help="anchor-pair budget")
-    p.add_argument("--max-patterns", type=int, help="patterns per pair budget")
-
-    p = sub.add_parser("check", help="frustration-freeness and fixture audits")
-    common(p)
+        for flag, typ, _, _, text in SHARED_OPTIONS + rows:
+            choices = typ if isinstance(typ, tuple) else None
+            p.add_argument(flag, type=str if choices else typ, choices=choices, help=text)
     return parser
 
 
-DEFAULTS = {
-    "code": "cubic1",
-    "L": 4,
-    "alpha": 15.0,
-    "ltqo": None,
-    "seed": 0,
-    "out": "runs",
-    "format": "both",
-    "p": None,
-    "u": None,
-    "op": None,
-    "target": None,
-    "omega_max": 64,
-    "state_cap": 10_000_000,
-    "path": None,
-    "scales": None,
-    "rho": 1,
-    "max_pairs": 2000,
-    "max_patterns": 64,
-    "sweep": None,
-    "track_level": None,
-}
-
-
-# Keys whose default is None but whose flag takes an int; every other
-# None-default key takes a string.
-_INT_KEYS_WITHOUT_DEFAULT = {"ltqo", "p", "track_level"}
-
-
-def _check_config_value(key: str, val) -> None:
-    """Reject a config-file value whose type differs from the flag's."""
-    default = DEFAULTS[key]
-    if default is None:
-        if val is None:
-            return
-        expected = int if key in _INT_KEYS_WITHOUT_DEFAULT else str
-    else:
-        expected = type(default)
-    accepted = (int, float) if expected is float else expected
-    if isinstance(val, bool) or not isinstance(val, accepted):
-        raise SystemExit(f"config key {key!r} must be {expected.__name__}, got {val!r}")
-    if key == "code" and val not in registry_names():
-        raise SystemExit(f"config key 'code': unknown code {val!r}")
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Fold defaults, config file, and explicit flags (flags win)."""
+    """Fold defaults, config file, and explicit flags (flags win), then hold
+    every value, whatever the subcommand, to its flag's least value."""
     config = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_conf = json.load(fh)
         if not isinstance(file_conf, dict):
             raise SystemExit("config file must hold a JSON object")
-        unknown = set(file_conf) - set(DEFAULTS)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        if unknown := sorted(set(file_conf) - set(DEFAULTS)):
+            raise SystemExit(f"unknown config keys: {unknown}")
         for key, val in file_conf.items():
-            _check_config_value(key, val)
+            _, typ, default, _, _ = OPTIONS[key]
+            if val is None and default is None:
+                continue  # null leaves a key without a default unset
+            kind = str if isinstance(typ, tuple) else typ
+            if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+                raise SystemExit(f"config key {key!r} must be {kind.__name__}, got {val!r}")
+            if isinstance(typ, tuple) and val not in typ:
+                raise SystemExit(f"config key {key!r}: unknown {key} {val!r}")
         config.update(file_conf)
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
-    for key in ("rho", "ltqo", "max_pairs", "max_patterns"):  # sizes and budgets
-        if config[key] is not None and config[key] < 1:
-            raise SystemExit(f"--{key.replace('_', '-')} must be at least 1")
+    for key, (flag, _, _, least, _) in OPTIONS.items():
+        # `not >=` rather than `<`, so that NaN fails too
+        if least is not None and config[key] is not None and not config[key] >= least:
+            raise SystemExit(f"{flag} must be at least {least}")
     config["subcommand"] = args.subcommand
     return config
 
@@ -344,16 +314,8 @@ def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
     return parse_operator(code, text)
 
 
-def _search_budget(config: dict) -> SearchBudget:
-    if config["state_cap"] < 1:
-        raise SystemExit("--state-cap must be at least 1")
-    if config["omega_max"] < 0:
-        raise SystemExit("--omega-max must be non-negative")
-    return SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
-
-
 def run_barrier(config: dict) -> Report:
-    budget = _search_budget(config)
+    budget = SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
     code = get_code(config["code"], config["L"])
     report = Report("barrier", config)
     target = _parse_target(code, config)
@@ -376,7 +338,7 @@ def run_barrier(config: dict) -> Report:
 
 
 def run_distance(config: dict) -> Report:
-    budget = _search_budget(config)
+    budget = SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
     code = get_code(config["code"], config["L"])
     report = Report("distance", config)
     result = code_distance(code, budget)
@@ -399,8 +361,6 @@ def run_rg(config: dict) -> Report:
     code = get_code(config["code"], config["L"])
     report = Report("rg", config)
     params = _scale_params(config)
-    if config["track_level"] is not None and config["track_level"] < 0:
-        raise SystemExit("--track-level must be non-negative")
     if config["path"]:
         path = Path(config["path"])
         if not path.exists():

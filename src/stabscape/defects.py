@@ -40,7 +40,7 @@ class ScaleParams:
     ltqo: int | None = None
 
     def __post_init__(self):
-        if self.alpha < 1:
+        if not self.alpha >= 1:  # NaN fails too
             raise ValueError("alpha must be at least 1")
 
     def xi(self, p: int) -> float:
@@ -242,11 +242,11 @@ class NeutralityResult:
         return self.neutral
 
 
-def _syndrome_footprint(code: CodeInstance, cubes: Iterable[Site]) -> set[Site]:
-    sites: set[Site] = set()
-    for c in cubes:
-        sites.update(code.geometry.cube_corner_sites(c))
-    return sites
+def _footprint_box(geometry: LatticeGeometry, cubes: Iterable[Site]) -> tuple[Site, tuple[int, ...]]:
+    """Bounding box of the cubes' corner sites, from two corners per cube: the
+    box's interval on an axis depends on the corners' coordinates on that
+    axis alone, and those are the cubes' coordinates and their successors."""
+    return geometry.bounding_box([s for c in cubes for s in (c, geometry.shift(c, (1,) * geometry.D))])
 
 
 def _lift(geometry: LatticeGeometry, qubits: list[int], x: np.ndarray) -> PauliOperator:
@@ -412,7 +412,7 @@ def is_neutral(code: CodeInstance, syndrome, size: int) -> NeutralityResult:
     g = code.geometry
     if not syndrome:
         return NeutralityResult(True, PauliOperator.identity(g), "empty cluster")
-    corner, extents = g.bounding_box(_syndrome_footprint(code, occupied_cubes(syndrome)))
+    corner, extents = _footprint_box(g, occupied_cubes(syndrome))
     eff = min(size, g.L)
     if max(extents) > eff:
         return NeutralityResult(False, None, f"cluster footprint {extents} exceeds size-{size} cube")
@@ -435,7 +435,7 @@ def creation_operator(code: CodeInstance, syndrome, params: ScaleParams | None =
     params = params or ScaleParams()
     if not syndrome:
         return PauliOperator.identity(g)
-    corner, extents = g.bounding_box(_syndrome_footprint(code, occupied_cubes(syndrome)))
+    corner, extents = _footprint_box(g, occupied_cubes(syndrome))
     size = min(max(extents), g.L)
     _, _, witness = _local_witness(code, syndrome, size + 2, _cube_placements(g, corner, extents, size) - 1)
     if witness is not None:

@@ -71,6 +71,12 @@ def retired_dense_run(geometry, cubes, params):
     return p - 1
 
 
+def reference_footprint_box(geometry, cubes):
+    """The retired footprint box: the bounding box of all 2^D corner sites of
+    every cube (test oracle for ``defects._footprint_box``)."""
+    return geometry.bounding_box({s for c in cubes for s in geometry.cube_corner_sites(c)})
+
+
 def reference_generator(code, cube, s):
     """The retired generator build: one ``QubitIndex`` term per non-identity
     template entry, multiplied out by ``from_terms``."""

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, config resolution, report determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import stabscape
 
-from stabscape.cli import build_parser, main
+from stabscape.cli import DEFAULTS, OPTIONS, build_parser, main
 from stabscape.codes import CodeInstance
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
@@ -432,6 +433,107 @@ def test_negative_omega_max_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*/report.json"))
 
 
+# Least value of every bounded flag, and a subcommand that takes the flag.
+BOUNDED_FLAGS = {
+    "--alpha": ("check", 1),
+    "--ltqo": ("check", 1),
+    "--rho": ("strings", 1),
+    "--max-pairs": ("strings", 1),
+    "--max-patterns": ("strings", 1),
+    "--state-cap": ("distance", 1),
+    "--omega-max": ("barrier", 0),
+    "--track-level": ("rg", 0),
+}
+
+
+def test_every_bound_is_tested():
+    bounded = {flag: least for flag, _, _, least, _ in OPTIONS.values() if least is not None}
+    assert bounded == {flag: least for flag, (_, least) in BOUNDED_FLAGS.items()}
+
+
+@pytest.mark.parametrize("flag", sorted(BOUNDED_FLAGS))
+def test_bounded_flag_below_its_least_value_is_usage_error(tmp_path, capsys, flag):
+    """One below the least value fails as a flag on a subcommand that takes
+    it, and as a config-file value on any subcommand, even ``check``, which
+    reads none of the bounded values."""
+    sub, least = BOUNDED_FLAGS[flag]
+    assert run(tmp_path, sub, "--code", "rep1d", "--L", "4", flag, str(least - 1)) == 2
+    assert f"{flag} must be at least {least}" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:].replace("-", "_"): least - 1}))
+    for sub in ("check", "pyramid", sub):
+        assert run(tmp_path, sub, "--code", "rep1d", "--L", "4", "--config", str(conf)) == 2
+        assert f"{flag} must be at least {least}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+
+
+# The flags of each subcommand and the defaults, as they were before the
+# option table: the table must reproduce both.
+SHARED_FLAGS = ["--L", "--alpha", "--code", "--config", "--format", "--ltqo", "--out", "--seed"]
+SUBCOMMAND_FLAGS = {
+    "syndrome": ["--op"],
+    "pyramid": ["--p", "--sweep", "--u"],
+    "barrier": ["--omega-max", "--state-cap", "--target"],
+    "distance": ["--state-cap"],
+    "rg": ["--p", "--path", "--track-level"],
+    "fractal": ["--op", "--p", "--scales"],
+    "strings": ["--max-pairs", "--max-patterns", "--rho"],
+    "check": [],
+}
+PARENT_DEFAULTS = {
+    "code": "cubic1", "L": 4, "alpha": 15.0, "ltqo": None, "seed": 0, "out": "runs", "format": "both",
+    "p": None, "u": None, "op": None, "target": None, "omega_max": 64, "state_cap": 10000000, "path": None,
+    "scales": None, "rho": 1, "max_pairs": 2000, "max_patterns": 64, "sweep": None, "track_level": None,
+}
+
+
+def test_option_table_reproduces_the_flags_and_defaults():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+             for name, p in subparsers.choices.items()}
+    assert flags == {name: sorted(SHARED_FLAGS + own) for name, own in SUBCOMMAND_FLAGS.items()}
+    assert DEFAULTS == PARENT_DEFAULTS
+    assert {k: type(v) for k, v in DEFAULTS.items()} == {k: type(v) for k, v in PARENT_DEFAULTS.items()}
+
+
+# A config value of the wrong type for every key.
+WRONG_TYPES = {
+    "code": 1, "L": "8", "alpha": "15", "ltqo": 2.5, "seed": True, "out": 0, "format": ["json"],
+    "p": "3", "u": [0, 0, 0], "op": 5, "target": False, "omega_max": 64.0, "state_cap": "1e7",
+    "path": 1, "scales": [1, 2, 4], "rho": 1.0, "max_pairs": False, "max_patterns": [64],
+    "sweep": 4, "track_level": "1",
+}
+CONFIG_CASES = list(WRONG_TYPES.items()) + [
+    (key, None) for key, default in PARENT_DEFAULTS.items() if default is not None
+]
+
+
+@pytest.mark.parametrize("key,val", CONFIG_CASES, ids=[f"{k}={v!r}" for k, v in CONFIG_CASES])
+def test_config_value_of_wrong_type_for_any_key_is_usage_error(tmp_path, capsys, key, val):
+    """Null passes only for keys whose default is None."""
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: val}))
+    assert run(tmp_path, "check", "--code", "rep1d", "--L", "4", "--config", str(conf)) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+
+
+def test_config_null_leaves_a_key_without_default_unset(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: None for key, default in PARENT_DEFAULTS.items() if default is None}))
+    assert run(tmp_path / "a", "check", "--code", "rep1d", "--L", "4", "--config", str(conf)) == 0
+    assert run(tmp_path / "b", "check", "--code", "rep1d", "--L", "4") == 0
+    assert report_bytes(tmp_path / "a", "check") == report_bytes(tmp_path / "b", "check")
+
+
+def test_config_int_for_a_float_flag_stays_an_int(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"alpha": 3}))
+    assert run(tmp_path, "strings", "--code", "toric2d", "--L", "6", "--config", str(conf)) == 0
+    assert json.loads(report_bytes(tmp_path, "strings"))["config"]["alpha"] == 3
+    assert b'"alpha": 3,' in report_bytes(tmp_path, "strings")
+
+
 # Each usage-error site no other test reaches: (argv, config file contents or
 # None, a fragment of the message that names the site).
 USAGE_SITES = {
@@ -452,6 +554,11 @@ USAGE_SITES = {
                                "3 distinct box scales"),
     "fractal-repeated-scales": (["fractal", "--code", "cubic1", "--L", "8", "--p", "3", "--scales=1,1,1"], None,
                                 "3 distinct box scales"),
+    # NaN passes every `<` test: the scan found no pairs and passed
+    "strings-alpha-nan": (["strings", "--code", "toric2d", "--L", "6", "--alpha", "nan"], None,
+                          "--alpha must be at least 1"),
+    "config-alpha-nan": (["strings", "--code", "toric2d", "--L", "6"], {"alpha": float("nan")},
+                         "--alpha must be at least 1"),
 }
 
 

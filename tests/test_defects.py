@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import neighborhood, reference_achievable_subsets, retired_dense_run
+from conftest import neighborhood, reference_achievable_subsets, reference_footprint_box, retired_dense_run
 from stabscape import get_code, gf2
 from stabscape.defects import (
     _BoxSolver,
     _box_solver,
+    _footprint_box,
     _lift,
     _single_qubit_witness,
     _support_placements,
@@ -93,6 +94,29 @@ def test_scale_params_validation():
     assert params.xi(2) == 400.0
     assert params.ltqo_for(GEO8) == 4
     assert ScaleParams(ltqo=3).ltqo_for(GEO8) == 3
+
+
+def test_scale_params_rejects_nan_alpha():
+    """NaN fails every comparison, so ``alpha < 1`` alone would let it through."""
+    with pytest.raises(ValueError, match="alpha must be at least 1"):
+        ScaleParams(alpha=float("nan"))
+
+
+@st.composite
+def cube_clusters(draw):
+    """A geometry and a cube set on it: small tori give clusters that wrap
+    or fill an axis, larger ones sparse clusters with wide gaps."""
+    D = draw(st.integers(1, 3))
+    L = draw(st.integers(2, 16))
+    cube = st.tuples(*[st.integers(-L, 2 * L - 1)] * D)
+    return LatticeGeometry(D, L, 1), draw(st.lists(cube, min_size=1, max_size=3 * L))
+
+
+@given(cube_clusters())
+@settings(max_examples=400)
+def test_footprint_box_matches_the_corner_site_expansion(case):
+    geometry, cubes = case
+    assert _footprint_box(geometry, cubes) == reference_footprint_box(geometry, cubes)
 
 
 def definition_holds(geometry, clusters, p, params):
