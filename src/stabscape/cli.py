@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from functools import cache
@@ -155,8 +156,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if val is not None:
             config[key] = val
     for key, (flag, _, _, least, _) in OPTIONS.items():
-        # `not >=` rather than `<`, so that NaN fails too
-        if least is not None and config[key] is not None and not config[key] >= least:
+        # a chained `not least <= v < inf` rather than `v < least`, so that NaN and infinity fail too
+        if least is not None and config[key] is not None and not least <= config[key] < math.inf:
             raise SystemExit(f"{flag} must be at least {least}")
     config["subcommand"] = args.subcommand
     return config
@@ -509,73 +510,48 @@ def run_check(config: dict) -> Report:
     )
     rng = np.random.default_rng(config["seed"])
 
-    def random_op() -> tuple[list, list[int], list[int]]:
-        """Sites, sub-qubit slots and Pauli codes of a random operator's factors."""
-        sites, subs, paulis = [], [], []
-        for _ in range(int(rng.integers(1, 6))):
-            sites.append(rng.integers(0, g.L, size=g.D))
-            subs.append(int(rng.integers(0, g.q)))
-            paulis.append(PAULI_CODE["XYZ"[int(rng.integers(0, 3))]])
-        return sites, subs, paulis
+    def draw(count: int) -> tuple[np.ndarray, ...]:
+        """Factor rows, sites, sub-qubit slots and Pauli codes (1-3: X, Z, Y)
+        of ``count`` random operators of 1-5 factors each."""
+        rows = np.repeat(np.arange(count), rng.integers(1, 6, size=count))
+        n = len(rows)
+        return rows, rng.integers(0, g.L, size=(n, g.D)), rng.integers(0, g.q, size=n), rng.integers(1, 4, size=n)
 
-    def syndromes(ops, shifts=None) -> np.ndarray:
-        """Syndrome words of the operators, row k moved by ``shifts[k]``: one
-        stacked build of their words and one kernel call."""
-        rows = np.repeat(np.arange(len(ops)), [len(p) for _, _, p in ops])
-        sites = np.concatenate([s for s, _, _ in ops])
-        if shifts is not None:
-            sites = sites + shifts[rows]
-        qubits = g.site_indices(sites) * g.q + np.concatenate([u for _, u, _ in ops])
-        return code.syndrome_words(*stacked_words(g, qubits, np.concatenate([p for _, _, p in ops]), rows, len(ops)))
+    def syndromes(count: int, rows, sites, subs, paulis) -> np.ndarray:
+        """Syndrome words of ``count`` operators given as factors: one stacked
+        build of their words and one kernel call."""
+        qubits = g.site_indices(sites) * g.q + subs
+        return code.syndrome_words(*stacked_words(g, qubits, paulis, rows, count))
 
-    def draws(count: int, draw) -> tuple[list, list[dict]]:
-        """``count`` draws, with the rng state after each one."""
-        out, states = [], []
-        for _ in range(count):
-            out.append(draw())
-            states.append(rng.bit_generator.state)
-        return out, states
+    # rows 0-49 the a operators, 50-99 the b operators, 100-149 each pair's product
+    rows, *factors = draw(100)
+    s = syndromes(150, np.concatenate([rows, 100 + rows % 50]), *(np.concatenate([f, f]) for f in factors))
+    s = s.reshape(3, 50, -1)
+    report.add_check("syndrome_linearity", PASS if (s[2] == s[0] ^ s[1]).all() else FAIL)
 
-    def passes(bad: np.ndarray, states: list[dict]) -> bool:
-        """Whether no draw failed.  On a failure the rng goes back to its state
-        after the first failing draw, where a draw-and-test loop stops, so the
-        later audits draw the same operators for a given seed."""
-        if not bad.any():
-            return True
-        rng.bit_generator.state = states[int(np.argmax(bad))]
-        return False
-
-    pairs, states = draws(50, lambda: (random_op(), random_op()))
-    ops = [a for a, _ in pairs] + [b for _, b in pairs]
-    # each pair's product: both operators' factors in one row
-    ops += [tuple(fa + fb for fa, fb in zip(a, b)) for a, b in pairs]
-    s = syndromes(ops).reshape(3, len(pairs), -1)
-    linear_ok = passes((s[2] != s[0] ^ s[1]).any(axis=1), states)
-    report.add_check("syndrome_linearity", PASS if linear_ok else FAIL)
-
-    moves, states = draws(20, lambda: (random_op(), rng.integers(0, g.L, size=g.D)))
-    deltas = np.array([delta for _, delta in moves])
-    ops = [op for op, _ in moves]
-    s = syndromes(ops + ops, np.concatenate([np.zeros_like(deltas), deltas])).reshape(2, len(moves), -1)
+    # rows 0-19 the operators, 20-39 each one moved by its own delta
+    rows, sites, subs, paulis = draw(20)
+    deltas = rng.integers(0, g.L, size=(20, g.D))
+    s = syndromes(40, np.concatenate([rows, rows + 20]), np.concatenate([sites, sites + deltas[rows]]),
+                  np.tile(subs, 2), np.tile(paulis, 2)).reshape(2, 20, -1)
     # every defect of S[op], moved by its row's delta, against S[op.translate(delta)]
     rows, gens = gf2.nonzero_bits(s[0])
     cubes, species = np.divmod(gens, code.n_species)
     coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
     moved = g.site_indices(coords + deltas[rows]) * code.n_species + species
     width = s.shape[-1] * gf2.WORD_BITS
-    expected = gf2.from_indices(rows * width + moved, len(moves) * width).reshape(s[1].shape)
-    covariant_ok = passes((s[1] != expected).any(axis=1), states)
-    report.add_check("translation_covariance", PASS if covariant_ok else FAIL)
+    expected = gf2.from_indices(rows * width + moved, 20 * width).reshape(s[1].shape)
+    report.add_check("translation_covariance", PASS if (s[1] == expected).all() else FAIL)
 
     # The exhaustive commutation audit already took every generator's syndrome.
     empty = frus.commuting if frus.mode == "exhaustive" else generator_syndromes_empty(code)
     report.add_check("generator_syndromes_empty", PASS if empty else FAIL)
 
     if config["code"] == "cubic1":
-        sites = [tuple(int(c) for c in rng.integers(0, g.L, size=3)) for _ in range(20)]
-        flips = syndromes([([u], [0], [PAULI_CODE["X"]]) for u in sites])
+        sites = rng.integers(0, g.L, size=(20, 3))
+        flips = syndromes(20, np.arange(20), sites, np.zeros(20, dtype=np.int64), np.full(20, PAULI_CODE["X"]))
         ok = all(code.words_to_syndrome(row) == pyramid_syndrome(code, 0, apex_cube(code, u))
-                 for row, u in zip(flips, sites))
+                 for row, u in zip(flips, sites.tolist()))
         report.add_check("bitflip_defect_pattern", PASS if ok else FAIL)
     return report
 

@@ -8,6 +8,7 @@ cube has diameter 1; this one convention is shared by every routine below.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -40,8 +41,8 @@ class ScaleParams:
     ltqo: int | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 1:  # NaN fails too
-            raise ValueError("alpha must be at least 1")
+        if not 1 <= self.alpha < math.inf:  # NaN and infinity fail too
+            raise ValueError("alpha must be at least 1 and finite")
 
     def xi(self, p: int) -> float:
         return float(10 * self.alpha) ** p
@@ -625,7 +626,7 @@ def scan_for_strings(
     g = code.geometry
     budget = budget or ScanBudget()
     params = params or ScaleParams()
-    start = time.monotonic()
+    deadline = time.monotonic() + (math.inf if budget.time_cap is None else budget.time_cap)
     box1 = CubeBox((0,) * g.D, rho)
     cubes1 = set(box1.cubes(g))  # box1 is pinned at the origin for every placement
     scale = params.ltqo_for(g)
@@ -641,9 +642,7 @@ def scan_for_strings(
         box2 = CubeBox(v, rho)
         if cubes1 & set(box2.cubes(g)) or not (ratio := anchor_aspect_ratio(g, box1, box2)) > alpha:
             continue
-        if pairs_scanned >= budget.max_anchor_pairs or (
-            budget.time_cap is not None and time.monotonic() - start > budget.time_cap
-        ):
+        if pairs_scanned >= budget.max_anchor_pairs or time.monotonic() > deadline:
             exhausted = True
             break
         pairs_scanned += 1
@@ -651,7 +650,7 @@ def scan_for_strings(
         corners = _support_placements(code, box1, box2, scale)
         seen_patterns: set[int] = set()
         for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
-            if len(seen_patterns) >= budget.max_patterns_per_pair:
+            if len(seen_patterns) >= budget.max_patterns_per_pair or time.monotonic() > deadline:
                 exhausted = True
                 break
             for pattern_bits in solver.achievable_subsets(local_rows):

@@ -237,16 +237,11 @@ def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
 
     Returns one solution (free variables set to zero, leftmost-pivot
     elimination, so the witness is reproducible), or None if inconsistent.
-    ``rhs`` may be a packed word vector over ``mat.nrows`` bits or a plain
-    0/1 array of length ``mat.nrows``.
+    ``rhs`` is a packed word vector over ``mat.nrows`` bits.
     """
-    rhs = np.asarray(rhs)
-    if rhs.dtype == np.uint64:
-        b = to_bool(rhs, mat.nrows)
-    else:
-        if rhs.size != mat.nrows:
-            raise ValueError("rhs length does not match row count")
-        b = (rhs.astype(np.uint8) & 1).astype(bool)
+    if len(rhs) != n_words(mat.nrows):
+        raise ValueError("rhs length does not match row count")
+    b = to_bool(rhs, mat.nrows)
     aug = np.zeros((mat.nrows, n_words(mat.ncols + 1)), dtype=np.uint64)
     aug[:, : mat.words.shape[1]] = mat.words
     aug[b, mat.ncols >> 6] |= np.uint64(1) << np.uint64(mat.ncols & 63)

@@ -14,8 +14,7 @@ import stabscape
 
 from stabscape.cli import DEFAULTS, OPTIONS, build_parser, main
 from stabscape.codes import CodeInstance
-from stabscape.lattice import QubitIndex
-from stabscape.pauli import PauliOperator
+from stabscape.gf2 import BitMatrix
 from stabscape.reports import config_hash
 
 
@@ -151,15 +150,6 @@ def test_check_runs_the_commutation_audit_once(tmp_path, monkeypatch):
     assert names["pairwise_commutation"] == names["generator_syndromes_empty"] == "pass"
 
 
-def reference_random_op(rng, g):
-    """The random operator of the check audits, drawn term by term."""
-    terms = []
-    for _ in range(int(rng.integers(1, 6))):
-        site = tuple(int(c) for c in rng.integers(0, g.L, size=g.D))
-        terms.append((QubitIndex(site, int(rng.integers(0, g.q))), "XYZ"[int(rng.integers(0, 3))]))
-    return PauliOperator.from_terms(g, terms)
-
-
 def recording_kernel(monkeypatch, corrupt=None):
     """Wrap ``syndrome_words``: every call's operator words are recorded, and
     ``corrupt = (call, row)`` flips generator 0 of that row of that call."""
@@ -203,26 +193,36 @@ def test_corrupted_kernel_row_fails_its_audit(tmp_path, monkeypatch, call, row, 
     assert set(statuses.values()) == {"pass"}
 
 
-def test_audits_after_a_failure_draw_what_the_loop_drew(tmp_path, monkeypatch):
-    """A draw-and-test loop stops drawing at the first failing pair; the later
-    audits draw the operators that loop would have drawn next."""
-    seed, failing_pair = 11, 3
-    calls = recording_kernel(monkeypatch, corrupt=(0, 100 + failing_pair))
-    assert run(tmp_path, "check", "--code", "cubic1", "--L", "4", "--seed", str(seed)) == 1
+def test_audits_after_a_failure_draw_what_a_clean_run_draws(tmp_path, monkeypatch):
+    """A failed audit does not move the seeded stream: the later audits draw
+    the operators of an uncorrupted run with the same seed."""
+    argv = ("check", "--code", "cubic1", "--L", "4", "--seed", "11")
+    with monkeypatch.context() as patch:
+        clean = recording_kernel(patch)
+        assert run(tmp_path / "clean", *argv) == 0
+    corrupted = recording_kernel(monkeypatch, corrupt=(0, 103))
+    assert run(tmp_path / "corrupted", *argv) == 1
+    assert len(clean) == len(corrupted) == 3
+    for (x1, z1), (x2, z2) in zip(clean[1:], corrupted[1:]):
+        assert np.array_equal(x1, x2) and np.array_equal(z1, z2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_check_draws_cover_every_factor_kind(tmp_path, monkeypatch, seed):
+    """The linearity audit's a and b operators have weight at most 5, some of
+    them 4 or 5, and hold X-only, Z-only and Y terms and sub-qubit slot 1 in
+    like measure."""
+    calls = recording_kernel(monkeypatch)
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "4", "--seed", str(seed)) == 0
     g = stabscape.get_code("cubic1", 4).geometry
-    rng = np.random.default_rng(seed)
-    for _ in range(failing_pair + 1):
-        reference_random_op(rng, g), reference_random_op(rng, g)
-    moved = []
-    for _ in range(20):
-        op = reference_random_op(rng, g)
-        moved.append((op, tuple(int(c) for c in rng.integers(0, g.L, size=g.D))))
-    covariance = [op for op, _ in moved] + [op.translate(delta) for op, delta in moved]
-    sites = [tuple(int(c) for c in rng.integers(0, g.L, size=3)) for _ in range(20)]
-    bitflips = [PauliOperator.single(g, QubitIndex(u, 0), "X") for u in sites]
-    for (xwords, zwords), ops in zip(calls[1:], (covariance, bitflips)):
-        assert np.array_equal(xwords, np.stack([op.xwords for op in ops]))
-        assert np.array_equal(zwords, np.stack([op.zwords for op in ops]))
+    x, z = (BitMatrix(words[:100], g.n_qubits).to_bool_array() for words in calls[0])
+    weights = (x | z).sum(axis=1)
+    assert weights.max() <= 5 and (weights >= 4).any()
+    # each kind holds at least a fifth of the terms: a draw of X and Z alone
+    # would still make a few Y terms where two factors land on one qubit
+    terms = (x | z).sum()
+    for kind in (x & ~z, z & ~x, x & z, (x | z)[:, 1::g.q]):
+        assert kind.sum() >= terms / 5
 
 
 def fresh_process(argv, out):
@@ -558,6 +558,11 @@ USAGE_SITES = {
     "strings-alpha-nan": (["strings", "--code", "toric2d", "--L", "6", "--alpha", "nan"], None,
                           "--alpha must be at least 1"),
     "config-alpha-nan": (["strings", "--code", "toric2d", "--L", "6"], {"alpha": float("nan")},
+                         "--alpha must be at least 1"),
+    # infinity passed `alpha >= 1`: the scan found no pairs, passed, and wrote `Infinity` into the report
+    "strings-alpha-inf": (["strings", "--code", "toric2d", "--L", "6", "--alpha", "inf"], None,
+                          "--alpha must be at least 1"),
+    "config-alpha-inf": (["strings", "--code", "toric2d", "--L", "6"], {"alpha": float("inf")},
                          "--alpha must be at least 1"),
 }
 

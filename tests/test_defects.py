@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import neighborhood, reference_achievable_subsets, reference_footprint_box, retired_dense_run
-from stabscape import get_code, gf2
+from stabscape import defects, get_code, gf2
 from stabscape.defects import (
     _BoxSolver,
     _box_solver,
@@ -100,6 +100,12 @@ def test_scale_params_rejects_nan_alpha():
     """NaN fails every comparison, so ``alpha < 1`` alone would let it through."""
     with pytest.raises(ValueError, match="alpha must be at least 1"):
         ScaleParams(alpha=float("nan"))
+
+
+def test_scale_params_rejects_infinite_alpha():
+    """An infinite alpha passes ``alpha >= 1``; no aspect ratio exceeds it."""
+    with pytest.raises(ValueError, match="alpha must be at least 1 and finite"):
+        ScaleParams(alpha=float("inf"))
 
 
 @st.composite
@@ -508,6 +514,19 @@ def test_scan_finds_domain_walls_on_rep():
     assert all(f.aspect_ratio > 3.0 for f in report.nontrivial)
 
 
+def test_scan_time_cap_trips_inside_a_pair(monkeypatch):
+    """The time cap is checked before each support box, not only before each
+    anchor pair: a clock that jumps past the cap after the first pair check
+    ends the scan inside that pair."""
+    code = get_code("toric2d", 4)
+    uncapped = scan_for_strings(code, 1, 1.0, ScanBudget(max_anchor_pairs=1))
+    readings = iter([0.0, 0.0])  # the scan's start, then the first pair's check
+    monkeypatch.setattr(defects.time, "monotonic", lambda: next(readings, 10.0))
+    capped = scan_for_strings(code, 1, 1.0, ScanBudget(time_cap=1.0))
+    assert capped.pairs_scanned == 1 and capped.budget_exhausted
+    assert capped.patterns_tested < uncapped.patterns_tested
+
+
 # -- box-restricted algebra -------------------------------------------------------
 
 
@@ -525,7 +544,7 @@ def test_box_achievability_matches_solve(name, L, size):
             rhs = np.zeros(nrows, dtype=np.uint8)
             rhs[list(pattern)] = 1
             witness = solver.achievable_witness(pattern)
-            x = gf2.gf2_solve(matrix, rhs)
+            x = gf2.gf2_solve(matrix, gf2.from_bool(rhs))
             assert (witness is None) == (x is None)
             if witness is not None:
                 assert witness == _lift(code.geometry, qubits, x)
@@ -572,7 +591,7 @@ def reference_first_box(code, syndrome, corners, size):
     for tried, corner in enumerate(corners, 1):
         sub, _, gen_rows = code.restricted_syndrome_matrix(g.box_sites(corner, size))
         rhs = bits[gen_rows]
-        if rhs.sum() == len(syndrome) and gf2.gf2_solve(sub, rhs) is not None:
+        if rhs.sum() == len(syndrome) and gf2.gf2_solve(sub, gf2.from_bool(rhs)) is not None:
             return tried, corner
     return len(corners), None
 

@@ -1,6 +1,7 @@
 """Packed GF(2) kernel tests: every solve is re-verified by multiplication."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,15 +154,22 @@ def test_from_indices():
 def test_solve_identity():
     eye = BitMatrix.from_bool_array(np.eye(9, dtype=np.uint8))
     b = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-    x = gf2.gf2_solve(eye, b)
+    x = gf2.gf2_solve(eye, gf2.from_bool(b))
     assert np.array_equal(gf2.to_bool(x, 9).astype(np.uint8), b)
 
 
 def test_solve_zero_matrix_inconsistent():
     zero = BitMatrix.zeros(4, 6)
-    assert gf2.gf2_solve(zero, np.array([0, 1, 0, 0], dtype=np.uint8)) is None
-    x = gf2.gf2_solve(zero, np.zeros(4, dtype=np.uint8))
+    assert gf2.gf2_solve(zero, gf2.from_bool([0, 1, 0, 0])) is None
+    x = gf2.gf2_solve(zero, gf2.zeros(4))
     assert x is not None and gf2.is_zero(x)
+
+
+def test_solve_rejects_rhs_of_wrong_length():
+    m = BitMatrix.zeros(70, 3)
+    for rhs in (gf2.zeros(64), gf2.zeros(129), np.zeros(70, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="rhs length"):
+            gf2.gf2_solve(m, rhs)
 
 
 def test_solve_reverified_by_multiplication(rng):
@@ -169,7 +177,7 @@ def test_solve_reverified_by_multiplication(rng):
     for _ in range(300):
         m = random_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
         b = (rng.random(m.nrows) < 0.5).astype(np.uint8)
-        x = gf2.gf2_solve(m, b)
+        x = gf2.gf2_solve(m, gf2.from_bool(b))
         if x is None:
             # Inconsistency must be real: check against bool-domain lstsq
             # by exhaustive search on small systems.
@@ -186,7 +194,7 @@ def test_solve_reverified_by_multiplication(rng):
 
 def test_solve_deterministic(rng):
     m = random_matrix(rng, 10, 14)
-    b = (rng.random(10) < 0.5).astype(np.uint8)
+    b = gf2.from_bool(rng.random(10) < 0.5)
     x1, x2 = gf2.gf2_solve(m, b), gf2.gf2_solve(m, b)
     if x1 is None:
         assert x2 is None
@@ -283,14 +291,11 @@ def test_gf2_solve_bit_identical_to_reference(case):
     random_rhs = (rng.random(m.nrows) < 0.5).astype(np.uint8)
     image_rhs = m.parities_with(gf2.from_bool(rng.random(m.ncols) < 0.5))  # always consistent
     for b in (random_rhs, image_rhs):
-        got = gf2.gf2_solve(m, b)
+        got = gf2.gf2_solve(m, gf2.from_bool(b))
         want = reference_solve(m, b)
         assert (got is None) == (want is None)
-        packed = gf2.gf2_solve(m, gf2.from_bool(b))
-        assert (packed is None) == (got is None)
         if got is not None:
             assert np.array_equal(got, want)
-            assert np.array_equal(packed, got)
             assert np.array_equal(m.parities_with(got), b)
 
 
