@@ -339,7 +339,6 @@ class FrustrationReport:
     n_generators: int
     rank: int | None
     k: int | None
-    mode: str  # "exhaustive" or "template"
 
     def __bool__(self) -> bool:
         return self.commuting
@@ -419,24 +418,12 @@ def commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
     return code.generator_at(i), code.generator_at(j)
 
 
-def generator_syndromes_empty(code: CodeInstance) -> bool:
-    """Whether every generator has an empty syndrome, i.e. every pair commutes."""
-    return commutation_witness(code) is None
-
-
-def check_frustration_free(code: CodeInstance, exhaustive: bool | None = None) -> FrustrationReport:
-    """Confirm pairwise commutation and report the measured stabilizer rank.
-
-    Exhaustive mode checks every generator pair (``commutation_witness``);
-    otherwise only the template-overlap classes are checked (exact for the
-    shipped translation-invariant codes, and feasible at any lattice size).
-    """
-    if exhaustive is None:
-        exhaustive = code.n_qubits <= MAX_DENSE_QUBITS
-    witness = commutation_witness(code) if exhaustive else _template_commutation_witness(code)
-    mode = "exhaustive" if exhaustive else "template"
+def check_frustration_free(code: CodeInstance) -> FrustrationReport:
+    """Confirm that every generator pair commutes (``commutation_witness``)
+    and report the measured stabilizer rank up to ``MAX_DENSE_QUBITS``."""
+    witness = commutation_witness(code)
     rank = k = None
     if code.n_qubits <= MAX_DENSE_QUBITS:
         rank = code.stabilizer_rank()
         k = code.n_qubits - rank
-    return FrustrationReport(witness is None, witness, code.n_qubits, code.n_generators, rank, k, mode)
+    return FrustrationReport(witness is None, witness, code.n_qubits, code.n_generators, rank, k)

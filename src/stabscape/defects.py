@@ -75,9 +75,6 @@ class SparsityVerdict:
     sparse: bool
     clusters: tuple[frozenset[Site], ...]
     diameters: tuple[int, ...]
-    xi_p: float
-    xi_p1: float
-    scale_capped: bool  # xi(p+1) saturates the torus; comparisons degenerate
 
 
 def _torus_distances(geometry: LatticeGeometry, cubes: Sequence[Site]) -> np.ndarray:
@@ -91,6 +88,13 @@ def _torus_distances(geometry: LatticeGeometry, cubes: Sequence[Site]) -> np.nda
         delta = np.abs(axis[:, None] - axis[None, :]) % L
         np.maximum(dist, np.minimum(delta, L - delta), out=dist)
     return dist
+
+
+def set_distance(geometry: LatticeGeometry, a: Iterable[Site], b: Iterable[Site]) -> int:
+    """Least torus distance between two nonempty cube sets: the smallest
+    entry of the cross block of their joint distance matrix."""
+    a = list(a)
+    return int(_torus_distances(geometry, a + list(b))[: len(a), len(a):].min())
 
 
 def _complete_linkage(dist: np.ndarray, cap: float) -> Iterator[tuple[int, int, int]]:
@@ -138,7 +142,7 @@ def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: Scale
         raise ValueError("sparsity is undefined for the empty syndrome")
     if p < 0:
         raise ValueError("level must be non-negative")
-    xi_p, xi_p1 = params.xi(p), params.xi(p + 1)
+    xi_p1 = params.xi(p + 1)
 
     order = sorted(cubes)
     dist = _torus_distances(geometry, order)
@@ -157,36 +161,34 @@ def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: Scale
         spreads = [spreads[k] for k in live]
 
     diameters = tuple(1 + s for s in spreads)
-    sparse = all(d <= xi_p for d in diameters)
-    return SparsityVerdict(
-        level=p,
-        sparse=sparse,
-        clusters=tuple(frozenset(c) for c in members),
-        diameters=diameters,
-        xi_p=xi_p,
-        xi_p1=xi_p1,
-        scale_capped=xi_p1 >= geometry.L / 2,
-    )
+    sparse = all(d <= params.xi(p) for d in diameters)
+    return SparsityVerdict(p, sparse, tuple(frozenset(c) for c in members), diameters)
 
 
 def _dense_run(geometry: LatticeGeometry, cubes: frozenset[Site], params: ScaleParams) -> int:
-    """Dense run of one syndrome's occupied cubes, from one distance matrix.
+    """Dense run (see ``min_dense_run``) of one syndrome's occupied cubes.
 
-    Let q be the lowest level with ``1 + top <= xi(q+1)``, ``top`` the
-    largest distance between the cubes.  From q up every merge qualifies, so
+    A single cube is sparse at level 0: -1.  Torus distances never exceed
+    ``L // 2``, so at the cap level P, the lowest with ``1 + L // 2 <=
+    xi(P+1)``, every syndrome is one cluster; at ``P = 0`` (every ``L < 300``
+    at the default alpha) the run is 0 with no distances.  Otherwise let q
+    be the lowest level with ``1 + top <= xi(q+1)``, ``top`` the largest
+    distance between the cubes.  From q up every merge qualifies, so
     the syndrome is one cluster, dense at q (for q > 0) and sparse above.
     Below q the level-p partition is the prefix of one merge run to ``xi(q)``
     with ``1 + height <= xi(p+1)``; its largest spread is the prefix's last
     height, and the syndrome is sparse at p iff that height plus 1 is at
     most ``xi(p)``.
     """
+    if len(cubes) == 1:
+        return -1
+    if 1 + geometry.L // 2 <= params.xi(1):
+        return 0
     dist = _torus_distances(geometry, sorted(cubes))
     top = int(dist.max())
     q = 0
     while 1 + top > params.xi(q + 1):
         q += 1
-    if q == 0:
-        return -1 if top == 0 else 0
     heights = [h for _, _, h in _complete_linkage(dist, params.xi(q))]
     for p in range(q):
         below = [h for h in heights if 1 + h <= params.xi(p + 1)]
@@ -196,22 +198,12 @@ def _dense_run(geometry: LatticeGeometry, cubes: frozenset[Site], params: ScaleP
 
 
 def dense_runs(geometry: LatticeGeometry, syndromes: Sequence, params: ScaleParams) -> list[int]:
-    """Dense run (see ``min_dense_run``) of every syndrome, in one pass.
-
-    Torus distances never exceed ``L // 2``, so from the cap level P, the
-    lowest with ``1 + L // 2 <= xi(P+1)``, every syndrome is one cluster at
-    its level.  At ``P = 0`` (every ``L < 300`` at the default alpha) the run
-    is -1 for a single occupied cube and 0 otherwise, with no distances.
-    Otherwise each syndrome's merges run once, to its own cap
-    (``_dense_run``), on one distance matrix at a time.
-    """
+    """Dense run (see ``min_dense_run``) of every syndrome, each from one
+    distance matrix at most (``_dense_run``)."""
     cube_sets = [occupied_cubes(s) for s in syndromes]
     if not all(cube_sets):
         raise ValueError("sparsity is undefined for the empty syndrome")
-    if 1 + geometry.L // 2 <= params.xi(1):
-        runs = [0 if len(cubes) > 1 else -1 for cubes in cube_sets]
-    else:
-        runs = [_dense_run(geometry, cubes, params) for cubes in cube_sets]
+    runs = [_dense_run(geometry, cubes, params) for cubes in cube_sets]
     for cubes, run in zip(cube_sets, runs):
         if len(cubes) < run + 2:
             raise RuntimeError(f"counting bound violated: {len(cubes)} cubes, dense run {run}")
@@ -250,15 +242,6 @@ def _footprint_box(geometry: LatticeGeometry, cubes: Iterable[Site]) -> tuple[Si
     return geometry.bounding_box([s for c in cubes for s in (c, geometry.shift(c, (1,) * geometry.D))])
 
 
-def _lift(geometry: LatticeGeometry, qubits: list[int], x: np.ndarray) -> PauliOperator:
-    """Global operator of a local solution ``x`` over the (X || Z) columns of
-    the given qubits, in the layout of ``restricted_syndrome_matrix``."""
-    nq = len(qubits)
-    local = gf2.nonzero_indices(x, 2 * nq)
-    cols = np.asarray(qubits, dtype=np.int64)[local % nq] + geometry.n_qubits * (local >= nq)
-    return PauliOperator.from_symplectic(geometry, gf2.from_indices(cols, 2 * geometry.n_qubits))
-
-
 def _single_qubit_witness(code: CodeInstance, site_ids: np.ndarray, target: Syndrome) -> PauliOperator | None:
     """The first single-qubit Pauli (site, sub, then X, Z, Y) on the given
     flat site ids whose flips are exactly the nonempty ``target``, or None."""
@@ -290,17 +273,20 @@ class _BoxSolver:
     def __init__(self, code: CodeInstance, size: int):
         g = self.geometry = code.geometry  # not the code: the code keeps this solver
         self.size = min(size, g.L)
-        matrix, self.qubits0, gen_rows0 = code.restricted_syndrome_matrix(g.box_sites((0,) * g.D, self.size))
-        nrows, self.ncols = matrix.nrows, matrix.ncols
+        matrix, qubits, gen_rows0 = code.restricted_syndrome_matrix(g.box_sites((0,) * g.D, self.size))
+        nrows, ncols = matrix.nrows, matrix.ncols
+        # site coordinates and slot of each qubit of the origin box, in column order
+        self._sites = np.array(np.unravel_index(np.asarray(qubits) // g.q, (g.L,) * g.D)).T
+        self._subs = np.asarray(qubits) % g.q
         # One elimination of [matrix | I]: the identity part of reduced row j
         # lists the matrix rows that sum to it.  Reduced rows past the rank
         # span the left nullspace; the rest give the pivot values of
         # gf2_solve's solution, which is unique because the RREF is.
         aug = np.hstack([matrix.to_bool_array(), np.eye(nrows, dtype=bool)])
         reduced, pivots = gf2.BitMatrix.from_bool_array(aug).rref()
-        self._pivots = np.array([c for c in pivots if c < self.ncols], dtype=np.int64)
+        self._pivots = np.array([c for c in pivots if c < ncols], dtype=np.int64)
         # row i's membership in every reduced row, packed, and as an int
-        self._combos = reduced.select_columns(np.arange(self.ncols, self.ncols + nrows)).transpose().words
+        self._combos = reduced.select_columns(np.arange(ncols, ncols + nrows)).transpose().words
         self._null_mask = gf2.from_indices(np.arange(len(self._pivots), nrows), nrows)
         self._memberships = [gf2.to_int(c) for c in self._combos]
         # local row of the generator of each species on the cube at offset o - 1
@@ -346,17 +332,24 @@ class _BoxSolver:
             offset = reduce(xor, [b for j, b in enumerate(basis[12:]) if h >> j & 1], 0)
             yield from (x ^ offset for x in (low[1:] if h == 0 else low))
 
-    def achievable_witness(self, local_pattern) -> PauliOperator | None:
-        """Operator on the origin box flipping exactly the given local rows
-        (each a row of the box): ``gf2_solve``'s solution (free variables
-        zero), or None."""
-        key = tuple(sorted(int(r) for r in local_pattern))
+    def achievable_witness(self, rows, corner: Sequence[int]) -> PauliOperator | None:
+        """Operator on the box at ``corner`` flipping exactly the given local
+        rows (each a row of the box), or None: ``gf2_solve``'s solution (free
+        variables zero), whose columns (X parts, then Z parts, of the box's
+        qubits) are kept per pattern and placed at the corner by translation
+        invariance."""
+        key = tuple(sorted(int(r) for r in rows))
         if key not in self._solutions:  # a scan meets each pattern at many corners
             combined, rank = reduce(xor, [self._memberships[r] for r in key], 0), len(self._pivots)
-            self._solutions[key] = None if combined >> rank else gf2.from_indices(
-                self._pivots[[j for j in range(rank) if combined >> j & 1]], self.ncols)
-        x = self._solutions[key]
-        return None if x is None else _lift(self.geometry, self.qubits0, x)
+            self._solutions[key] = (None if combined >> rank
+                                    else self._pivots[[j for j in range(rank) if combined >> j & 1]])
+        cols = self._solutions[key]
+        if cols is None:
+            return None
+        g, nq = self.geometry, len(self._subs)
+        sites = self._sites[cols % nq] + np.asarray(corner, dtype=np.int64)
+        paulis = np.where(cols < nq, PAULI_CODE["X"], PAULI_CODE["Z"])
+        return PauliOperator.from_codes(g, g.site_indices(sites) * g.q + self._subs[cols % nq], paulis)
 
 
 def _box_solver(code: CodeInstance, size: int) -> _BoxSolver:
@@ -394,7 +387,7 @@ def _local_witness(code: CodeInstance, syndrome: Syndrome, size: int, corners: n
     site_ids = code.geometry.site_indices(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
     witness = _single_qubit_witness(code, site_ids, syndrome)
     if witness is None:
-        witness = solver.achievable_witness(rows[k]).translate(corner)
+        witness = solver.achievable_witness(rows[k], corner)
     if code.syndrome_of(witness) != syndrome:
         raise RuntimeError("box solver returned an inconsistent witness")
     return k + 1, corner, witness
@@ -657,7 +650,7 @@ def scan_for_strings(
                 if pattern_bits in seen_patterns:
                     continue
                 chosen = [i for i in range(len(anchors)) if pattern_bits >> i & 1]
-                op = solver.achievable_witness(local_rows[chosen]).translate(corner)
+                op = solver.achievable_witness(local_rows[chosen], corner)
                 seen_patterns.add(pattern_bits)
                 patterns_tested += 1
                 syndrome = code.syndrome_of(op)

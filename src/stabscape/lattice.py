@@ -1,4 +1,4 @@
-"""Periodic cubic lattice geometry with the l-infinity torus metric."""
+"""Periodic cubic lattice geometry: coordinates, boxes and covers on the torus."""
 
 from __future__ import annotations
 
@@ -75,21 +75,6 @@ class LatticeGeometry:
 
     def qubit_at(self, index: int) -> QubitIndex:
         return QubitIndex(self.site_at(index // self.q), index % self.q)
-
-    # -- metric ----------------------------------------------------------
-
-    def axis_dist(self, a: int, b: int) -> int:
-        d = abs(a - b) % self.L
-        return min(d, self.L - d)
-
-    def dist(self, a: Iterable[int], b: Iterable[int]) -> int:
-        """Torus l-infinity distance between two sites."""
-        return max(self.axis_dist(x, y) for x, y in zip(a, b))
-
-    def set_dist(self, A: Iterable[Site], B: Iterable[Site]) -> int:
-        """Minimum distance between two nonempty coordinate sets."""
-        A, B = list(A), list(B)
-        return min(self.dist(a, b) for a in A for b in B)
 
     # -- regions -----------------------------------------------------------
 

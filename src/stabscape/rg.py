@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes import CodeInstance, Defect, Syndrome
-from .defects import ScaleParams, cluster_partition, dense_runs, is_neutral
+from .defects import ScaleParams, cluster_partition, dense_runs, is_neutral, set_distance
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PauliOperator
 from .paths import ErrorPath, as_path, walk_events
@@ -143,6 +143,10 @@ def level_histories(code: CodeInstance, history: SyndromeHistory, params: ScaleP
 # -- charged-cluster world lines ---------------------------------------------------
 
 
+class DenseSegmentError(ValueError):
+    """A segment handed to world-line tracking holds a syndrome dense at its level."""
+
+
 @dataclass
 class WorldLine:
     """Positions of one charged cluster across a history segment."""
@@ -183,7 +187,7 @@ def track_charged_clusters(
             continue
         verdict = cluster_partition(g, syn, p, params)
         if not verdict.sparse:
-            raise ValueError("segment contains a syndrome dense at this level")
+            raise DenseSegmentError("segment contains a syndrome dense at this level")
         charged = []
         for cluster in verdict.clusters:
             cluster_syndrome = frozenset(d for d in syn if d[0] in cluster)
@@ -203,7 +207,7 @@ def track_charged_clusters(
             for wl in worldlines:
                 cur = wl.clusters[-1]
                 dists = sorted(
-                    (g.set_dist(cur, cand), i) for i, cand in enumerate(nxt) if i not in taken
+                    (set_distance(g, cur, cand), i) for i, cand in enumerate(nxt) if i not in taken
                 )
                 d, i = dists[0]
                 if len(dists) > 1 and dists[1][0] <= xi_p and d <= xi_p:
@@ -217,7 +221,7 @@ def track_charged_clusters(
     for a, wl in enumerate(worldlines):
         first = wl.clusters[0]
         for t, cluster in enumerate(wl.clusters):
-            d = g.set_dist(cluster, first)
+            d = set_distance(g, cluster, first)
             if d > alpha_xi:
                 locking.append((a, t, d))
     report = TrackingReport(counts, g_constant, continuity, locking, sorted(set(ambiguities)))

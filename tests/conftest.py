@@ -60,6 +60,18 @@ def random_operator(code, rng, max_terms=6):
     return PauliOperator.from_terms(g, terms)
 
 
+def reference_distance(geometry, a, b):
+    """Torus l-infinity distance between two sites, one axis at a time in
+    Python (test oracle for ``defects._torus_distances``)."""
+    return max(min((x - y) % geometry.L, (y - x) % geometry.L) for x, y in zip(a, b))
+
+
+def reference_set_distance(geometry, A, B):
+    """Least pairwise ``reference_distance`` between two nonempty site sets
+    (test oracle for ``defects.set_distance``)."""
+    return min(reference_distance(geometry, a, b) for a in A for b in B)
+
+
 def retired_dense_run(geometry, cubes, params):
     """The retired per-level loop: ``cluster_partition`` at p = 0, 1, ...
     until sparse (test oracle for ``dense_runs``)."""

@@ -137,8 +137,21 @@ def test_check_subcommand(tmp_path):
     assert "pairwise_commutation" in names and "bitflip_defect_pattern" in names
 
 
+def test_check_audits_every_pair_above_the_dense_limit(tmp_path):
+    """cubic1 L=14 has 5,488 qubits, past the 4096 dense limit: the audit
+    still covers every generator pair, and rank and k go unreported."""
+    assert run(tmp_path, "check", "--code", "cubic1", "--L", "14") == 0
+    report = json.loads(report_bytes(tmp_path, "check"))
+    assert report["status"] == "pass"
+    checks = {c["name"]: c for c in report["checks"]}
+    audit = checks["pairwise_commutation"]
+    assert audit["notes"] == "exhaustive"
+    assert audit["measured"]["generators"]["value"] == 2 * 14**3
+    assert audit["measured"]["rank"]["value"] is None and audit["measured"]["k"]["value"] is None
+
+
 def test_check_runs_the_commutation_audit_once(tmp_path, monkeypatch):
-    """In exhaustive mode the generator-syndrome check reads the audit's witness."""
+    """The generator-syndrome check reads the commutation audit's verdict."""
     import stabscape.codes as codes
 
     calls = []
@@ -335,6 +348,21 @@ def test_wrong_code_family_is_usage_error(tmp_path):
     assert run(tmp_path, "pyramid", "--code", "toric2d", "--L", "4", "--p", "1") == 2
 
 
+def test_rg_tracking_error_is_not_a_dense_segment(tmp_path, monkeypatch):
+    """Only a dense segment is skipped; any other error from tracking ends
+    the run rather than passing with fewer segments tracked."""
+    import stabscape.rg as rg
+
+    def failing(*args, **kwargs):
+        raise ValueError("neutrality solve failed")
+
+    monkeypatch.setattr(rg, "is_neutral", failing)
+    code = run(tmp_path, "rg", "--code", "cubic1", "--L", "8", "--p", "2",
+               "--track-level", "1", "--alpha", "1", "--ltqo", "4")
+    assert code not in (0, 1)
+    assert not list(tmp_path.glob("rg-*/report.json"))
+
+
 def test_rg_world_lines(tmp_path):
     code = run(tmp_path, "rg", "--code", "cubic1", "--L", "8", "--p", "2",
                "--track-level", "1", "--alpha", "1", "--ltqo", "4")
@@ -348,8 +376,8 @@ def test_failed_check_gives_exit_one(tmp_path, monkeypatch):
     import stabscape.cli as cli
     from stabscape.codes import FrustrationReport
 
-    def broken(code, exhaustive=None):
-        return FrustrationReport(False, (((0,) * 3, 0), ((0, 0, 1), 1)), 16, 16, None, None, "exhaustive")
+    def broken(code):
+        return FrustrationReport(False, (((0,) * 3, 0), ((0, 0, 1), 1)), 16, 16, None, None)
 
     monkeypatch.setattr(cli, "check_frustration_free", broken)
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "2") == 1

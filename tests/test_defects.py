@@ -9,13 +9,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import neighborhood, reference_achievable_subsets, reference_footprint_box, retired_dense_run
+from conftest import (
+    neighborhood,
+    reference_achievable_subsets,
+    reference_distance,
+    reference_footprint_box,
+    reference_set_distance,
+    retired_dense_run,
+)
 from stabscape import defects, get_code, gf2
 from stabscape.defects import (
     _BoxSolver,
     _box_solver,
     _footprint_box,
-    _lift,
     _single_qubit_witness,
     _support_placements,
     NONTRIVIAL,
@@ -38,6 +44,7 @@ from stabscape.defects import (
     min_dense_run,
     occupied_cubes,
     scan_for_strings,
+    set_distance,
 )
 from stabscape.lattice import LatticeGeometry, QubitIndex
 from stabscape.pauli import PauliOperator
@@ -57,6 +64,24 @@ def zdefects(code, *cubes):
 
 def test_single_cube_diameter_is_one():
     assert cluster_diameter(GEO8, [(3, 3, 3)]) == 1
+
+
+@st.composite
+def two_site_sets(draw):
+    D, L = draw(st.integers(1, 3)), draw(st.integers(2, 16))
+    site = st.tuples(*[st.integers(0, L - 1)] * D)
+    sets = st.lists(site, min_size=1, max_size=6)
+    return LatticeGeometry(D, L, 1), draw(sets), draw(sets)
+
+
+@settings(max_examples=300)
+@given(case=two_site_sets())
+# the short way round crosses the seam on every axis
+@example(case=(LatticeGeometry(3, 16, 1), [(0, 15, 1)], [(15, 1, 14), (8, 8, 8)]))
+@example(case=(LatticeGeometry(1, 2, 1), [(0,)], [(1,), (0,)]))
+def test_set_distance_matches_pairwise_reference(case):
+    geo, A, B = case
+    assert set_distance(geo, A, B) == set_distance(geo, B, A) == reference_set_distance(geo, A, B)
 
 
 def test_single_cube_sparse_at_every_level():
@@ -206,7 +231,7 @@ def pairwise_reference_partition(geometry, cubes, p, params):
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                cross = max(geometry.dist(a, b) for a in clusters[i] for b in clusters[j])
+                cross = max(reference_distance(geometry, a, b) for a in clusters[i] for b in clusters[j])
                 s = max(spreads[i], spreads[j], cross)
                 if 1 + s <= xi_p1:
                     key = (1 + s, clusters[i][0], clusters[j][0])
@@ -229,9 +254,6 @@ def pairwise_reference_partition(geometry, cubes, p, params):
         tuple(frozenset(c) for c in clusters),
         diameters,
         all(d <= xi_p for d in diameters),
-        xi_p,
-        xi_p1,
-        xi_p1 >= geometry.L / 2,
     )
 
 
@@ -279,7 +301,7 @@ def test_cluster_partition_matches_pairwise_reference(case, alpha, p):
     geo, cubes = case
     params = ScaleParams(alpha=alpha)
     v = cluster_partition(geo, cubes, p, params)
-    got = (v.clusters, v.diameters, v.sparse, v.xi_p, v.xi_p1, v.scale_capped)
+    got = (v.clusters, v.diameters, v.sparse)
     assert got == pairwise_reference_partition(geo, cubes, p, params)
 
 
@@ -543,11 +565,11 @@ def test_box_achievability_matches_solve(name, L, size):
         for pattern in itertools.combinations(range(nrows), k):
             rhs = np.zeros(nrows, dtype=np.uint8)
             rhs[list(pattern)] = 1
-            witness = solver.achievable_witness(pattern)
+            witness = solver.achievable_witness(pattern, (0,) * code.geometry.D)
             x = gf2.gf2_solve(matrix, gf2.from_bool(rhs))
             assert (witness is None) == (x is None)
             if witness is not None:
-                assert witness == _lift(code.geometry, qubits, x)
+                assert witness == reference_lift(code.geometry, qubits, x)
                 assert code.syndrome_of(witness) == frozenset(code.generator_at(gen_rows[r]) for r in pattern)
 
 
@@ -568,11 +590,42 @@ def reference_lift(geometry, qubits, x):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lift_matches_bitwise_reference(corner, size, seed):
+    """The witness placed at a corner is the bit-by-bit lift of the origin
+    box's ``gf2_solve`` solution, moved to that corner."""
     code = get_code("cubic1", 4)
     g = code.geometry
-    _, qubits, _ = code.restricted_syndrome_matrix(g.box_sites(corner, size))
-    x = gf2.from_bool(np.random.default_rng(seed).random(2 * len(qubits)) < 0.3)
-    assert _lift(g, qubits, x) == reference_lift(g, qubits, x)
+    matrix, qubits, _ = code.restricted_syndrome_matrix(g.box_sites((0,) * g.D, size))
+    pattern = np.flatnonzero(np.random.default_rng(seed).random(matrix.nrows) < 0.3)
+    rhs = np.zeros(matrix.nrows, dtype=np.uint8)
+    rhs[pattern] = 1
+    x = gf2.gf2_solve(matrix, gf2.from_bool(rhs))
+    witness = _BoxSolver(code, size).achievable_witness(pattern, corner)
+    assert (witness is None) == (x is None)
+    if x is not None:
+        assert witness == reference_lift(g, qubits, x).translate(corner)
+
+
+@settings(max_examples=60)
+@given(
+    case=st.sampled_from([("rep1d", 5, 2), ("toric2d", 4, 2), ("toric3d", 3, 2), ("cubic1", 4, 2), ("cubic1", 3, 3)]),
+    corner=st.tuples(*[st.integers(-5, 5)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_achievable_witness_at_corner_is_translated_origin_witness(case, corner, seed):
+    """A box witness built at a corner equals the origin witness translated
+    there, for achievable and unachievable row sets alike."""
+    name, L, size = case
+    code = get_code(name, L)
+    g = code.geometry
+    solver = _box_solver(code, size)
+    nrows = len(solver._combos)
+    rows = np.flatnonzero(np.random.default_rng(seed).random(nrows) < 0.4)
+    corner = corner[: g.D]
+    origin = solver.achievable_witness(rows, (0,) * g.D)
+    placed = solver.achievable_witness(rows, corner)
+    assert (placed is None) == (origin is None) == (not solver.achievable(rows))
+    if origin is not None:
+        assert placed == origin.translate(corner)
 
 
 # -- the box engine against the per-placement solve it replaced -------------------
@@ -778,7 +831,7 @@ def reference_scan(code, rho, alpha, budget, params):
                 pattern_bits = sum(1 << i for i in chosen)
                 if pattern_bits in seen_patterns:
                     continue
-                witness0 = solver.achievable_witness(local_rows[chosen])
+                witness0 = solver.achievable_witness(local_rows[chosen], (0,) * g.D)
                 if witness0 is None:
                     continue
                 seen_patterns.add(pattern_bits)

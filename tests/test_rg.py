@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import retired_dense_run
+from conftest import reference_set_distance, retired_dense_run
 from stabscape import get_code
 from stabscape.defects import ScaleParams
 from stabscape.lattice import LatticeGeometry, QubitIndex
@@ -173,7 +173,7 @@ def test_track_static_syndrome(cubic8):
     assert not report.continuity_violations
     assert not report.locking_violations
     for wl in worldlines:
-        assert max(cubic8.geometry.set_dist(c, wl.clusters[0]) for c in wl.clusters) == 0
+        assert max(reference_set_distance(cubic8.geometry, c, wl.clusters[0]) for c in wl.clusters) == 0
 
 
 def test_track_toric_transport_violates_locking():
@@ -188,7 +188,7 @@ def test_track_toric_transport_violates_locking():
     assert report.g_constant and report.charged_counts[0] == 2
     assert not report.continuity_violations  # one step moves one unit
     assert report.locking_violations  # transport beyond alpha * xi(0)
-    assert max(g.set_dist(c, wl.clusters[0]) for wl in worldlines for c in wl.clusters) == 3
+    assert max(reference_set_distance(g, c, wl.clusters[0]) for wl in worldlines for c in wl.clusters) == 3
 
 
 def test_track_cubic_low_weight_paths_show_no_locking_violations(cubic8, rng):
