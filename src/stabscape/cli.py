@@ -69,7 +69,7 @@ SHARED_OPTIONS = [
     ("--L", int, 4, None, "linear lattice size"),
     ("--alpha", float, 15.0, 1, "no-strings aspect constant (default 15)"),
     ("--ltqo", int, None, 1, "TQO length scale (default L // 2)"),
-    ("--seed", int, 0, None, "seed for randomized suites (default 0)"),
+    ("--seed", int, 0, 0, "seed for randomized suites (default 0)"),
     ("--out", str, "runs", None, "output directory (default ./runs)"),
     ("--format", ("json", "csv", "both"), "both", None, "report formats (default both)"),
 ]
@@ -338,7 +338,7 @@ def run_barrier(config: dict) -> Report:
 
 
 def run_distance(config: dict) -> Report:
-    budget = SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
+    budget = SearchBudget(state_cap=config["state_cap"])
     code = get_code(config["code"], config["L"])
     report = Report("distance", config)
     result = code_distance(code, budget)

@@ -10,7 +10,6 @@ cheap, while desk-scale instances expose dense GF(2) views for solving.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -27,6 +26,10 @@ from .pauli import CODE_CHARS, PAULI_CODE, PauliOperator, single_paulis_anticomm
 # Dense matrices are only built for instances up to this many qubits; larger
 # lattices must go through the template-local paths.
 MAX_DENSE_QUBITS = 4096
+# Owner cubes per block of the commutation audit: its arrays hold one flip
+# event per (template term, flipped generator) of the block, so its memory
+# does not grow with L.
+AUDIT_BLOCK = 1 << 12
 
 Defect = tuple[Site, int]  # (cube coordinate, species index)
 Syndrome = frozenset[Defect]
@@ -344,38 +347,6 @@ class FrustrationReport:
         return self.commuting
 
 
-def _term_flips(code: CodeInstance, cubes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(owner, generator)`` per flip event of the template terms of every
-    generator on the given cube ids: generator ``owner`` anticommutes with
-    ``generator`` iff the pair occurs an odd number of times."""
-    owners, qubits, paulis = code.generator_terms(cubes)
-    step, gens = code.qubit_flip_events(qubits, paulis)
-    return owners[step], gens
-
-
-def _template_commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
-    """Check all overlapping generator pairs via template translates.
-
-    For translation-invariant templates every generator pair is a translate of
-    (species s at the origin cube, species t at a cube within the +-1 box), and
-    pairs further apart have disjoint supports, so this check is exact.  Only
-    the origin generators' terms are walked, so the cost does not grow with
-    L; the first witness is the least odd (s, t, cube) key, cubes in sorted
-    coordinate order.  The few keys are counted in Python: an array sort
-    here would page NumPy's sort code into every job that builds a code.
-    """
-    g = code.geometry
-    owners, gens = _term_flips(code, np.zeros(1, dtype=np.int64))
-    cubes, t = np.divmod(gens, code.n_species)
-    counts = Counter(((owners * code.n_species + t) * g.n_sites + cubes).tolist())
-    odd = [key for key, count in counts.items() if count % 2]
-    if not odd:
-        return None
-    st, cube = divmod(min(odd), g.n_sites)
-    s, t = divmod(st, code.n_species)
-    return ((0,) * g.D, s), (g.site_at(cube), t)
-
-
 def build_code(spec: CodeSpec, L: int) -> CodeInstance:
     """Instantiate all translated generators on ``Z_L^D`` and validate them.
 
@@ -385,7 +356,8 @@ def build_code(spec: CodeSpec, L: int) -> CodeInstance:
     if L < 2:
         raise CodeConstructionError("L must be at least 2")
     code = CodeInstance(spec, L)
-    witness = _template_commutation_witness(code)
+    # every pair is a translate of one owned by the origin cube
+    witness = commutation_witness(code, [0])
     if witness is not None:
         (c1, s1), (c2, s2) = witness
         raise CodeConstructionError(
@@ -399,23 +371,29 @@ def get_code(name: str, L: int) -> CodeInstance:
     return build_code(registered_spec(name), L)
 
 
-def commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
-    """The first anticommuting generator pair in row-major order, or None,
-    from one flip-event pass over every generator's template terms.
+def commutation_witness(code: CodeInstance, cubes=None) -> tuple[Defect, Defect] | None:
+    """The first anticommuting generator pair in row-major order whose first
+    generator lies on one of the given ascending cube ids (default every
+    cube), or None.
 
     Generator ``i`` anticommutes with ``j`` iff its terms flip ``j`` an odd
-    number of times.  The count is symmetric, so the first pair is the
-    smallest odd-count key ``i * n_generators + j``.
+    number of times.  A key ``i * n_generators + j`` comes only from the
+    terms of ``i``, so each block of ``AUDIT_BLOCK`` owner cubes settles its
+    own keys, and the smallest odd key of the first block that has one is
+    the first pair.
     """
-    owners, gens = _term_flips(code, np.arange(code.geometry.n_sites))
-    keys = np.sort(owners * code.n_generators + gens)
-    # runs of equal keys by sort and diff (np.unique would import numpy.ma)
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    odd = starts[np.diff(starts, append=len(keys)) % 2 == 1]
-    if not odd.size:
-        return None
-    i, j = divmod(int(keys[odd[0]]), code.n_generators)
-    return code.generator_at(i), code.generator_at(j)
+    cubes = np.arange(code.geometry.n_sites) if cubes is None else cubes
+    for start in range(0, len(cubes), AUDIT_BLOCK):
+        owners, qubits, paulis = code.generator_terms(cubes[start:start + AUDIT_BLOCK])
+        step, gens = code.qubit_flip_events(qubits, paulis)
+        keys = np.sort(owners[step] * code.n_generators + gens)
+        # runs of equal keys by sort and diff (np.unique would import numpy.ma)
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        odd = starts[np.diff(starts, append=len(keys)) % 2 == 1]
+        if odd.size:
+            i, j = divmod(int(keys[odd[0]]), code.n_generators)
+            return code.generator_at(i), code.generator_at(j)
+    return None
 
 
 def check_frustration_free(code: CodeInstance) -> FrustrationReport:

@@ -122,22 +122,17 @@ def reference_stabilizer_words(code):
     return words
 
 
-def reference_template_witness(code):
-    """The retired template audit: origin generators against every generator
-    in the +-1 box, built by ``reference_generator``; the least (s, t, cube)
-    anticommuting pair, or None."""
-    from itertools import product
-
-    g = code.geometry
-    origin = (0,) * g.D
-    near_cubes = {g.wrap(v) for v in product((-1, 0, 1), repeat=g.D)}
-    for s in range(code.n_species):
-        gen_s = reference_generator(code, origin, s)
-        for t in range(code.n_species):
-            for cube in sorted(near_cubes):
-                if not gen_s.commutes_with(reference_generator(code, cube, t)):
-                    return (origin, s), (cube, t)
-    return None
+def reference_gram_witness(code):
+    """Retired dense audit: the symplectic Gram matrix of the stabilizer
+    matrix as a float32 product; its first nonzero entry in row-major order,
+    as a generator pair, or None."""
+    n = code.n_qubits
+    bits = code.stabilizer_matrix().to_bool_array()
+    gx, gz = bits[:, :n].astype(np.float32), bits[:, n:].astype(np.float32)
+    bad = np.argwhere((gx @ gz.T + gz @ gx.T) % 2 != 0)
+    if not bad.size:
+        return None
+    return code.generator_at(int(bad[0][0])), code.generator_at(int(bad[0][1]))
 
 
 def neighborhood(geometry, sites, r):

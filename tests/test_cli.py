@@ -156,7 +156,13 @@ def test_check_runs_the_commutation_audit_once(tmp_path, monkeypatch):
 
     calls = []
     audit = codes.commutation_witness
-    monkeypatch.setattr(codes, "commutation_witness", lambda code: calls.append(code) or audit(code))
+
+    def counted(code, cubes=None):
+        if cubes is None:  # build_code's origin pass is not counted
+            calls.append(code)
+        return audit(code, cubes)
+
+    monkeypatch.setattr(codes, "commutation_witness", counted)
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "8") == 0
     assert len(calls) == 1
     names = {c["name"]: c["status"] for c in json.loads(report_bytes(tmp_path, "check"))["checks"]}
@@ -238,12 +244,16 @@ def test_check_draws_cover_every_factor_kind(tmp_path, monkeypatch, seed):
         assert kind.sum() >= terms / 5
 
 
+def child_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(stabscape.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_process(argv, out):
     """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
-    src = str(Path(stabscape.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "stabscape.cli", *argv, "--out", str(out)],
-                          env=env, capture_output=True, text=True, check=False)
+                          env=child_env(), capture_output=True, text=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -281,10 +291,25 @@ def test_fractal_does_not_import_numpy_ma(tmp_path):
         f"assert main(['fractal', '--code', 'cubic1', '--L', '16', '--p', '3', '--out', {str(tmp_path)!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(stabscape.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_check_memory_does_not_grow_with_the_lattice(tmp_path):
+    """The commutation audit runs in fixed-size blocks of owner cubes: the
+    whole ``check --code cubic1 --L 32`` process (98,304 generators) peaks
+    well under the 238 MiB that one unblocked pass over every cube took.
+    ``RUSAGE_SELF`` in the child, since ``RUSAGE_CHILDREN`` keeps the peak of
+    any earlier child of this process."""
+    script = (
+        "import resource, sys\n"
+        "from stabscape.cli import main\n"
+        f"assert main(['check', '--code', 'cubic1', '--L', '32', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
+    peak_kib = int(out.stdout.splitlines()[-1])  # Linux reports KiB
+    assert peak_kib < 150 * 1024
 
 
 def test_reports_byte_identical(tmp_path):
@@ -469,6 +494,7 @@ BOUNDED_FLAGS = {
     "--max-pairs": ("strings", 1),
     "--max-patterns": ("strings", 1),
     "--state-cap": ("distance", 1),
+    "--seed": ("check", 0),
     "--omega-max": ("barrier", 0),
     "--track-level": ("rg", 0),
 }

@@ -1,11 +1,14 @@
 """Code construction, the syndrome map, and its audited invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import build_code, check_frustration_free, get_code, registered_spec, registry_names
+from stabscape import codes
 from stabscape.codes import (
     CodeConstructionError,
     CodeInstance,
@@ -20,8 +23,8 @@ from stabscape.paths import apex_cube
 from conftest import (
     random_operator,
     reference_generator,
+    reference_gram_witness,
     reference_stabilizer_words,
-    reference_template_witness,
     spec_dict,
 )
 
@@ -206,7 +209,6 @@ def test_dense_matrices_match_per_generator_loop(name, L):
     generator build and a term-by-term pairing of generator supports.  The
     instance is unvalidated, so the anticommuting spec builds too."""
     from stabscape import gf2
-    from stabscape.codes import _template_commutation_witness, _term_flips
 
     spec = CodeSpec.from_dict(ANTICOMMUTING_SPEC) if name == "anticommuting" else registered_spec(name)
     code = CodeInstance(spec, L)
@@ -231,14 +233,25 @@ def test_dense_matrices_match_per_generator_loop(name, L):
             on_qubit.setdefault(q, []).append((j, p))
     pairs = sorted((i, j) for i, gen in enumerate(gens) for q, p in gen.terms()
                    for j, p2 in on_qubit[q] if single_paulis_anticommute(p, p2))
-    owners, flipped = _term_flips(code, np.arange(code.geometry.n_sites))
-    assert sorted(zip(owners.tolist(), flipped.tolist())) == pairs
+    owners, qubits, paulis = code.generator_terms(np.arange(code.geometry.n_sites))
+    step, flipped = code.qubit_flip_events(qubits, paulis)
+    assert sorted(zip(owners[step].tolist(), flipped.tolist())) == pairs
 
+    expected = reference_gram_witness(code)
+    assert (expected is None) == (name != "anticommuting")
     if name == "anticommuting":
-        first = next((code.generator_at(i), code.generator_at(j)) for i, a in enumerate(gens)
-                     for j, b in enumerate(gens) if not a.commutes_with(b))
-        assert commutation_witness(code) == first
-        assert _template_commutation_witness(code) == reference_template_witness(code) is not None
+        assert expected == next((code.generator_at(i), code.generator_at(j)) for i, a in enumerate(gens)
+                                for j, b in enumerate(gens) if not a.commutes_with(b))
+    assert_audits_agree(code, expected)
+
+
+def assert_audits_agree(code, expected):
+    """The origin pass, the whole-lattice pass and the whole-lattice pass in
+    blocks of 1, 2 and 3 owner cubes all name ``expected``."""
+    assert commutation_witness(code, [0]) == commutation_witness(code) == expected
+    for block in (1, 2, 3):
+        with mock.patch.object(codes, "AUDIT_BLOCK", block):
+            assert commutation_witness(code) == expected
 
 
 @pytest.mark.parametrize("spec", [*registry_names(), "anticommuting"])
@@ -249,19 +262,6 @@ def test_generator_audit_matches_per_generator_syndromes(spec, L):
     expected = all(not code.syndrome_of(code.generator(*code.generator_at(i))) for i in range(code.n_generators))
     assert (commutation_witness(code) is None) == expected
     assert expected == (spec.name != "xx_z_chain")
-
-
-def reference_gram_witness(code):
-    """Retired dense audit: the symplectic Gram matrix of the stabilizer
-    matrix as a float32 product; its first nonzero entry in row-major order,
-    as a generator pair, or None."""
-    n = code.n_qubits
-    bits = code.stabilizer_matrix().to_bool_array()
-    gx, gz = bits[:, :n].astype(np.float32), bits[:, n:].astype(np.float32)
-    bad = np.argwhere((gx @ gz.T + gz @ gx.T) % 2 != 0)
-    if not bad.size:
-        return None
-    return code.generator_at(int(bad[0][0])), code.generator_at(int(bad[0][1]))
 
 
 def corrupted(spec, edits):
@@ -292,4 +292,5 @@ def test_commutation_audit_matches_dense_gram(name, L, edits):
     expected = reference_gram_witness(code)
     report = check_frustration_free(code)
     assert report.commuting == (expected is None)
-    assert report.witness == commutation_witness(code) == expected
+    assert report.witness == expected
+    assert_audits_agree(code, expected)

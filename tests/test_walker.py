@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import get_code, gf2
-from stabscape.codes import CodeInstance, CodeSpec, _template_commutation_witness, registry_names
+from stabscape.codes import CodeInstance, CodeSpec, commutation_witness, registry_names
 from stabscape.defects import _BoxSolver, _single_qubit_witness
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator, single_paulis_anticommute
@@ -26,7 +26,7 @@ from stabscape.oracle import MOVE_PAULIS, CosetSpace
 from stabscape.paths import ErrorPath, defect_after_each_step, energy_profile, pyramid_path
 from stabscape.rg import box_counting_dimension, syndrome_history
 
-from conftest import reference_template_witness, spec_dict
+from conftest import reference_gram_witness, spec_dict
 
 CODES = [("cubic1", 2), ("cubic1", 4), ("toric2d", 3), ("toric3d", 3), ("rep1d", 5)]
 
@@ -299,7 +299,7 @@ def test_sparse_commutation_audit_matches_dense(name, L, corrupt):
         label = species["labels"][e]
         species["labels"][e] = label[: sub % len(label)] + c + label[sub % len(label) + 1 :]
     code = CodeInstance(CodeSpec.from_dict(spec), L)
-    assert _template_commutation_witness(code) == reference_template_witness(code)
+    assert commutation_witness(code, [0]) == commutation_witness(code) == reference_gram_witness(code)
 
 
 @settings(max_examples=100)
