@@ -1,9 +1,10 @@
 """Batch experiment runner: every analysis as a subcommand with reproducible
 configs and machine-readable reports.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 a search
-was cut off by its budget (indeterminate, distinct from failure), 4 internal
-error (an uncaught exception, such as a failed self-audit; never a verdict).
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad input (a flag, config
+or input file the analyses do not accept), 3 a search was cut off by its budget
+(indeterminate, distinct from failure), 4 internal error (any other exception,
+such as a failed self-audit; never a verdict).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import gf2
 from .codes import (
     CodeConstructionError,
     CodeInstance,
+    InputError,
     check_frustration_free,
     get_code,
     registry_names,
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (summary, rows) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON config file; explicit flags override its entries")
+        p.add_argument("--config", help="JSON config file; explicit flags override its keys")
         for flag, typ, _, _, text in SHARED_OPTIONS + rows:
             choices = typ if isinstance(typ, tuple) else None
             p.add_argument(flag, type=str if choices else typ, choices=choices, help=text)
@@ -166,8 +168,16 @@ def _scale_params(config: dict) -> ScaleParams:
     return ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
 
 
+def _ints(text, flag: str) -> list[int]:
+    """A flag's comma-separated integers; anything else is a usage error."""
+    try:
+        return [int(c) for c in str(text).split(",")]
+    except ValueError:
+        raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _parse_site(text: str, D: int) -> tuple[int, ...]:
-    parts = [int(c) for c in text.split(",")]
+    parts = _ints(text, "a site")
     if len(parts) != D:
         raise SystemExit(f"expected {D} coordinates, got {text!r}")
     return tuple(parts)
@@ -184,10 +194,17 @@ def parse_operator(code: CodeInstance, text: str) -> PauliOperator:
             raise SystemExit(f"label {label!r} must be {g.q} Pauli characters")
         terms = [(QubitIndex(site, sub), p) for sub, p in enumerate(label) if p != "I"]
         return PauliOperator.from_terms(g, terms)
-    path = Path(text)
-    if not path.exists():
-        raise SystemExit(f"operator file {text!r} not found")
-    return ErrorPath.from_lines(path.read_text().splitlines(), g.D, g.q).product(code)
+    return ErrorPath.from_lines(_read_lines(text, "operator file"), g.D, g.q).product(code)
+
+
+def _read_lines(text: str, what: str) -> list[str]:
+    """Lines of an input file; a missing or unreadable one is a usage error."""
+    try:
+        return Path(text).read_text().splitlines()
+    except FileNotFoundError:
+        raise SystemExit(f"{what} {text!r} not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"{what} {text!r} is unreadable: {exc}") from None
 
 
 def _default_u(config: dict, code: CodeInstance) -> tuple[int, ...]:
@@ -281,7 +298,7 @@ def _run_pyramid_sweep(config: dict) -> Report:
     report = Report("pyramid", config)
     rows = []
     ok = True
-    for L in [int(x) for x in str(config["sweep"]).split(",")]:
+    for L in _ints(config["sweep"], "--sweep"):
         n = L.bit_length() - 1
         if 2**n != L:
             raise SystemExit(f"sweep sizes must be powers of two, got {L}")
@@ -310,7 +327,10 @@ def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
         terms = [(g.qubit_at(j), "X") for j in range(g.n_qubits)]
         return PauliOperator.from_terms(g, terms)
     if text.startswith("pyramid:"):
-        return pyramid_operator(code, int(text.split(":", 1)[1]), _default_u(config, code))
+        level = text.split(":", 1)[1]
+        if not level.isdecimal():
+            raise SystemExit(f"--target pyramid:P takes a non-negative integer P, got {level!r}")
+        return pyramid_operator(code, int(level), _default_u(config, code))
     return parse_operator(code, text)
 
 
@@ -362,10 +382,7 @@ def run_rg(config: dict) -> Report:
     report = Report("rg", config)
     params = _scale_params(config)
     if config["path"]:
-        path = Path(config["path"])
-        if not path.exists():
-            raise SystemExit(f"path file {config['path']!r} not found")
-        steps = ErrorPath.from_lines(path.read_text().splitlines(), code.geometry.D, code.geometry.q)
+        steps = ErrorPath.from_lines(_read_lines(config["path"], "path file"), code.geometry.D, code.geometry.q)
     elif config["p"] is not None:
         steps = pyramid_path(code, config["p"], _default_u(config, code))
     else:
@@ -451,7 +468,7 @@ def run_fractal(config: dict) -> Report:
     else:
         raise SystemExit("fractal requires --p or --op")
     if config["scales"]:
-        scales = [int(s) for s in str(config["scales"]).split(",")]
+        scales = _ints(config["scales"], "--scales")
     else:
         scales = default_scales
     est = box_counting_dimension(sites, scales)
@@ -588,11 +605,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         print(exc.code, file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, CodeConstructionError) as exc:
+    except (InputError, CodeConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception:
-        # A crash must not read as "a check failed" (1).
+        # A crash must read neither as "a check failed" (1) nor as bad input (2).
         traceback.print_exc()
         return INTERNAL_ERROR
     for check in report.checks:

@@ -13,15 +13,14 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import product
 from typing import Iterable
 
 import numpy as np
 
 from . import gf2
 from .gf2 import BitMatrix
-from .lattice import LatticeGeometry, QubitIndex, Site
-from .pauli import CODE_CHARS, PAULI_CODE, PauliOperator, single_paulis_anticommute
+from .lattice import LatticeGeometry, Site
+from .pauli import PAULI_CODE, PauliOperator
 
 # Dense matrices are only built for instances up to this many qubits; larger
 # lattices must go through the template-local paths.
@@ -37,6 +36,10 @@ Syndrome = frozenset[Defect]
 
 class CodeConstructionError(Exception):
     """Raised when a code spec fails validation at build time."""
+
+
+class InputError(ValueError):
+    """Raised when a caller's input is outside what an analysis accepts."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,15 @@ class CodeInstance:
         self._terms = np.array([(s, sub, PAULI_CODE[p], *o) for s, sp in enumerate(spec.species)
                                 for o, label in sp.entries for sub, p in enumerate(label) if p != "I"],
                                dtype=np.int64).reshape(-1, 3 + spec.D)
-        self._flip_table = self._build_flip_table()
+        # Dense flip table, one row per ``4 * sub + pauli``: the template offsets
+        # ``(4q, F, D)`` and species ``(4q, F)`` of the generators that single-qubit
+        # Pauli flips, in term order, and a validity mask ``(4q, F)``.  Offsets are
+        # distinct within a species, so one step never flips a generator twice.
+        species, subs, paulis = self._terms[:, :3].T
+        key = np.arange(4 * spec.q)[:, None]
+        flips = (subs == key // 4) & (key % 4 != 0) & (paulis != key % 4)
+        order = np.argsort(~flips, axis=1, kind="stable")[:, : flips.sum(axis=1).max(initial=0)]
+        self._flip_table = self._terms[order, 3:], species[order], np.take_along_axis(flips, order, axis=1)
         self._stabilizer_matrix: BitMatrix | None = None
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
@@ -172,23 +183,6 @@ class CodeInstance:
 
     # -- syndromes ------------------------------------------------------------
 
-    def _build_flip_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense flip table, one row per ``4 * sub + pauli``: the template
-        offsets ``(4q, F, D)`` and species ``(4q, F)`` of the generators that
-        single-qubit Pauli flips, and a validity mask ``(4q, F)``.  Offsets
-        are distinct within a species, so one step never flips a generator
-        twice."""
-        rows = [
-            [(s, o) for s, sp in enumerate(self.spec.species) for o, label in sp.entries
-             if single_paulis_anticommute(p, label[sub])]
-            for sub in range(self.spec.q) for p in CODE_CHARS
-        ]
-        width = max(len(r) for r in rows)
-        padded = [r + [(0, (0,) * self.spec.D)] * (width - len(r)) for r in rows]
-        offsets = np.array([[o for _, o in r] for r in padded], dtype=np.int64).reshape(len(rows), width, self.spec.D)
-        species = np.array([[s for s, _ in r] for r in padded], dtype=np.int64).reshape(len(rows), width)
-        return offsets, species, np.arange(width) < np.array([len(r) for r in rows])[:, None]
-
     def flip_events(self, sites, subs, paulis) -> tuple[np.ndarray, np.ndarray]:
         """Generator flips of a run of single-qubit Paulis at ``sites (T, D)``,
         ``subs (T,)`` with ``paulis (T,)`` coded x bit | z bit << 1.
@@ -211,13 +205,6 @@ class CodeInstance:
         g = self.geometry
         sites, subs = np.divmod(np.asarray(qubits, dtype=np.int64), g.q)
         return self.flip_events(np.array(np.unravel_index(sites, (g.L,) * g.D)).T, subs, paulis)
-
-    def flips(self, qubit: QubitIndex, p: str) -> list[Defect]:
-        """Generators anticommuting with the single-qubit Pauli ``p`` at ``qubit``."""
-        if not 0 <= qubit.sub < self.geometry.q:
-            raise ValueError(f"sub-qubit slot {qubit.sub} outside 0..{self.geometry.q - 1}")
-        _, gens = self.flip_events([qubit.site], [qubit.sub], [PAULI_CODE[p]])
-        return self.generators_at(gens)
 
     def syndrome_words(self, xwords: np.ndarray, zwords: np.ndarray) -> np.ndarray:
         """Syndromes of a batch of operators, given as ``(B, Wq)`` X and Z word
@@ -246,39 +233,11 @@ class CodeInstance:
     def words_to_syndrome(self, words: np.ndarray) -> Syndrome:
         return frozenset(self.generators_at(gf2.nonzero_indices(words, self.n_generators)))
 
-    def touching_generators(self, sites: Iterable[Site]) -> list[int]:
-        """Generators whose support meets the given sites (the only ones an
-        operator on those sites can flip)."""
-        g = self.geometry
-        cubes = {g.shift(site, delta) for site in sites for delta in product((0, -1), repeat=g.D)}
-        return sorted(self.generator_index(c, s) for c in cubes for s in range(self.n_species))
-
-    def restricted_syndrome_matrix(
-        self, sites: Iterable[Site]
-    ) -> tuple[BitMatrix, list[int], list[int]]:
-        """Syndrome map restricted to a support region, built template-locally.
-
-        Returns (matrix, qubit columns, generator rows).  Column layout is all
-        X-parts of the region's qubits followed by all Z-parts; rows cover
-        exactly the generators touching the region, so the construction never
-        materializes the dense map and works at any lattice size.
-        """
-        g = self.geometry
-        site_list = sorted(set(sites))
-        qubits = sorted(g.site_index(s) * g.q + sub for s in site_list for sub in range(g.q))
-        nq = len(qubits)
-        gen_rows = self.touching_generators(site_list)
-        # column j is an X error on qubit j, column j + nq a Z error
-        cols, gens = self.qubit_flip_events(np.tile(qubits, 2), np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], nq))
-        dense = np.zeros((len(gen_rows), 2 * nq), dtype=np.uint8)
-        dense[np.searchsorted(gen_rows, gens), cols] = 1
-        return BitMatrix.from_bool_array(dense), qubits, gen_rows
-
     # -- dense views ---------------------------------------------------------
 
     def _require_dense(self) -> None:
         if self.n_qubits > MAX_DENSE_QUBITS:
-            raise ValueError(
+            raise InputError(
                 f"{self.spec.name} L={self.geometry.L} has {self.n_qubits} qubits; "
                 f"dense GF(2) views are limited to {MAX_DENSE_QUBITS}"
             )
@@ -326,10 +285,10 @@ class CodeInstance:
 
     def is_classical_z(self) -> bool:
         """True when every generator is diagonal (pure Z labels)."""
-        return all(set(lab) <= {"I", "Z"} for sp in self.spec.species for _, lab in sp.entries)
+        return bool((self._terms[:, 2] == PAULI_CODE["Z"]).all())
 
     def is_classical_x(self) -> bool:
-        return all(set(lab) <= {"I", "X"} for sp in self.spec.species for _, lab in sp.entries)
+        return bool((self._terms[:, 2] == PAULI_CODE["X"]).all())
 
 
 @dataclass

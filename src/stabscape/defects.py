@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, Defect, Syndrome
+from .codes import CodeInstance, Defect, InputError, Syndrome
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PAULI_CODE, PauliOperator
 
@@ -42,7 +42,7 @@ class ScaleParams:
 
     def __post_init__(self):
         if not 1 <= self.alpha < math.inf:  # NaN and infinity fail too
-            raise ValueError("alpha must be at least 1 and finite")
+            raise InputError("alpha must be at least 1 and finite")
 
     def xi(self, p: int) -> float:
         return float(10 * self.alpha) ** p
@@ -273,16 +273,27 @@ class _BoxSolver:
     def __init__(self, code: CodeInstance, size: int):
         g = self.geometry = code.geometry  # not the code: the code keeps this solver
         self.size = min(size, g.L)
-        matrix, qubits, gen_rows0 = code.restricted_syndrome_matrix(g.box_sites((0,) * g.D, self.size))
-        nrows, ncols = matrix.nrows, matrix.ncols
+        # Cube offsets -1..size-1 from the corner, row-major: the box's sites
+        # are the offsets with no -1, and the box touches no other cube.
+        grid = np.indices((self.size + 1,) * g.D).reshape(g.D, -1).T - 1
+        self._box = grid[(grid >= 0).all(axis=1)]
         # site coordinates and slot of each qubit of the origin box, in column order
-        self._sites = np.array(np.unravel_index(np.asarray(qubits) // g.q, (g.L,) * g.D)).T
-        self._subs = np.asarray(qubits) % g.q
+        self._sites, self._subs = np.repeat(self._box, g.q, axis=0), np.tile(np.arange(g.q), len(self._box))
+        nq = len(self._subs)
+        # rows: every species on every grid cube, by generator index, each once
+        gens = (g.site_indices(grid)[:, None] * code.n_species + np.arange(code.n_species)).ravel()
+        rows = np.sort(gens)
+        rows = rows[np.diff(rows, prepend=-1) != 0]
+        nrows, ncols = len(rows), 2 * nq
+        # column j is an X error on qubit j, column j + nq a Z error
+        paulis = np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], nq)
+        cols, flipped = code.flip_events(np.tile(self._sites, (2, 1)), np.tile(self._subs, 2), paulis)
         # One elimination of [matrix | I]: the identity part of reduced row j
         # lists the matrix rows that sum to it.  Reduced rows past the rank
         # span the left nullspace; the rest give the pivot values of
         # gf2_solve's solution, which is unique because the RREF is.
-        aug = np.hstack([matrix.to_bool_array(), np.eye(nrows, dtype=bool)])
+        aug = np.hstack([np.zeros((nrows, ncols), dtype=bool), np.eye(nrows, dtype=bool)])
+        aug[np.searchsorted(rows, flipped), cols] = True
         reduced, pivots = gf2.BitMatrix.from_bool_array(aug).rref()
         self._pivots = np.array([c for c in pivots if c < ncols], dtype=np.int64)
         # row i's membership in every reduced row, packed, and as an int
@@ -290,11 +301,8 @@ class _BoxSolver:
         self._null_mask = gf2.from_indices(np.arange(len(self._pivots), nrows), nrows)
         self._memberships = [gf2.to_int(c) for c in self._combos]
         # local row of the generator of each species on the cube at offset o - 1
-        # from the corner, o in 0..size per axis; the box touches no other cube
-        cubes, species = np.divmod(np.asarray(gen_rows0, dtype=np.int64), code.n_species)
-        offsets = (np.array(np.unravel_index(cubes, (g.L,) * g.D)) + 1) % g.L
-        self._row_at = np.full((self.size + 1,) * g.D + (code.n_species,), -1, dtype=np.int64)
-        self._row_at[(*offsets, species)] = np.arange(nrows)
+        # from the corner, o in 0..size per axis
+        self._row_at = np.searchsorted(rows, gens).reshape((self.size + 1,) * g.D + (code.n_species,))
         self._solutions: dict[tuple[int, ...], np.ndarray | None] = {}
 
     def local_rows(self, defects: Sequence[Defect], corners: np.ndarray) -> np.ndarray:
@@ -382,10 +390,8 @@ def _local_witness(code: CodeInstance, syndrome: Syndrome, size: int, corners: n
         return len(corners), None, None
     k = int(ok.argmax())
     corner = tuple(corners[k].tolist())
-    # the box's sites in sorted coordinate order: sorted axes, row-major product
-    axes = [sorted((c + i) % code.geometry.L for i in range(solver.size)) for c in corner]
-    site_ids = code.geometry.site_indices(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
-    witness = _single_qubit_witness(code, site_ids, syndrome)
+    # the box's sites in sorted coordinate order
+    witness = _single_qubit_witness(code, np.sort(code.geometry.site_indices(solver._box + corners[k])), syndrome)
     if witness is None:
         witness = solver.achievable_witness(rows[k], corner)
     if code.syndrome_of(witness) != syndrome:

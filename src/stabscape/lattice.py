@@ -116,7 +116,3 @@ class LatticeGeometry:
             corner.append(start)
             extents.append(length)
         return tuple(corner), tuple(extents)
-
-    def cube_corner_sites(self, cube: Site) -> list[Site]:
-        """The 2^D corner sites of the elementary cube named by its min corner."""
-        return [self.shift(cube, delta) for delta in product((0, 1), repeat=self.D)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance
+from .codes import CodeInstance, InputError
 from .pauli import PAULI_CODE, PauliOperator
 from .paths import ErrorPath, energy_profile
 
@@ -176,9 +176,8 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
             new[fresh] = True
             idx = np.flatnonzero(new)
             si, j = si[idx], j[idx]
-            new = (ckeys[idx], synd[si] ^ dsynd[j], cfps[idx], si.astype(np.int32), j.astype(np.int32))
             # The per-insertion goal and cap tests, replayed at each insertion's index.
-            hits = np.flatnonzero(_rows_equal(new[0] if goal_key is not None else new[1], goal[None]))
+            hits = np.flatnonzero(_rows_equal(ckeys[idx] if goal_key is not None else synd[si] ^ dsynd[j], goal[None]))
             cap_at = max(budget.state_cap - visited - 1, 0)
             if len(hits) and hits[0] <= cap_at:
                 moves, parent = [int(j[hits[0]])], int(si[hits[0]])
@@ -191,11 +190,15 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
             visited += len(idx)
             if deadline is not None and len(idx) and time.monotonic() > deadline:
                 return None, visited, True, peak
-            level.append(new)
+            level.append((si.astype(np.int32), j.astype(np.int32)))
             while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
                 newer, older = runs.pop(), runs.pop()
                 runs.append(_index(np.concatenate([older[0], newer[0]]), np.concatenate([older[1], newer[1]])))
-        new_keys, synd, new_fps, parent, move = (np.concatenate(c) for c in zip(*level))
+        # Level k+1 was held only in ``runs``; its states follow from their
+        # parents, built once both old indexes are released.
+        parent, move = (np.concatenate(c) for c in zip(*level))
+        runs = seen = None
+        new_keys, new_fps, synd = keys[parent] ^ dkey[move], fps[parent] ^ dfp[move], synd[parent] ^ dsynd[move]
         seen = _index(np.concatenate([fps, new_fps]), np.concatenate([keys, new_keys]))
         keys, fps = new_keys, new_fps
         history.append((parent, move))
@@ -204,7 +207,7 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
 
 def _deepening_search(code: CodeInstance, goal_key, goal_synd, omega_floor: int, budget: SearchBudget) -> BarrierResult:
     space = coset_space(code)
-    deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
+    deadline = time.monotonic() + budget.time_cap if budget.time_cap is not None else None
     passes: list[tuple[int, int, int]] = []
     for omega in range(omega_floor, budget.omega_max + 1):
         moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, deadline)
@@ -239,7 +242,7 @@ def min_barrier_logical(code: CodeInstance, target: PauliOperator, budget: Searc
     """
     budget = budget or SearchBudget()
     if code.syndrome_of(target):
-        raise ValueError("target does not centralize the stabilizer group")
+        raise InputError("target does not centralize the stabilizer group")
     return _deepening_search(code, coset_space(code)._key(target.symplectic()), None, 0, budget)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, Defect, Syndrome
+from .codes import CodeInstance, Defect, InputError, Syndrome
 from .lattice import QubitIndex, Site
 from .pauli import CODE_CHARS, PAULI_CODE, PauliOperator
 
@@ -76,14 +76,16 @@ class ErrorPath:
                 continue
             parts = line.split()
             if len(parts) != D + 2:
-                raise ValueError(f"expected {D} coordinates, sub, and a Pauli: {line!r}")
-            site = tuple(int(c) for c in parts[:D])
-            sub = int(parts[D])
+                raise InputError(f"expected {D} coordinates, sub, and a Pauli: {line!r}")
+            try:
+                site, sub = tuple(int(c) for c in parts[:D]), int(parts[D])
+            except ValueError:
+                raise InputError(f"non-integer coordinate or sub-qubit slot in {line!r}") from None
             if not 0 <= sub < q:
-                raise ValueError(f"sub-qubit slot {sub} out of range in {line!r}")
+                raise InputError(f"sub-qubit slot {sub} out of range in {line!r}")
             p = parts[D + 1].upper()
             if p not in ("X", "Y", "Z"):
-                raise ValueError(f"bad Pauli {p!r} in {line!r}")
+                raise InputError(f"bad Pauli {p!r} in {line!r}")
             steps.append((QubitIndex(site, sub), p))
         return cls.from_steps(steps)
 
@@ -160,7 +162,7 @@ def defect_after_each_step(code: CodeInstance, path: ErrorPath, defect: Defect) 
 
 def _require_cubic(code: CodeInstance) -> None:
     if code.spec.name != "cubic1" or code.spec.D != 3 or code.spec.q != 2:
-        raise ValueError("pyramid constructions are specific to the cubic1 code family")
+        raise InputError("pyramid constructions are specific to the cubic1 code family")
 
 
 def apex_cube(code: CodeInstance, u: Site) -> Site:
@@ -201,9 +203,9 @@ def _pyramid_offsets(p: int) -> np.ndarray:
 def _require_pyramid_level(code: CodeInstance, p: int) -> None:
     _require_cubic(code)
     if p < 0:
-        raise ValueError(f"pyramid level must be non-negative, got {p}")
+        raise InputError(f"pyramid level must be non-negative, got {p}")
     if 2**p > code.geometry.L:
-        raise ValueError(f"level {p} pyramid does not fit on L={code.geometry.L}")
+        raise InputError(f"level {p} pyramid does not fit on L={code.geometry.L}")
 
 
 def pyramid_operator(code: CodeInstance, p: int, u: Site) -> PauliOperator:

@@ -24,11 +24,6 @@ def pauli_char(xbit: int, zbit: int) -> str:
     return CODE_CHARS[xbit + 2 * zbit]
 
 
-def single_paulis_anticommute(a: str, b: str) -> bool:
-    """Whether two single-qubit Paulis anticommute (I commutes with all)."""
-    return a != "I" and b != "I" and a != b
-
-
 def stacked_words(geometry: LatticeGeometry, qubits, paulis, rows, count: int) -> tuple[np.ndarray, np.ndarray]:
     """X and Z words, each ``(count, words)``, of ``count`` operators given as
     single-qubit Paulis: qubit ids, Pauli codes and the row of the operator
@@ -148,19 +143,6 @@ class PauliOperator:
         n = self.geometry.n_qubits
         bits = np.concatenate([gf2.to_bool(self.xwords, n), gf2.to_bool(self.zwords, n)])
         return gf2.from_bool(bits)
-
-    def translate(self, delta: Iterable[int]) -> "PauliOperator":
-        """Shift the support by ``delta`` (mod L on every axis)."""
-        g = self.geometry
-        delta = tuple(delta)
-        shape = (g.L,) * g.D + (g.q,)
-        xb = gf2.to_bool(self.xwords, g.n_qubits).reshape(shape)
-        zb = gf2.to_bool(self.zwords, g.n_qubits).reshape(shape)
-        for axis, d in enumerate(delta):
-            if d % g.L:
-                xb = np.roll(xb, d % g.L, axis=axis)
-                zb = np.roll(zb, d % g.L, axis=axis)
-        return PauliOperator(g, gf2.from_bool(xb.reshape(-1)), gf2.from_bool(zb.reshape(-1)))
 
     def __repr__(self) -> str:
         w = self.weight

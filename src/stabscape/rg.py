@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import CodeInstance, Defect, Syndrome
+from .codes import CodeInstance, Defect, InputError, Syndrome
 from .defects import ScaleParams, cluster_partition, dense_runs, is_neutral, set_distance
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PauliOperator
@@ -247,9 +247,9 @@ def box_counting_dimension(sites: Iterable[Site], scales: Sequence[int]) -> BoxC
     """
     coords = np.asarray(sorted(set(sites)), dtype=np.int64)
     if coords.size == 0:
-        raise ValueError("empty support")
+        raise InputError("empty support")
     if len(set(scales)) < 3 or min(scales) < 1:
-        raise ValueError(f"need at least 3 distinct box scales, each at least 1; got {list(scales)}")
+        raise InputError(f"need at least 3 distinct box scales, each at least 1; got {list(scales)}")
     counts = []
     for s in scales:
         boxes = coords // int(s)

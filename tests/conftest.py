@@ -86,7 +86,7 @@ def retired_dense_run(geometry, cubes, params):
 def reference_footprint_box(geometry, cubes):
     """The retired footprint box: the bounding box of all 2^D corner sites of
     every cube (test oracle for ``defects._footprint_box``)."""
-    return geometry.bounding_box({s for c in cubes for s in geometry.cube_corner_sites(c)})
+    return geometry.bounding_box({s for c in cubes for s in cube_corner_sites(geometry, c)})
 
 
 def reference_generator(code, cube, s):
@@ -157,3 +157,89 @@ def reference_achievable_subsets(solver, rows):
         subsets = np.flatnonzero(~((low ^ offset) & solver._null_mask).any(axis=1)) + h * len(low)
         for subset in subsets[subsets > 0].tolist():
             yield sum(1 << int(a) for i, a in enumerate(present) if subset >> i & 1)
+
+
+def single_paulis_anticommute(a, b):
+    """Whether two single-qubit Pauli labels anticommute (I commutes with all)."""
+    return a != "I" and b != "I" and a != b
+
+
+def cube_corner_sites(geometry, cube):
+    """The 2^D corner sites of the elementary cube named by its min corner."""
+    from itertools import product
+
+    return [geometry.shift(cube, delta) for delta in product((0, 1), repeat=geometry.D)]
+
+
+def translate(op, delta):
+    """The operator with its support shifted by ``delta`` (mod L on every
+    axis), one ``np.roll`` of its bit grids per axis."""
+    from stabscape import gf2
+    from stabscape.pauli import PauliOperator
+
+    g = op.geometry
+    shape = (g.L,) * g.D + (g.q,)
+    xb = gf2.to_bool(op.xwords, g.n_qubits).reshape(shape)
+    zb = gf2.to_bool(op.zwords, g.n_qubits).reshape(shape)
+    for axis, d in enumerate(delta):
+        xb = np.roll(xb, d % g.L, axis=axis)
+        zb = np.roll(zb, d % g.L, axis=axis)
+    return PauliOperator(g, gf2.from_bool(xb.reshape(-1)), gf2.from_bool(zb.reshape(-1)))
+
+
+def reference_flips(code, qubit, p):
+    """Generators, as (cube, species), that the single-qubit Pauli label ``p``
+    at ``qubit`` flips: one walk of the spec's template entries in order."""
+    g = code.geometry
+    return [
+        (tuple((c - o) % g.L for c, o in zip(qubit.site, offset)), s)
+        for s, sp in enumerate(code.spec.species)
+        for offset, label in sp.entries
+        if single_paulis_anticommute(p, label[qubit.sub])
+    ]
+
+
+def reference_restricted_matrix(code, sites):
+    """The retired restricted syndrome matrix of a site region, one template
+    entry at a time: (dense uint8 matrix, sorted qubit columns, sorted
+    generator rows).  Columns are the X parts of the region's qubits, then
+    their Z parts; rows are every species on every cube whose elementary cube
+    holds a region site (the site shifted by 0 or -1 on each axis)."""
+    from itertools import product
+
+    g = code.geometry
+    site_list = sorted(set(sites))
+    qubits = sorted(g.site_index(s) * g.q + sub for s in site_list for sub in range(g.q))
+    col_of = {q: i for i, q in enumerate(qubits)}
+    nq = len(qubits)
+    site_set = set(site_list)
+    cubes = {g.shift(site, delta) for site in site_list for delta in product((0, -1), repeat=g.D)}
+    gen_rows = sorted(code.generator_index(c, s) for c in cubes for s in range(code.n_species))
+    dense = np.zeros((len(gen_rows), 2 * nq), dtype=np.uint8)
+    for r, gi in enumerate(gen_rows):
+        cube, s = code.generator_at(gi)
+        for offset, label in code.spec.species[s].entries:
+            site = g.shift(cube, offset)
+            if site not in site_set:
+                continue
+            base = g.site_index(site) * g.q
+            for sub, p in enumerate(label):
+                if p in "ZY":
+                    dense[r, col_of[base + sub]] ^= 1
+                if p in "XY":
+                    dense[r, col_of[base + sub] + nq] ^= 1
+    return dense, qubits, gen_rows
+
+
+def reference_lift(geometry, qubits, x):
+    """Bit-by-bit lift of a local (X || Z) solution over the given qubit
+    columns to a full-lattice operator."""
+    from stabscape import gf2
+    from stabscape.pauli import PauliOperator
+
+    n, nq = geometry.n_qubits, len(qubits)
+    full = gf2.zeros(2 * n)
+    for local in gf2.nonzero_indices(x, 2 * nq):
+        local = int(local)
+        gf2.set_bit(full, qubits[local] if local < nq else qubits[local - nq] + n, 1)
+    return PauliOperator.from_symplectic(geometry, full)

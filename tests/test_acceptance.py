@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import neighborhood
+from conftest import cube_corner_sites, neighborhood, reference_flips
 from stabscape import check_frustration_free, get_code
 from stabscape.cli import main as cli_main
 from stabscape.defects import ScaleParams, ScanBudget, localize, min_dense_run, scan_for_strings
@@ -78,7 +78,7 @@ def test_criterion_03_constructive_barrier():
         for p in range(n):
             defects = set()
             for q, pp in pyramid_path(code, p, u):
-                for d in code.flips(q, pp):
+                for d in reference_flips(code, q, pp):
                     defects.symmetric_difference_update({d})
                 assert apex in defects, f"(c) fails at n={n}, p={p}"
     elapsed = time.monotonic() - t0
@@ -108,7 +108,7 @@ def test_criterion_03c_literal_apex_at_wrapping_level():
     defects = set()
     path = pyramid_path(code, 1, u)
     for t, (q, pp) in enumerate(path):
-        for d in code.flips(q, pp):
+        for d in reference_flips(code, q, pp):
             defects.symmetric_difference_update({d})
         if t + 1 < len(path):
             assert apex in defects
@@ -232,7 +232,7 @@ def test_criterion_08_localization_on_toric():
         err = _toric_transport_error(code, rng)
         syndrome = code.syndrome_of(err)
         assert len(syndrome) == 2, "construction should make exactly two defects"
-        footprint = {s for c, _ in syndrome for s in g.cube_corner_sites(c)}
+        footprint = {s for c, _ in syndrome for s in cube_corner_sites(g, c)}
         region = neighborhood(g, footprint, 1)
         out = localize(code, err, region)
         assert out is not None, "a homologous representative exists in the neighborhood"

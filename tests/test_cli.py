@@ -384,7 +384,7 @@ def test_rg_tracking_error_is_not_a_dense_segment(tmp_path, monkeypatch):
     monkeypatch.setattr(rg, "is_neutral", failing)
     code = run(tmp_path, "rg", "--code", "cubic1", "--L", "8", "--p", "2",
                "--track-level", "1", "--alpha", "1", "--ltqo", "4")
-    assert code not in (0, 1)
+    assert code == 4  # a ValueError from library code is a fault, not bad input
     assert not list(tmp_path.glob("rg-*/report.json"))
 
 
@@ -452,6 +452,19 @@ def test_out_of_range_sub_qubit_slot_is_usage_error(tmp_path, capsys):
         assert run(tmp_path, "syndrome", "--code", "cubic1", "--L", "4", "--op", str(op_file)) == 2
         assert run(tmp_path, "rg", "--code", "cubic1", "--L", "4", "--path", str(op_file)) == 2
         assert "out of range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+
+
+def test_unparsable_input_file_is_usage_error(tmp_path, capsys):
+    """A path or operator file that is not integer step lines of text exits
+    2, not 4: its contents are input, like the flags."""
+    (tmp_path / "letters.txt").write_text("0 a 0 0 X\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\n")
+    (tmp_path / "folder").mkdir()
+    for name, fragment in [("letters.txt", "non-integer"), ("binary.txt", "unreadable"), ("folder", "unreadable")]:
+        assert run(tmp_path, "rg", "--code", "cubic1", "--L", "4", "--path", str(tmp_path / name)) == 2
+        assert run(tmp_path, "syndrome", "--code", "cubic1", "--L", "4", "--op", str(tmp_path / name)) == 2
+        assert capsys.readouterr().err.count(fragment) == 2
     assert not list(tmp_path.glob("*/report.json"))
 
 
@@ -597,6 +610,14 @@ USAGE_SITES = {
     "wrong-label-length": (["syndrome", "--code", "cubic1", "--L", "4", "--op", "X@0,0,0"], None, "2 Pauli characters"),
     "missing-operator-file": (["syndrome", "--code", "cubic1", "--L", "4", "--op", "{tmp}/none.op"], None, "not found"),
     "pyramid-without-p": (["pyramid", "--code", "cubic1", "--L", "6"], None, "needs --p"),
+    # a non-integer in a comma-separated flag raised a bare ValueError
+    "non-integer-site": (["pyramid", "--code", "cubic1", "--L", "4", "--p", "1", "--u", "a,0,0"], None,
+                         "comma-separated integers"),
+    "non-integer-sweep": (["pyramid", "--code", "cubic1", "--sweep", "2,x"], None, "comma-separated integers"),
+    "non-integer-scales": (["fractal", "--code", "cubic1", "--L", "8", "--p", "3", "--scales=1,x,4"], None,
+                           "comma-separated integers"),
+    "non-integer-pyramid-target": (["barrier", "--code", "cubic1", "--L", "4", "--target", "pyramid:x"], None,
+                                   "non-negative integer P"),
     "sweep-not-power-of-two": (["pyramid", "--code", "cubic1", "--sweep", "2,6"], None, "powers of two"),
     "barrier-without-target": (["barrier", "--code", "rep1d", "--L", "4"], None, "requires --target"),
     "rg-without-p": (["rg", "--code", "cubic1", "--L", "4"], None, "requires --p or --path"),

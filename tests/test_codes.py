@@ -17,15 +17,18 @@ from stabscape.codes import (
     commutation_witness,
 )
 from stabscape.lattice import QubitIndex
-from stabscape.pauli import PauliOperator, single_paulis_anticommute
+from stabscape.pauli import PauliOperator
 from stabscape.paths import apex_cube
 
 from conftest import (
     random_operator,
     reference_generator,
     reference_gram_witness,
+    reference_restricted_matrix,
     reference_stabilizer_words,
+    single_paulis_anticommute,
     spec_dict,
+    translate,
 )
 
 
@@ -138,7 +141,7 @@ def test_translation_covariance(cubic4, toric3, rep5, rng):
         for _ in range(30):
             op = random_operator(code, rng)
             delta = tuple(int(c) for c in rng.integers(0, g.L, size=g.D))
-            shifted = code.syndrome_of(op.translate(delta))
+            shifted = code.syndrome_of(translate(op, delta))
             expected = frozenset((g.shift(cube, delta), s) for cube, s in code.syndrome_of(op))
             assert shifted == expected
 
@@ -166,12 +169,13 @@ def test_syndrome_matrix_agrees_with_template_path(cubic4, rng):
 
 
 def test_restricted_matrix_agrees_with_dense(toric4, rng):
+    """The test-side restricted matrix, which the box solver is checked
+    against, is the dense syndrome map's block on the region."""
     g = toric4.geometry
     sites = g.box_sites((1, 1), 2)
-    mat, qubits, gen_rows = toric4.restricted_syndrome_matrix(sites)
+    sub, qubits, gen_rows = reference_restricted_matrix(toric4, sites)
     dense = toric4.syndrome_matrix().to_bool_array()
     nq = len(qubits)
-    sub = mat.to_bool_array()
     for r, gi in enumerate(gen_rows):
         # column layout: X-parts then Z-parts of the region's qubits, and a
         # syndrome row pairs gen Z-parts with error X-parts.

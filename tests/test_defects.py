@@ -10,12 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cube_corner_sites,
     neighborhood,
     reference_achievable_subsets,
     reference_distance,
     reference_footprint_box,
+    reference_lift,
+    reference_restricted_matrix,
     reference_set_distance,
     retired_dense_run,
+    translate,
 )
 from stabscape import defects, get_code, gf2
 from stabscape.defects import (
@@ -391,7 +395,7 @@ def test_witness_support_stays_in_cube(cubic8):
     S = cubic8.syndrome_of(PauliOperator.single(cubic8.geometry, QubitIndex(u, 0), "X"))
     res = is_neutral(cubic8, S, 4)
     corner, extents = cubic8.geometry.bounding_box(
-        [s for c in occupied_cubes(S) for s in cubic8.geometry.cube_corner_sites(c)]
+        [s for c in occupied_cubes(S) for s in cube_corner_sites(cubic8.geometry, c)]
     )
     assert max(extents) <= 4
     assert res.neutral and res.witness.weight >= 1
@@ -425,7 +429,7 @@ def test_pyramid_operator_is_a_near_minimal_creation_witness(cubic8):
         op = pyramid_operator(cubic8, p, u)
         assert cubic8.syndrome_of(op) == S
         assert op.weight == 4**p
-        footprint = {s for c in occupied_cubes(S) for s in g.cube_corner_sites(c)}
+        footprint = {s for c in occupied_cubes(S) for s in cube_corner_sites(g, c)}
         corner, extents = g.bounding_box(footprint)
         ball = g.box_sites(
             tuple(c - 1 for c in corner), tuple(min(e + 2, g.L) for e in extents)
@@ -559,8 +563,8 @@ def test_box_achievability_matches_solve(name, L, size):
     every pattern of up to three rows of the box."""
     code = get_code(name, L)
     solver = _BoxSolver(code, size)
-    matrix, qubits, gen_rows = code.restricted_syndrome_matrix(code.geometry.box_sites((0,) * code.geometry.D, size))
-    nrows = matrix.nrows
+    dense, qubits, gen_rows = reference_restricted_matrix(code, code.geometry.box_sites((0,) * code.geometry.D, size))
+    matrix, nrows = gf2.BitMatrix.from_bool_array(dense), len(dense)
     for k in (1, 2, 3):
         for pattern in itertools.combinations(range(nrows), k):
             rhs = np.zeros(nrows, dtype=np.uint8)
@@ -571,16 +575,6 @@ def test_box_achievability_matches_solve(name, L, size):
             if witness is not None:
                 assert witness == reference_lift(code.geometry, qubits, x)
                 assert code.syndrome_of(witness) == frozenset(code.generator_at(gen_rows[r]) for r in pattern)
-
-
-def reference_lift(geometry, qubits, x):
-    """Bit-by-bit lift of a local (X || Z) solution to the full lattice."""
-    n, nq = geometry.n_qubits, len(qubits)
-    full = gf2.zeros(2 * n)
-    for local in gf2.nonzero_indices(x, 2 * nq):
-        local = int(local)
-        gf2.set_bit(full, qubits[local] if local < nq else qubits[local - nq] + n, 1)
-    return PauliOperator.from_symplectic(geometry, full)
 
 
 @settings(max_examples=100)
@@ -594,15 +588,15 @@ def test_lift_matches_bitwise_reference(corner, size, seed):
     box's ``gf2_solve`` solution, moved to that corner."""
     code = get_code("cubic1", 4)
     g = code.geometry
-    matrix, qubits, _ = code.restricted_syndrome_matrix(g.box_sites((0,) * g.D, size))
-    pattern = np.flatnonzero(np.random.default_rng(seed).random(matrix.nrows) < 0.3)
-    rhs = np.zeros(matrix.nrows, dtype=np.uint8)
+    dense, qubits, _ = reference_restricted_matrix(code, g.box_sites((0,) * g.D, size))
+    pattern = np.flatnonzero(np.random.default_rng(seed).random(len(dense)) < 0.3)
+    rhs = np.zeros(len(dense), dtype=np.uint8)
     rhs[pattern] = 1
-    x = gf2.gf2_solve(matrix, gf2.from_bool(rhs))
+    x = gf2.gf2_solve(gf2.BitMatrix.from_bool_array(dense), gf2.from_bool(rhs))
     witness = _BoxSolver(code, size).achievable_witness(pattern, corner)
     assert (witness is None) == (x is None)
     if x is not None:
-        assert witness == reference_lift(g, qubits, x).translate(corner)
+        assert witness == translate(reference_lift(g, qubits, x), corner)
 
 
 @settings(max_examples=60)
@@ -625,7 +619,7 @@ def test_achievable_witness_at_corner_is_translated_origin_witness(case, corner,
     placed = solver.achievable_witness(rows, corner)
     assert (placed is None) == (origin is None) == (not solver.achievable(rows))
     if origin is not None:
-        assert placed == origin.translate(corner)
+        assert placed == translate(origin, corner)
 
 
 # -- the box engine against the per-placement solve it replaced -------------------
@@ -642,8 +636,8 @@ def reference_first_box(code, syndrome, corners, size):
     g = code.geometry
     bits = gf2.to_bool(code.syndrome_to_words(syndrome), code.n_generators)
     for tried, corner in enumerate(corners, 1):
-        sub, _, gen_rows = code.restricted_syndrome_matrix(g.box_sites(corner, size))
-        rhs = bits[gen_rows]
+        dense, _, gen_rows = reference_restricted_matrix(code, g.box_sites(corner, size))
+        sub, rhs = gf2.BitMatrix.from_bool_array(dense), bits[gen_rows]
         if rhs.sum() == len(syndrome) and gf2.gf2_solve(sub, gf2.from_bool(rhs)) is not None:
             return tried, corner
     return len(corners), None
@@ -653,7 +647,7 @@ def reference_placements(g, syndrome, size=None):
     """Corners of the size-cubes covering the cluster footprint, in the
     retired loop's order (size defaults to the footprint's largest extent),
     or None when the footprint does not fit; with the size used."""
-    corner, extents = g.bounding_box({s for c, _ in syndrome for s in g.cube_corner_sites(c)})
+    corner, extents = g.bounding_box({s for c, _ in syndrome for s in cube_corner_sites(g, c)})
     size = min(max(extents) if size is None else size, g.L)
     if max(extents) > size:
         return None, size
@@ -760,7 +754,7 @@ def reference_support_placements(code, box1, box2, size):
         return [(0,) * g.D]
 
     def corners_reaching(box):
-        footprint = {s for c in box.cubes(g) for s in g.cube_corner_sites(c)}
+        footprint = {s for c in box.cubes(g) for s in cube_corner_sites(g, c)}
         return {t for s in footprint for t in g.box_sites(tuple(c - eff + 1 for c in s), eff)}
 
     return sorted(corners_reaching(box1) & corners_reaching(box2))
@@ -836,7 +830,7 @@ def reference_scan(code, rho, alpha, budget, params):
                     continue
                 seen_patterns.add(pattern_bits)
                 patterns_tested += 1
-                op = witness0.translate(corner)
+                op = translate(witness0, corner)
                 syndrome = code.syndrome_of(op)
                 in1 = frozenset(d for d in syndrome if d[0] in cubes1)
                 in2 = frozenset(syndrome - in1)

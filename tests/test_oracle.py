@@ -1,6 +1,7 @@
 """Brute-force barrier and distance oracles on hand-checkable instances."""
 
 import gc
+import itertools
 import weakref
 from collections import deque
 from functools import lru_cache
@@ -308,6 +309,17 @@ def test_time_cap_ends_search_as_budget_exhausted():
     g = code.geometry
     xstring = PauliOperator.from_terms(g, [(QubitIndex((x, 0), 1), "X") for x in range(5)])
     res = min_barrier_logical(code, xstring, SearchBudget(time_cap=1e-9))
+    assert res.status == "budget_exhausted" and res.omega is None
+
+
+def test_zero_time_cap_trips_at_the_first_check(toric3, monkeypatch):
+    """``time_cap=0`` is a cap that has already run out, as in the string
+    scan, not "no cap": the search ends at its first clock check."""
+    ticks = itertools.count()
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(ticks))
+    g = toric3.geometry
+    xstring = PauliOperator.from_terms(g, [(QubitIndex((x, 0), 1), "X") for x in range(3)])
+    res = min_barrier_logical(toric3, xstring, SearchBudget(time_cap=0))
     assert res.status == "budget_exhausted" and res.omega is None
 
 

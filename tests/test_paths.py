@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import reference_flips
 from stabscape import get_code
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
@@ -110,7 +111,7 @@ def test_pyramid_path_invariants(n, rng):
         if 2**p < L:
             defects = set()
             for t, (q, pp) in enumerate(path):
-                for d in code.flips(q, pp):
+                for d in reference_flips(code, q, pp):
                     defects.symmetric_difference_update({d})
                 assert apex in defects, f"apex lost at step {t + 1} (p={p}, n={n})"
 

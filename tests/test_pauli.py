@@ -6,6 +6,8 @@ import pytest
 from stabscape.lattice import LatticeGeometry, QubitIndex
 from stabscape.pauli import PauliOperator
 
+from conftest import translate
+
 GEO = LatticeGeometry(2, 4, 1)
 
 
@@ -89,11 +91,11 @@ def test_from_terms_cancels_repeats():
 
 def test_translate_identity_and_period(rng):
     e = random_pauli(rng)
-    assert e.translate((0, 0)) == e
-    assert e.translate((GEO.L, 0)) == e
-    shifted = e.translate((1, 2))
+    assert translate(e, (0, 0)) == e
+    assert translate(e, (GEO.L, 0)) == e
+    shifted = translate(e, (1, 2))
     assert shifted.weight == e.weight
-    assert e.translate((1, 2)).translate((-1, -2)) == e
+    assert translate(shifted, (-1, -2)) == e
 
 
 def test_symplectic_roundtrip(rng):
