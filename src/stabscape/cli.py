@@ -2,9 +2,9 @@
 configs and machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input (a flag, config
-or input file the analyses do not accept), 3 a search was cut off by its budget
-(indeterminate, distinct from failure), 4 internal error (any other exception,
-such as a failed self-audit; never a verdict).
+or input file the analyses do not accept; --sweep checks --L too), 3 a search
+cut off by its budget or a string scan with no anchor pair (indeterminate, not
+a failure), 4 internal error (any other exception, such as a failed self-audit).
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from .codes import (
     CodeConstructionError,
     CodeInstance,
     InputError,
+    SearchBudget,
     check_frustration_free,
     get_code,
     registry_names,
 )
-from .defects import ScaleParams, ScanBudget, scan_for_strings
+from .defects import ScaleParams, scan_for_strings
 from .lattice import QubitIndex
-from .oracle import SearchBudget, code_distance, min_barrier_logical
+from .oracle import code_distance, min_barrier_logical
 from .pauli import PAULI_CODE, PauliOperator, stacked_words
 from .paths import (
     ErrorPath,
@@ -65,52 +66,16 @@ INTERNAL_ERROR = 4
 # type is int, float, str, or the tuple of strings the flag may take; a least
 # value of None leaves the flag unbounded.  A flag's config key is its name
 # without the dashes, with "_" for "-".  Every subcommand takes the shared
-# rows; a flag that several subcommands take is one named row.
+# rows; its own rows are in ``SUBCOMMANDS``, below the runners.
 SHARED_OPTIONS = [
     ("--code", tuple(registry_names()), "cubic1", None, "registered code name"),
     ("--L", int, 4, None, "linear lattice size"),
-    ("--alpha", float, 15.0, 1, "no-strings aspect constant (default 15)"),
+    ("--alpha", float, ScaleParams.alpha, 1, "no-strings aspect constant"),
     ("--ltqo", int, None, 1, "TQO length scale (default L // 2)"),
-    ("--seed", int, 0, 0, "seed for randomized suites (default 0)"),
-    ("--out", str, "runs", None, "output directory (default ./runs)"),
-    ("--format", ("json", "csv", "both"), "both", None, "report formats (default both)"),
+    ("--seed", int, 0, 0, "seed for randomized suites"),
+    ("--out", str, "runs", None, "output directory"),
+    ("--format", ("json", "csv", "both"), "both", None, "report formats"),
 ]
-_LEVEL = ("--p", int, None, None, "pyramid level of the generated path or support (pyramid: default log2 L)")
-_OP = ("--op", str, None, None, "operator: LABEL@x,y,z or a step-per-line file")
-_STATE_CAP = ("--state-cap", int, 10_000_000, 1, "search state or enumeration budget (default 1e7)")
-SUBCOMMANDS = {
-    "syndrome": ("apply an operator and print its defects", [_OP]),
-    "pyramid": ("build a pyramid path and audit its profile", [
-        _LEVEL,
-        ("--u", str, None, None, "base site, comma-separated (default origin)"),
-        ("--sweep", str, None, None, "comma-separated lattice sizes for a barrier-vs-L series"),
-    ]),
-    "barrier": ("exact minimal energy barrier (oracle)", [
-        ("--target", str, None, None, "all-x, pyramid:P, or an operator file"),
-        ("--omega-max", int, 64, 0, "barrier ceiling for the search"),
-        _STATE_CAP,
-    ]),
-    "distance": ("exact code distance (oracle)", [_STATE_CAP]),
-    "rg": ("level histories and world lines of a path", [
-        _LEVEL,
-        ("--path", str, None, None, "path file (step per line) instead of a pyramid"),
-        ("--track-level", int, None, 0, "also track charged-cluster world lines at this level"),
-    ]),
-    "fractal": ("box-counting dimension of a support", [
-        _LEVEL,
-        _OP,
-        ("--scales", str, None, None, "comma-separated box scales"),
-    ]),
-    "strings": ("scan for non-trivial string segments", [
-        ("--rho", int, 1, 1, "anchor size (default 1)"),
-        ("--max-pairs", int, 2000, 1, "anchor-pair budget"),
-        ("--max-patterns", int, 64, 1, "patterns per pair budget"),
-    ]),
-    "check": ("frustration-freeness and fixture audits", []),
-}
-OPTIONS = {row[0][2:].replace("-", "_"): row
-           for row in SHARED_OPTIONS + [row for _, rows in SUBCOMMANDS.values() for row in rows]}
-DEFAULTS = {key: default for key, (_, _, default, _, _) in OPTIONS.items()}
 
 
 @cache
@@ -122,11 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-landscape experiments on stabilizer-code Hamiltonians.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (summary, rows) in SUBCOMMANDS.items():
+    for name, (summary, rows, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; explicit flags override its keys")
-        for flag, typ, _, _, text in SHARED_OPTIONS + rows:
+        for flag, typ, default, _, text in SHARED_OPTIONS + rows:
             choices = typ if isinstance(typ, tuple) else None
+            text += "" if default is None else f" (default {default})"  # each default stated once, in its row
             p.add_argument(flag, type=str if choices else typ, choices=choices, help=text)
     return parser
 
@@ -162,10 +128,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise SystemExit(f"{flag} must be at least {least}")
     config["subcommand"] = args.subcommand
     return config
-
-
-def _scale_params(config: dict) -> ScaleParams:
-    return ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
 
 
 def _ints(text, flag: str) -> list[int]:
@@ -216,9 +178,7 @@ def _default_u(config: dict, code: CodeInstance) -> tuple[int, ...]:
 # -- subcommands ------------------------------------------------------------------
 
 
-def run_syndrome(config: dict) -> Report:
-    code = get_code(config["code"], config["L"])
-    report = Report("syndrome", config)
+def run_syndrome(config: dict, code: CodeInstance, report: Report) -> None:
     if not config["op"]:
         raise SystemExit("syndrome requires --op")
     op = parse_operator(code, config["op"])
@@ -234,14 +194,11 @@ def run_syndrome(config: dict) -> Report:
         },
         notes="; ".join(f"{cube}:{code.species_name(s)}" for cube, s in syndrome),
     )
-    return report
 
 
-def run_pyramid(config: dict) -> Report:
+def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
     if config["sweep"]:
-        return _run_pyramid_sweep(config)
-    code = get_code(config["code"], config["L"])
-    report = Report("pyramid", config)
+        return _run_pyramid_sweep(config, report)
     p = config["p"]
     if p is None:
         p = config["L"].bit_length() - 1
@@ -290,12 +247,10 @@ def run_pyramid(config: dict) -> Report:
             {"classification": value(kind, PROV_MEASURED)},
             notes="level wraps the torus: apex invariant is replaced by the logical check",
         )
-    return report
 
 
-def _run_pyramid_sweep(config: dict) -> Report:
+def _run_pyramid_sweep(config: dict, report: Report) -> None:
     """Barrier-versus-size series: one full-depth pyramid per lattice size."""
-    report = Report("pyramid", config)
     rows = []
     ok = True
     for L in _ints(config["sweep"], "--sweep"):
@@ -315,7 +270,6 @@ def _run_pyramid_sweep(config: dict) -> Report:
         {"sizes": value(len(rows), PROV_CONSTRUCTED)},
         notes=", ".join(f"L={r[0]}:{r[1]}<={r[2]}" for r in rows),
     )
-    return report
 
 
 def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
@@ -334,12 +288,13 @@ def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
     return parse_operator(code, text)
 
 
-def run_barrier(config: dict) -> Report:
-    budget = SearchBudget(omega_max=config["omega_max"], state_cap=config["state_cap"])
-    code = get_code(config["code"], config["L"])
-    report = Report("barrier", config)
+def _budget(config: dict) -> SearchBudget:
+    return SearchBudget(**{key: config[key] for key in ("omega_max", "state_cap", "max_pairs", "max_patterns")})
+
+
+def run_barrier(config: dict, code: CodeInstance, report: Report) -> None:
     target = _parse_target(code, config)
-    result = min_barrier_logical(code, target, budget)
+    result = min_barrier_logical(code, target, _budget(config))
     measured = {
         "states_visited": value(result.states_visited, PROV_ORACLE),
         "target_weight": value(target.weight, PROV_MEASURED),
@@ -354,14 +309,10 @@ def run_barrier(config: dict) -> Report:
     else:
         measured["ruled_out_up_to"] = value(result.ruled_out, PROV_ORACLE)
         report.add_check("min_barrier", INDETERMINATE, measured, notes=result.status)
-    return report
 
 
-def run_distance(config: dict) -> Report:
-    budget = SearchBudget(state_cap=config["state_cap"])
-    code = get_code(config["code"], config["L"])
-    report = Report("distance", config)
-    result = code_distance(code, budget)
+def run_distance(config: dict, code: CodeInstance, report: Report) -> None:
+    result = code_distance(code, _budget(config))
     measured = {
         "classes": value(result.classes_enumerated, PROV_ORACLE),
         "elements": value(result.elements_enumerated, PROV_ORACLE),
@@ -374,13 +325,10 @@ def run_distance(config: dict) -> Report:
         if result.d_upper is not None:
             measured["d_upper"] = value(result.d_upper, PROV_ORACLE)
         report.add_check("code_distance", INDETERMINATE, measured, notes="enumeration budget exhausted")
-    return report
 
 
-def run_rg(config: dict) -> Report:
-    code = get_code(config["code"], config["L"])
-    report = Report("rg", config)
-    params = _scale_params(config)
+def run_rg(config: dict, code: CodeInstance, report: Report) -> None:
+    params = ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
     if config["path"]:
         steps = ErrorPath.from_lines(_read_lines(config["path"], "path file"), code.geometry.D, code.geometry.q)
     elif config["p"] is not None:
@@ -414,7 +362,6 @@ def run_rg(config: dict) -> Report:
     report.add_check("retained_defect_floor", PASS if counting_ok else FAIL)
     if config["track_level"] is not None:
         _track_world_lines(report, code, history, analysis, config["track_level"], params)
-    return report
 
 
 def _track_world_lines(report, code, history, analysis, level, params) -> None:
@@ -456,9 +403,7 @@ def _track_world_lines(report, code, history, analysis, level, params) -> None:
     )
 
 
-def run_fractal(config: dict) -> Report:
-    code = get_code(config["code"], config["L"])
-    report = Report("fractal", config)
+def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
     if config["op"]:
         sites = parse_operator(code, config["op"]).support_sites()
         default_scales = [1, 2, 4]
@@ -481,38 +426,31 @@ def run_fractal(config: dict) -> Report:
             "support": value(len(sites), PROV_MEASURED),
         },
     )
-    return report
 
 
-def run_strings(config: dict) -> Report:
-    code = get_code(config["code"], config["L"])
-    report = Report("strings", config)
-    params = _scale_params(config)
-    budget = ScanBudget(max_anchor_pairs=config["max_pairs"], max_patterns_per_pair=config["max_patterns"])
-    scan = scan_for_strings(code, config["rho"], config["alpha"], budget, params)
+def run_strings(config: dict, code: CodeInstance, report: Report) -> None:
+    params = ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
+    scan = scan_for_strings(code, config["rho"], config["alpha"], _budget(config), params)
     rows = [
         (str(f.box1.corner), str(f.box2.corner), f.aspect_ratio, len(f.syndrome), f.operator_weight)
         for f in scan.nontrivial
     ]
     report.add_series("segments", ("anchor1", "anchor2", "aspect_ratio", "defects", "weight"), rows)
-    status = INDETERMINATE if scan.budget_exhausted else PASS
     report.add_check(
         "string_scan",
-        status,
+        INDETERMINATE if scan.budget_exhausted or not scan.pairs_scanned else PASS,
         {
             "nontrivial_found": value(len(scan.nontrivial), PROV_MEASURED),
             "pairs_scanned": value(scan.pairs_scanned, PROV_MEASURED),
             "patterns_tested": value(scan.patterns_tested, PROV_MEASURED),
         },
-        notes="scan is evidence within budget, not a proof of absence",
+        notes="scan is evidence within budget, not a proof of absence" if scan.pairs_scanned else
+        f"no anchor pair of size {config['rho']} has an aspect ratio above {config['alpha']} on this torus",
     )
-    return report
 
 
-def run_check(config: dict) -> Report:
-    code = get_code(config["code"], config["L"])
+def run_check(config: dict, code: CodeInstance, report: Report) -> None:
     g = code.geometry
-    report = Report("check", config)
     frus = check_frustration_free(code)
     report.add_check(
         "pairwise_commutation",
@@ -568,19 +506,47 @@ def run_check(config: dict) -> Report:
         ok = all(code.words_to_syndrome(row) == pyramid_syndrome(code, 0, apex_cube(code, u))
                  for row, u in zip(flips, sites.tolist()))
         report.add_check("bitflip_defect_pattern", PASS if ok else FAIL)
-    return report
 
 
-RUNNERS = {
-    "syndrome": run_syndrome,
-    "pyramid": run_pyramid,
-    "barrier": run_barrier,
-    "distance": run_distance,
-    "rg": run_rg,
-    "fractal": run_fractal,
-    "strings": run_strings,
-    "check": run_check,
+# Each subcommand's (summary, own option rows, runner); a flag that several
+# subcommands take is one named row.  A runner fills in the report that
+# ``main`` made for it, on the code that ``main`` built.
+_LEVEL = ("--p", int, None, None, "pyramid level of the generated path or support (pyramid: default log2 L)")
+_OP = ("--op", str, None, None, "operator: LABEL@x,y,z or a step-per-line file")
+_STATE_CAP = ("--state-cap", int, SearchBudget.state_cap, 1, "search state or enumeration budget")
+SUBCOMMANDS = {
+    "syndrome": ("apply an operator and print its defects", [_OP], run_syndrome),
+    "pyramid": ("build a pyramid path and audit its profile", [
+        _LEVEL,
+        ("--u", str, None, None, "base site, comma-separated (default origin)"),
+        ("--sweep", str, None, None, "comma-separated lattice sizes for a barrier-vs-L series"),
+    ], run_pyramid),
+    "barrier": ("exact minimal energy barrier (oracle)", [
+        ("--target", str, None, None, "all-x, pyramid:P, or an operator file"),
+        ("--omega-max", int, SearchBudget.omega_max, 0, "barrier ceiling for the search"),
+        _STATE_CAP,
+    ], run_barrier),
+    "distance": ("exact code distance (oracle)", [_STATE_CAP], run_distance),
+    "rg": ("level histories and world lines of a path", [
+        _LEVEL,
+        ("--path", str, None, None, "path file (step per line) instead of a pyramid"),
+        ("--track-level", int, None, 0, "also track charged-cluster world lines at this level"),
+    ], run_rg),
+    "fractal": ("box-counting dimension of a support", [
+        _LEVEL,
+        _OP,
+        ("--scales", str, None, None, "comma-separated box scales"),
+    ], run_fractal),
+    "strings": ("scan for non-trivial string segments", [
+        ("--rho", int, 1, 1, "anchor size"),
+        ("--max-pairs", int, SearchBudget.max_pairs, 1, "anchor-pair budget"),
+        ("--max-patterns", int, SearchBudget.max_patterns, 1, "patterns per pair budget"),
+    ], run_strings),
+    "check": ("frustration-freeness and fixture audits", [], run_check),
 }
+OPTIONS = {row[0][2:].replace("-", "_"): row
+           for row in SHARED_OPTIONS + [row for _, rows, _ in SUBCOMMANDS.values() for row in rows]}
+DEFAULTS = {key: default for key, (_, _, default, _, _) in OPTIONS.items()}
 
 
 def main(argv=None) -> int:
@@ -597,7 +563,8 @@ def main(argv=None) -> int:
         print(f"error: config file: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        report = RUNNERS[args.subcommand](config)
+        report = Report(args.subcommand, config)
+        SUBCOMMANDS[args.subcommand][2](config, get_code(config["code"], config["L"]), report)
         # Output destination and format are I/O plumbing, not experiment
         # parameters: identical experiments yield byte-identical reports.
         report.config = {k: v for k, v in report.config.items() if k not in ("out", "format", "config")}

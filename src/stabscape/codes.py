@@ -10,6 +10,8 @@ cheap, while desk-scale instances expose dense GF(2) views for solving.
 from __future__ import annotations
 
 import json
+import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -40,6 +42,23 @@ class CodeConstructionError(Exception):
 
 class InputError(ValueError):
     """Raised when a caller's input is outside what an analysis accepts."""
+
+
+@dataclass
+class SearchBudget:
+    """Exactness envelope of every search (barriers, distance, string scans):
+    a result is exact until one of its caps trips.  The CLI takes its
+    defaults from here."""
+
+    omega_max: int = 64  # barrier ceiling
+    state_cap: int = 10_000_000  # coset states, or distance elements
+    max_pairs: int = 2000  # anchor pairs per string scan
+    max_patterns: int = 64  # defect patterns per anchor pair
+    time_cap: float | None = None  # seconds; 0 has already run out, None never does
+
+    def deadline(self) -> float:
+        """The ``time.monotonic()`` reading past which the search stops."""
+        return math.inf if self.time_cap is None else time.monotonic() + self.time_cap
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, Defect, InputError, Syndrome
+from .codes import CodeInstance, Defect, InputError, SearchBudget, Syndrome
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PAULI_CODE, PauliOperator
 
@@ -560,13 +560,6 @@ def classify_string_segment(
 
 
 @dataclass
-class ScanBudget:
-    max_anchor_pairs: int = 2000
-    max_patterns_per_pair: int = 64
-    time_cap: float | None = None
-
-
-@dataclass
 class SegmentFinding:
     box1: CubeBox
     box2: CubeBox
@@ -609,7 +602,7 @@ def scan_for_strings(
     code: CodeInstance,
     rho: int,
     alpha: float,
-    budget: ScanBudget | None = None,
+    budget: SearchBudget | None = None,
     params: ScaleParams | None = None,
 ) -> StringScanReport:
     """Search for non-trivial string segments with aspect ratio above alpha.
@@ -623,9 +616,9 @@ def scan_for_strings(
     only the searched family, it is not a proof.
     """
     g = code.geometry
-    budget = budget or ScanBudget()
+    budget = budget or SearchBudget()
     params = params or ScaleParams()
-    deadline = time.monotonic() + (math.inf if budget.time_cap is None else budget.time_cap)
+    deadline = budget.deadline()
     box1 = CubeBox((0,) * g.D, rho)
     cubes1 = set(box1.cubes(g))  # box1 is pinned at the origin for every placement
     scale = params.ltqo_for(g)
@@ -641,7 +634,7 @@ def scan_for_strings(
         box2 = CubeBox(v, rho)
         if cubes1 & set(box2.cubes(g)) or not (ratio := anchor_aspect_ratio(g, box1, box2)) > alpha:
             continue
-        if pairs_scanned >= budget.max_anchor_pairs or time.monotonic() > deadline:
+        if pairs_scanned >= budget.max_pairs or time.monotonic() > deadline:
             exhausted = True
             break
         pairs_scanned += 1
@@ -649,7 +642,7 @@ def scan_for_strings(
         corners = _support_placements(code, box1, box2, scale)
         seen_patterns: set[int] = set()
         for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
-            if len(seen_patterns) >= budget.max_patterns_per_pair or time.monotonic() > deadline:
+            if len(seen_patterns) >= budget.max_patterns or time.monotonic() > deadline:
                 exhausted = True
                 break
             for pattern_bits in solver.achievable_subsets(local_rows):
@@ -667,7 +660,7 @@ def scan_for_strings(
                 charged = tuple(i for i, cl in enumerate((in1, in2)) if not is_neutral(code, cl, scale).neutral)
                 if charged:
                     findings.append(SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight))
-                if len(seen_patterns) >= budget.max_patterns_per_pair:
+                if len(seen_patterns) >= budget.max_patterns:
                     exhausted = True
                     break
     findings.sort(key=lambda f: (-f.aspect_ratio, f.box2.corner))

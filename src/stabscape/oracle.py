@@ -19,22 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, InputError
+from .codes import CodeInstance, InputError, SearchBudget
 from .pauli import PAULI_CODE, PauliOperator
 from .paths import ErrorPath, energy_profile
 
 MOVE_PAULIS = "XYZ"
 BLOCK = 1 << 15  # candidates per block; its largest array, one syndrome word each, is 256 KiB
 FINGERPRINT_SEED = 0x5EED
-
-
-@dataclass
-class SearchBudget:
-    """Exactness envelope: the search is exact until a cap trips."""
-
-    omega_max: int = 64
-    state_cap: int = 10_000_000
-    time_cap: float | None = None
 
 
 @dataclass
@@ -144,7 +135,7 @@ def _fresh(indexes, fps: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: SearchBudget, deadline: float | None):
+def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: SearchBudget, deadline: float):
     """One bounded-ceiling BFS from the identity coset to a goal key or goal
     syndrome (exactly one is given); states above the ceiling are never entered.
 
@@ -188,7 +179,7 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
             if cap_at < len(idx):
                 return None, visited + cap_at + 1, True, peak
             visited += len(idx)
-            if deadline is not None and len(idx) and time.monotonic() > deadline:
+            if len(idx) and time.monotonic() > deadline:
                 return None, visited, True, peak
             level.append((si.astype(np.int32), j.astype(np.int32)))
             while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
@@ -207,7 +198,7 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
 
 def _deepening_search(code: CodeInstance, goal_key, goal_synd, omega_floor: int, budget: SearchBudget) -> BarrierResult:
     space = coset_space(code)
-    deadline = time.monotonic() + budget.time_cap if budget.time_cap is not None else None
+    deadline = budget.deadline()
     passes: list[tuple[int, int, int]] = []
     for omega in range(omega_floor, budget.omega_max + 1):
         moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, deadline)
@@ -301,13 +292,13 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
     n = code.n_qubits
     reps = _logical_class_reps(code)
     stab_basis = code.stabilizer_rref()[0].words
+    # The raw class generators bound the distance, should the budget cut the enumeration.
+    x, z = gf2.split_halves(reps, n)
+    d_upper = int(np.bitwise_count(x | z).sum(axis=1).min()) if len(reps) else None
     if (1 << len(reps)) * (1 << len(stab_basis)) > budget.state_cap:
-        # Too many elements to enumerate exactly; the raw class generators
-        # still give an upper bound on the distance.
-        x, z = gf2.split_halves(reps, n)
-        d_upper = int(np.bitwise_count(x | z).sum(axis=1).min()) if len(reps) else None
         return DistanceResult(None, None, "budget_exhausted", 0, 0, 0, d_upper)
-    cx, cz = (gf2.subset_xors(half)[1:] for half in gf2.split_halves(reps, n))
+    deadline = budget.deadline()
+    cx, cz = (gf2.subset_xors(half)[1:] for half in (x, z))
     skip = (code.is_classical_z() & ~cx.any(axis=1)) | (code.is_classical_x() & ~cz.any(axis=1))
     cx, cz = cx[~skip], cz[~skip]
     sx, sz = (gf2.subset_xors(half) for half in gf2.split_halves(stab_basis, n))
@@ -316,6 +307,8 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
     best = None  # (weight, class, stabilizer)
     for c in range(0, len(cx), step):
         for s in range(0, len(sx), span):
+            if time.monotonic() > deadline:  # the lightest element so far bounds d
+                return DistanceResult(None, None, "budget_exhausted", 0, 0, 0, d_upper if best is None else best[0])
             cs, ss = slice(c, c + step), slice(s, s + span)
             weights = np.bitwise_count((cx[cs, None] ^ sx[ss]) | (cz[cs, None] ^ sz[ss])).sum(axis=-1)
             i, j = np.unravel_index(np.argmin(weights), weights.shape)  # row-major: the first lightest

@@ -14,7 +14,7 @@ import pytest
 from conftest import cube_corner_sites, neighborhood, reference_flips
 from stabscape import check_frustration_free, get_code
 from stabscape.cli import main as cli_main
-from stabscape.defects import ScaleParams, ScanBudget, localize, min_dense_run, scan_for_strings
+from stabscape.defects import ScaleParams, localize, min_dense_run, scan_for_strings
 from stabscape.lattice import LatticeGeometry, QubitIndex
 from stabscape.oracle import SearchBudget, code_distance, min_barrier_logical
 from stabscape.pauli import PauliOperator
@@ -245,7 +245,7 @@ def test_criterion_08_localization_on_toric():
 
 
 def test_criterion_09_no_strings_asymmetry():
-    budget = ScanBudget()  # identical budget for all three codes
+    budget = SearchBudget()  # identical budget for all three codes
     found = {}
     for name, L in (("toric2d", 6), ("rep1d", 8), ("cubic1", 8)):
         code = get_code(name, L)

@@ -5,15 +5,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stabscape
 
-from stabscape.cli import DEFAULTS, OPTIONS, build_parser, main
-from stabscape.codes import CodeInstance
+from stabscape.cli import DEFAULTS, OPTIONS, SHARED_OPTIONS, SUBCOMMANDS, build_parser, main
+from stabscape.codes import CodeInstance, registered_spec, registry_names
 from stabscape.gf2 import BitMatrix
 from stabscape.reports import config_hash
 
@@ -127,6 +132,19 @@ def test_scan_budgets_end_as_indeterminate(tmp_path, argv, pairs, patterns):
     assert run(tmp_path, "strings", *argv) == 3
     measured = json.loads(report_bytes(tmp_path, "strings"))["checks"][0]["measured"]
     assert (measured["pairs_scanned"]["value"], measured["patterns_tested"]["value"]) == (pairs, patterns)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "1", "--rho", "4"],
+    ["--alpha", "1", "--rho", "10"],
+    [],  # the default alpha of 15
+])
+def test_scan_with_no_anchor_pair_is_indeterminate(tmp_path, argv):
+    """A scan that tests no anchor pair has shown nothing, so it is not a pass."""
+    assert run(tmp_path, "strings", "--code", "toric2d", "--L", "4", *argv) == 3
+    (check,) = json.loads(report_bytes(tmp_path, "strings"))["checks"]
+    assert check["status"] == "indeterminate" and check["measured"]["pairs_scanned"]["value"] == 0
+    assert check["notes"].startswith("no anchor pair of size")
 
 
 def test_check_subcommand(tmp_path):
@@ -425,10 +443,11 @@ def test_negative_pyramid_level_is_usage_error(tmp_path):
 def test_internal_error_gets_its_own_exit_code(tmp_path, monkeypatch, capsys):
     import stabscape.cli as cli
 
-    def crash(config):
+    def crash(config, code, report):
         raise RuntimeError("witness path exceeds the claimed barrier")
 
-    monkeypatch.setitem(cli.RUNNERS, "check", crash)
+    summary, rows, _ = cli.SUBCOMMANDS["check"]
+    monkeypatch.setitem(cli.SUBCOMMANDS, "check", (summary, rows, crash))
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "2") == 4
     assert "witness path exceeds the claimed barrier" in capsys.readouterr().err
 
@@ -619,6 +638,8 @@ USAGE_SITES = {
     "non-integer-pyramid-target": (["barrier", "--code", "cubic1", "--L", "4", "--target", "pyramid:x"], None,
                                    "non-negative integer P"),
     "sweep-not-power-of-two": (["pyramid", "--code", "cubic1", "--sweep", "2,6"], None, "powers of two"),
+    # the sweep ignored --L, so a bad one passed
+    "sweep-with-bad-L": (["pyramid", "--code", "cubic1", "--sweep", "2,4", "--L", "1"], None, "L must be at least 2"),
     "barrier-without-target": (["barrier", "--code", "rep1d", "--L", "4"], None, "requires --target"),
     "rg-without-p": (["rg", "--code", "cubic1", "--L", "4"], None, "requires --p or --path"),
     "fractal-without-p": (["fractal", "--code", "cubic1", "--L", "4"], None, "requires --p or --op"),
@@ -653,3 +674,71 @@ def test_usage_error_sites_exit_two(tmp_path, capsys, site):
     assert run(tmp_path, *argv) == 2
     assert fragment in capsys.readouterr().err
     assert not list(tmp_path.glob("*/report.json"))
+
+
+# -- one property over the option table --------------------------------------------
+
+# The in-bound range drawn for each int flag: a library bound where the table
+# has none, and an upper end that keeps every run short.  A cap row is always
+# given, since its default would not keep the run short, and so is the flag
+# that a subcommand cannot run without.
+SMALLEST = {"--L": 2, "--p": 0}
+LARGEST = {"--L": 5, "--p": 3, "--ltqo": 3, "--seed": 3, "--track-level": 2, "--rho": 3,
+           "--state-cap": 2000, "--omega-max": 6, "--max-pairs": 4, "--max-patterns": 8}
+ALWAYS_GIVEN = {"--state-cap", "--omega-max", "--max-pairs", "--max-patterns"}
+NEEDED = {"syndrome": "--op", "barrier": "--target"}
+JUNK = ["x", "1,x", "3", "pyramid:x", "XI@a,0,0", "no_such_file"]  # text no string flag accepts
+
+
+def string_pools(code: str, steps_file: str) -> dict:
+    """Small pools of text that the string flags accept on this code."""
+    spec = registered_spec(code)
+    site = ",".join("1" * spec.D)
+    return {
+        "--op": [f"{'X' * spec.q}@{site}", f"{'Z' * spec.q}@{site}", steps_file],
+        "--target": ["all-x", "pyramid:1", steps_file],
+        "--sweep": ["2", "2,4"],
+        "--scales": ["1,2,4", "1,2,3"],
+        "--u": [site],
+        "--path": [steps_file],
+    }
+
+
+def flag_values(row, wild: bool, pools: dict):
+    """Command-line text for a row: in-bound values, and when ``wild`` also
+    junk text for a string flag, or one below the range and NaN for a number."""
+    flag, typ, _, least, _ = row
+    if flag in pools:
+        return st.sampled_from(pools[flag] + JUNK if wild else pools[flag])
+    if isinstance(typ, tuple):
+        return st.sampled_from(typ)
+    low = SMALLEST.get(flag, least)
+    values = st.sampled_from(["1", "1.5", "3", "15"]) if typ is float else st.integers(low, LARGEST[flag]).map(str)
+    return values | st.sampled_from([str(low - 1), "nan"]) if wild else values
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_ends_in_a_verdict_or_a_usage_error(name, data):
+    """Each subcommand, with any mix of flags drawn from the option table,
+    exits 0-3 and never 4; a usage error (2) writes no run directory."""
+    wild = data.draw(st.booleans(), label="out-of-range values")
+    code = data.draw(st.sampled_from(registry_names()), label="--code")
+    argv = [name, "--code", code]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+        spec = registered_spec(code)
+        steps = Path(tmp, "steps.txt")
+        steps.write_text("".join(f"{' '.join(c * spec.D)} 0 {p}\n" for c, p in (("0", "X"), ("1", "Z"))))
+        pools = string_pools(code, str(steps))
+        for row in SHARED_OPTIONS + SUBCOMMANDS[name][1]:
+            flag = row[0]
+            if flag in ("--code", "--out"):
+                continue  # the code is drawn above, and the run writes to a temporary directory
+            if flag in ALWAYS_GIVEN or flag == NEEDED.get(name) or data.draw(st.booleans(), label=f"{flag} given"):
+                argv += [flag, data.draw(flag_values(row, wild, pools), label=flag)]
+        out = Path(tmp, "out")
+        exit_code = main(argv + ["--out", str(out)])
+        wrote = out.exists()
+    assert exit_code in (0, 1, 2, 3), f"{argv} exited {exit_code}:\n{err.getvalue()}"
+    assert exit_code != 2 or not wrote

@@ -33,7 +33,7 @@ from stabscape.defects import (
     TRIVIAL,
     CubeBox,
     ScaleParams,
-    ScanBudget,
+    SearchBudget,
     SegmentFinding,
     StringScanReport,
     TQOViolationError,
@@ -526,7 +526,7 @@ def test_segment_validation_errors(toric3):
 
 def test_scan_finds_strings_on_toric():
     code = get_code("toric2d", 6)
-    report = scan_for_strings(code, 1, 2.0, ScanBudget(), ScaleParams(ltqo=3))
+    report = scan_for_strings(code, 1, 2.0, SearchBudget(), ScaleParams(ltqo=3))
     assert report.nontrivial
     assert any(f.aspect_ratio > 2.0 for f in report.nontrivial)
     for f in report.nontrivial:
@@ -535,7 +535,7 @@ def test_scan_finds_strings_on_toric():
 
 def test_scan_finds_domain_walls_on_rep():
     code = get_code("rep1d", 8)
-    report = scan_for_strings(code, 1, 3.0, ScanBudget(), ScaleParams(ltqo=4))
+    report = scan_for_strings(code, 1, 3.0, SearchBudget(), ScaleParams(ltqo=4))
     assert report.nontrivial
     assert all(f.aspect_ratio > 3.0 for f in report.nontrivial)
 
@@ -545,10 +545,10 @@ def test_scan_time_cap_trips_inside_a_pair(monkeypatch):
     anchor pair: a clock that jumps past the cap after the first pair check
     ends the scan inside that pair."""
     code = get_code("toric2d", 4)
-    uncapped = scan_for_strings(code, 1, 1.0, ScanBudget(max_anchor_pairs=1))
+    uncapped = scan_for_strings(code, 1, 1.0, SearchBudget(max_pairs=1))
     readings = iter([0.0, 0.0])  # the scan's start, then the first pair's check
     monkeypatch.setattr(defects.time, "monotonic", lambda: next(readings, 10.0))
-    capped = scan_for_strings(code, 1, 1.0, ScanBudget(time_cap=1.0))
+    capped = scan_for_strings(code, 1, 1.0, SearchBudget(time_cap=1.0))
     assert capped.pairs_scanned == 1 and capped.budget_exhausted
     assert capped.patterns_tested < uncapped.patterns_tested
 
@@ -805,7 +805,7 @@ def reference_scan(code, rho, alpha, budget, params):
     scale = params.ltqo_for(g)
     solver = _box_solver(code, scale)
     for box2 in placements:
-        if pairs_scanned >= budget.max_anchor_pairs or (
+        if pairs_scanned >= budget.max_pairs or (
             budget.time_cap is not None and time.monotonic() - start > budget.time_cap
         ):
             exhausted = True
@@ -816,7 +816,7 @@ def reference_scan(code, rho, alpha, budget, params):
         corners = _support_placements(code, box1, box2, scale)
         seen_patterns = set()
         for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
-            if len(seen_patterns) >= budget.max_patterns_per_pair:
+            if len(seen_patterns) >= budget.max_patterns:
                 exhausted = True
                 break
             present = np.flatnonzero(local_rows >= 0).tolist()
@@ -837,7 +837,7 @@ def reference_scan(code, rho, alpha, budget, params):
                 charged = tuple(i for i, cl in enumerate((in1, in2)) if not is_neutral(code, cl, scale).neutral)
                 if charged:
                     findings.append(SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight))
-                if len(seen_patterns) >= budget.max_patterns_per_pair:
+                if len(seen_patterns) >= budget.max_patterns:
                     exhausted = True
                     break
     findings.sort(key=lambda f: (-f.aspect_ratio, f.box2.corner))
@@ -858,9 +858,9 @@ def scan_cases(draw):
     small = name == "cubic1" and rho == 2
     alpha = draw(st.sampled_from([1.0, 1.2, 2.0, 3.0]), label="alpha")
     ltqo = draw(st.sampled_from([1, 2] if small else [1, 2, 3, None]), label="ltqo")
-    budget = ScanBudget(
-        max_anchor_pairs=draw(st.integers(1, 2 if small else 8), label="max_anchor_pairs"),
-        max_patterns_per_pair=draw(st.integers(1, 4 if small else 16), label="max_patterns_per_pair"),
+    budget = SearchBudget(
+        max_pairs=draw(st.integers(1, 2 if small else 8), label="max_pairs"),
+        max_patterns=draw(st.integers(1, 4 if small else 16), label="max_patterns"),
     )
     return code_for(name, L), rho, alpha, budget, ScaleParams(ltqo=ltqo)
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import weakref
 from collections import deque
 from functools import lru_cache
@@ -323,6 +324,23 @@ def test_zero_time_cap_trips_at_the_first_check(toric3, monkeypatch):
     assert res.status == "budget_exhausted" and res.omega is None
 
 
+def test_distance_time_cap_ends_enumeration_with_an_upper_bound(toric3, monkeypatch):
+    """The distance enumeration checks its deadline before each (class,
+    stabilizer) block.  Cut before the first block, it bounds d by the class
+    generators, as a refused enumeration does; cut after one, by the lightest
+    element of that block."""
+    exact = code_distance(toric3)
+    generator_bound = code_distance(toric3, SearchBudget(state_cap=1)).d_upper
+    ticks = itertools.count()
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(ticks))
+    res = code_distance(toric3, SearchBudget(time_cap=0))
+    assert (res.status, res.d, res.d_upper) == ("budget_exhausted", None, generator_bound)
+    readings = iter([0.0, 0.0])  # the deadline, then the first block's check
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 10.0))
+    res = code_distance(toric3, SearchBudget(time_cap=1.0))
+    assert (res.status, res.d) == ("budget_exhausted", None) and res.d_upper >= exact.d
+
+
 # -- the retired dict BFS: the reference for the level-synchronous pass ----------
 
 
@@ -393,7 +411,7 @@ def compare_with_reference(space, omega, goal_key, goal_synd, cap, block=oracle.
     expected = reference_search_pass(space, omega, as_int(goal_key), as_int(goal_synd), cap)
     with mock.patch.object(oracle, "BLOCK", block):
         budget = SearchBudget(state_cap=cap)
-        moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, None)
+        moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, math.inf)
     assert (moves, visited, capped) == expected
     assert 1 <= peak <= visited
     return expected
