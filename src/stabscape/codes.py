@@ -142,15 +142,16 @@ class CodeInstance:
         self._terms = np.array([(s, sub, PAULI_CODE[p], *o) for s, sp in enumerate(spec.species)
                                 for o, label in sp.entries for sub, p in enumerate(label) if p != "I"],
                                dtype=np.int64).reshape(-1, 3 + spec.D)
-        # Dense flip table, one row per ``4 * sub + pauli``: the template offsets
-        # ``(4q, F, D)`` and species ``(4q, F)`` of the generators that single-qubit
-        # Pauli flips, in term order, and a validity mask ``(4q, F)``.  Offsets are
-        # distinct within a species, so one step never flips a generator twice.
+        # Dense flip table, one row per ``4 * sub + pauli``: a validity mask ``(4q, F)``
+        # of the generators that single-qubit Pauli flips, in term order, with their
+        # offsets ``(D, 4q * F)`` and species ``(4q * F,)`` flat over (row, slot).
+        # Offsets are distinct within a species, so a step flips a generator once.
         species, subs, paulis = self._terms[:, :3].T
         key = np.arange(4 * spec.q)[:, None]
         flips = (subs == key // 4) & (key % 4 != 0) & (paulis != key % 4)
         order = np.argsort(~flips, axis=1, kind="stable")[:, : flips.sum(axis=1).max(initial=0)]
-        self._flip_table = self._terms[order, 3:], species[order], np.take_along_axis(flips, order, axis=1)
+        self._flip_table = (np.take_along_axis(flips, order, axis=1),
+                            self._terms[order, 3:].reshape(-1, spec.D).T.copy(), species[order].ravel())
         self._stabilizer_matrix: BitMatrix | None = None
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
@@ -207,17 +208,20 @@ class CodeInstance:
         ``subs (T,)`` with ``paulis (T,)`` coded x bit | z bit << 1.
 
         Returns ``(step, generator)`` index arrays ordered by step.  The cost
-        is a fixed number of array operations whatever T is.  The caller keeps
-        every sub-qubit slot in ``0..q-1``: another slot would read another
-        slot's row of the table.
+        is a fixed number of array operations whatever T is: the flat cube id
+        is built one axis at a time from 1-D gathers.  The caller keeps every
+        sub-qubit slot in ``0..q-1``: another slot would read another slot's
+        row of the table.
         """
         g = self.geometry
-        offsets, species, valid = self._flip_table
+        valid, offsets, species = self._flip_table
         key = 4 * np.asarray(subs, dtype=np.int64) + paulis
         step, slot = np.nonzero(valid[key])
-        k = key[step]
-        cubes = np.asarray(sites, dtype=np.int64).reshape(-1, g.D)[step] - offsets[k, slot]
-        return step, g.site_indices(cubes) * self.n_species + species[k, slot]
+        entry = np.take(key, step) * valid.shape[1] + slot
+        cube = 0
+        for column, offset in zip(np.asarray(sites, dtype=np.int64).reshape(-1, g.D).T, offsets):
+            cube = cube * g.L + (np.take(column, step) - np.take(offset, entry)) % g.L
+        return step, cube * self.n_species + np.take(species, entry)
 
     def qubit_flip_events(self, qubits, paulis) -> tuple[np.ndarray, np.ndarray]:
         """``flip_events`` of single-qubit Paulis on flat qubit ids."""

@@ -63,14 +63,6 @@ def get_bit(words: np.ndarray, j: int) -> int:
     return int((words[j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
 
-def set_bit(words: np.ndarray, j: int, value: int = 1) -> None:
-    mask = np.uint64(1) << np.uint64(j & 63)
-    if value:
-        words[j >> 6] |= mask
-    else:
-        words[j >> 6] &= ~mask
-
-
 def popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
@@ -209,9 +201,6 @@ class BitMatrix:
         data = bytearray(b"".join(table[lead].to_bytes(width, "little") for lead in leads))
         words = np.frombuffer(data, dtype=np.uint64).reshape(len(leads), self.words.shape[1])
         return BitMatrix(words, self.ncols), [lead.bit_length() - 1 for lead in leads]
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
 
 def reduce_by_rref(rref: BitMatrix, pivots: list[int] | np.ndarray, vec: np.ndarray) -> np.ndarray:

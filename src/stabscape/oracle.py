@@ -292,14 +292,16 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
     n = code.n_qubits
     reps = _logical_class_reps(code)
     stab_basis = code.stabilizer_rref()[0].words
-    # The raw class generators bound the distance, should the budget cut the enumeration.
+    def skipped(xs, zs):  # classes that act trivially on a classical code's ground states
+        return (code.is_classical_z() & ~xs.any(axis=1)) | (code.is_classical_x() & ~zs.any(axis=1))
     x, z = gf2.split_halves(reps, n)
-    d_upper = int(np.bitwise_count(x | z).sum(axis=1).min()) if len(reps) else None
+    kept = ~skipped(x, z)  # the kept class generators bound d, should the budget cut the enumeration
+    d_upper = int(np.bitwise_count(x[kept] | z[kept]).sum(axis=1).min()) if kept.any() else None
     if (1 << len(reps)) * (1 << len(stab_basis)) > budget.state_cap:
         return DistanceResult(None, None, "budget_exhausted", 0, 0, 0, d_upper)
     deadline = budget.deadline()
     cx, cz = (gf2.subset_xors(half)[1:] for half in (x, z))
-    skip = (code.is_classical_z() & ~cx.any(axis=1)) | (code.is_classical_x() & ~cz.any(axis=1))
+    skip = skipped(cx, cz)
     cx, cz = cx[~skip], cz[~skip]
     sx, sz = (gf2.subset_xors(half) for half in gf2.split_halves(stab_basis, n))
     span = min(len(sx), BLOCK)  # stabilizers per block

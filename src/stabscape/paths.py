@@ -94,15 +94,19 @@ def as_path(steps: Iterable[tuple[QubitIndex, str]]) -> ErrorPath:
     return steps if isinstance(steps, ErrorPath) else ErrorPath.from_steps(steps)
 
 
+def _require_slots(code: CodeInstance, path: ErrorPath) -> None:
+    q = code.geometry.q
+    if len(path) and not (0 <= path.subs.min() and path.subs.max() < q):
+        raise ValueError(f"path has a sub-qubit slot outside 0..{q - 1}")
+
+
 def walk_events(
     code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one syndrome walker: flip events ``(step, generator)`` in step
     order.  Step ``t`` is the path's t-th error (1-based); the initial
     defects enter as step-0 events."""
-    q = code.geometry.q
-    if len(path) and not (0 <= path.subs.min() and path.subs.max() < q):
-        raise ValueError(f"path has a sub-qubit slot outside 0..{q - 1}")
+    _require_slots(code, path)
     step, gens = code.flip_events(path.sites, path.subs, path.paulis)
     init = np.array(sorted({code.generator_index(c, s) for c, s in initial}), dtype=np.int64)
     return np.concatenate([np.zeros_like(init), step + 1]), np.concatenate([init, gens])
@@ -148,13 +152,16 @@ def energy_profile(
     return EnergyProfile(tuple(counts.tolist()), frozenset(code.generators_at(final)))
 
 
-
 def defect_after_each_step(code: CodeInstance, path: ErrorPath, defect: Defect) -> np.ndarray:
-    """Whether ``defect`` is present after each step ``1..T`` of a path
-    started from vacuum: the running parity of its flip events."""
-    step, gens = walk_events(code, path)
-    flips = np.bincount(step[gens == code.generator_index(*defect)], minlength=len(path) + 1)
-    return (np.cumsum(flips) % 2 == 1)[1:]
+    """Whether ``defect`` is present after each step ``1..T`` of a path from
+    vacuum, without the walker: a step flips it iff its qubit is one of the
+    generator's terms with an anticommuting Pauli; presence is the parity."""
+    _require_slots(code, path)
+    g, gen = code.geometry, code.generator_index(*defect)
+    gens, qubits, paulis = code.generator_terms([gen // code.n_species])
+    qubit, p = (g.site_indices(path.sites) * g.q + path.subs)[:, None], path.paulis[:, None]
+    flips = (qubit == qubits[gens == gen]) & (p != paulis[gens == gen]) & (p != 0)
+    return np.cumsum(flips.sum(axis=1)) % 2 == 1
 
 
 # -- cubic-code pyramids --------------------------------------------------------

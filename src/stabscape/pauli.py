@@ -121,13 +121,10 @@ class PauliOperator:
     def support_indices(self) -> np.ndarray:
         return gf2.nonzero_indices(self.xwords | self.zwords, self.geometry.n_qubits)
 
-    def support(self) -> tuple[QubitIndex, ...]:
-        g = self.geometry
-        return tuple(g.qubit_at(int(i)) for i in self.support_indices())
-
     def support_sites(self) -> set[tuple[int, ...]]:
         g = self.geometry
-        return {g.site_at(int(i) // g.q) for i in self.support_indices()}
+        coords = np.unravel_index(self.support_indices() // g.q, (g.L,) * g.D)
+        return set(zip(*(c.tolist() for c in coords)))
 
     def terms(self) -> list[tuple[QubitIndex, str]]:
         out = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -245,19 +245,20 @@ def box_counting_dimension(sites: Iterable[Site], scales: Sequence[int]) -> BoxC
     estimate is the least-squares slope of log(count) against log(1/scale).
     At least 3 distinct scales, each at least 1, are required.
     """
-    coords = np.asarray(sorted(set(sites)), dtype=np.int64)
-    if coords.size == 0:
+    sites = set(sites)  # box counts do not depend on order, so no sort
+    if not sites:
         raise InputError("empty support")
     if len(set(scales)) < 3 or min(scales) < 1:
         raise InputError(f"need at least 3 distinct box scales, each at least 1; got {list(scales)}")
+    coords = np.fromiter(chain.from_iterable(sites), np.int64).reshape(len(sites), -1).T.copy()  # one row per axis
     counts = []
     for s in scales:
         boxes = coords // int(s)
-        boxes -= boxes.min(axis=0)
-        keys = np.sort(np.ravel_multi_index(tuple(boxes.T), tuple(boxes.max(axis=0) + 1)))
+        boxes -= boxes.min(axis=1, keepdims=True)
+        keys = np.sort(np.ravel_multi_index(tuple(boxes), tuple(boxes.max(axis=1) + 1)))
         # distinct boxes by sort and diff (np.unique would import numpy.ma)
         counts.append((int(s), int(np.count_nonzero(np.diff(keys))) + 1))
-    if coords.shape[0] == 1:
+    if len(sites) == 1:
         return BoxCountEstimate(0.0, counts, degenerate=True)
     xs = np.log([1.0 / s for s, _ in counts])
     ys = np.log([c for _, c in counts])

@@ -199,6 +199,35 @@ def reference_flips(code, qubit, p):
     ]
 
 
+# -- test-only vocabulary: helpers no library code calls -----------------------
+
+
+def set_bit(words, j, value=1):
+    """Set bit ``j`` of a packed word vector to ``value``."""
+    mask = np.uint64(1) << np.uint64(j & 63)
+    if value:
+        words[j >> 6] |= mask
+    else:
+        words[j >> 6] &= ~mask
+
+
+def rank(m):
+    """GF(2) rank of a ``BitMatrix``."""
+    return len(m.rref()[1])
+
+
+def support(op):
+    """The qubits an operator acts on, as ``QubitIndex`` values."""
+    g = op.geometry
+    return tuple(g.qubit_at(int(i)) for i in op.support_indices())
+
+
+def reference_support_sites(op):
+    """Sites of an operator's support: one ``site_at`` per support qubit."""
+    g = op.geometry
+    return {g.site_at(int(i) // g.q) for i in op.support_indices()}
+
+
 def reference_restricted_matrix(code, sites):
     """The retired restricted syndrome matrix of a site region, one template
     entry at a time: (dense uint8 matrix, sorted qubit columns, sorted
@@ -241,5 +270,5 @@ def reference_lift(geometry, qubits, x):
     full = gf2.zeros(2 * n)
     for local in gf2.nonzero_indices(x, 2 * nq):
         local = int(local)
-        gf2.set_bit(full, qubits[local] if local < nq else qubits[local - nq] + n, 1)
+        set_bit(full, qubits[local] if local < nq else qubits[local - nq] + n, 1)
     return PauliOperator.from_symplectic(geometry, full)

@@ -75,6 +75,19 @@ def test_barrier_budget_indeterminate_exit(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("L, p, check", [(16, 2, "apex_defect_after_every_step"), (8, 3, "closes_to_logical")])
+def test_pyramid_job_walks_its_path_once(tmp_path, monkeypatch, L, p, check):
+    """The profile is the one walk; the apex check reads one generator's
+    terms and the wrapping job's logical check reads ``syndrome_of``."""
+    walks = []
+    walk_events = stabscape.paths.walk_events
+    monkeypatch.setattr(stabscape.paths, "walk_events", lambda *a, **k: walks.append(a) or walk_events(*a, **k))
+    assert run(tmp_path, "pyramid", "--code", "cubic1", "--L", str(L), "--p", str(p)) == 0
+    assert len(walks) == 1
+    report = json.loads(report_bytes(tmp_path, "pyramid"))
+    assert [c["status"] for c in report["checks"] if c["name"] == check] == ["pass"]
+
+
 def test_barrier_pyramid_target(tmp_path):
     assert run(tmp_path, "barrier", "--code", "cubic1", "--L", "2", "--target", "pyramid:1") == 0
     report = json.loads(report_bytes(tmp_path, "barrier"))

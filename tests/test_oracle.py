@@ -226,16 +226,17 @@ def reference_distance(code, state_cap):
     n = code.n_qubits
     mask = (1 << n) - 1
     weight = lambda v: ((v & mask) | (v >> n)).bit_count()
+    skip = lambda v: (code.is_classical_z() and v & mask == 0) or (code.is_classical_x() and v >> n == 0)
     reps = reference_class_reps(code)
     stab_basis = [gf2.to_int(row) for row in code.stabilizer_rref()[0].words]
     if (1 << len(reps)) * (1 << len(stab_basis)) > state_cap:
-        return None, "budget_exhausted", 0, 0, 0, min(map(weight, reps), default=None)
+        return None, "budget_exhausted", 0, 0, 0, min((weight(r) for r in reps if not skip(r)), default=None)
     assert 2 * n <= 63
     stab = np.array(reference_gray(stab_basis), dtype=np.uint64)
     best = None
     skipped = classes = 0
     for cls in reference_gray(reps)[1:]:
-        if (code.is_classical_z() and cls & mask == 0) or (code.is_classical_x() and cls >> n == 0):
+        if skip(cls):
             skipped += 1
             continue
         classes += 1
@@ -322,6 +323,16 @@ def test_zero_time_cap_trips_at_the_first_check(toric3, monkeypatch):
     xstring = PauliOperator.from_terms(g, [(QubitIndex((x, 0), 1), "X") for x in range(3)])
     res = min_barrier_logical(toric3, xstring, SearchBudget(time_cap=0))
     assert res.status == "budget_exhausted" and res.omega is None
+
+
+@pytest.mark.parametrize("name_L", [("rep1d", 8), ("toric2d", 3), ("cubic1", 2)])
+def test_capped_upper_bound_is_at_least_the_distance(name_L):
+    """``d_upper`` comes only from class generators the enumeration keeps, so
+    on a classical code the skipped diagonal ones cannot pull it below d."""
+    code = distance_code(*name_L)
+    capped = code_distance(code, SearchBudget(state_cap=100))
+    assert capped.status == "budget_exhausted"
+    assert capped.d_upper >= code_distance(code).d
 
 
 def test_distance_time_cap_ends_enumeration_with_an_upper_bound(toric3, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from stabscape.lattice import LatticeGeometry, QubitIndex
 from stabscape.pauli import PauliOperator
 
-from conftest import translate
+from conftest import support, translate
 
 GEO = LatticeGeometry(2, 4, 1)
 
@@ -75,10 +75,10 @@ def test_commutes_symmetric_and_bilinear(rng):
 
 def test_weight_and_support():
     ident = PauliOperator.identity(GEO)
-    assert ident.weight == 0 and ident.support() == ()
+    assert ident.weight == 0 and support(ident) == ()
     e = op(((0, 0), "X"), ((1, 1), "Y"), ((3, 2), "Z"))
     assert e.weight == 3
-    assert set(e.support()) == {QubitIndex((0, 0)), QubitIndex((1, 1)), QubitIndex((3, 2))}
+    assert set(support(e)) == {QubitIndex((0, 0)), QubitIndex((1, 1)), QubitIndex((3, 2))}
     assert dict(e.terms())[QubitIndex((1, 1))] == "Y"
 
 

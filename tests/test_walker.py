@@ -7,8 +7,9 @@ one-operator flip-event ``syndrome_of`` behind the batched kernel, the
 bit-at-a-time ``from_terms``, the recursive pyramid schedule, the
 full-lattice commutation audit, the per-entry restricted syndrome matrix
 behind the box solver, the per-qubit single-Pauli short-circuit of the local
-solver, the per-move flip loop of the oracle and the per-corner
-generator-to-row map of the box solver.
+solver, the per-move flip loop of the oracle, the per-corner
+generator-to-row map of the box solver and the per-qubit ``site_at`` loop of
+``support_sites``.
 """
 
 from functools import lru_cache
@@ -32,6 +33,8 @@ from conftest import (
     reference_gram_witness,
     reference_lift,
     reference_restricted_matrix,
+    reference_support_sites,
+    set_bit,
     spec_dict,
 )
 
@@ -81,9 +84,9 @@ def reference_from_terms(geometry, terms):
     for qubit, p in terms:
         j = geometry.qubit_index(qubit)
         if p in "XY":
-            gf2.set_bit(x, j, gf2.get_bit(x, j) ^ 1)
+            set_bit(x, j, gf2.get_bit(x, j) ^ 1)
         if p in "ZY":
-            gf2.set_bit(z, j, gf2.get_bit(z, j) ^ 1)
+            set_bit(z, j, gf2.get_bit(z, j) ^ 1)
     return PauliOperator(geometry, x, z)
 
 
@@ -175,8 +178,12 @@ def test_defect_after_each_step_matches_retired_loop(walk):
 @pytest.mark.parametrize("sub", [-1, 2])
 def test_out_of_range_slot_rejected(cubic4, sub):
     # cubic1 has slots 0 and 1; any other slot would read another slot's row
+    # of the flip table, or alias onto a slot of the next site
+    steps = [(QubitIndex((1, 1, 1), sub), "Z")]
     with pytest.raises(ValueError):
-        energy_profile(cubic4, [(QubitIndex((1, 1, 1), sub), "Z")])
+        energy_profile(cubic4, steps)
+    with pytest.raises(ValueError):
+        defect_after_each_step(cubic4, ErrorPath.from_steps(steps), ((1, 1, 1), 0))
 
 
 @settings(max_examples=200)
@@ -197,6 +204,24 @@ def test_syndrome_of_matches_retired_loop(name, L, terms):
     for qubit, p in steps:
         _, gens = code.flip_events([qubit.site], [qubit.sub], [PAULI_CODE[p]])
         assert code.generators_at(gens) == reference_flips(code, qubit, p)
+
+
+@settings(max_examples=200)
+@given(
+    name=st.sampled_from(["rep1d", "toric2d", "toric3d", "cubic1"]),
+    L=st.integers(2, 5),
+    terms=st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=3, max_size=3), st.integers(0, 3), st.sampled_from("XYZ")),
+        max_size=12,
+    ),
+)
+def test_support_sites_match_retired_loop(name, L, terms):
+    code = code_for(name, L)
+    g = code.geometry
+    op = PauliOperator.from_terms(g, [(QubitIndex(tuple(site[: g.D]), sub % g.q), p) for site, sub, p in terms])
+    sites = op.support_sites()
+    assert sites == reference_support_sites(op)
+    assert all(type(c) is int for site in sites for c in site)
 
 
 def test_syndrome_of_at_large_L_is_sparse():
