@@ -1,5 +1,7 @@
 """Energy-landscape toolkit for stabilizer-code Hamiltonians on periodic lattices."""
 
+from types import ModuleType as _ModuleType
+
 from .lattice import LatticeGeometry, QubitIndex
 from .pauli import PauliOperator
 from .codes import (
@@ -41,44 +43,8 @@ from .rg import (
     track_charged_clusters,
 )
 
-__all__ = [
-    "LatticeGeometry",
-    "QubitIndex",
-    "PauliOperator",
-    "CodeInstance",
-    "CodeSpec",
-    "Defect",
-    "Syndrome",
-    "build_code",
-    "check_frustration_free",
-    "get_code",
-    "registered_spec",
-    "registry_names",
-    "ScaleParams",
-    "classify_string_segment",
-    "cluster_partition",
-    "creation_operator",
-    "dense_runs",
-    "is_neutral",
-    "localize",
-    "min_dense_run",
-    "scan_for_strings",
-    "ErrorPath",
-    "energy_profile",
-    "logical_zbar",
-    "pyramid_operator",
-    "pyramid_path",
-    "verify_logical",
-    "SearchBudget",
-    "canonicalize",
-    "code_distance",
-    "min_barrier_cluster",
-    "min_barrier_logical",
-    "box_counting_dimension",
-    "level_histories",
-    "support_connectivity",
-    "syndrome_history",
-    "track_charged_clusters",
-]
+# the public names are the ones imported above, listed once
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 
 __version__ = "0.1.0"

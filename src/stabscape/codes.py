@@ -142,16 +142,16 @@ class CodeInstance:
         self._terms = np.array([(s, sub, PAULI_CODE[p], *o) for s, sp in enumerate(spec.species)
                                 for o, label in sp.entries for sub, p in enumerate(label) if p != "I"],
                                dtype=np.int64).reshape(-1, 3 + spec.D)
-        # Dense flip table, one row per ``4 * sub + pauli``: a validity mask ``(4q, F)``
-        # of the generators that single-qubit Pauli flips, in term order, with their
-        # offsets ``(D, 4q * F)`` and species ``(4q * F,)`` flat over (row, slot).
+        # Dense flip table, F slots per row ``4 * sub + pauli``: the count ``(4q,)`` of
+        # generators that single-qubit Pauli flips, in the row's first slots in term
+        # order, with their offsets ``(D, 4q * F)`` and species ``(4q * F,)``.
         # Offsets are distinct within a species, so a step flips a generator once.
         species, subs, paulis = self._terms[:, :3].T
         key = np.arange(4 * spec.q)[:, None]
         flips = (subs == key // 4) & (key % 4 != 0) & (paulis != key % 4)
         order = np.argsort(~flips, axis=1, kind="stable")[:, : flips.sum(axis=1).max(initial=0)]
-        self._flip_table = (np.take_along_axis(flips, order, axis=1),
-                            self._terms[order, 3:].reshape(-1, spec.D).T.copy(), species[order].ravel())
+        self._flip_table = (flips.sum(axis=1), self._terms[order, 3:].reshape(-1, spec.D).T.copy(),
+                            species[order].ravel())
         self._stabilizer_matrix: BitMatrix | None = None
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
@@ -214,10 +214,12 @@ class CodeInstance:
         row of the table.
         """
         g = self.geometry
-        valid, offsets, species = self._flip_table
+        width, offsets, species = self._flip_table
         key = 4 * np.asarray(subs, dtype=np.int64) + paulis
-        step, slot = np.nonzero(valid[key])
-        entry = np.take(key, step) * valid.shape[1] + slot
+        count = width[key]
+        step = np.repeat(np.arange(len(key)), count)
+        # a step's events take its row's first slots: entry = row start + rank in step
+        entry = np.repeat(key * (len(species) // len(width)) - np.cumsum(count) + count, count) + np.arange(len(step))
         cube = 0
         for column, offset in zip(np.asarray(sites, dtype=np.int64).reshape(-1, g.D).T, offsets):
             cube = cube * g.L + (np.take(column, step) - np.take(offset, entry)) % g.L

@@ -62,11 +62,6 @@ def occupied_cubes(syndrome_or_cubes: Iterable) -> frozenset[Site]:
     return frozenset(out)
 
 
-def cluster_diameter(geometry: LatticeGeometry, cubes: Iterable[Site]) -> int:
-    """Diameter of a nonempty cube set: 1 + max pairwise torus distance."""
-    return 1 + int(_torus_distances(geometry, list(cubes)).max())
-
-
 @dataclass(frozen=True)
 class SparsityVerdict:
     """Level-p sparsity decision, with the partition the decision rests on."""
@@ -265,9 +260,9 @@ class _BoxSolver:
     placement only the row labels shift, by a lookup over the box's cube
     offsets.  A defect pattern is achievable iff every defect is a row of the
     box and the rows have even overlap with every vector of the left
-    nullspace; that test runs over every placement in a few array
-    operations, the patterns that pass it at one placement are walked as a
-    kernel, and the same factorization solves for a witness.
+    nullspace.  That test, and whether any anchor pattern passes it, run over
+    every placement in array operations; the patterns that pass at one
+    placement are walked as a kernel; the same factorization solves for a witness.
     """
 
     def __init__(self, code: CodeInstance, size: int):
@@ -296,9 +291,10 @@ class _BoxSolver:
         aug[np.searchsorted(rows, flipped), cols] = True
         reduced, pivots = gf2.BitMatrix.from_bool_array(aug).rref()
         self._pivots = np.array([c for c in pivots if c < ncols], dtype=np.int64)
-        # row i's membership in every reduced row, packed, and as an int
-        self._combos = reduced.select_columns(np.arange(ncols, ncols + nrows)).transpose().words
-        self._null_mask = gf2.from_indices(np.arange(len(self._pivots), nrows), nrows)
+        # row i's membership in every reduced row, packed and as an int, and in
+        # the left nullspace (the reduced rows past the rank), packed
+        combos = reduced.select_columns(np.arange(ncols, ncols + nrows)).transpose()
+        self._combos, self._null = combos.words, combos.select_columns(np.arange(len(self._pivots), nrows)).words
         self._memberships = [gf2.to_int(c) for c in self._combos]
         # local row of the generator of each species on the cube at offset o - 1
         # from the corner, o in 0..size per axis
@@ -317,8 +313,20 @@ class _BoxSolver:
 
     def achievable(self, rows: np.ndarray) -> np.ndarray:
         """Whether the box can flip exactly each row set (last axis of ``rows``)."""
-        combined = np.bitwise_xor.reduce(self._combos[rows], axis=-2)
-        return (rows >= 0).all(axis=-1) & ~(combined & self._null_mask).any(axis=-1)
+        return (rows >= 0).all(axis=-1) & ~np.bitwise_xor.reduce(self._null[rows], axis=-2).any(axis=-1)
+
+    def admits_pattern(self, rows: np.ndarray) -> np.ndarray:
+        """Whether ``achievable_subsets`` yields anything for each row set
+        (last axis of ``rows``): whether the present rows' left-nullspace
+        memberships are dependent.  One elimination runs over every set in
+        lockstep: row i, reduced by the rows before it, is zero or pivots on
+        its lowest set bit, which the later rows holding it clear."""
+        vecs = np.where(rows[..., None] >= 0, self._null[rows], 0)
+        for i in range(rows.shape[-1] - 1):
+            vec, later, nonzero = vecs[..., i, :], vecs[..., i + 1 :, :], vecs[..., i, :] != 0
+            lead = np.where(nonzero & (np.cumsum(nonzero, axis=-1) == 1), vec & (~vec + np.uint64(1)), 0)
+            later ^= np.where((later & lead[..., None, :]).any(axis=-1, keepdims=True), vec[..., None, :], 0)
+        return ((rows >= 0) & ~vecs.any(axis=-1)).any(axis=-1)
 
     def achievable_subsets(self, rows: np.ndarray) -> Iterator[int]:
         """Nonempty anchor patterns (bit i picks anchor i, at local row
@@ -522,8 +530,21 @@ def anchor_aspect_ratio(geometry: LatticeGeometry, box1: CubeBox, box2: CubeBox)
     Measured as the diameter of the combined anchor regions divided by the
     anchor size, so two unit anchors at torus distance d score d + 1.
     """
-    combined = set(box1.cubes(geometry)) | set(box2.cubes(geometry))
-    return cluster_diameter(geometry, combined) / box1.size
+    return float(_aspect_ratios(geometry, box1, [box2.corner], box2.size)[0])
+
+
+def _aspect_ratios(geometry: LatticeGeometry, box1: CubeBox, corners2, size2: int) -> np.ndarray:
+    """``anchor_aspect_ratio`` of ``box1`` and a size-``size2`` box at each of
+    ``corners2 (N, D)``: 1 + the largest torus length ``min(t, -t) mod L`` of
+    the per-axis coordinate differences t, which fill a range within either
+    box and one across.  Over a range it peaks at ``L // 2`` or at an end."""
+    L, half = geometry.L, geometry.L // 2
+    delta = np.asarray(corners2, dtype=np.int64).reshape(-1, geometry.D) - np.asarray(box1.corner, dtype=np.int64)
+    lo = np.stack(np.broadcast_arrays(0, 0, delta - (box1.size - 1)))
+    hi = np.stack(np.broadcast_arrays(box1.size - 1, size2 - 1, delta + (size2 - 1)))
+    ends = np.maximum(np.minimum(lo % L, -lo % L), np.minimum(hi % L, -hi % L))
+    spread = np.where((half - lo) % L <= hi - lo, half, ends)
+    return (1 + spread.max(axis=(0, 2))) / box1.size
 
 
 def classify_string_segment(
@@ -577,25 +598,25 @@ class StringScanReport:
     budget_exhausted: bool
 
 
-def _support_placements(code: CodeInstance, box1: CubeBox, box2: CubeBox, size: int) -> list[Site]:
-    """Corners of the size-cubes that touch both anchors' generator footprints,
-    in sorted order.
+_SCAN_BATCH = 4096  # most support-box placements of a batch of scanned pairs
+
+
+def _support_placements(geometry: LatticeGeometry, size: int, box1: CubeBox, corners2, size2: int):
+    """Corners of the size-cubes that touch the generator footprints of both
+    ``box1`` and a size-``size2`` box at each of ``corners2 (N, D)``, as
+    ``(pair (P,), corners (P, D))``, pair by pair and each pair's sorted.
 
     A segment's support must fit in one cube of the TQO scale, and it can only
     flip an anchor generator if it reaches that generator's footprint, so
-    these placements exhaust the searchable support regions.  An anchor's
-    footprint spans its corner plus ``0..anchor size`` on each axis, so the
-    reaching corners are a product of per-axis runs and so is the overlap.
-    """
-    g = code.geometry
-    eff = min(size, g.L)
-    if eff >= g.L:
-        return [(0,) * g.D]  # one cube covers everything
-
-    def reach(box: CubeBox, axis: int) -> set[int]:
-        return {(box.corner[axis] + o) % g.L for o in range(1 - eff, box.size + 1)}
-
-    return list(product(*[sorted(reach(box1, a) & reach(box2, a)) for a in range(g.D)]))
+    these placements exhaust the searchable support regions.  A footprint
+    spans the anchor's corner plus ``0..anchor size`` per axis, so a cube
+    reaches it iff each corner coordinate is in a run from ``corner + 1 - size``."""
+    L, D = geometry.L, geometry.D
+    runs = [sorted({(c + o) % L for o in range(1 - size, box1.size + 1)}) for c in box1.corner]
+    reach1 = np.zeros((1, D), dtype=np.int64) if size >= L else np.array(list(product(*runs)))
+    offsets = reach1 - np.asarray(corners2, dtype=np.int64).reshape(-1, 1, D) + size - 1
+    pair, k = np.nonzero((offsets % L < size + size2).all(axis=-1))
+    return pair, reach1[k]
 
 
 def scan_for_strings(
@@ -609,11 +630,12 @@ def scan_for_strings(
 
     Anchor pairs are placed on a stride-``rho`` grid; since the shipped codes
     are translation invariant, one anchor is pinned at the origin and only
-    relative placements (up to inversion) are enumerated.  For each placement
-    the defect patterns each support box can create on the anchors are walked
-    in ascending order (``_BoxSolver.achievable_subsets``), and the new ones,
-    up to the budget, get their anchors classified.  An empty report bounds
-    only the searched family, it is not a proof.
+    relative placements (up to inversion) are enumerated.  Batches of pairs
+    find, in one pass, which support boxes admit a defect pattern on the
+    anchors (``_BoxSolver.admits_pattern``); only there are the patterns
+    walked in ascending order (``_BoxSolver.achievable_subsets``), and the
+    new ones, up to the budget, get their anchors classified.  An empty
+    report bounds only the searched family, it is not a proof.
     """
     g = code.geometry
     budget = budget or SearchBudget()
@@ -623,28 +645,43 @@ def scan_for_strings(
     cubes1 = set(box1.cubes(g))  # box1 is pinned at the origin for every placement
     scale = params.ltqo_for(g)
     solver = _box_solver(code, scale)
+    # box2 corners: the stride grid in product order, keeping the first met of
+    # each inverse pair v, -v (one pair up to translation), boxes apart from
+    # box1 on some axis and aspect ratios above alpha
+    grid = np.indices((len(range(0, g.L, rho)),) * g.D).reshape(g.D, -1).T * rho
+    inverse, place = -grid % g.L, g.L ** np.arange(g.D - 1, -1, -1)
+    ratios = _aspect_ratios(g, box1, grid, rho)
+    keep = (inverse % rho != 0).any(axis=1) | (inverse @ place >= grid @ place)
+    keep &= ((grid >= rho) & (grid <= g.L - rho)).any(axis=1) & (ratios > alpha)
+    corners2, ratios = grid[keep], ratios[keep]
+    anchors1 = [(c, s) for c in box1.cubes(g) for s in range(code.n_species)]
+    widest = 1 if solver.size >= g.L else min(g.L, solver.size + rho) ** g.D  # placements per pair
     findings: list[SegmentFinding] = []
     pairs_scanned = patterns_tested = 0
     exhausted = False
-    seen: set[Site] = set()
-    for v in product(range(0, g.L, rho), repeat=g.D):
-        if v in seen:
-            continue
-        seen.update({v, tuple((-c) % g.L for c in v)})
-        box2 = CubeBox(v, rho)
-        if cubes1 & set(box2.cubes(g)) or not (ratio := anchor_aspect_ratio(g, box1, box2)) > alpha:
-            continue
+    batch_end = 0
+    for k, v in enumerate(corners2.tolist()):
         if pairs_scanned >= budget.max_pairs or time.monotonic() > deadline:
             exhausted = True
             break
         pairs_scanned += 1
-        anchors = [(c, s) for c in box1.cubes(g) + box2.cubes(g) for s in range(code.n_species)]
-        corners = _support_placements(code, box1, box2, scale)
+        if k == batch_end:  # built when the pair loop first reaches it
+            batch_start, batch_end = k, min(k + max(1, _SCAN_BATCH // widest), len(corners2))
+            pair, corners = _support_placements(g, solver.size, box1, corners2[k:batch_end], rho)
+            # box2's anchors sit in a box where box1's sit in that box moved back by v
+            rows = np.hstack([solver.local_rows(anchors1, c) for c in (corners, corners - corners2[k + pair])])
+            admits = solver.admits_pattern(rows)
+            bounds = np.searchsorted(pair, np.arange(batch_end - k + 1))
+        box2, ratio = CubeBox(tuple(v), rho), float(ratios[k])
         seen_patterns: set[int] = set()
-        for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
+        for j in range(bounds[k - batch_start], bounds[k - batch_start + 1]):
             if len(seen_patterns) >= budget.max_patterns or time.monotonic() > deadline:
                 exhausted = True
                 break
+            if not admits[j]:
+                continue
+            corner, local_rows = tuple(corners[j].tolist()), rows[j]
+            anchors = anchors1 + [(g.shift(c, v), s) for c, s in anchors1]
             for pattern_bits in solver.achievable_subsets(local_rows):
                 if pattern_bits in seen_patterns:
                     continue

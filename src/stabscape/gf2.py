@@ -165,10 +165,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_bool_array(self.to_bool_array().T)
 
-    def parities_with(self, vec: np.ndarray) -> np.ndarray:
-        """Row-wise inner products with ``vec``, mod 2 (uint8 array)."""
-        return (np.bitwise_count(self.words & vec).sum(axis=1) & 1).astype(np.uint8)
-
     def independent_rows(self) -> list[int]:
         """Indices of the rows that the rows before them do not span, in order."""
         return _echelon([to_int(row) for row in self.words])[1]

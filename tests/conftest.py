@@ -143,18 +143,18 @@ def neighborhood(geometry, sites, r):
 
 def reference_achievable_subsets(solver, rows):
     """The retired subset-table walk (test oracle for
-    ``_BoxSolver.achievable_subsets``): the XORed reduced-row memberships of
-    all 2^m subsets of the m rows inside the box, built by doubling for the
-    first 12 rows and offset once per subset of the rest, each tested against
-    the left nullspace; the achievable subsets as anchor bits, ascending."""
+    ``_BoxSolver.achievable_subsets``): the XORed left-nullspace memberships
+    of all 2^m subsets of the m rows inside the box, built by doubling for the
+    first 12 rows and offset once per subset of the rest, each tested for
+    zero; the achievable subsets as anchor bits, ascending."""
     from stabscape import gf2
 
     present = np.flatnonzero(np.asarray(rows) >= 0)
-    combos = solver._combos[np.asarray(rows)[present]]
-    low, high = gf2.subset_xors(combos[:12]), combos[12:]
+    null = solver._null[np.asarray(rows)[present]]
+    low, high = gf2.subset_xors(null[:12]), null[12:]
     for h in range(1 << len(high)):
         offset = np.bitwise_xor.reduce(high[(h >> np.arange(len(high))) & 1 == 1], axis=0)
-        subsets = np.flatnonzero(~((low ^ offset) & solver._null_mask).any(axis=1)) + h * len(low)
+        subsets = np.flatnonzero(~(low ^ offset).any(axis=1)) + h * len(low)
         for subset in subsets[subsets > 0].tolist():
             yield sum(1 << int(a) for i, a in enumerate(present) if subset >> i & 1)
 
@@ -214,6 +214,25 @@ def set_bit(words, j, value=1):
 def rank(m):
     """GF(2) rank of a ``BitMatrix``."""
     return len(m.rref()[1])
+
+
+def parities_with(m, vec):
+    """Row-wise inner products of a ``BitMatrix`` with ``vec``, mod 2 (uint8 array)."""
+    return (np.bitwise_count(m.words & vec).sum(axis=1) & 1).astype(np.uint8)
+
+
+def cluster_diameter(geometry, cubes):
+    """Diameter of a nonempty cube set: 1 + max pairwise torus distance."""
+    from stabscape.defects import _torus_distances
+
+    return 1 + int(_torus_distances(geometry, list(cubes)).max())
+
+
+def reference_aspect_ratio(geometry, box1, box2):
+    """The retired set-based aspect ratio (test oracle for the closed form of
+    ``defects.anchor_aspect_ratio``): the diameter of the union of both
+    boxes' cube sets over the anchor size."""
+    return cluster_diameter(geometry, set(box1.cubes(geometry)) | set(box2.cubes(geometry))) / box1.size
 
 
 def support(op):

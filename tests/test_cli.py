@@ -88,6 +88,24 @@ def test_pyramid_job_walks_its_path_once(tmp_path, monkeypatch, L, p, check):
     assert [c["status"] for c in report["checks"] if c["name"] == check] == ["pass"]
 
 
+@pytest.mark.parametrize("repeat", [False, True])
+def test_product_identity_fails_on_a_repeated_step(tmp_path, monkeypatch, repeat):
+    """The pyramid's 4^p X steps hit distinct qubits, so the product has
+    one X per step and no Z part; a path that repeats a step cancels a
+    qubit and fails the check."""
+    pyramid_path = stabscape.cli.pyramid_path
+
+    def path_with_repeat(code, p, u):
+        path = pyramid_path(code, p, u)
+        keep = np.arange(len(path) + 1) % len(path) if repeat else np.arange(len(path))
+        return stabscape.paths.ErrorPath(path.sites[keep], path.subs[keep], path.paulis[keep])
+
+    monkeypatch.setattr(stabscape.cli, "pyramid_path", path_with_repeat)
+    assert run(tmp_path, "pyramid", "--code", "cubic1", "--L", "16", "--p", "2") == (1 if repeat else 0)
+    report = json.loads(report_bytes(tmp_path, "pyramid"))
+    assert [c["status"] for c in report["checks"] if c["name"] == "product_identity"] == ["fail" if repeat else "pass"]
+
+
 def test_barrier_pyramid_target(tmp_path):
     assert run(tmp_path, "barrier", "--code", "cubic1", "--L", "2", "--target", "pyramid:1") == 0
     report = json.loads(report_bytes(tmp_path, "barrier"))
@@ -341,6 +359,29 @@ def test_check_memory_does_not_grow_with_the_lattice(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
     peak_kib = int(out.stdout.splitlines()[-1])  # Linux reports KiB
     assert peak_kib < 150 * 1024
+
+
+def test_string_scan_memory_stays_batched(tmp_path):
+    """The scan's arrays are built one batch of support placements at a
+    time: ``strings --code cubic1 --L 12 --alpha 3`` (805 anchor pairs)
+    peaks within 10% of the same job with no pair to scan, which builds the
+    same code and box solver.  The per-pair scan it replaced stayed at that
+    level; one pass over all pairs at once peaked about 30% higher.  Each job
+    runs in a grandchild of this process, started by a small interpreter: a
+    child inherits the peak RSS of the process that spawns it."""
+    launcher = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    peaks = []
+    for alpha in ("1000", "3"):
+        script = (
+            "import resource\n"
+            "from stabscape.cli import main\n"
+            f"main(['strings', '--code', 'cubic1', '--L', '12', '--alpha', {alpha!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", script],
+                             env=child_env(), capture_output=True, text=True, check=True)
+        peaks.append(int(out.stdout.splitlines()[-1]))
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_reports_byte_identical(tmp_path):

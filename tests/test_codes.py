@@ -21,6 +21,7 @@ from stabscape.pauli import PauliOperator
 from stabscape.paths import apex_cube
 
 from conftest import (
+    parities_with,
     random_operator,
     reference_generator,
     reference_gram_witness,
@@ -161,7 +162,7 @@ def test_syndrome_matrix_agrees_with_template_path(cubic4, rng):
     mat = cubic4.syndrome_matrix()
     for _ in range(20):
         op = random_operator(cubic4, rng)
-        bits = mat.parities_with(op.symplectic())
+        bits = parities_with(mat, op.symplectic())
         via_matrix = frozenset(
             cubic4.generator_at(int(i)) for i in np.nonzero(bits)[0]
         )

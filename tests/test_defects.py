@@ -3,6 +3,8 @@
 import itertools
 import time
 from functools import lru_cache
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cluster_diameter,
     cube_corner_sites,
     neighborhood,
     reference_achievable_subsets,
+    reference_aspect_ratio,
     reference_distance,
     reference_footprint_box,
     reference_lift,
@@ -39,7 +43,6 @@ from stabscape.defects import (
     TQOViolationError,
     anchor_aspect_ratio,
     classify_string_segment,
-    cluster_diameter,
     cluster_partition,
     creation_operator,
     dense_runs,
@@ -763,15 +766,21 @@ def reference_support_placements(code, box1, box2, size):
 @settings(max_examples=200)
 @given(
     name_L=st.sampled_from([("rep1d", 8), ("toric2d", 6), ("toric3d", 4), ("cubic1", 6)]),
-    corner=st.tuples(*[st.integers(0, 7)] * 3),
+    corners=st.lists(st.tuples(*[st.integers(0, 7)] * 3), min_size=1, max_size=4),
     rho=st.integers(1, 3),
     size=st.integers(1, 8),
 )
-def test_support_placements_match_set_expansion(name_L, corner, rho, size):
+def test_support_placements_match_set_expansion(name_L, corners, rho, size):
+    """One call places a batch of pairs: pair by pair, each pair's corners
+    are the set expansion's, in sorted order."""
     code = code_for(*name_L)
     g = code.geometry
-    box1, box2 = CubeBox((0,) * g.D, rho), CubeBox(g.wrap(corner[: g.D]), rho)
-    assert _support_placements(code, box1, box2, size) == reference_support_placements(code, box1, box2, size)
+    box1, boxes = CubeBox((0,) * g.D, rho), [CubeBox(g.wrap(c[: g.D]), rho) for c in corners]
+    pair, placed = _support_placements(g, min(size, g.L), box1, [b.corner for b in boxes], rho)
+    assert np.all(np.diff(pair) >= 0)
+    for i, box2 in enumerate(boxes):
+        expected = reference_support_placements(code, box1, box2, size)
+        assert [tuple(c) for c in placed[pair == i].tolist()] == expected
 
 
 # -- the string scan against the per-subset loop it replaced ----------------------
@@ -813,7 +822,7 @@ def reference_scan(code, rho, alpha, budget, params):
         pairs_scanned += 1
         anchors = [(c, s) for c in box1.cubes(g) + box2.cubes(g) for s in range(code.n_species)]
         ratio = anchor_aspect_ratio(g, box1, box2)
-        corners = _support_placements(code, box1, box2, scale)
+        corners = reference_support_placements(code, box1, box2, scale)
         seen_patterns = set()
         for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
             if len(seen_patterns) >= budget.max_patterns:
@@ -853,7 +862,8 @@ def scan_cases(draw):
     name, L, rho = draw(st.sampled_from([
         ("rep1d", 4, 1), ("rep1d", 6, 1), ("rep1d", 8, 1), ("toric2d", 3, 1), ("toric2d", 4, 1), ("toric2d", 6, 1),
         ("toric3d", 2, 1), ("toric3d", 3, 1), ("cubic1", 2, 1), ("cubic1", 3, 1), ("cubic1", 4, 1),
-        ("rep1d", 4, 2), ("rep1d", 8, 2), ("toric2d", 4, 2), ("toric2d", 6, 2), ("cubic1", 4, 2),
+        ("rep1d", 4, 2), ("rep1d", 6, 2), ("rep1d", 8, 2), ("toric2d", 4, 2), ("toric2d", 6, 2), ("toric2d", 8, 2),
+        ("cubic1", 4, 2),
     ]), label="code")
     small = name == "cubic1" and rho == 2
     alpha = draw(st.sampled_from([1.0, 1.2, 2.0, 3.0]), label="alpha")
@@ -877,6 +887,114 @@ def test_scan_matches_per_subset_loop(case):
     assert report.nontrivial == expected.nontrivial
 
 
+@settings(max_examples=80)
+@given(case=scan_cases(), batch=st.integers(1, 300))
+def test_scan_batches_match_per_subset_loop(case, batch):
+    """Any batch size, down to one pair per batch, gives the per-subset
+    loop's report, also where a ``max_pairs`` cap falls inside a batch."""
+    code, rho, alpha, budget, params = case
+    expected = reference_scan(code, rho, alpha, budget, params)
+    with mock.patch.object(defects, "_SCAN_BATCH", batch):
+        report = scan_for_strings(code, rho, alpha, budget, params)
+    assert (report.pairs_scanned, report.patterns_tested) == (expected.pairs_scanned, expected.patterns_tested)
+    assert report.budget_exhausted == expected.budget_exhausted
+    assert report.nontrivial == expected.nontrivial
+
+
+@pytest.mark.parametrize("batch, max_pairs", [(1, 3), (40, 2), (40, 3), (80, 7), (4096, 5)])
+def test_scan_pair_cap_inside_a_batch(batch, max_pairs):
+    """toric2d L=6 at scale 3: a pair has at most 4^2 placements, so a batch
+    of 40 placements holds two pairs and one of 80 holds five; the pair cap
+    ends the scan in the middle of a batch, as the per-subset loop does."""
+    code, params = code_for("toric2d", 6), ScaleParams(ltqo=3)
+    budget = SearchBudget(max_pairs=max_pairs, max_patterns=4)
+    expected = reference_scan(code, 1, 1.0, budget, params)
+    with mock.patch.object(defects, "_SCAN_BATCH", batch):
+        report = scan_for_strings(code, 1, 1.0, budget, params)
+    assert report.pairs_scanned == max_pairs and report.budget_exhausted
+    assert (report.patterns_tested, report.nontrivial) == (expected.patterns_tested, expected.nontrivial)
+
+
+@settings(max_examples=200)
+@given(
+    case=st.sampled_from([("rep1d", 8), ("toric2d", 6), ("toric3d", 4), ("cubic1", 6)]),
+    size=st.integers(1, 3),
+    data=st.data(),
+)
+def test_admits_pattern_matches_kernel_walk(case, size, data):
+    """The lockstep independence test says a placement admits a pattern
+    exactly where ``achievable_subsets`` yields one, on random local rows
+    with absent anchors (-1) and repeated rows."""
+    solver = _box_solver(code_for(*case), size)
+    row = st.integers(-1, len(solver._combos) - 1)
+    sets = data.draw(st.lists(st.lists(row, max_size=10), min_size=1, max_size=6), label="sets")
+    for s in sets:
+        if s and data.draw(st.booleans(), label="repeat"):
+            s.append(s[data.draw(st.integers(0, len(s) - 1), label="which")])
+    m = max(map(len, sets))
+    rows = np.array([s + [-1] * (m - len(s)) for s in sets], dtype=np.int64).reshape(len(sets), m)
+    expected = [next(solver.achievable_subsets(r), None) is not None for r in rows]
+    assert solver.admits_pattern(rows).tolist() == expected
+    # seeds with independent memberships, plus rows they span where dim > 0
+    dim = data.draw(st.integers(0, 2), label="dim")
+    spanned = data.draw(kernel_rows(solver, dim), label="spanned")
+    assert solver.admits_pattern(spanned[None]).tolist() == [dim > 0]
+
+
+@st.composite
+def vector_tables(draw):
+    """A word count, a table of vectors over it with bits at both ends of
+    each word (some the XOR of two before them), and a row set into it."""
+    words = draw(st.integers(0, 3))
+    bits = [64 * w + b for w in range(words) for b in (0, 1, 63)]
+    table = []
+    for _ in range(draw(st.integers(1, 8))):
+        if len(table) >= 2 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=2, unique=True))
+            table.append(table[i] ^ table[j])
+        else:
+            table.append(sum(1 << b for b in draw(st.sets(st.sampled_from(bits), max_size=4))) if bits else 0)
+    every = st.permutations(list(range(len(table))) + [-1])
+    return words, table, draw(st.one_of(every, st.lists(st.integers(-1, len(table) - 1), max_size=8)))
+
+
+@settings(max_examples=300)
+@given(case=vector_tables())
+@example(case=(2, [1 | 1 << 64, 1 << 64, 1], [0, 1, 2]))  # a pivot is one bit, in its first nonzero word
+@example(case=(1, [3, 2, 1], [0, 1, 2]))  # and its lowest bit there, not the whole word
+def test_admits_pattern_elimination_on_any_vectors(case):
+    """The lockstep elimination alone: a row set is dependent iff the GF(2)
+    rank of its present rows is below their count."""
+    words, table, rows = case
+    null = np.array([[x >> (64 * w) & (2**64 - 1) for w in range(words)] for x in table], dtype=np.uint64)
+    present = [table[r] for r in rows if r >= 0]
+    stub = SimpleNamespace(_null=null.reshape(len(table), words))
+    got = _BoxSolver.admits_pattern(stub, np.array(rows, dtype=np.int64).reshape(1, -1))
+    assert got.tolist() == [membership_rank(present) < len(present)]
+
+
+@pytest.mark.parametrize("name,L", [("toric2d", 6), ("toric3d", 4), ("cubic1", 6)])
+@pytest.mark.parametrize("rho", [1, 2])
+def test_aspect_ratio_matches_set_based_diameter(name, L, rho):
+    """The closed form against the retired set-based diameter on every
+    stride-grid anchor pair, overlapping ones included."""
+    g = code_for(name, L).geometry
+    box1 = CubeBox((0,) * g.D, rho)
+    for v in itertools.product(range(0, L, rho), repeat=g.D):
+        assert anchor_aspect_ratio(g, box1, CubeBox(v, rho)) == reference_aspect_ratio(g, box1, CubeBox(v, rho))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), D=st.integers(1, 3), L=st.integers(2, 9))
+def test_aspect_ratio_closed_form_on_any_boxes(data, D, L):
+    """Any corners and sizes, including boxes that wrap the torus."""
+    g = LatticeGeometry(D, L, 1)
+    corner = st.tuples(*[st.integers(-L, 2 * L)] * D)
+    box1 = CubeBox(data.draw(corner), data.draw(st.integers(1, L + 2)))
+    box2 = CubeBox(data.draw(corner), data.draw(st.integers(1, L + 2)))
+    assert anchor_aspect_ratio(g, box1, box2) == reference_aspect_ratio(g, box1, box2)
+
+
 @pytest.mark.parametrize("rows", [0, 3, 12, 13, 14])
 def test_achievable_subsets_match_per_subset_test(rows):
     """Subset tables below, at and across the 12-row chunk boundary against
@@ -894,7 +1012,7 @@ def test_achievable_subsets_match_per_subset_test(rows):
 
 def null_memberships(solver, rows):
     """Left-nullspace membership of each row, as ints, from the packed table."""
-    return [gf2.to_int(c) for c in solver._combos[rows] & solver._null_mask]
+    return [gf2.to_int(c) for c in solver._null[rows]]
 
 
 def membership_rank(memberships):
