@@ -155,6 +155,7 @@ class CodeInstance:
         self._stabilizer_matrix: BitMatrix | None = None
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
+        self._logical_basis: np.ndarray | None = None
         self._coset_space = None  # oracle.CosetSpace, built by oracle.coset_space
         self._box_solvers: dict = {}  # defects._BoxSolver by effective box size
 
@@ -252,6 +253,15 @@ class CodeInstance:
         """Defects of one operator (``syndrome_words`` of a one-row batch)."""
         return self.words_to_syndrome(self.syndrome_words(op.xwords[None], op.zwords[None])[0])
 
+    def defect_set(self, syndrome: Iterable[Defect]) -> Syndrome:
+        """A caller's defects as a set of distinct generators, cube coordinates
+        read modulo L as ``site_index`` reads them; InputError for a defect
+        whose species or cube dimension the code does not have."""
+        out = frozenset((self.geometry.wrap(c), s) for c, s in syndrome)
+        if bad := [d for d in out if not 0 <= d[1] < self.n_species or len(d[0]) != self.spec.D]:
+            raise InputError(f"{self.spec.name} has no generator {min(bad)}")
+        return out
+
     def syndrome_to_words(self, syndrome: Iterable[Defect]) -> np.ndarray:
         return gf2.from_indices([self.generator_index(c, s) for c, s in syndrome], self.n_generators)
 
@@ -296,6 +306,23 @@ class CodeInstance:
             self._stab_rref = self.stabilizer_matrix().rref()
         return self._stab_rref
 
+    def logical_basis(self) -> np.ndarray:
+        """The 2k centralizer rows independent modulo the stabilizers, as
+        ``(2k, words(2n))`` (X||Z) word rows, built on first use and kept on
+        the code: each centralizer basis row that the stabilizers and the rows
+        before it do not span, by one forward elimination over the stabilizer
+        RREF stacked above them.  The label of a Pauli P is the vector of its
+        symplectic products with the rows: it is linear and zero on
+        stabilizers, and on the centralizer it is zero exactly on the
+        stabilizer group."""
+        if self._logical_basis is None:
+            rref, _ = self.stabilizer_rref()
+            centralizer = gf2.nullspace(self.syndrome_matrix())
+            kept = np.asarray(BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * self.n_qubits)
+                              .independent_rows(), dtype=np.int64)
+            self._logical_basis = centralizer.words[kept[kept >= rref.nrows] - rref.nrows]
+        return self._logical_basis
+
     def stabilizer_rank(self) -> int:
         return len(self.stabilizer_matrix().independent_rows())
 
@@ -305,8 +332,7 @@ class CodeInstance:
         return self.n_qubits - self.stabilizer_rank()
 
     def in_stabilizer_group(self, op: PauliOperator) -> bool:
-        rref, pivots = self.stabilizer_rref()
-        return gf2.in_rowspan(rref, pivots, op.symplectic())
+        return not gf2.reduce_by_rref(*self.stabilizer_rref(), op.symplectic()).any()
 
     def is_classical_z(self) -> bool:
         """True when every generator is diagonal (pure Z labels)."""

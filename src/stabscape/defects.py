@@ -416,7 +416,7 @@ def is_neutral(code: CodeInstance, syndrome, size: int) -> NeutralityResult:
     valid but not weight-reduced.  A cluster with no witness at this scale is
     charged.
     """
-    syndrome = frozenset(syndrome)
+    syndrome = code.defect_set(syndrome)
     g = code.geometry
     if not syndrome:
         return NeutralityResult(True, PauliOperator.identity(g), "empty cluster")
@@ -438,7 +438,7 @@ def creation_operator(code: CodeInstance, syndrome, params: ScaleParams | None =
     pathological case where the cluster is neutral at the TQO scale yet no
     witness exists this close to it.
     """
-    syndrome = frozenset(syndrome)
+    syndrome = code.defect_set(syndrome)
     g = code.geometry
     params = params or ScaleParams()
     if not syndrome:

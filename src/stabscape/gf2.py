@@ -67,10 +67,6 @@ def popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def is_zero(words: np.ndarray) -> bool:
-    return not words.any()
-
-
 def to_int(words: np.ndarray) -> int:
     """Whole vector as a python int (hashable key; bit j of the int = bit j)."""
     return int.from_bytes(words.tobytes(), "little")
@@ -153,11 +149,6 @@ class BitMatrix:
         full = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return full[:, : self.ncols].astype(bool)
 
-    def column_bits(self, j: int) -> np.ndarray:
-        """Boolean column extraction, vectorized over rows."""
-        w, b = j >> 6, np.uint64(j & 63)
-        return ((self.words[:, w] >> b) & np.uint64(1)).astype(bool)
-
     def select_columns(self, cols) -> "BitMatrix":
         """Submatrix keeping the given columns, in the given order."""
         return BitMatrix.from_bool_array(self.to_bool_array()[:, np.asarray(cols, dtype=np.int64)])
@@ -213,10 +204,6 @@ def reduce_by_rref(rref: BitMatrix, pivots: list[int] | np.ndarray, vec: np.ndar
     return vec ^ np.bitwise_xor.reduce(rref.words[hits], axis=0)
 
 
-def in_rowspan(rref: BitMatrix, pivots: list[int], vec: np.ndarray) -> bool:
-    return is_zero(reduce_by_rref(rref, pivots, vec))
-
-
 def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     """Solve ``mat @ x = rhs`` over GF(2).
 
@@ -234,7 +221,8 @@ def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     # The rhs column becomes a pivot iff some row reduces to 0 = 1.
     if pivots and pivots[-1] == mat.ncols:
         return None
-    solved = np.asarray(pivots, dtype=np.int64)[rref.column_bits(mat.ncols)]
+    rhs_bits = (rref.words[:, mat.ncols >> 6] >> np.uint64(mat.ncols & 63)) & np.uint64(1)
+    solved = np.asarray(pivots, dtype=np.int64)[rhs_bits == 1]
     return from_indices(solved, mat.ncols)
 
 

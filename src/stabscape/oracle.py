@@ -245,7 +245,7 @@ def min_barrier_cluster(code: CodeInstance, syndrome, budget: SearchBudget | Non
     deepening loop.
     """
     budget = budget or SearchBudget()
-    syndrome = frozenset(syndrome)
+    syndrome = code.defect_set(syndrome)
     target_vec = code.syndrome_to_words(syndrome)
     if gf2.gf2_solve(code.syndrome_matrix(), target_vec) is None:
         return BarrierResult(None, None, 0, "unreachable")
@@ -266,18 +266,6 @@ class DistanceResult:
     d_upper: int | None = None
 
 
-def _logical_class_reps(code: CodeInstance) -> np.ndarray:
-    """One centralizer row per independent logical direction (2k of them), as
-    (X||Z) word rows: each row of the centralizer basis that the stabilizers
-    and the rows before it do not span, picked by one forward elimination
-    over the stabilizer basis stacked above the centralizer rows."""
-    rref, _ = code.stabilizer_rref()
-    centralizer = gf2.nullspace(code.syndrome_matrix())
-    stacked = gf2.BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * code.n_qubits)
-    kept = np.asarray(stacked.independent_rows(), dtype=np.int64)
-    return centralizer.words[kept[kept >= rref.nrows] - rref.nrows]
-
-
 def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> DistanceResult:
     """Minimum weight over centralizer elements outside the stabilizer group.
 
@@ -290,7 +278,7 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
     """
     budget = budget or SearchBudget()
     n = code.n_qubits
-    reps = _logical_class_reps(code)
+    reps = code.logical_basis()
     stab_basis = code.stabilizer_rref()[0].words
     def skipped(xs, zs):  # classes that act trivially on a classical code's ground states
         return (code.is_classical_z() & ~xs.any(axis=1)) | (code.is_classical_x() & ~zs.any(axis=1))

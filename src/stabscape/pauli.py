@@ -20,10 +20,6 @@ CODE_CHARS = "IXZY"
 PAULI_CODE = {c: i for i, c in enumerate(CODE_CHARS)}
 
 
-def pauli_char(xbit: int, zbit: int) -> str:
-    return CODE_CHARS[xbit + 2 * zbit]
-
-
 def stacked_words(geometry: LatticeGeometry, qubits, paulis, rows, count: int) -> tuple[np.ndarray, np.ndarray]:
     """X and Z words, each ``(count, words)``, of ``count`` operators given as
     single-qubit Paulis: qubit ids, Pauli codes and the row of the operator
@@ -110,7 +106,7 @@ class PauliOperator:
         return parity == 0
 
     def is_identity(self) -> bool:
-        return gf2.is_zero(self.xwords) and gf2.is_zero(self.zwords)
+        return not (self.xwords.any() or self.zwords.any())
 
     # -- support ----------------------------------------------------------
 
@@ -127,11 +123,9 @@ class PauliOperator:
         return set(zip(*(c.tolist() for c in coords)))
 
     def terms(self) -> list[tuple[QubitIndex, str]]:
-        out = []
-        for i in self.support_indices():
-            q = self.geometry.qubit_at(int(i))
-            out.append((q, pauli_char(gf2.get_bit(self.xwords, int(i)), gf2.get_bit(self.zwords, int(i)))))
-        return out
+        x, z = self.xwords, self.zwords
+        return [(self.geometry.qubit_at(i), CODE_CHARS[gf2.get_bit(x, i) + 2 * gf2.get_bit(z, i)])
+                for i in self.support_indices().tolist()]
 
     # -- conversions --------------------------------------------------------
 

@@ -344,19 +344,26 @@ def test_fractal_does_not_import_numpy_ma(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+# Runs the command in its argv in a new process.  A child inherits the peak
+# RSS of the process that spawns it, so a job measured by ``RUSAGE_SELF`` runs
+# in a grandchild of pytest, started by this small interpreter.
+LAUNCHER = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+
+
 def test_check_memory_does_not_grow_with_the_lattice(tmp_path):
     """The commutation audit runs in fixed-size blocks of owner cubes: the
     whole ``check --code cubic1 --L 32`` process (98,304 generators) peaks
     well under the 238 MiB that one unblocked pass over every cube took.
-    ``RUSAGE_SELF`` in the child, since ``RUSAGE_CHILDREN`` keeps the peak of
-    any earlier child of this process."""
+    ``RUSAGE_SELF`` in a grandchild started by ``LAUNCHER``, since
+    ``RUSAGE_CHILDREN`` keeps the peak of any earlier child of this process."""
     script = (
         "import resource, sys\n"
         "from stabscape.cli import main\n"
         f"assert main(['check', '--code', 'cubic1', '--L', '32', '--out', {str(tmp_path)!r}]) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-c", script],
+                         env=child_env(), capture_output=True, text=True, check=True)
     peak_kib = int(out.stdout.splitlines()[-1])  # Linux reports KiB
     assert peak_kib < 150 * 1024
 
@@ -367,9 +374,7 @@ def test_string_scan_memory_stays_batched(tmp_path):
     peaks within 10% of the same job with no pair to scan, which builds the
     same code and box solver.  The per-pair scan it replaced stayed at that
     level; one pass over all pairs at once peaked about 30% higher.  Each job
-    runs in a grandchild of this process, started by a small interpreter: a
-    child inherits the peak RSS of the process that spawns it."""
-    launcher = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    runs under ``LAUNCHER``."""
     peaks = []
     for alpha in ("1000", "3"):
         script = (
@@ -378,7 +383,7 @@ def test_string_scan_memory_stays_batched(tmp_path):
             f"main(['strings', '--code', 'cubic1', '--L', '12', '--alpha', {alpha!r}, '--out', {str(tmp_path)!r}])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", script],
+        out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-c", script],
                              env=child_env(), capture_output=True, text=True, check=True)
         peaks.append(int(out.stdout.splitlines()[-1]))
     assert peaks[1] <= 1.1 * peaks[0]

@@ -1,5 +1,6 @@
 """Code construction, the syndrome map, and its audited invariants."""
 
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import build_code, check_frustration_free, get_code, registered_spec, registry_names
-from stabscape import codes
+from stabscape import codes, gf2
 from stabscape.codes import (
     CodeConstructionError,
     CodeInstance,
     CodeSpec,
+    InputError,
     SpeciesTemplate,
     commutation_witness,
 )
@@ -23,6 +25,7 @@ from stabscape.paths import apex_cube
 from conftest import (
     parities_with,
     random_operator,
+    rank,
     reference_generator,
     reference_gram_witness,
     reference_restricted_matrix,
@@ -299,3 +302,48 @@ def test_commutation_audit_matches_dense_gram(name, L, edits):
     assert report.commuting == (expected is None)
     assert report.witness == expected
     assert_audits_agree(code, expected)
+
+
+@lru_cache(maxsize=None)
+def label_code(name, L):
+    return get_code(name, L)
+
+
+def symplectic_products(a, b, n):
+    """Symplectic products of (X||Z) word rows, ``(len(a), len(b))`` 0/1 ints,
+    by dense integer matrix products."""
+    bits = [gf2.BitMatrix(rows, 2 * n).to_bool_array().astype(np.int64) for rows in (a, b)]
+    return bits[0] @ np.roll(bits[1], n, axis=1).T % 2
+
+
+@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
+@pytest.mark.parametrize("L", [2, 3, 4])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_logical_labels_vanish_exactly_on_the_stabilizer_group(name, L, seed):
+    """The label of a Pauli (its symplectic products with the logical basis
+    rows) is zero on every generator, the rows pair up into a rank-2k Gram
+    matrix, and on random centralizer elements, stabilizer products among
+    them, a zero label is stabilizer-group membership."""
+    code = label_code(name, L)
+    n, basis = code.n_qubits, code.logical_basis()
+    assert basis.dtype == np.uint64 and basis.shape == (2 * code.k, gf2.n_words(2 * n))
+    assert not symplectic_products(code.stabilizer_matrix().words, basis, n).any()
+    gram = symplectic_products(basis, basis, n)
+    assert rank(gf2.BitMatrix.from_bool_array(gram)) == 2 * code.k
+    rng = np.random.default_rng(seed)
+    stabs, centralizer = code.stabilizer_matrix().words, gf2.nullspace(code.syndrome_matrix()).words
+    for _ in range(8):
+        vec = np.bitwise_xor.reduce(stabs[rng.random(len(stabs)) < 0.5], axis=0, initial=0)
+        if rng.random() < 0.5:
+            vec ^= np.bitwise_xor.reduce(centralizer[rng.random(len(centralizer)) < 0.5], axis=0, initial=0)
+        op = PauliOperator.from_symplectic(code.geometry, vec)
+        assert not code.syndrome_of(op)
+        assert (not symplectic_products(vec[None], basis, n).any()) == code.in_stabilizer_group(op)
+
+
+def test_defect_set_reads_cubes_modulo_L_and_rejects_unknown_species(toric3):
+    assert toric3.defect_set([((0, 3), 0), ((0, 0), 0), ((-3, 4), 1)]) == {((0, 0), 0), ((0, 1), 1)}
+    for bad in ([((0, 0), 2)], [((0, 0), -1)], [((0, 0, 0), 0)]):
+        with pytest.raises(InputError):
+            toric3.defect_set(bad)

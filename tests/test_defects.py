@@ -26,6 +26,7 @@ from conftest import (
     translate,
 )
 from stabscape import defects, get_code, gf2
+from stabscape.codes import InputError
 from stabscape.defects import (
     _BoxSolver,
     _box_solver,
@@ -367,6 +368,18 @@ def test_single_defect_charged_at_half_lattice(cubic8):
     res = is_neutral(cubic8, zdefects(cubic8, (2, 2, 2)), 4)
     assert not res.neutral
     assert res.witness is None
+
+
+def test_is_neutral_reads_defects_modulo_L(toric3):
+    """The pair ``min_barrier_cluster`` creates in one flip, named with a
+    wrapped duplicate, is neutral with a witness for the pair; a species the
+    code lacks is an input error, not another species or a crash."""
+    pair = {((0, 0), 0), ((0, 1), 0)}
+    res = is_neutral(toric3, [*pair, ((0, 3), 0)], 3)
+    assert res.neutral and toric3.syndrome_of(res.witness) == pair
+    for bad in ([((0, 0), -1)], [((0, 0), 2)]):
+        with pytest.raises(InputError):
+            is_neutral(toric3, bad, 2)
 
 
 def test_empty_cluster_neutral(cubic8):

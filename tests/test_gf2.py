@@ -164,7 +164,7 @@ def test_solve_zero_matrix_inconsistent():
     zero = BitMatrix.zeros(4, 6)
     assert gf2.gf2_solve(zero, gf2.from_bool([0, 1, 0, 0])) is None
     x = gf2.gf2_solve(zero, gf2.zeros(4))
-    assert x is not None and gf2.is_zero(x)
+    assert x is not None and not x.any()
 
 
 def test_solve_rejects_rhs_of_wrong_length():
@@ -217,7 +217,7 @@ def test_in_span_iff_transposed_solve(rng):
     for _ in range(100):
         basis = random_matrix(rng, int(rng.integers(1, 8)), 10)
         v = gf2.from_bool((rng.random(10) < 0.5).astype(np.uint8))
-        lhs = gf2.in_rowspan(*basis.rref(), v)
+        lhs = not gf2.reduce_by_rref(*basis.rref(), v).any()
         rhs = gf2.gf2_solve(basis.transpose(), v) is not None
         assert lhs == rhs
 
@@ -225,9 +225,9 @@ def test_in_span_iff_transposed_solve(rng):
 def test_in_span_basics(rng):
     basis = random_matrix(rng, 5, 9)
     rref, pivots = basis.rref()
-    assert gf2.in_rowspan(rref, pivots, gf2.zeros(9))
+    assert not gf2.reduce_by_rref(rref, pivots, gf2.zeros(9)).any()
     for i in range(basis.nrows):
-        assert gf2.in_rowspan(rref, pivots, basis.words[i])
+        assert not gf2.reduce_by_rref(rref, pivots, basis.words[i]).any()
 
 
 def test_nullspace_annihilates(rng):
@@ -251,7 +251,7 @@ def test_reduce_by_rref_canonical(rng):
     for i in range(m.nrows):
         red2 = gf2.reduce_by_rref(rref, pivots, v ^ m.words[i])
         assert np.array_equal(red, red2)
-    assert gf2.in_rowspan(rref, pivots, v ^ red)
+    assert not gf2.reduce_by_rref(rref, pivots, v ^ red).any()
 
 
 def test_select_and_transpose(rng):
@@ -283,7 +283,7 @@ def test_reduce_by_rref_matches_sequential_reference(case):
     for i in range(m.nrows):
         if rng.random() < 0.5:
             combo ^= m.words[i]
-    assert gf2.is_zero(gf2.reduce_by_rref(rref, pivots, combo))
+    assert not gf2.reduce_by_rref(rref, pivots, combo).any()
 
 
 @settings(max_examples=200)

@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import get_code, gf2, oracle
-from stabscape.codes import CodeSpec, build_code
+from stabscape.codes import CodeSpec, InputError, build_code
 from stabscape.lattice import QubitIndex
 from stabscape.oracle import (
     BarrierResult,
     CosetSpace,
     SearchBudget,
-    _logical_class_reps,
     _search_pass,
     canonicalize,
     code_distance,
@@ -136,6 +135,16 @@ def test_cluster_barrier_toric_pair(toric3):
 def test_cluster_barrier_unreachable_single_defect(toric3):
     res = min_barrier_cluster(toric3, {((0, 0), toric3.species_index("z"))})
     assert res.status == "unreachable"
+
+
+def test_cluster_barrier_reads_defects_modulo_L(toric3):
+    """A wrapped duplicate is one defect: it neither raises the floor nor
+    changes the target.  A species the code lacks is an input error, not
+    another generator."""
+    res = min_barrier_cluster(toric3, [((0, 0), 0), ((0, 1), 0), ((0, 3), 0)])
+    assert res.exact and res.omega == 2 == energy_profile(toric3, res.witness).barrier
+    with pytest.raises(InputError):
+        min_barrier_cluster(toric3, [((0, 0), 2), ((0, 1), 2)])
 
 
 def test_cluster_barrier_cubic_pyramid():
@@ -260,7 +269,7 @@ def distance_code(name, L):
 @pytest.mark.parametrize("name_L", DISTANCE_CODES)
 def test_logical_class_reps_match_greedy_residue_loop(name_L):
     code = distance_code(*name_L)
-    reps = _logical_class_reps(code)
+    reps = code.logical_basis()
     assert reps.dtype == np.uint64 and len(reps) == 2 * code.k
     assert [gf2.to_int(row) for row in reps] == reference_class_reps(code)
 
@@ -285,9 +294,11 @@ def test_distance_matches_retired_int_routine(name_L, cap):
 
 
 def test_searched_code_is_freed():
-    """The coset space lives on the code, so a searched code is not pinned."""
+    """The coset space and the logical basis live on the code, so a searched
+    code is not pinned."""
     code = get_code("rep1d", 4)
     assert min_barrier_logical(code, all_x(code)).omega == 2
+    assert code_distance(code).d == 4 and code._logical_basis is code.logical_basis()
     ref = weakref.ref(code)
     del code
     gc.collect()
