@@ -2,12 +2,13 @@
 
 Search states are stabilizer cosets, not raw Paulis: two operators differing
 by a stabilizer see identical defect landscapes ahead of them, so coset-level
-search is exact while shrinking the space from 4^n to 2^(n+k).  A coset key is
-the canonical symplectic vector (reduced against the stabilizer basis) held
-as uint64 words.  The key, the syndrome and a 64-bit fingerprint of the key
-are linear (``fp(a ^ b) = fp(a) ^ fp(b)``), so a move is three XORs.  Each
-ceiling pass is a level-synchronous BFS over blocks of (state, move)
-candidates; fingerprints sort and bucket them, the key words decide equality.
+search is exact while shrinking the space from 4^n to 2^(n+k).  A coset is
+named by its syndrome, which fixes its energy, and its 2k-bit logical label,
+which fixes the ground state it reaches: the state is the syndrome words
+followed by the label words.  The state and a 64-bit fingerprint of it are
+linear (``fp(a ^ b) = fp(a) ^ fp(b)``), so a move is two XORs.  Each ceiling
+pass is a level-synchronous BFS over blocks of (state, move) candidates;
+fingerprints sort and bucket them, the state words decide equality.
 """
 
 from __future__ import annotations
@@ -43,36 +44,32 @@ class BarrierResult:
 
 
 class CosetSpace:
-    """Coset arithmetic for one code.  Keys are words over 2n bits (X-part low, Z-part high)
-    reduced modulo the stabilizer row space.  Row ``3 * j + MOVE_PAULIS.index(p)`` of
-    ``move_dkey``, ``move_dsynd`` and ``move_fp`` is what the Pauli ``p`` on qubit ``j``
-    XORs into the key, the syndrome and the fingerprint."""
+    """Coset arithmetic for one code.  A state is the syndrome's generator words followed
+    by the label's words, label bit ``i`` being the symplectic product with row ``i`` of
+    ``code.logical_basis()``: two Paulis share a state iff their product is a stabilizer.
+    Row ``3 * j + MOVE_PAULIS.index(p)`` of ``move_dstate`` and ``move_fp`` is what the
+    Pauli ``p`` on qubit ``j`` XORs into the state and its fingerprint."""
 
     def __init__(self, code: CodeInstance):
         self.code = code
-        rref, pivots = code.stabilizer_rref()
-        self._basis = (rref, np.asarray(pivots, dtype=np.int64))
-        self.n = n = code.n_qubits
-        # The residue of a unit vector is itself, XOR the row whose pivot it hits.
-        bits = np.arange(2 * n)
-        unit = np.zeros((2 * n, gf2.n_words(2 * n)), dtype=np.uint64)
-        unit[bits, bits >> 6] = np.uint64(1) << (bits & 63).astype(np.uint64)
-        unit[self._basis[1]] ^= rref.words
-        self.move_dkey = np.stack([unit[:n], unit[:n] ^ unit[n:], unit[n:]], axis=1).reshape(3 * n, -1)
+        n = code.n_qubits
         moves, gens = code.qubit_flip_events(np.arange(3 * n) // 3, np.tile([PAULI_CODE[p] for p in MOVE_PAULIS], n))
-        self.move_dsynd = np.zeros((3 * n, gf2.n_words(code.n_generators)), dtype=np.uint64)
-        np.bitwise_or.at(self.move_dsynd, (moves, gens >> 6), np.uint64(1) << (gens & 63).astype(np.uint64))
-        # The fingerprint XORs one fixed random word per key bit, so the unit residues' fingerprints
-        # follow from the basis rows' as their keys do (stdlib random: numpy.random costs ~6 MiB RSS).
-        ufp = np.frombuffer(random.Random(FINGERPRINT_SEED).randbytes(16 * n), np.uint64).copy()
-        ufp[self._basis[1]] ^= np.bitwise_xor.reduce(np.where(rref.to_bool_array(), ufp, np.uint64(0)), axis=1)
-        self.move_fp = np.stack([ufp[:n], ufp[:n] ^ ufp[n:], ufp[n:]], axis=1).ravel()
+        dsynd = np.zeros((3 * n, gf2.n_words(code.n_generators)), dtype=np.uint64)
+        np.bitwise_or.at(dsynd, (moves, gens >> 6), np.uint64(1) << (gens & 63).astype(np.uint64))
+        # X on qubit j flips label bit i iff row i has a Z bit on j, Z iff an X bit, Y iff exactly one
+        x, z = np.split(gf2.BitMatrix(code.logical_basis(), 2 * n).to_bool_array().T, 2)
+        dlabel = gf2.BitMatrix.from_bool_array(np.stack([z, x ^ z, x], axis=1).reshape(3 * n, x.shape[1])).words
+        self.move_dstate = np.hstack([dsynd, dlabel])
+        # The fingerprint XORs one fixed random word per state bit (stdlib random: numpy.random costs ~6 MiB RSS)
+        rand = np.frombuffer(random.Random(FINGERPRINT_SEED).randbytes(512 * self.move_dstate.shape[1]), np.uint64)
+        self.move_fp = np.zeros(3 * n, dtype=np.uint64)
+        row, bit = gf2.nonzero_bits(self.move_dstate)
+        np.bitwise_xor.at(self.move_fp, row, rand[bit])
 
-    def _key(self, vec: np.ndarray) -> np.ndarray:
-        return gf2.reduce_by_rref(*self._basis, vec)
-
-    def path(self, moves: list[int]) -> ErrorPath:
-        return ErrorPath.from_steps((self.code.geometry.qubit_at(m // 3), MOVE_PAULIS[m % 3]) for m in moves)
+    def state(self, op: PauliOperator) -> np.ndarray:
+        """The state of the coset of ``op``: the XOR of its X and Z factors' rows (Y = XZ)."""
+        x, z = (gf2.nonzero_indices(w, self.code.n_qubits) for w in (op.xwords, op.zwords))
+        return np.bitwise_xor.reduce(self.move_dstate[np.concatenate([3 * x, 3 * z + 2])], axis=0)
 
 
 def coset_space(code: CodeInstance) -> CosetSpace:
@@ -84,9 +81,9 @@ def coset_space(code: CodeInstance) -> CosetSpace:
 
 
 def canonicalize(code: CodeInstance, op: PauliOperator) -> int:
-    """Canonical coset key: equal for two Paulis iff their product is a
-    stabilizer; the identity coset maps to 0."""
-    return gf2.to_int(coset_space(code)._key(op.symplectic()))
+    """Canonical coset key, the residue modulo the stabilizer RREF: equal for
+    two Paulis iff their product is a stabilizer; the identity coset maps to 0."""
+    return gf2.to_int(gf2.reduce_by_rref(*code.stabilizer_rref(), op.symplectic()))
 
 
 def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,22 +93,22 @@ def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return eq
 
 
-def _index(fps: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fingerprints, keys) sorted by fingerprint; the stable sort merges sorted runs in linear time."""
+def _index(fps: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fingerprints, states) sorted by fingerprint; the stable sort merges sorted runs in linear time."""
     order = np.argsort(fps, kind="stable")
-    return fps[order], keys[order]
+    return fps[order], states[order]
 
 
-def _lookup(index: tuple[np.ndarray, np.ndarray], fps: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _lookup(index: tuple[np.ndarray, np.ndarray], fps: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Which candidates an index holds.  Round t compares a candidate with the t-th entry
     of its fingerprint's run, so colliding fingerprints cost rounds, never a wrong answer."""
-    sfp, skeys = index
+    sfp, sstates = index
     pos = np.searchsorted(sfp, fps)
     found = np.zeros(len(fps), dtype=bool)
     live = np.flatnonzero(pos < len(sfp))
     while len(live):
         live = live[sfp[pos[live]] == fps[live]]
-        hit = _rows_equal(skeys[pos[live]], keys[live])
+        hit = _rows_equal(sstates[pos[live]], states[live])
         found[live[hit]] = True
         live = live[~hit]
         pos[live] += 1
@@ -119,25 +116,26 @@ def _lookup(index: tuple[np.ndarray, np.ndarray], fps: np.ndarray, keys: np.ndar
     return found
 
 
-def _fresh(indexes, fps: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Indices of the candidates whose key no index and no earlier candidate holds, sorted
-    by fingerprint.  Both sorts are stable, so equal keys stay in candidate order; the
-    key words join the sort only when two distinct keys share a fingerprint."""
+def _fresh(indexes, fps: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Indices of the candidates whose state no index and no earlier candidate holds, sorted
+    by fingerprint.  Both sorts are stable, so equal states stay in candidate order; the
+    state words join the sort only when two distinct states share a fingerprint."""
     order = np.argsort(fps, kind="stable")
     same_fp = fps[order[1:]] == fps[order[:-1]]
-    dup = same_fp & _rows_equal(keys[order[1:]], keys[order[:-1]])
+    dup = same_fp & _rows_equal(states[order[1:]], states[order[:-1]])
     if (dup != same_fp).any():
-        order = np.lexsort((*keys.T[::-1], fps))
-        dup = (fps[order[1:]] == fps[order[:-1]]) & _rows_equal(keys[order[1:]], keys[order[:-1]])
+        order = np.lexsort((*states.T[::-1], fps))
+        dup = (fps[order[1:]] == fps[order[:-1]]) & _rows_equal(states[order[1:]], states[order[:-1]])
     first = order[np.concatenate([[True], ~dup])] if len(order) else order
     for index in indexes:
-        first = first[~_lookup(index, fps[first], keys[first])]
+        first = first[~_lookup(index, fps[first], states[first])]
     return first
 
 
-def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: SearchBudget, deadline: float):
-    """One bounded-ceiling BFS from the identity coset to a goal key or goal
-    syndrome (exactly one is given); states above the ceiling are never entered.
+def _search_pass(space: CosetSpace, omega: int, goal: np.ndarray, budget: SearchBudget, deadline: float):
+    """One bounded-ceiling BFS from the identity coset to the goal: a whole state,
+    or a syndrome matched against the leading state words; states above the
+    ceiling are never entered.
 
     Returns (moves to the goal or None, states entered, capped, largest
     frontier level).  Moves are involutions, so a neighbour of level k lies
@@ -145,30 +143,30 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
     k+1 found so far.  New states keep their (state, move) discovery order,
     the order of a FIFO search that applies one move at a time.
     """
-    goal = goal_key if goal_key is not None else goal_synd
     if not goal.any():
         return [], 1, False, 1
-    dkey, dfp, dsynd, dsynd_t = space.move_dkey, space.move_fp, space.move_dsynd, space.move_dsynd.T.copy()
-    keys, synd, fps = np.zeros_like(dkey[:1]), np.zeros_like(dsynd[:1]), np.zeros_like(dfp[:1])
-    seen, history = (fps, keys), []  # history: (parent, move) arrays per level past the start
+    dstate, dfp = space.move_dstate, space.move_fp
+    dsynd_t = dstate[:, : gf2.n_words(space.code.n_generators)].T.copy()
+    states, fps = np.zeros_like(dstate[:1]), np.zeros_like(dfp[:1])
+    seen, history = (fps, states), []  # history: (parent, move) arrays per level past the start
     visited = peak = 1
-    step = max(1, BLOCK // len(dkey))  # frontier states per block
-    while len(keys):
-        runs, level, peak = [], [], max(peak, len(keys))
-        for a in range(0, len(keys), step):
-            weight = np.zeros((len(synd[a : a + step]), len(dkey)), dtype=np.uint16)
-            for c in range(dsynd.shape[1]):  # one word at a time: contiguous (state, move) planes
-                weight += np.bitwise_count(synd[a : a + step, c, None] ^ dsynd_t[c])
-            si, j = np.divmod(np.flatnonzero(weight <= omega) + a * len(dkey), len(dkey))
-            ckeys, cfps = keys[si] ^ dkey[j], fps[si] ^ dfp[j]
-            fresh = _fresh((seen, *runs), cfps, ckeys)
-            runs.append((cfps[fresh], ckeys[fresh]))
+    step = max(1, BLOCK // len(dstate))  # frontier states per block
+    while len(states):
+        runs, level, peak = [], [], max(peak, len(states))
+        for a in range(0, len(states), step):
+            weight = np.zeros((len(states[a : a + step]), len(dstate)), dtype=np.uint16)
+            for c, row in enumerate(dsynd_t):  # one word at a time: contiguous (state, move) planes
+                weight += np.bitwise_count(states[a : a + step, c, None] ^ row)
+            si, j = np.divmod(np.flatnonzero(weight <= omega) + a * len(dstate), len(dstate))
+            cstates, cfps = states[si] ^ dstate[j], fps[si] ^ dfp[j]
+            fresh = _fresh((seen, *runs), cfps, cstates)
+            runs.append((cfps[fresh], cstates[fresh]))
             new = np.zeros(len(cfps), dtype=bool)  # a mask, not np.sort: no sort kernel to page in
             new[fresh] = True
             idx = np.flatnonzero(new)
             si, j = si[idx], j[idx]
             # The per-insertion goal and cap tests, replayed at each insertion's index.
-            hits = np.flatnonzero(_rows_equal(ckeys[idx] if goal_key is not None else synd[si] ^ dsynd[j], goal[None]))
+            hits = np.flatnonzero(_rows_equal(cstates[idx, : len(goal)], goal[None]))
             cap_at = max(budget.state_cap - visited - 1, 0)
             if len(hits) and hits[0] <= cap_at:
                 moves, parent = [int(j[hits[0]])], int(si[hits[0]])
@@ -189,52 +187,54 @@ def _search_pass(space: CosetSpace, omega: int, goal_key, goal_synd, budget: Sea
         # parents, built once both old indexes are released.
         parent, move = (np.concatenate(c) for c in zip(*level))
         runs = seen = None
-        new_keys, new_fps, synd = keys[parent] ^ dkey[move], fps[parent] ^ dfp[move], synd[parent] ^ dsynd[move]
-        seen = _index(np.concatenate([fps, new_fps]), np.concatenate([keys, new_keys]))
-        keys, fps = new_keys, new_fps
+        new_states, new_fps = states[parent] ^ dstate[move], fps[parent] ^ dfp[move]
+        seen = _index(np.concatenate([fps, new_fps]), np.concatenate([states, new_states]))
+        states, fps = new_states, new_fps
         history.append((parent, move))
     return None, visited, False, peak
 
 
-def _deepening_search(code: CodeInstance, goal_key, goal_synd, omega_floor: int, budget: SearchBudget) -> BarrierResult:
+def _deepening_search(code: CodeInstance, goal, omega_floor: int, budget: SearchBudget) -> BarrierResult:
     space = coset_space(code)
+    goal_state = space.state(goal) if isinstance(goal, PauliOperator) else goal
     deadline = budget.deadline()
     passes: list[tuple[int, int, int]] = []
     for omega in range(omega_floor, budget.omega_max + 1):
-        moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, deadline)
+        moves, visited, capped, peak = _search_pass(space, omega, goal_state, budget, deadline)
         passes.append((omega, visited, peak))
         if moves is not None:
-            witness = space.path(moves)
-            _audit_witness(code, space, witness, omega, goal_key, goal_synd)
+            witness = ErrorPath.from_steps((code.geometry.qubit_at(m // 3), MOVE_PAULIS[m % 3]) for m in moves)
+            _audit_witness(code, witness, omega, goal)
             return BarrierResult(omega, witness, sum(p[1] for p in passes), "exact", omega - 1, tuple(passes))
         if capped:
             return BarrierResult(None, None, sum(p[1] for p in passes), "budget_exhausted", omega - 1, tuple(passes))
     return BarrierResult(None, None, sum(p[1] for p in passes), "budget_exhausted", budget.omega_max, tuple(passes))
 
 
-def _audit_witness(code: CodeInstance, space: CosetSpace, witness: ErrorPath, omega: int, goal_key, goal_synd) -> None:
-    """Replay the witness: the profile must peak exactly at the claimed
-    barrier (minimality already excludes anything lower) and land on goal."""
+def _audit_witness(code: CodeInstance, witness: ErrorPath, omega: int, goal) -> None:
+    """Replay the witness: the profile must peak exactly at the claimed barrier
+    (minimality already excludes anything lower) and land on the goal, the
+    target's coset by stabilizer-group membership or the goal syndrome."""
     profile = energy_profile(code, witness)
     if profile.barrier > omega:
         raise RuntimeError("witness path exceeds the claimed barrier")
-    if goal_synd is not None and not np.array_equal(code.syndrome_to_words(profile.final_syndrome), goal_synd):
-        raise RuntimeError("witness path missed the target syndrome")
-    if goal_key is not None and not np.array_equal(space._key(witness.product(code).symplectic()), goal_key):
+    if isinstance(goal, PauliOperator) and not code.in_stabilizer_group(witness.product(code) * goal):
         raise RuntimeError("witness path missed the target coset")
+    if not isinstance(goal, PauliOperator) and not np.array_equal(code.syndrome_to_words(profile.final_syndrome), goal):
+        raise RuntimeError("witness path missed the target syndrome")
 
 
 def min_barrier_logical(code: CodeInstance, target: PauliOperator, budget: SearchBudget | None = None) -> BarrierResult:
     """Least ceiling under which some path implements the target's coset.
 
-    Iterative deepening over the ceiling; each pass is a BFS over coset keys
+    Iterative deepening over the ceiling; each pass is a BFS over cosets
     restricted to syndromes of weight at most the ceiling, so the returned
     value is exact and the witness peaks at exactly that many defects.
     """
     budget = budget or SearchBudget()
     if code.syndrome_of(target):
         raise InputError("target does not centralize the stabilizer group")
-    return _deepening_search(code, coset_space(code)._key(target.symplectic()), None, 0, budget)
+    return _deepening_search(code, target, 0, budget)
 
 
 def min_barrier_cluster(code: CodeInstance, syndrome, budget: SearchBudget | None = None) -> BarrierResult:
@@ -249,7 +249,7 @@ def min_barrier_cluster(code: CodeInstance, syndrome, budget: SearchBudget | Non
     target_vec = code.syndrome_to_words(syndrome)
     if gf2.gf2_solve(code.syndrome_matrix(), target_vec) is None:
         return BarrierResult(None, None, 0, "unreachable")
-    return _deepening_search(code, None, target_vec, len(syndrome), budget)
+    return _deepening_search(code, target_vec, len(syndrome), budget)
 
 
 # -- code distance ---------------------------------------------------------------

@@ -39,12 +39,11 @@ class PauliOperator:
 
     def __init__(self, geometry: LatticeGeometry, xwords: np.ndarray, zwords: np.ndarray):
         self.geometry = geometry
-        xwords = np.ascontiguousarray(xwords, dtype=np.uint64)
-        zwords = np.ascontiguousarray(zwords, dtype=np.uint64)
-        xwords.flags.writeable = False
-        zwords.flags.writeable = False
-        self.xwords = xwords
-        self.zwords = zwords
+        # read-only copies: the caller's arrays stay writable, and writes to them do not reach here
+        self.xwords = np.array(xwords, dtype=np.uint64)
+        self.zwords = np.array(zwords, dtype=np.uint64)
+        self.xwords.flags.writeable = False
+        self.zwords.flags.writeable = False
 
     # -- constructors -------------------------------------------------------
 

@@ -28,7 +28,7 @@ from stabscape.oracle import (
     min_barrier_logical,
 )
 from stabscape.pauli import PauliOperator
-from stabscape.paths import energy_profile, pyramid_operator
+from stabscape.paths import ErrorPath, energy_profile, pyramid_operator
 
 from conftest import random_operator
 
@@ -366,12 +366,22 @@ def test_distance_time_cap_ends_enumeration_with_an_upper_bound(toric3, monkeypa
 # -- the retired dict BFS: the reference for the level-synchronous pass ----------
 
 
-def reference_search_pass(space, omega, goal_key, goal_synd, state_cap):
+@lru_cache(maxsize=None)
+def reference_moves(code):
+    """Per-move key and syndrome deltas as Python ints, built from single-qubit
+    Paulis through ``canonicalize`` and ``syndrome_of``, not the engine's tables."""
+    g = code.geometry
+    ops = [PauliOperator.single(g, g.qubit_at(j), p) for j in range(code.n_qubits) for p in oracle.MOVE_PAULIS]
+    dkey = [canonicalize(code, op) for op in ops]
+    dsynd = [gf2.to_int(code.syndrome_to_words(code.syndrome_of(op))) for op in ops]
+    return dkey, dsynd
+
+
+def reference_search_pass(code, omega, goal_key, goal_synd, state_cap):
     """One move at a time over Python-int keys, FIFO order, a dict of parents.
 
     Returns (moves or None, visited, capped)."""
-    dkey = [gf2.to_int(row) for row in space.move_dkey]
-    dsynd = [gf2.to_int(row) for row in space.move_dsynd]
+    dkey, dsynd = reference_moves(code)
     nmoves = len(dkey)
     start = 0
     if goal_key == start and (goal_synd is None or goal_synd == 0):
@@ -417,23 +427,28 @@ def engine_code(name, L):
     return get_code(name, L)
 
 
-def draw_goal(data, code, space):
-    """A logical goal (key words) or a syndrome goal, from a random operator."""
+def draw_goal(data, code):
+    """A random operator and whether its syndrome, not its coset, is the goal."""
     g = code.geometry
     qubit_paulis = st.tuples(st.integers(0, g.n_qubits - 1), st.sampled_from("XYZ"))
     steps = data.draw(st.lists(qubit_paulis, max_size=4), label="op")
     op = PauliOperator.from_terms(g, [(g.qubit_at(q), p) for q, p in steps])
-    if data.draw(st.booleans(), label="syndrome goal"):
-        return None, code.syndrome_to_words(code.syndrome_of(op))
-    return space._key(op.symplectic()), None
+    return op, data.draw(st.booleans(), label="syndrome goal")
 
 
-def compare_with_reference(space, omega, goal_key, goal_synd, cap, block=oracle.BLOCK):
-    as_int = lambda words: None if words is None else gf2.to_int(words)
-    expected = reference_search_pass(space, omega, as_int(goal_key), as_int(goal_synd), cap)
+def compare_with_reference(space, omega, op, syndrome_goal, cap, block=oracle.BLOCK):
+    """The engine's pass against the dict BFS, towards the coset of ``op`` or,
+    with ``syndrome_goal``, towards its syndrome."""
+    code = space.code
+    synd = code.syndrome_to_words(code.syndrome_of(op))
+    if syndrome_goal:
+        expected = reference_search_pass(code, omega, None, gf2.to_int(synd), cap)
+    else:
+        expected = reference_search_pass(code, omega, canonicalize(code, op), None, cap)
     with mock.patch.object(oracle, "BLOCK", block):
         budget = SearchBudget(state_cap=cap)
-        moves, visited, capped, peak = _search_pass(space, omega, goal_key, goal_synd, budget, math.inf)
+        goal = synd if syndrome_goal else space.state(op)
+        moves, visited, capped, peak = _search_pass(space, omega, goal, budget, math.inf)
     assert (moves, visited, capped) == expected
     assert 1 <= peak <= visited
     return expected
@@ -444,37 +459,71 @@ def compare_with_reference(space, omega, goal_key, goal_synd, cap, block=oracle.
 def test_search_pass_matches_dict_bfs(data):
     code = engine_code(*data.draw(st.sampled_from(ENGINE_CODES), label="code"))
     space = coset_space(code)
-    goal_key, goal_synd = draw_goal(data, code, space)
+    op, syndrome_goal = draw_goal(data, code)
     omega = data.draw(st.integers(0, 6), label="omega")
     # one frontier state per block, a few, or the shipped block size: a level
     # spread over many blocks must dedupe across them
     block = data.draw(st.sampled_from([1, 300, oracle.BLOCK]), label="block")
-    moves, visited, capped = compare_with_reference(space, omega, goal_key, goal_synd, REFERENCE_CAP, block)
+    moves, visited, capped = compare_with_reference(space, omega, op, syndrome_goal, REFERENCE_CAP, block)
     # caps that trip on the first insertion, mid-level, just before the goal
     # and on the goal's own insertion
     caps = {1, 2, visited, max(visited - 1, 1), data.draw(st.integers(1, visited), label="cap")}
     for cap in sorted(caps):
-        compare_with_reference(space, omega, goal_key, goal_synd, cap, block)
+        compare_with_reference(space, omega, op, syndrome_goal, cap, block)
+
+
+@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
+@pytest.mark.parametrize("L", [2, 3, 4])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_coset_state_is_the_canonical_key(name, L, seed):
+    """Two Paulis share a ``CosetSpace`` state iff they share a canonical key:
+    a random operator against itself times random generators and random
+    logical basis rows.  The state's leading words are the syndrome."""
+    code = engine_code(name, L)
+    space, rng = coset_space(code), np.random.default_rng(seed)
+    a = random_operator(code, rng)
+    stabs, basis = code.stabilizer_matrix().words, code.logical_basis()
+    vec = np.bitwise_xor.reduce(stabs[rng.random(len(stabs)) < 0.5], axis=0, initial=0)
+    vec ^= np.bitwise_xor.reduce(basis[rng.random(len(basis)) < 0.5], axis=0, initial=0)
+    b = a * PauliOperator.from_symplectic(code.geometry, vec)
+    assert np.array_equal(space.state(a), space.state(b)) == (canonicalize(code, a) == canonicalize(code, b))
+    synd = code.syndrome_to_words(code.syndrome_of(a))
+    assert np.array_equal(space.state(a)[: len(synd)], synd)
+
+
+def test_logical_audit_rejects_a_witness_in_another_class(toric3):
+    """A witness with the right syndrome (none) that applies the other X
+    string's logical class fails the audit's stabilizer-group test."""
+    g = toric3.geometry
+    horizontal = [(QubitIndex((x, 0), 1), "X") for x in range(3)]
+    vertical = [(QubitIndex((0, y), 0), "X") for y in range(3)]
+    strings = [PauliOperator.from_terms(g, terms) for terms in (horizontal, vertical)]
+    assert not any(toric3.syndrome_of(op) for op in strings)
+    assert not toric3.in_stabilizer_group(strings[0] * strings[1])
+    witness = ErrorPath.from_steps(horizontal)
+    oracle._audit_witness(toric3, witness, 2, strings[0])
+    with pytest.raises(RuntimeError, match="missed the target coset"):
+        oracle._audit_witness(toric3, witness, 2, strings[1])
 
 
 @pytest.mark.parametrize("name_L", [("rep1d", 4), ("toric2d", 3), ("toric3d", 2), ("cubic1", 2)])
 @pytest.mark.parametrize("fp_bits", [0, 2])
 def test_degenerate_fingerprints_match_dict_bfs(name_L, fp_bits):
-    """Fingerprints of 0 or 2 bits make distinct keys collide all the time:
-    the key words alone must then keep the pass exact."""
+    """Fingerprints of 0 or 2 bits make distinct states collide all the time:
+    the state words alone must then keep the pass exact."""
     code = engine_code(*name_L)
     space = CosetSpace(code)
     rng = np.random.default_rng(7)
-    masks = rng.integers(0, 2**63, size=(fp_bits, space.move_dkey.shape[1]), dtype=np.uint64)
-    space.move_fp = np.zeros(len(space.move_dkey), dtype=np.uint64)
-    for b, mask in enumerate(masks):  # a linear map of the key onto bits 62 - b
-        parity = np.bitwise_count(space.move_dkey & mask).sum(axis=1) & 1
+    masks = rng.integers(0, 2**63, size=(fp_bits, space.move_dstate.shape[1]), dtype=np.uint64)
+    space.move_fp = np.zeros(len(space.move_dstate), dtype=np.uint64)
+    for b, mask in enumerate(masks):  # a linear map of the state onto bits 62 - b
+        parity = np.bitwise_count(space.move_dstate & mask).sum(axis=1) & 1
         space.move_fp |= parity.astype(np.uint64) << np.uint64(62 - b)
     g = code.geometry
     all_x = PauliOperator.from_terms(g, [(g.qubit_at(j), "X") for j in range(g.n_qubits)])
     pair = PauliOperator.from_terms(g, [(g.qubit_at(0), "Y"), (g.qubit_at(g.n_qubits - 1), "X")])
-    goals = [(space._key(all_x.symplectic()), None), (None, code.syndrome_to_words(code.syndrome_of(pair)))]
-    for goal_key, goal_synd in goals:
+    for op, syndrome_goal in [(all_x, False), (pair, True)]:
         for omega in range(5):
-            _, visited, _ = compare_with_reference(space, omega, goal_key, goal_synd, 300, block=64)
-            compare_with_reference(space, omega, goal_key, goal_synd, max(visited // 2, 1))
+            _, visited, _ = compare_with_reference(space, omega, op, syndrome_goal, 300, block=64)
+            compare_with_reference(space, omega, op, syndrome_goal, max(visited // 2, 1))

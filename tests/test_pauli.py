@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stabscape import gf2
 from stabscape.lattice import LatticeGeometry, QubitIndex
 from stabscape.pauli import PauliOperator
 
@@ -107,3 +108,14 @@ def test_mul_is_symplectic_xor(rng):
     for _ in range(100):
         a, b = random_pauli(rng), random_pauli(rng)
         assert np.array_equal((a * b).symplectic(), a.symplectic() ^ b.symplectic())
+
+
+def test_operator_copies_the_callers_words():
+    """The operator keeps read-only copies: the caller's arrays stay writable,
+    and writing to them afterwards leaves the operator as built."""
+    x, z = gf2.zeros(GEO.n_qubits), gf2.zeros(GEO.n_qubits)
+    p = PauliOperator(GEO, x, z)
+    x[0] = z[0] = 1
+    assert p.is_identity()
+    with pytest.raises(ValueError):
+        p.xwords[0] = 1
