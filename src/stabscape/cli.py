@@ -328,12 +328,12 @@ def run_distance(config: dict, code: CodeInstance, report: Report) -> None:
 def run_rg(config: dict, code: CodeInstance, report: Report) -> None:
     params = ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
     if config["path"]:
-        steps = ErrorPath.from_lines(_read_lines(config["path"], "path file"), code.geometry.D, code.geometry.q)
+        path = ErrorPath.from_lines(_read_lines(config["path"], "path file"), code.geometry.D, code.geometry.q)
     elif config["p"] is not None:
-        steps = pyramid_path(code, config["p"], _default_u(config, code))
+        path = pyramid_path(code, config["p"], _default_u(config, code))
     else:
         raise SystemExit("rg requires --p or --path")
-    history = syndrome_history(code, steps)
+    history = syndrome_history(code, path)
     analysis = level_histories(code, history, params)
     rows = [
         (lvl.level, len(lvl.retained), len(lvl.interior()), len(lvl.retained) - 1)
@@ -428,7 +428,7 @@ def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
 
 def run_strings(config: dict, code: CodeInstance, report: Report) -> None:
     params = ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
-    scan = scan_for_strings(code, config["rho"], config["alpha"], _budget(config), params)
+    scan = scan_for_strings(code, config["rho"], _budget(config), params)
     rows = [
         (str(f.box1.corner), str(f.box2.corner), f.aspect_ratio, len(f.syndrome), f.operator_weight)
         for f in scan.nontrivial

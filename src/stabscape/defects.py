@@ -471,7 +471,7 @@ def localize(code: CodeInstance, op: PauliOperator, region_sites: Iterable[Site]
     """
     g = code.geometry
     n = g.n_qubits
-    region = set(region_sites)
+    region = {g.wrap(s) for s in region_sites}
     allowed = {g.qubit_index(QubitIndex(s, sub)) for s in region for sub in range(g.q)}
     outside = [j for j in range(n) if j not in allowed]
     out_cols = [j for j in outside] + [j + n for j in outside]
@@ -620,13 +620,10 @@ def _support_placements(geometry: LatticeGeometry, size: int, box1: CubeBox, cor
 
 
 def scan_for_strings(
-    code: CodeInstance,
-    rho: int,
-    alpha: float,
-    budget: SearchBudget | None = None,
-    params: ScaleParams | None = None,
+    code: CodeInstance, rho: int, budget: SearchBudget | None = None, params: ScaleParams | None = None
 ) -> StringScanReport:
-    """Search for non-trivial string segments with aspect ratio above alpha.
+    """Search for non-trivial string segments with aspect ratio above
+    ``params.alpha``.
 
     Anchor pairs are placed on a stride-``rho`` grid; since the shipped codes
     are translation invariant, one anchor is pinned at the origin and only
@@ -652,7 +649,7 @@ def scan_for_strings(
     inverse, place = -grid % g.L, g.L ** np.arange(g.D - 1, -1, -1)
     ratios = _aspect_ratios(g, box1, grid, rho)
     keep = (inverse % rho != 0).any(axis=1) | (inverse @ place >= grid @ place)
-    keep &= ((grid >= rho) & (grid <= g.L - rho)).any(axis=1) & (ratios > alpha)
+    keep &= ((grid >= rho) & (grid <= g.L - rho)).any(axis=1) & (ratios > params.alpha)
     corners2, ratios = grid[keep], ratios[keep]
     anchors1 = [(c, s) for c in box1.cubes(g) for s in range(code.n_species)]
     widest = 1 if solver.size >= g.L else min(g.L, solver.size + rho) ** g.D  # placements per pair
@@ -673,6 +670,7 @@ def scan_for_strings(
             admits = solver.admits_pattern(rows)
             bounds = np.searchsorted(pair, np.arange(batch_end - k + 1))
         box2, ratio = CubeBox(tuple(v), rho), float(ratios[k])
+        anchors = anchors1 + [(g.shift(c, v), s) for c, s in anchors1]
         seen_patterns: set[int] = set()
         for j in range(bounds[k - batch_start], bounds[k - batch_start + 1]):
             if len(seen_patterns) >= budget.max_patterns or time.monotonic() > deadline:
@@ -681,7 +679,6 @@ def scan_for_strings(
             if not admits[j]:
                 continue
             corner, local_rows = tuple(corners[j].tolist()), rows[j]
-            anchors = anchors1 + [(g.shift(c, v), s) for c, s in anchors1]
             for pattern_bits in solver.achievable_subsets(local_rows):
                 if pattern_bits in seen_patterns:
                     continue

@@ -9,8 +9,7 @@ operators of the cubic code whose paths stay below the ``4p + 4`` ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -28,8 +27,7 @@ class ErrorPath:
     """Ordered single-qubit error sequence; steps may repeat.
 
     Held as arrays: ``sites (T, D)``, ``subs (T,)`` and ``paulis (T,)``, each
-    Pauli coded x bit | z bit << 1 (X=1, Z=2, Y=3).  ``steps`` is the same
-    path as ``(QubitIndex, label)`` pairs, built on first use.
+    Pauli coded x bit | z bit << 1 (X=1, Z=2, Y=3).
     """
 
     def __init__(self, sites, subs, paulis):
@@ -42,34 +40,30 @@ class ErrorPath:
         steps = list(steps)
         return cls([q.site for q, _ in steps], [q.sub for q, _ in steps], [PAULI_CODE[p] for _, p in steps])
 
-    @cached_property
-    def steps(self) -> tuple[tuple[QubitIndex, str], ...]:
-        return tuple(
-            (QubitIndex(tuple(site), sub), CODE_CHARS[p])
-            for site, sub, p in zip(self.sites.tolist(), self.subs.tolist(), self.paulis.tolist())
-        )
-
     def __len__(self) -> int:
         return len(self.subs)
 
-    def __iter__(self) -> Iterator[tuple[QubitIndex, str]]:
-        return iter(self.steps)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, ErrorPath) and self.steps == other.steps
+        return isinstance(other, ErrorPath) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("sites", "subs", "paulis")
+        )
 
     def product(self, code: CodeInstance) -> PauliOperator:
         g = code.geometry
         return PauliOperator.from_codes(g, g.site_indices(self.sites) * g.q + self.subs, self.paulis)
 
     def to_lines(self) -> list[str]:
-        return [f"{q} {p}" for q, p in self.steps]
+        """One ``x.. sub P`` line per step, as ``from_lines`` reads them."""
+        return [
+            " ".join(map(str, (*site, sub, CODE_CHARS[p])))
+            for site, sub, p in zip(self.sites.tolist(), self.subs.tolist(), self.paulis.tolist())
+        ]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], D: int, q: int) -> "ErrorPath":
         """Parse ``x.. sub P`` lines; a sub-qubit slot outside ``0..q-1`` is
         rejected rather than aliased onto another site."""
-        steps = []
+        sites, subs, paulis = [], [], []
         for raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -78,7 +72,7 @@ class ErrorPath:
             if len(parts) != D + 2:
                 raise InputError(f"expected {D} coordinates, sub, and a Pauli: {line!r}")
             try:
-                site, sub = tuple(int(c) for c in parts[:D]), int(parts[D])
+                site, sub = [int(c) for c in parts[:D]], int(parts[D])
             except ValueError:
                 raise InputError(f"non-integer coordinate or sub-qubit slot in {line!r}") from None
             if not 0 <= sub < q:
@@ -86,12 +80,10 @@ class ErrorPath:
             p = parts[D + 1].upper()
             if p not in ("X", "Y", "Z"):
                 raise InputError(f"bad Pauli {p!r} in {line!r}")
-            steps.append((QubitIndex(site, sub), p))
-        return cls.from_steps(steps)
-
-
-def as_path(steps: Iterable[tuple[QubitIndex, str]]) -> ErrorPath:
-    return steps if isinstance(steps, ErrorPath) else ErrorPath.from_steps(steps)
+            sites.append(site)
+            subs.append(sub)
+            paulis.append(PAULI_CODE[p])
+        return cls(sites, subs, paulis)
 
 
 def _require_slots(code: CodeInstance, path: ErrorPath) -> None:
@@ -105,10 +97,10 @@ def walk_events(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one syndrome walker: flip events ``(step, generator)`` in step
     order.  Step ``t`` is the path's t-th error (1-based); the initial
-    defects enter as step-0 events."""
+    defects, read by ``code.defect_set``, enter as step-0 events."""
     _require_slots(code, path)
     step, gens = code.flip_events(path.sites, path.subs, path.paulis)
-    init = np.array(sorted({code.generator_index(c, s) for c, s in initial}), dtype=np.int64)
+    init = np.array(sorted(code.generator_index(c, s) for c, s in code.defect_set(initial)), dtype=np.int64)
     return np.concatenate([np.zeros_like(init), step + 1]), np.concatenate([init, gens])
 
 
@@ -127,11 +119,7 @@ class EnergyProfile:
         return list(enumerate(self.counts))
 
 
-def energy_profile(
-    code: CodeInstance,
-    steps: Iterable[tuple[QubitIndex, str]],
-    initial: Iterable[Defect] = (),
-) -> EnergyProfile:
+def energy_profile(code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()) -> EnergyProfile:
     """Defect count after every step of a path.
 
     The walker's events are sorted by (generator, step); within a
@@ -139,7 +127,6 @@ def energy_profile(
     ranks remove it (-1), and the counts are the running sum of the signs.
     The cost per step is constant and independent of the lattice size.
     """
-    path = as_path(steps)
     step, gens = walk_events(code, path, initial)
     order = np.argsort(gens, kind="stable")
     step, gens = step[order], gens[order]
@@ -155,8 +142,10 @@ def energy_profile(
 def defect_after_each_step(code: CodeInstance, path: ErrorPath, defect: Defect) -> np.ndarray:
     """Whether ``defect`` is present after each step ``1..T`` of a path from
     vacuum, without the walker: a step flips it iff its qubit is one of the
-    generator's terms with an anticommuting Pauli; presence is the parity."""
+    generator's terms with an anticommuting Pauli; presence is the parity.
+    The defect is read by ``code.defect_set``."""
     _require_slots(code, path)
+    [defect] = code.defect_set([defect])
     g, gen = code.geometry, code.generator_index(*defect)
     gens, qubits, paulis = code.generator_terms([gen // code.n_species])
     qubit, p = (g.site_indices(path.sites) * g.q + path.subs)[:, None], path.paulis[:, None]

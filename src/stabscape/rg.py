@@ -10,7 +10,6 @@ errors.  The ladder stops at the first level that retains nothing interior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, Sequence
 
@@ -18,28 +17,17 @@ import numpy as np
 
 from .codes import CodeInstance, Defect, InputError, Syndrome
 from .defects import ScaleParams, cluster_partition, dense_runs, is_neutral, set_distance
-from .lattice import LatticeGeometry, QubitIndex, Site
+from .lattice import LatticeGeometry, Site
 from .pauli import PauliOperator
-from .paths import ErrorPath, as_path, walk_events
+from .paths import ErrorPath, walk_events
 
 
 @dataclass(frozen=True)
 class SyndromeHistory:
-    """Per-step syndromes of an error path, starting from a declared state.
-
-    ``path`` may be given as ``(QubitIndex, label)`` steps; it is held as
-    an :class:`ErrorPath`, whose ``steps`` view is built only on request.
-    """
+    """Per-step syndromes of an error path, starting from a declared state."""
 
     path: ErrorPath
     syndromes: tuple[Syndrome, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "path", as_path(self.path))
-
-    @property
-    def steps(self) -> tuple[tuple[QubitIndex, str], ...]:
-        return self.path.steps
 
     @property
     def T(self) -> int:
@@ -55,14 +43,9 @@ class SyndromeHistory:
         return self.syndromes[-1]
 
 
-def syndrome_history(
-    code: CodeInstance,
-    path: Iterable[tuple[QubitIndex, str]],
-    initial: Iterable[Defect] = (),
-) -> SyndromeHistory:
+def syndrome_history(code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()) -> SyndromeHistory:
     """Per-step syndromes from the walker's events: each step toggles the
     generators it flips (no step flips one generator twice)."""
-    path = as_path(path)
     step, gens = walk_events(code, path, initial)
     flipped = code.generators_at(gens)
     bounds = np.searchsorted(step, np.arange(len(path) + 2)).tolist()
@@ -76,10 +59,9 @@ def syndrome_history(
 class LevelHistory:
     """One rung of the ladder: retained time indices and aggregated errors.
 
-    ``errors[k]`` is the product of the path steps between the retained times
-    ``retained[k]`` and ``retained[k + 1]``.  The errors are full-lattice
-    operators, so they are built on first access and then kept; a ladder that
-    is only counted never holds them.
+    ``error(k)`` is the product of the path steps between the retained times
+    ``retained[k]`` and ``retained[k + 1]``.  It is a full-lattice operator,
+    so it is built on each call and not kept.
     """
 
     level: int
@@ -90,14 +72,12 @@ class LevelHistory:
     def interior(self) -> tuple[int, ...]:
         return self.retained[1:-1]
 
-    @cached_property
-    def errors(self) -> tuple[PauliOperator, ...]:
+    def error(self, k: int) -> PauliOperator:
+        if not 0 <= k < len(self.retained) - 1:
+            raise IndexError(f"level {self.level} has {len(self.retained) - 1} errors, not an error {k}")
         g, path = self.geometry, self.history.path
-        qubits = g.site_indices(path.sites) * g.q + path.subs
-        return tuple(
-            PauliOperator.from_codes(g, qubits[a:b], path.paulis[a:b])
-            for a, b in zip(self.retained, self.retained[1:])
-        )
+        a, b = self.retained[k], self.retained[k + 1]
+        return PauliOperator.from_codes(g, g.site_indices(path.sites[a:b]) * g.q + path.subs[a:b], path.paulis[a:b])
 
 
 @dataclass

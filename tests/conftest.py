@@ -202,6 +202,18 @@ def reference_flips(code, qubit, p):
 # -- test-only vocabulary: helpers no library code calls -----------------------
 
 
+def path_steps(path):
+    """An ``ErrorPath`` as ``(QubitIndex, label)`` steps, for tests that read
+    a path one step at a time."""
+    from stabscape.lattice import QubitIndex
+    from stabscape.pauli import CODE_CHARS
+
+    return tuple(
+        (QubitIndex(tuple(site), sub), CODE_CHARS[p])
+        for site, sub, p in zip(path.sites.tolist(), path.subs.tolist(), path.paulis.tolist())
+    )
+
+
 def set_bit(words, j, value=1):
     """Set bit ``j`` of a packed word vector to ``value``."""
     mask = np.uint64(1) << np.uint64(j & 63)

@@ -488,6 +488,13 @@ def test_localize_finds_short_homologous_path(toric4):
     assert out.support_sites() <= region
 
 
+def test_localize_reads_the_region_modulo_L(toric4):
+    """A region named with unwrapped coordinates is the same region: sites
+    (4, 0) and (4, 1) are (0, 0) and (0, 1) on L=4."""
+    op = PauliOperator.single(toric4.geometry, QubitIndex((0, 0), 0), "X")
+    assert localize(toric4, op, {(4, 0), (4, 1), (5, 0), (5, 1)}) == op
+
+
 def test_localize_none_when_region_too_small(toric4):
     g = toric4.geometry
     # a logical operator cannot be compressed into a small patch
@@ -542,7 +549,7 @@ def test_segment_validation_errors(toric3):
 
 def test_scan_finds_strings_on_toric():
     code = get_code("toric2d", 6)
-    report = scan_for_strings(code, 1, 2.0, SearchBudget(), ScaleParams(ltqo=3))
+    report = scan_for_strings(code, 1, SearchBudget(), ScaleParams(alpha=2.0, ltqo=3))
     assert report.nontrivial
     assert any(f.aspect_ratio > 2.0 for f in report.nontrivial)
     for f in report.nontrivial:
@@ -551,9 +558,21 @@ def test_scan_finds_strings_on_toric():
 
 def test_scan_finds_domain_walls_on_rep():
     code = get_code("rep1d", 8)
-    report = scan_for_strings(code, 1, 3.0, SearchBudget(), ScaleParams(ltqo=4))
+    report = scan_for_strings(code, 1, SearchBudget(), ScaleParams(alpha=3.0, ltqo=4))
     assert report.nontrivial
     assert all(f.aspect_ratio > 3.0 for f in report.nontrivial)
+
+
+def test_scan_reads_its_aspect_threshold_from_params():
+    """The one threshold is ``params.alpha``: on rep1d L=8 the unit anchor
+    pairs have aspect ratios 2, 3, 4 and 5, so alpha 1, 3 and 4 keep 4, 2
+    and 1 pairs."""
+    code = get_code("rep1d", 8)
+    for alpha, pairs in ((1.0, 4), (3.0, 2), (4.0, 1)):
+        report = scan_for_strings(code, 1, SearchBudget(), ScaleParams(alpha=alpha, ltqo=4))
+        assert report.pairs_scanned == pairs and not report.budget_exhausted
+        assert all(f.aspect_ratio > alpha for f in report.nontrivial)
+    assert scan_for_strings(code, 1).pairs_scanned == 0  # the default alpha, 15
 
 
 def test_scan_time_cap_trips_inside_a_pair(monkeypatch):
@@ -561,10 +580,10 @@ def test_scan_time_cap_trips_inside_a_pair(monkeypatch):
     anchor pair: a clock that jumps past the cap after the first pair check
     ends the scan inside that pair."""
     code = get_code("toric2d", 4)
-    uncapped = scan_for_strings(code, 1, 1.0, SearchBudget(max_pairs=1))
+    uncapped = scan_for_strings(code, 1, SearchBudget(max_pairs=1), ScaleParams(alpha=1.0))
     readings = iter([0.0, 0.0])  # the scan's start, then the first pair's check
     monkeypatch.setattr(defects.time, "monotonic", lambda: next(readings, 10.0))
-    capped = scan_for_strings(code, 1, 1.0, SearchBudget(time_cap=1.0))
+    capped = scan_for_strings(code, 1, SearchBudget(time_cap=1.0), ScaleParams(alpha=1.0))
     assert capped.pairs_scanned == 1 and capped.budget_exhausted
     assert capped.patterns_tested < uncapped.patterns_tested
 
@@ -799,7 +818,7 @@ def test_support_placements_match_set_expansion(name_L, corners, rho, size):
 # -- the string scan against the per-subset loop it replaced ----------------------
 
 
-def reference_scan(code, rho, alpha, budget, params):
+def reference_scan(code, rho, budget, params):
     """Retired per-subset scan loop: every subset of every box's present
     anchor rows, in ascending bitmask order, through its own
     ``achievable_witness`` call."""
@@ -818,7 +837,7 @@ def reference_scan(code, rho, alpha, budget, params):
         box2 = CubeBox(v, rho)
         if cubes1 & set(box2.cubes(g)):
             continue
-        if anchor_aspect_ratio(g, box1, box2) > alpha:
+        if anchor_aspect_ratio(g, box1, box2) > params.alpha:
             placements.append(box2)
     placements.sort(key=lambda b: b.corner)
     findings = []
@@ -885,15 +904,15 @@ def scan_cases(draw):
         max_pairs=draw(st.integers(1, 2 if small else 8), label="max_pairs"),
         max_patterns=draw(st.integers(1, 4 if small else 16), label="max_patterns"),
     )
-    return code_for(name, L), rho, alpha, budget, ScaleParams(ltqo=ltqo)
+    return code_for(name, L), rho, budget, ScaleParams(alpha=alpha, ltqo=ltqo)
 
 
 @settings(max_examples=120)
 @given(case=scan_cases())
 def test_scan_matches_per_subset_loop(case):
-    code, rho, alpha, budget, params = case
-    expected = reference_scan(code, rho, alpha, budget, params)
-    report = scan_for_strings(code, rho, alpha, budget, params)
+    code, rho, budget, params = case
+    expected = reference_scan(code, rho, budget, params)
+    report = scan_for_strings(code, rho, budget, params)
     assert report.pairs_scanned == expected.pairs_scanned
     assert report.patterns_tested == expected.patterns_tested
     assert report.budget_exhausted == expected.budget_exhausted
@@ -905,10 +924,10 @@ def test_scan_matches_per_subset_loop(case):
 def test_scan_batches_match_per_subset_loop(case, batch):
     """Any batch size, down to one pair per batch, gives the per-subset
     loop's report, also where a ``max_pairs`` cap falls inside a batch."""
-    code, rho, alpha, budget, params = case
-    expected = reference_scan(code, rho, alpha, budget, params)
+    code, rho, budget, params = case
+    expected = reference_scan(code, rho, budget, params)
     with mock.patch.object(defects, "_SCAN_BATCH", batch):
-        report = scan_for_strings(code, rho, alpha, budget, params)
+        report = scan_for_strings(code, rho, budget, params)
     assert (report.pairs_scanned, report.patterns_tested) == (expected.pairs_scanned, expected.patterns_tested)
     assert report.budget_exhausted == expected.budget_exhausted
     assert report.nontrivial == expected.nontrivial
@@ -919,11 +938,11 @@ def test_scan_pair_cap_inside_a_batch(batch, max_pairs):
     """toric2d L=6 at scale 3: a pair has at most 4^2 placements, so a batch
     of 40 placements holds two pairs and one of 80 holds five; the pair cap
     ends the scan in the middle of a batch, as the per-subset loop does."""
-    code, params = code_for("toric2d", 6), ScaleParams(ltqo=3)
+    code, params = code_for("toric2d", 6), ScaleParams(alpha=1.0, ltqo=3)
     budget = SearchBudget(max_pairs=max_pairs, max_patterns=4)
-    expected = reference_scan(code, 1, 1.0, budget, params)
+    expected = reference_scan(code, 1, budget, params)
     with mock.patch.object(defects, "_SCAN_BATCH", batch):
-        report = scan_for_strings(code, 1, 1.0, budget, params)
+        report = scan_for_strings(code, 1, budget, params)
     assert report.pairs_scanned == max_pairs and report.budget_exhausted
     assert (report.patterns_tested, report.nontrivial) == (expected.patterns_tested, expected.nontrivial)
 

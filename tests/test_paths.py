@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import reference_flips
+from conftest import path_steps, reference_flips
 from stabscape import get_code
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
@@ -25,7 +25,7 @@ from stabscape.paths import (
 
 
 def test_empty_path_profile(cubic4):
-    prof = energy_profile(cubic4, [])
+    prof = energy_profile(cubic4, ErrorPath.from_steps([]))
     assert prof.counts == (0,)
     assert prof.barrier == 0
     assert prof.final_syndrome == frozenset()
@@ -33,7 +33,7 @@ def test_empty_path_profile(cubic4):
 
 def test_double_bitflip_profile(cubic4):
     u = QubitIndex((1, 2, 3), 0)
-    prof = energy_profile(cubic4, [(u, "X"), (u, "X")])
+    prof = energy_profile(cubic4, ErrorPath.from_steps([(u, "X"), (u, "X")]))
     assert prof.counts == (0, 4, 0)
     assert prof.barrier == 4
 
@@ -41,7 +41,7 @@ def test_double_bitflip_profile(cubic4):
 def test_domain_wall_sweep_barrier():
     code = get_code("rep1d", 6)
     steps = [(QubitIndex((i,), 0), "X") for i in range(6)]
-    prof = energy_profile(code, steps)
+    prof = energy_profile(code, ErrorPath.from_steps(steps))
     assert prof.barrier == 2
     assert prof.final_syndrome == frozenset()
 
@@ -52,7 +52,7 @@ def test_profile_step_bound(cubic4, rng):
     for _ in range(60):
         site = tuple(int(c) for c in rng.integers(0, 4, size=3))
         steps.append((QubitIndex(site, int(rng.integers(0, 2))), "XYZ"[int(rng.integers(0, 3))]))
-    prof = energy_profile(cubic4, steps)
+    prof = energy_profile(cubic4, ErrorPath.from_steps(steps))
     jumps = np.abs(np.diff(prof.counts))
     assert jumps.max() <= 8  # one qubit touches at most 2^3 cubes per species
 
@@ -110,7 +110,7 @@ def test_pyramid_path_invariants(n, rng):
         assert prof.final_syndrome == pyramid_syndrome(code, p, apex_cube(code, u))
         if 2**p < L:
             defects = set()
-            for t, (q, pp) in enumerate(path):
+            for t, (q, pp) in enumerate(path_steps(path)):
                 for d in reference_flips(code, q, pp):
                     defects.symmetric_difference_update({d})
                 assert apex in defects, f"apex lost at step {t + 1} (p={p}, n={n})"
@@ -134,7 +134,7 @@ def test_incremental_profile_matches_recomputation(cubic4, rng):
     prof = energy_profile(cubic4, path)
     for _ in range(100):
         t = int(rng.integers(0, len(path) + 1))
-        partial = PauliOperator.from_terms(cubic4.geometry, path.steps[:t])
+        partial = PauliOperator.from_terms(cubic4.geometry, path_steps(path)[:t])
         assert prof.counts[t] == len(cubic4.syndrome_of(partial))
 
 
@@ -190,4 +190,4 @@ def test_error_path_text_roundtrip(cubic4):
     with pytest.raises(ValueError):
         ErrorPath.from_lines(["0 0 0 -1 X"], 3, 2)
     with pytest.raises(ValueError):
-        energy_profile(cubic4, [(QubitIndex((0, 0, 0), 2), "X")])
+        energy_profile(cubic4, ErrorPath.from_steps([(QubitIndex((0, 0, 0), 2), "X")]))

@@ -10,7 +10,7 @@ from stabscape import get_code
 from stabscape.defects import ScaleParams
 from stabscape.lattice import LatticeGeometry, QubitIndex
 from stabscape.pauli import PauliOperator
-from stabscape.paths import pyramid_operator, pyramid_path
+from stabscape.paths import ErrorPath, pyramid_operator, pyramid_path
 from stabscape.rg import (
     SyndromeHistory,
     box_counting_dimension,
@@ -25,7 +25,7 @@ PARAMS = ScaleParams()
 
 def test_history_of_double_flip(cubic4):
     u = QubitIndex((1, 1, 1), 0)
-    hist = syndrome_history(cubic4, [(u, "X"), (u, "X")])
+    hist = syndrome_history(cubic4, ErrorPath.from_steps([(u, "X"), (u, "X")]))
     assert len(hist.syndromes) == 3
     assert hist.syndromes[0] == hist.syndromes[2] == frozenset()
     assert len(hist.syndromes[1]) == 4
@@ -33,7 +33,7 @@ def test_history_of_double_flip(cubic4):
 
 
 def test_empty_history_flagged(cubic4):
-    analysis = level_histories(cubic4, syndrome_history(cubic4, []), PARAMS)
+    analysis = level_histories(cubic4, syndrome_history(cubic4, ErrorPath.from_steps([])), PARAMS)
     assert analysis.p_max == 0
     assert analysis.empty_path
 
@@ -42,8 +42,8 @@ def synthetic_history(code, syndromes):
     """History with pinned syndromes; the self-cancelling steps keep the
     aggregated level errors well-defined."""
     u = QubitIndex((0,) * code.geometry.D, 0)
-    steps = tuple((u, "X") for _ in range(len(syndromes) - 1))
-    return SyndromeHistory(steps, tuple(frozenset(s) for s in syndromes))
+    path = ErrorPath.from_steps((u, "X") for _ in range(len(syndromes) - 1))
+    return SyndromeHistory(path, tuple(frozenset(s) for s in syndromes))
 
 
 def test_single_cube_history_pmax_one(cubic8):
@@ -95,15 +95,15 @@ def test_pyramid_rg_pipeline(n):
     # product of level-p errors between consecutive level-(p+1) syndromes
     for lo, hi in zip(analysis.levels, analysis.levels[1:]):
         idx = {t: i for i, t in enumerate(lo.retained)}
-        for (a, b), err in zip(zip(hi.retained, hi.retained[1:]), hi.errors):
+        for k, (a, b) in enumerate(zip(hi.retained, hi.retained[1:])):
             prod = PauliOperator.identity(code.geometry)
             for i in range(idx[a], idx[b]):
-                prod = prod * lo.errors[i]
-            assert prod == err
+                prod = prod * lo.error(i)
+            assert prod == hi.error(k)
     # the top level holds a single aggregated error equal to the full product
     top = analysis.levels[-1]
-    assert len(top.errors) == 1
-    assert top.errors[0] == pyramid_operator(code, n, (0, 0, 0))
+    assert len(top.retained) == 2
+    assert top.error(0) == pyramid_operator(code, n, (0, 0, 0))
 
 
 @settings(max_examples=30)
@@ -113,18 +113,23 @@ def test_pyramid_rg_pipeline(n):
         max_size=12,
     )
 )
-def test_level_errors_built_on_first_access(cubic4, steps):
+def test_level_errors_built_per_call(cubic4, steps):
+    """Each ``error(k)`` is built on its call and kept nowhere; the errors of
+    every level multiply to the whole path, and there is no error past the
+    last retained interval."""
     path = [(QubitIndex(site, sub), p) for site, sub, p in steps]
-    analysis = level_histories(cubic4, syndrome_history(cubic4, path), PARAMS)
-    assert all("errors" not in vars(lvl) for lvl in analysis.levels)
+    analysis = level_histories(cubic4, syndrome_history(cubic4, ErrorPath.from_steps(path)), PARAMS)
     whole = PauliOperator.from_terms(cubic4.geometry, path)
     for lvl in analysis.levels:
-        assert len(lvl.errors) == len(lvl.retained) - 1
-        assert "errors" in vars(lvl)
+        held = dict(vars(lvl))
         prod = PauliOperator.identity(cubic4.geometry)
-        for err in lvl.errors:
-            prod = prod * err
+        for k in range(len(lvl.retained) - 1):
+            prod = prod * lvl.error(k)
         assert prod == whole
+        assert vars(lvl) == held
+        for k in (-1, len(lvl.retained) - 1):
+            with pytest.raises(IndexError):
+                lvl.error(k)
 
 
 def retired_ladder(code, history, params):
@@ -159,7 +164,7 @@ def short_paths(draw):
 def test_level_histories_match_the_retired_ladder(case, alpha):
     code, path = case
     params = ScaleParams(alpha=alpha)
-    history = syndrome_history(code, path)
+    history = syndrome_history(code, ErrorPath.from_steps(path))
     analysis = level_histories(code, history, params)
     assert ([lvl.retained for lvl in analysis.levels], analysis.p_max) == retired_ladder(code, history, params)
 
@@ -181,9 +186,9 @@ def test_track_toric_transport_violates_locking():
     g = code.geometry
     params = ScaleParams(alpha=1.0, ltqo=4)
     prep = [(QubitIndex((x, 0), 1), "X") for x in range(1, 17)]
-    start = syndrome_history(code, prep).final
+    start = syndrome_history(code, ErrorPath.from_steps(prep)).final
     move = [(QubitIndex((x, 0), 1), "X") for x in range(17, 20)]
-    hist = syndrome_history(code, move, initial=start)
+    hist = syndrome_history(code, ErrorPath.from_steps(move), initial=start)
     worldlines, report = track_charged_clusters(code, hist.syndromes, 0, params)
     assert report.g_constant and report.charged_counts[0] == 2
     assert not report.continuity_violations  # one step moves one unit
@@ -201,7 +206,7 @@ def test_track_cubic_low_weight_paths_show_no_locking_violations(cubic8, rng):
         for _ in range(3):
             steps.append((QubitIndex(tuple(int(c) for c in site % 8), 0), "X"))
             site = site + rng.integers(-1, 2, size=3)
-        hist = syndrome_history(cubic8, steps)
+        hist = syndrome_history(cubic8, ErrorPath.from_steps(steps))
         try:
             _, report = track_charged_clusters(cubic8, hist.syndromes[1:], 1, params)
         except ValueError:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscape import get_code, gf2
-from stabscape.codes import CodeInstance, CodeSpec, commutation_witness, registry_names
+from stabscape.codes import CodeInstance, CodeSpec, InputError, commutation_witness, registry_names
 from stabscape.defects import _BoxSolver, _single_qubit_witness
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PAULI_CODE, PauliOperator
@@ -29,6 +29,7 @@ from stabscape.paths import ErrorPath, defect_after_each_step, energy_profile, p
 from stabscape.rg import box_counting_dimension, syndrome_history
 
 from conftest import (
+    path_steps,
     reference_flips,
     reference_gram_witness,
     reference_lift,
@@ -140,19 +141,19 @@ def walks(draw, max_steps=20):
 def test_energy_profile_matches_retired_loop(walk):
     code, steps, initial = walk
     expected = reference_syndromes(code, steps, initial)
-    for path in (steps, ErrorPath.from_steps(steps)):
-        prof = energy_profile(code, path, initial)
-        assert prof.counts == tuple(len(s) for s in expected)
-        assert prof.final_syndrome == expected[-1]
+    prof = energy_profile(code, ErrorPath.from_steps(steps), initial)
+    assert prof.counts == tuple(len(s) for s in expected)
+    assert prof.final_syndrome == expected[-1]
 
 
 def test_energy_profile_edge_cases(cubic4):
     z = cubic4.species_index("z")
     start = frozenset({((1, 1, 1), z)})
-    assert energy_profile(cubic4, [], start).counts == (1,)
-    assert energy_profile(cubic4, [], start).final_syndrome == start
+    empty = ErrorPath.from_steps([])
+    assert energy_profile(cubic4, empty, start).counts == (1,)
+    assert energy_profile(cubic4, empty, start).final_syndrome == start
     y = (QubitIndex((1, 2, 3), 1), "Y")
-    prof = energy_profile(cubic4, [y, y, y], start)
+    prof = energy_profile(cubic4, ErrorPath.from_steps([y, y, y]), start)
     assert prof.counts == tuple(len(s) for s in reference_syndromes(cubic4, [y, y, y], start))
 
 
@@ -160,9 +161,9 @@ def test_energy_profile_edge_cases(cubic4):
 @given(walk=walks())
 def test_syndrome_history_matches_retired_loop(walk):
     code, steps, initial = walk
-    hist = syndrome_history(code, steps, initial)
+    hist = syndrome_history(code, ErrorPath.from_steps(steps), initial)
     assert hist.syndromes == tuple(reference_syndromes(code, steps, initial))
-    assert hist.steps == tuple(steps)
+    assert path_steps(hist.path) == tuple(steps)
 
 
 @settings(max_examples=200)
@@ -181,9 +182,73 @@ def test_out_of_range_slot_rejected(cubic4, sub):
     # of the flip table, or alias onto a slot of the next site
     steps = [(QubitIndex((1, 1, 1), sub), "Z")]
     with pytest.raises(ValueError):
-        energy_profile(cubic4, steps)
+        energy_profile(cubic4, ErrorPath.from_steps(steps))
     with pytest.raises(ValueError):
         defect_after_each_step(cubic4, ErrorPath.from_steps(steps), ((1, 1, 1), 0))
+
+
+@settings(max_examples=150)
+@given(name=st.sampled_from(["rep1d", "toric2d", "toric3d", "cubic1"]), L=st.integers(2, 4), data=st.data())
+def test_walker_reads_defects_modulo_L(name, L, data):
+    """The walker's initial defects and the tracked defect are read as
+    generators: a cube named with coordinates shifted by multiples of L, or
+    named twice, is the same generator, and a species the code does not
+    have is an InputError, not another cube's generator or a NumPy error."""
+    code = code_for(name, L)
+    g = code.geometry
+    step = st.tuples(st.tuples(*[st.integers(0, L - 1)] * g.D), st.integers(0, g.q - 1), st.sampled_from("XYZ"))
+    steps = data.draw(st.lists(step, max_size=8), label="steps")
+    path = ErrorPath.from_steps([(QubitIndex(site, sub), p) for site, sub, p in steps])
+    gens = data.draw(st.sets(st.integers(0, code.n_generators - 1), max_size=5), label="gens")
+    initial = frozenset(code.generator_at(i) for i in gens)
+    shift = st.lists(st.tuples(*[st.integers(-2, 2)] * g.D), min_size=1, max_size=3)
+    names = [
+        ((cube, s), (tuple(c + k * L for c, k in zip(cube, ks)), s))
+        for cube, s in sorted(initial)
+        for ks in data.draw(shift, label=f"names of {cube}:{s}")
+    ]
+    renamed = [name for _, name in names]
+    assert energy_profile(code, path, renamed) == energy_profile(code, path, initial)
+    assert syndrome_history(code, path, renamed).syndromes == syndrome_history(code, path, initial).syndromes
+    for defect, name in names:
+        assert (defect_after_each_step(code, path, name) == defect_after_each_step(code, path, defect)).all()
+    cube = data.draw(st.tuples(*[st.integers(-L, 2 * L - 1)] * g.D), label="cube")
+    for bad in ((cube, -1), (cube, code.n_species)):
+        with pytest.raises(InputError):
+            energy_profile(code, path, [bad])
+        with pytest.raises(InputError):
+            syndrome_history(code, path, [bad])
+        with pytest.raises(InputError):
+            defect_after_each_step(code, path, bad)
+
+
+def test_walker_rejects_a_species_that_would_alias(cubic4):
+    """cubic1 has species 0 and 1: species 2 at cube (0, 0, 0) has the flat
+    index of species 0 at cube (0, 0, 1), which the walker must not read."""
+    path = ErrorPath.from_steps([(QubitIndex((1, 1, 2), 0), "X")])
+    with pytest.raises(InputError):
+        defect_after_each_step(cubic4, path, ((0, 0, 0), 2))
+    with pytest.raises(InputError):
+        energy_profile(cubic4, ErrorPath.from_steps([]), [((0, 0, 0), 2)])
+    with pytest.raises(InputError):
+        syndrome_history(cubic4, path, [((1, 1), 0)])  # a 2-D cube on a 3-D code
+
+
+@settings(max_examples=200)
+@given(walk=walks())
+def test_path_lines_match_the_qubit_index_format(walk):
+    """``to_lines`` writes each step as ``f"{QubitIndex} {label}"``, and
+    ``from_lines`` reads the lines back to an equal path; a path that
+    differs in one step is not equal."""
+    code, steps, _ = walk
+    path = ErrorPath.from_steps(steps)
+    lines = path.to_lines()
+    assert lines == [f"{q} {p}" for q, p in steps]
+    assert ErrorPath.from_lines(lines, code.geometry.D, code.geometry.q) == path
+    if steps:
+        (q, p), *rest = steps
+        assert ErrorPath.from_steps([(q, "ZXY"["XYZ".index(p)])] + rest) != path
+        assert ErrorPath.from_steps(steps[1:]) != path
 
 
 @settings(max_examples=200)
@@ -274,7 +339,7 @@ def test_pyramid_path_matches_recursive_schedule(n, data):
     u = data.draw(st.tuples(*[st.integers(-L, 2 * L)] * 3), label="u")
     path = pyramid_path(code, p, u)
     expected = tuple(reference_pyramid_steps(code.geometry, p, u))
-    assert path.steps == expected
+    assert path_steps(path) == expected
     assert path == ErrorPath.from_steps(expected)
 
 
