@@ -295,7 +295,7 @@ class _BoxSolver:
         # the left nullspace (the reduced rows past the rank), packed
         combos = reduced.select_columns(np.arange(ncols, ncols + nrows)).transpose()
         self._combos, self._null = combos.words, combos.select_columns(np.arange(len(self._pivots), nrows)).words
-        self._memberships = [gf2.to_int(c) for c in self._combos]
+        self._memberships = gf2.to_ints(self._combos)
         # local row of the generator of each species on the cube at offset o - 1
         # from the corner, o in 0..size per axis
         self._row_at = np.searchsorted(rows, gens).reshape((self.size + 1,) * g.D + (code.n_species,))
@@ -333,16 +333,17 @@ class _BoxSolver:
         ``rows[i]``, -1 if outside the box) that the box can flip exactly, in
         ascending order.  They are the kernel of "pattern -> XOR of its rows'
         left-nullspace memberships": the rows that one forward elimination of
-        the memberships, each tagged with its anchor bit above them, leaves led
-        by a tag.  A row is reduced only by earlier ones, so these come in
-        input order, each topped by its own tag.  Cleared of the earlier top
-        bits, their subset XORs ascend with the subset; the walk goes in
-        chunks of 4096 and costs 2^(kernel dimension), not 2^m."""
-        rank, width = len(self._pivots), len(self._memberships)
-        tagged = [self._memberships[r] >> rank | 1 << (width + i) for i, r in enumerate(rows.tolist()) if r >= 0]
+        the memberships, each with its anchor's tag bit below them, leaves
+        led by a tag.  Their leads are distinct tags; ascending by lead and
+        each cleared of the lower leads, they are the reduced kernel basis,
+        whose subset XORs ascend with the subset; the walk goes in chunks of
+        4096 and costs 2^(kernel dimension), not 2^m."""
+        rank, m = len(self._pivots), len(rows)
+        tagged = [self._memberships[r] >> rank << m | 1 << i for i, r in enumerate(rows.tolist()) if r >= 0]
+        table = gf2._echelon(tagged)[0]
         basis: list[int] = []
-        for x in (x >> width for lead, x in gf2._echelon(tagged)[0].items() if lead >> width):
-            basis.append(reduce(lambda x, b: min(x, x ^ b), basis, x))  # min clears b's top bit
+        for lead in sorted(lead for lead in table if lead <= m):
+            basis.append(reduce(lambda x, b: min(x, x ^ b), basis, table[lead]))  # min clears b's top bit
         low = reduce(lambda table, b: table + [x ^ b for x in table], basis[:12], [0])
         for h in range(1 << max(len(basis) - 12, 0)):
             offset = reduce(xor, [b for j, b in enumerate(basis[12:]) if h >> j & 1], 0)

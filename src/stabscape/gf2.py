@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
+# each byte value with its bits reversed: rref reads rows through it big-endian, column 0 on top
+_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little").ravel()
 
 
 def n_words(nbits: int) -> int:
@@ -72,6 +74,12 @@ def to_int(words: np.ndarray) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
+def to_ints(rows: np.ndarray, byteorder: str = "little") -> list[int]:
+    """Each row of a 2-d array as a python int (``to_int`` per word row), from one byte buffer."""
+    data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    return [int.from_bytes(data[i * width : (i + 1) * width], byteorder) for i in range(len(rows))]
+
+
 def split_halves(vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The low and high halves (X and Z parts) of word vectors over ``2n``
     bits, each over ``n`` bits; words run along the last axis."""
@@ -95,16 +103,16 @@ def subset_xors(rows: np.ndarray) -> np.ndarray:
 
 
 def _echelon(rows: list[int]) -> tuple[dict[int, int], list[int]]:
-    """Forward elimination of int rows: a dict from each lead (lowest set bit,
-    ``x & -x``) to one row with that lead, spanning the input, and the indices
-    of the input rows that got a new lead (those the rows before them do not
-    span).  Reducing a row only raises its lead, so it ends at a new lead or
-    at zero."""
+    """Forward elimination of int rows: a dict from each lead (the highest set
+    bit, as ``x.bit_length()``) to one row with that lead, spanning the input,
+    and the indices of the input rows that got a new lead (those the rows
+    before them do not span).  Reducing a row only lowers its lead, so it ends
+    at a new lead or at zero."""
     table: dict[int, int] = {}
     kept: list[int] = []
     for i, x in enumerate(rows):
         while x:
-            lead = x & -x
+            lead = x.bit_length()
             y = table.get(lead)
             if y is None:
                 table[lead] = x
@@ -144,8 +152,6 @@ class BitMatrix:
         return mat
 
     def to_bool_array(self) -> np.ndarray:
-        if self.nrows == 0:
-            return np.zeros((0, self.ncols), dtype=bool)
         full = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return full[:, : self.ncols].astype(bool)
 
@@ -158,7 +164,7 @@ class BitMatrix:
 
     def independent_rows(self) -> list[int]:
         """Indices of the rows that the rows before them do not span, in order."""
-        return _echelon([to_int(row) for row in self.words])[1]
+        return _echelon(to_ints(self.words))[1]
 
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row-echelon form with deterministic leftmost pivoting.
@@ -166,28 +172,29 @@ class BitMatrix:
         Returns the reduced matrix (zero rows dropped) and the pivot columns
         in increasing order, so repeated runs give identical output.  Each
         pivot column holds a single 1, which ``reduce_by_rref`` relies on.
-        The RREF is unique, so the elimination order does not show: rows are
-        python ints, reduced against a dict of rows keyed by their lowest set
-        bit, and only the bits at pivot columns are ever visited.
+        The RREF is unique, so the elimination order does not show:
+        ``_echelon`` runs on python ints read with column 0 as the highest
+        bit, so each lead is a row's leftmost column, and the
+        back-substitution visits only the bits at pivot columns.
         """
-        table, _ = _echelon([to_int(row) for row in self.words])
-        # back-substitution from the highest lead down: every bit a row holds
-        # at a later lead is cleared by that lead's already reduced row
+        width = self.words.shape[1] * 8
+        table, _ = _echelon(to_ints(_REVERSED[self.words.view(np.uint8)], "big"))
+        # back-substitution from the rightmost pivot (lowest lead) up: a bit at
+        # a lower lead is cleared by that lead's already reduced row
         done = 0
-        for lead in sorted(table, reverse=True):
+        for lead in sorted(table):
             x = table[lead]
             y = x & done
             while y:
                 b = y & -y
-                x ^= table[b]
+                x ^= table[b.bit_length()]
                 y ^= b
             table[lead] = x
-            done |= lead
-        leads = sorted(table)
-        width = self.words.shape[1] * 8
-        data = bytearray(b"".join(table[lead].to_bytes(width, "little") for lead in leads))
-        words = np.frombuffer(data, dtype=np.uint64).reshape(len(leads), self.words.shape[1])
-        return BitMatrix(words, self.ncols), [lead.bit_length() - 1 for lead in leads]
+            done |= 1 << (lead - 1)
+        leads = sorted(table, reverse=True)
+        data = np.frombuffer(b"".join(table[lead].to_bytes(width, "big") for lead in leads), dtype=np.uint8)
+        words = _REVERSED[data].view(np.uint64).reshape(len(leads), self.words.shape[1])
+        return BitMatrix(words, self.ncols), [8 * width - lead for lead in leads]
 
 
 def reduce_by_rref(rref: BitMatrix, pivots: list[int] | np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -213,29 +220,19 @@ def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     """
     if len(rhs) != n_words(mat.nrows):
         raise ValueError("rhs length does not match row count")
-    b = to_bool(rhs, mat.nrows)
-    aug = np.zeros((mat.nrows, n_words(mat.ncols + 1)), dtype=np.uint64)
-    aug[:, : mat.words.shape[1]] = mat.words
-    aug[b, mat.ncols >> 6] |= np.uint64(1) << np.uint64(mat.ncols & 63)
-    rref, pivots = BitMatrix(aug, mat.ncols + 1).rref()
+    aug = np.column_stack([mat.to_bool_array(), to_bool(rhs, mat.nrows)])
+    rref, pivots = BitMatrix.from_bool_array(aug).rref()
     # The rhs column becomes a pivot iff some row reduces to 0 = 1.
     if pivots and pivots[-1] == mat.ncols:
         return None
-    rhs_bits = (rref.words[:, mat.ncols >> 6] >> np.uint64(mat.ncols & 63)) & np.uint64(1)
-    solved = np.asarray(pivots, dtype=np.int64)[rhs_bits == 1]
-    return from_indices(solved, mat.ncols)
+    return from_indices(np.asarray(pivots, dtype=np.int64)[rref.to_bool_array()[:, -1]], mat.ncols)
 
 
 def nullspace(mat: BitMatrix) -> BitMatrix:
     """Basis of ``{x : mat @ x = 0}``, one packed row per basis vector."""
     rref, pivots = mat.rref()
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(mat.ncols) if c not in pivot_set]
-    if not free_cols:
-        return BitMatrix.zeros(0, mat.ncols)
-    rref_bool = rref.to_bool_array()
-    basis = np.zeros((len(free_cols), mat.ncols), dtype=np.uint8)
-    basis[np.arange(len(free_cols)), free_cols] = 1
-    if pivots:
-        basis[:, pivots] = rref_bool[:, free_cols].T
+    free_cols = np.delete(np.arange(mat.ncols), pivots)
+    basis = np.zeros((len(free_cols), mat.ncols), dtype=bool)
+    basis[np.arange(len(free_cols)), free_cols] = True
+    basis[:, pivots] = rref.to_bool_array()[:, free_cols].T
     return BitMatrix.from_bool_array(basis)

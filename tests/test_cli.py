@@ -344,6 +344,25 @@ def test_fractal_does_not_import_numpy_ma(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_elimination_does_not_import_numpy_ma(tmp_path):
+    """``distance``, ``check`` and ``strings`` (rref, nullspace, independent
+    rows) and ``gf2_solve`` run without loading numpy.ma, which ``np.unique``
+    and the set routines built on it would import."""
+    runs = [["distance", "--code", "toric2d", "--L", "3"], ["check", "--code", "cubic1", "--L", "4"],
+            ["strings", "--code", "toric2d", "--L", "6", "--alpha", "3"]]
+    script = (
+        "import sys\n"
+        "from stabscape.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "from stabscape import gf2\n"
+        "assert gf2.gf2_solve(gf2.BitMatrix.zeros(3, 70), gf2.zeros(3)) is not None\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 # Runs the command in its argv in a new process.  A child inherits the peak
 # RSS of the process that spawns it, so a job measured by ``RUSAGE_SELF`` runs
 # in a grandchild of pytest, started by this small interpreter.

@@ -99,8 +99,16 @@ def test_frustration_free_small_sizes(L):
 @pytest.mark.parametrize("name", registry_names())
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_stabilizer_rank_is_the_rref_rank(name, L):
-    """The forward pass alone counts the pivots of the full RREF."""
+    """The forward pass alone counts the pivots of the full RREF.  The rank
+    reads each row with column 0 as its lowest bit and the RREF with column 0
+    as its highest, so their eliminations pivot in opposite orders."""
     code = get_code(name, L)
+    assert code.stabilizer_rank() == len(code.stabilizer_rref()[1])
+
+
+def test_stabilizer_rank_is_the_rref_rank_at_check_size():
+    """The same on cubic1 L=8, the size that ``check`` audits in the benchmark."""
+    code = get_code("cubic1", 8)
     assert code.stabilizer_rank() == len(code.stabilizer_rref()[1])
 
 

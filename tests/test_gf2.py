@@ -120,6 +120,16 @@ def test_int_roundtrip(rng):
     assert [bool(value >> j & 1) for j in range(130)] == bits.tolist()
 
 
+@pytest.mark.parametrize("nwords", [0, 1, 4])
+@pytest.mark.parametrize("nrows", [0, 1, 5])
+def test_to_ints_match_per_row_to_int(rng, nrows, nwords):
+    """One buffer read against ``to_int`` per row, including rows of 0 words."""
+    words = rng.integers(0, 2**64, size=(nrows, nwords), dtype=np.uint64)
+    assert gf2.to_ints(words) == [gf2.to_int(row) for row in words]
+    big = words.view(np.uint8)
+    assert gf2.to_ints(big, "big") == [int.from_bytes(row.tobytes(), "big") for row in big]
+
+
 @given(nrows=st.integers(0, 8), width=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32 - 1))
 def test_subset_xors_match_per_subset_xor(nrows, width, seed):
     """The doubling table against one XOR per subset; width 0 is a 1-D row list."""
@@ -334,6 +344,22 @@ def test_independent_rows_match_greedy_reference(m):
     kept = m.independent_rows()
     assert kept == reference_independent_rows(m)
     assert len(kept) == rank(m)
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 63, 64, 65, 128])
+def test_elimination_at_word_edges_with_zero_and_repeated_rows(rng, ncols):
+    """``rref`` and ``independent_rows`` against the column loop and the
+    greedy reference, on and across the word edge, with zero rows, repeated
+    rows and a row that is the sum of two earlier ones."""
+    bits = rng.random((12, ncols)) < 0.4
+    bits[[0, 5]] = False
+    bits[[3, 8]] = bits[[2, 2]]
+    bits[10] = bits[1] ^ bits[4]
+    for m in (BitMatrix.from_bool_array(bits), BitMatrix.from_bool_array(bits[:0]), BitMatrix.zeros(3, ncols)):
+        reduced, pivots = m.rref()
+        want, want_pivots = reference_rref(m)
+        assert pivots == want_pivots and np.array_equal(reduced.words, want) and reduced.ncols == ncols
+        assert m.independent_rows() == reference_independent_rows(m)
 
 
 @settings(max_examples=100)
