@@ -27,10 +27,6 @@ from .pauli import PAULI_CODE, PauliOperator
 # Dense matrices are only built for instances up to this many qubits; larger
 # lattices must go through the template-local paths.
 MAX_DENSE_QUBITS = 4096
-# Owner cubes per block of the commutation audit: its arrays hold one flip
-# event per (template term, flipped generator) of the block, so its memory
-# does not grow with L.
-AUDIT_BLOCK = 1 << 12
 
 Defect = tuple[Site, int]  # (cube coordinate, species index)
 Syndrome = frozenset[Defect]
@@ -277,19 +273,22 @@ class CodeInstance:
                 f"dense GF(2) views are limited to {MAX_DENSE_QUBITS}"
             )
 
+    def _term_matrix(self, x_column: int, z_column: int) -> BitMatrix:
+        """Every generator as a packed row of 2n columns, set by one scatter of
+        its template terms: a qubit's X bit goes to column ``x_column + qubit``
+        and its Z bit to ``z_column + qubit``; a Y term sets both."""
+        self._require_dense()
+        gens, qubits, paulis = self.generator_terms(np.arange(self.geometry.n_sites))
+        x, z = paulis & 1 == 1, paulis & 2 == 2
+        width = gf2.n_words(2 * self.n_qubits) * gf2.WORD_BITS
+        flat = np.concatenate([gens[x] * width + qubits[x] + x_column, gens[z] * width + qubits[z] + z_column])
+        words = gf2.from_indices(flat, self.n_generators * width).reshape(self.n_generators, -1)
+        return BitMatrix(words, 2 * self.n_qubits)
+
     def stabilizer_matrix(self) -> BitMatrix:
-        """Generators as packed (X-part || Z-part) rows, set by one scatter of
-        every generator's template terms."""
+        """Generators as packed (X-part || Z-part) rows."""
         if self._stabilizer_matrix is None:
-            self._require_dense()
-            n = self.n_qubits
-            gens, qubits, paulis = self.generator_terms(np.arange(self.geometry.n_sites))
-            # a qubit's X bit is column qubit, its Z bit n + qubit; a Y term sets both
-            x, z = paulis & 1 == 1, paulis & 2 == 2
-            width = gf2.n_words(2 * n) * gf2.WORD_BITS
-            flat = np.concatenate([gens[x] * width + qubits[x], gens[z] * width + qubits[z] + n])
-            words = gf2.from_indices(flat, self.n_generators * width).reshape(self.n_generators, -1)
-            self._stabilizer_matrix = BitMatrix(words, 2 * n)
+            self._stabilizer_matrix = self._term_matrix(0, self.n_qubits)
         return self._stabilizer_matrix
 
     def syndrome_matrix(self) -> BitMatrix:
@@ -297,8 +296,7 @@ class CodeInstance:
         gives the flip indicator of generator ``a`` (symplectic pairing), so
         it is the stabilizer matrix with its X and Z halves swapped."""
         if self._syndrome_matrix is None:
-            bits = self.stabilizer_matrix().to_bool_array()
-            self._syndrome_matrix = BitMatrix.from_bool_array(np.roll(bits, self.n_qubits, axis=1))
+            self._syndrome_matrix = self._term_matrix(self.n_qubits, 0)
         return self._syndrome_matrix
 
     def stabilizer_rref(self) -> tuple[BitMatrix, list[int]]:
@@ -366,8 +364,7 @@ def build_code(spec: CodeSpec, L: int) -> CodeInstance:
     if L < 2:
         raise CodeConstructionError("L must be at least 2")
     code = CodeInstance(spec, L)
-    # every pair is a translate of one owned by the origin cube
-    witness = commutation_witness(code, [0])
+    witness = commutation_witness(code)
     if witness is not None:
         (c1, s1), (c2, s2) = witness
         raise CodeConstructionError(
@@ -381,29 +378,26 @@ def get_code(name: str, L: int) -> CodeInstance:
     return build_code(registered_spec(name), L)
 
 
-def commutation_witness(code: CodeInstance, cubes=None) -> tuple[Defect, Defect] | None:
-    """The first anticommuting generator pair in row-major order whose first
-    generator lies on one of the given ascending cube ids (default every
-    cube), or None.
+def commutation_witness(code: CodeInstance) -> tuple[Defect, Defect] | None:
+    """The first anticommuting generator pair in row-major order, or None.
 
     Generator ``i`` anticommutes with ``j`` iff its terms flip ``j`` an odd
-    number of times.  A key ``i * n_generators + j`` comes only from the
-    terms of ``i``, so each block of ``AUDIT_BLOCK`` owner cubes settles its
-    own keys, and the smallest odd key of the first block that has one is
-    the first pair.
+    number of times, so a key ``i * n_generators + j`` comes only from the
+    terms of ``i``.  Translating a pair by minus its first generator's cube
+    keeps it anticommuting, and the generators on cube 0 have the lowest
+    indices, so the first pair has its first generator on cube 0: the terms
+    of cube 0 settle the audit of every cube.
     """
-    cubes = np.arange(code.geometry.n_sites) if cubes is None else cubes
-    for start in range(0, len(cubes), AUDIT_BLOCK):
-        owners, qubits, paulis = code.generator_terms(cubes[start:start + AUDIT_BLOCK])
-        step, gens = code.qubit_flip_events(qubits, paulis)
-        keys = np.sort(owners[step] * code.n_generators + gens)
-        # runs of equal keys by sort and diff (np.unique would import numpy.ma)
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        odd = starts[np.diff(starts, append=len(keys)) % 2 == 1]
-        if odd.size:
-            i, j = divmod(int(keys[odd[0]]), code.n_generators)
-            return code.generator_at(i), code.generator_at(j)
-    return None
+    owners, qubits, paulis = code.generator_terms([0])
+    step, gens = code.qubit_flip_events(qubits, paulis)
+    keys = np.sort(owners[step] * code.n_generators + gens)
+    # runs of equal keys by sort and diff (np.unique would import numpy.ma)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    odd = starts[np.diff(starts, append=len(keys)) % 2 == 1]
+    if not odd.size:
+        return None
+    i, j = divmod(int(keys[odd[0]]), code.n_generators)
+    return code.generator_at(i), code.generator_at(j)
 
 
 def check_frustration_free(code: CodeInstance) -> FrustrationReport:

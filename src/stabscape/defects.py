@@ -43,6 +43,8 @@ class ScaleParams:
     def __post_init__(self):
         if not 1 <= self.alpha < math.inf:  # NaN and infinity fail too
             raise InputError("alpha must be at least 1 and finite")
+        if self.ltqo is not None and self.ltqo < 1:
+            raise InputError("ltqo must be at least 1")
 
     def xi(self, p: int) -> float:
         return float(10 * self.alpha) ** p
@@ -635,6 +637,8 @@ def scan_for_strings(
     new ones, up to the budget, get their anchors classified.  An empty
     report bounds only the searched family, it is not a proof.
     """
+    if rho < 1:
+        raise InputError("rho must be at least 1")
     g = code.geometry
     budget = budget or SearchBudget()
     params = params or ScaleParams()

@@ -200,20 +200,20 @@ def test_check_audits_every_pair_above_the_dense_limit(tmp_path):
 
 
 def test_check_runs_the_commutation_audit_once(tmp_path, monkeypatch):
-    """The generator-syndrome check reads the commutation audit's verdict."""
+    """``build_code`` and ``check_frustration_free`` each run the origin-cube
+    audit once, and the generator-syndrome check reads the second verdict."""
     import stabscape.codes as codes
 
     calls = []
     audit = codes.commutation_witness
 
-    def counted(code, cubes=None):
-        if cubes is None:  # build_code's origin pass is not counted
-            calls.append(code)
-        return audit(code, cubes)
+    def counted(code):
+        calls.append(code)
+        return audit(code)
 
     monkeypatch.setattr(codes, "commutation_witness", counted)
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "8") == 0
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[0] is calls[1]
     names = {c["name"]: c["status"] for c in json.loads(report_bytes(tmp_path, "check"))["checks"]}
     assert names["pairwise_commutation"] == names["generator_syndromes_empty"] == "pass"
 
@@ -370,9 +370,9 @@ LAUNCHER = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
 
 
 def test_check_memory_does_not_grow_with_the_lattice(tmp_path):
-    """The commutation audit runs in fixed-size blocks of owner cubes: the
-    whole ``check --code cubic1 --L 32`` process (98,304 generators) peaks
-    well under the 238 MiB that one unblocked pass over every cube took.
+    """The commutation audit reads the origin cube alone: the whole ``check
+    --code cubic1 --L 32`` process (65,536 generators) peaks well under the
+    238 MiB that one pass over the flip events of every cube took.
     ``RUSAGE_SELF`` in a grandchild started by ``LAUNCHER``, since
     ``RUSAGE_CHILDREN`` keeps the peak of any earlier child of this process."""
     script = (

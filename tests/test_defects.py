@@ -127,6 +127,10 @@ def test_scale_params_validation():
     assert params.xi(2) == 400.0
     assert params.ltqo_for(GEO8) == 4
     assert ScaleParams(ltqo=3).ltqo_for(GEO8) == 3
+    assert ScaleParams(ltqo=1).ltqo_for(GEO8) == 1
+    for ltqo in (0, -2):  # a neutrality solve box holds at least one cube
+        with pytest.raises(InputError, match="ltqo must be at least 1"):
+            ScaleParams(ltqo=ltqo)
 
 
 def test_scale_params_rejects_nan_alpha():
@@ -573,6 +577,15 @@ def test_scan_reads_its_aspect_threshold_from_params():
         assert report.pairs_scanned == pairs and not report.budget_exhausted
         assert all(f.aspect_ratio > alpha for f in report.nontrivial)
     assert scan_for_strings(code, 1).pairs_scanned == 0  # the default alpha, 15
+
+
+def test_scan_rejects_an_anchor_size_below_one():
+    """rho 0 would be a zero grid stride, and rho -1 an empty anchor box that
+    scans no pair and reads as "no anchor pair"."""
+    code = get_code("toric2d", 6)
+    for rho in (0, -1):
+        with pytest.raises(InputError, match="rho must be at least 1"):
+            scan_for_strings(code, rho, SearchBudget(), ScaleParams(alpha=2.0, ltqo=3))
 
 
 def test_scan_time_cap_trips_inside_a_pair(monkeypatch):

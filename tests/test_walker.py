@@ -361,7 +361,7 @@ def test_sparse_commutation_audit_matches_dense(name, L, corrupt):
         label = species["labels"][e]
         species["labels"][e] = label[: sub % len(label)] + c + label[sub % len(label) + 1 :]
     code = CodeInstance(CodeSpec.from_dict(spec), L)
-    assert commutation_witness(code, [0]) == commutation_witness(code) == reference_gram_witness(code)
+    assert commutation_witness(code) == reference_gram_witness(code)
 
 
 @settings(max_examples=40)
