@@ -38,7 +38,6 @@ from .oracle import SearchBudget, canonicalize, code_distance, min_barrier_clust
 from .rg import (
     box_counting_dimension,
     level_histories,
-    support_connectivity,
     syndrome_history,
     track_charged_clusters,
 )

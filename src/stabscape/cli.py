@@ -212,7 +212,7 @@ def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
     apex = (apex_cube(code, u), code.species_index("z"))
     expected = pyramid_syndrome(code, p, apex_cube(code, u))
 
-    report.add_series("profile", ("t", "defect_count"), profile.csv_rows())
+    report.add_series("profile", ("t", "defect_count"), enumerate(profile.counts))
     measured = {
         "steps": value(len(path), PROV_CONSTRUCTED),
         "barrier": value(profile.barrier, PROV_CONSTRUCTED),
@@ -238,10 +238,11 @@ def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
         )
     else:
         zbar = logical_zbar(code, u)
-        kind = verify_logical(code, op, anticommuting_witness=zbar)
+        # one walk: the profile's final syndrome is the syndrome of the product
+        kind = verify_logical(code, op, anticommuting_witness=zbar, syndrome=profile.final_syndrome)
         report.add_check(
             "closes_to_logical",
-            PASS if kind == "logical" and not profile.final_syndrome else FAIL,
+            PASS if kind == "logical" else FAIL,
             {"classification": value(kind, PROV_MEASURED)},
             notes="level wraps the torus: apex invariant is replaced by the logical check",
         )
@@ -302,7 +303,7 @@ def run_barrier(config: dict, code: CodeInstance, report: Report) -> None:
         measured["witness_steps"] = value(len(result.witness), PROV_ORACLE)
         report.add_series("witness_path", ("step",), [(line,) for line in result.witness.to_lines()])
         profile = energy_profile(code, result.witness)
-        report.add_series("witness_profile", ("t", "defect_count"), profile.csv_rows())
+        report.add_series("witness_profile", ("t", "defect_count"), enumerate(profile.counts))
         report.add_check("min_barrier", PASS, measured)
     else:
         measured["ruled_out_up_to"] = value(result.ruled_out, PROV_ORACLE)
@@ -403,10 +404,10 @@ def _track_world_lines(report, code, history, analysis, level, params) -> None:
 
 def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
     if config["op"]:
-        sites = parse_operator(code, config["op"]).support_sites()
+        sites = parse_operator(code, config["op"]).support_coords()
         default_scales = [1, 2, 4]
     elif config["p"] is not None:
-        sites = pyramid_operator(code, config["p"], _default_u(config, code)).support_sites()
+        sites = pyramid_operator(code, config["p"], _default_u(config, code)).support_coords()
         default_scales = [2**j for j in range(max(config["p"], 3))]
     else:
         raise SystemExit("fractal requires --p or --op")

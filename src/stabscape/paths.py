@@ -115,9 +115,6 @@ class EnergyProfile:
     def barrier(self) -> int:
         return max(self.counts)
 
-    def csv_rows(self) -> list[tuple[int, int]]:
-        return list(enumerate(self.counts))
-
 
 def energy_profile(code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()) -> EnergyProfile:
     """Defect count after every step of a path.
@@ -247,15 +244,21 @@ def logical_zbar(code: CodeInstance, u: Site) -> PauliOperator:
 
 
 def verify_logical(
-    code: CodeInstance, op: PauliOperator, anticommuting_witness: PauliOperator | None = None
+    code: CodeInstance,
+    op: PauliOperator,
+    anticommuting_witness: PauliOperator | None = None,
+    syndrome: Syndrome | None = None,
 ) -> str:
     """Sort a Pauli into defect-creating / stabilizer / logical.
 
     A supplied witness that centralizes the code and anticommutes with ``op``
     certifies ``logical`` without the rank computation, which keeps the check
-    cheap on lattices too large for dense solves.
+    cheap on lattices too large for dense solves.  A caller that already holds
+    ``op``'s syndrome passes it as ``syndrome`` and ``syndrome_of`` is not
+    called: the ``final_syndrome`` of a path's ``energy_profile`` from vacuum
+    is the syndrome of ``path.product(code)``.
     """
-    if code.syndrome_of(op):
+    if code.syndrome_of(op) if syndrome is None else syndrome:
         return NOT_CENTRALIZING
     if anticommuting_witness is not None and not op.commutes_with(anticommuting_witness):
         return LOGICAL

@@ -116,10 +116,17 @@ class PauliOperator:
     def support_indices(self) -> np.ndarray:
         return gf2.nonzero_indices(self.xwords | self.zwords, self.geometry.n_qubits)
 
-    def support_sites(self) -> set[tuple[int, ...]]:
+    def support_coords(self) -> np.ndarray:
+        """Distinct support sites as an ``(N, D)`` array in site order: the
+        qubit indices are sorted, so a site's sub-qubits are adjacent and one
+        diff drops the repeats (np.unique would import numpy.ma)."""
         g = self.geometry
-        coords = np.unravel_index(self.support_indices() // g.q, (g.L,) * g.D)
-        return set(zip(*(c.tolist() for c in coords)))
+        cells = self.support_indices() // g.q
+        cells = cells[np.diff(cells, prepend=-1) != 0]
+        return np.stack(np.unravel_index(cells, (g.L,) * g.D), axis=1)
+
+    def support_sites(self) -> set[tuple[int, ...]]:
+        return set(map(tuple, self.support_coords().tolist()))
 
     def terms(self) -> list[tuple[QubitIndex, str]]:
         x, z = self.xwords, self.zwords

@@ -57,7 +57,7 @@ class Report:
 
     def add_series(self, name: str, columns, rows) -> None:
         self.series_columns[name] = tuple(columns)
-        self.series[name] = [tuple(r) for r in rows]
+        self.series[name] = list(rows)
 
     @property
     def status(self) -> str:

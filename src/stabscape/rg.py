@@ -10,7 +10,6 @@ errors.  The ladder stops at the first level that retains nothing interior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,19 +217,21 @@ class BoxCountEstimate:
     degenerate: bool = False
 
 
-def box_counting_dimension(sites: Iterable[Site], scales: Sequence[int]) -> BoxCountEstimate:
-    """Box-counting dimension of a site set.
+def box_counting_dimension(sites: np.ndarray | Iterable[Site], scales: Sequence[int]) -> BoxCountEstimate:
+    """Box-counting dimension of a site set, given as an ``(N, D)`` array-like
+    or any iterable of coordinate tuples; repeated sites count once.
 
     Boxes are axis-aligned cubes of each scale anchored at the origin; the
     estimate is the least-squares slope of log(count) against log(1/scale).
     At least 3 distinct scales, each at least 1, are required.
     """
-    sites = set(sites)  # box counts do not depend on order, so no sort
-    if not sites:
+    # an iterable with no array dimension (a set, a generator) is listed first
+    coords = np.asarray(sites if np.ndim(sites) else [*sites], dtype=np.int64)
+    if not coords.size:
         raise InputError("empty support")
     if len(set(scales)) < 3 or min(scales) < 1:
         raise InputError(f"need at least 3 distinct box scales, each at least 1; got {list(scales)}")
-    coords = np.fromiter(chain.from_iterable(sites), np.int64).reshape(len(sites), -1).T.copy()  # one row per axis
+    coords = np.ascontiguousarray(coords.reshape(len(coords), -1).T)  # one row per axis
     counts = []
     for s in scales:
         boxes = coords // int(s)
@@ -238,50 +239,10 @@ def box_counting_dimension(sites: Iterable[Site], scales: Sequence[int]) -> BoxC
         keys = np.sort(np.ravel_multi_index(tuple(boxes), tuple(boxes.max(axis=1) + 1)))
         # distinct boxes by sort and diff (np.unique would import numpy.ma)
         counts.append((int(s), int(np.count_nonzero(np.diff(keys))) + 1))
-    if len(sites) == 1:
+    if (coords == coords[:, :1]).all():  # one distinct site
         return BoxCountEstimate(0.0, counts, degenerate=True)
     xs = np.log([1.0 / s for s, _ in counts])
     ys = np.log([c for _, c in counts])
     dx = xs - xs.mean()
     slope = float(dx @ (ys - ys.mean()) / (dx @ dx))  # least squares in closed form, as np.polyfit
     return BoxCountEstimate(slope, counts)
-
-
-def support_connectivity(
-    geometry: LatticeGeometry,
-    support: Iterable[Site],
-    A: Iterable[Site],
-    B: Iterable[Site],
-) -> list[Site] | None:
-    """Shortest path from A to B inside the support under unit l-infinity hops.
-
-    Breadth-first over support sites; returns the site sequence or None when
-    A and B lie in different connected components.
-    """
-    support_set = set(support)
-    A, B = set(A), set(B)
-    if not A <= support_set or not B <= support_set:
-        raise ValueError("endpoints must lie inside the support")
-    goal = A & B
-    if goal:
-        return [sorted(goal)[0]]
-    deltas = [d for d in product((-1, 0, 1), repeat=geometry.D) if any(d)]
-    parents: dict[Site, Site | None] = {a: None for a in sorted(A)}
-    frontier = sorted(A)
-    while frontier:
-        nxt = []
-        for site in frontier:
-            for d in deltas:
-                nb = geometry.shift(site, d)
-                if nb in parents or nb not in support_set:
-                    continue
-                parents[nb] = site
-                if nb in B:
-                    path = [nb]
-                    while parents[path[-1]] is not None:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(nb)
-        frontier = nxt
-    return None

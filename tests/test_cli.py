@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, config resolution, report determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -77,11 +78,16 @@ def test_barrier_budget_indeterminate_exit(tmp_path):
 
 @pytest.mark.parametrize("L, p, check", [(16, 2, "apex_defect_after_every_step"), (8, 3, "closes_to_logical")])
 def test_pyramid_job_walks_its_path_once(tmp_path, monkeypatch, L, p, check):
-    """The profile is the one walk; the apex check reads one generator's
-    terms and the wrapping job's logical check reads ``syndrome_of``."""
+    """The profile is the one walk: the apex check reads one generator's
+    terms, and the wrapping job's logical check reads the profile's final
+    syndrome, so neither takes a second walk through ``syndrome_of``."""
+    def forbidden(self, op):
+        raise AssertionError("syndrome_of called")
+
     walks = []
     walk_events = stabscape.paths.walk_events
     monkeypatch.setattr(stabscape.paths, "walk_events", lambda *a, **k: walks.append(a) or walk_events(*a, **k))
+    monkeypatch.setattr(CodeInstance, "syndrome_of", forbidden)
     assert run(tmp_path, "pyramid", "--code", "cubic1", "--L", str(L), "--p", str(p)) == 0
     assert len(walks) == 1
     report = json.loads(report_bytes(tmp_path, "pyramid"))
@@ -342,6 +348,45 @@ def test_fractal_does_not_import_numpy_ma(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_fractal_counts_each_site_once(tmp_path):
+    """An operator on both sub-qubits of one site counts that site once in
+    ``support`` and in every box count; the values are the ones the set of
+    site tuples gave before box counting read a coordinate array."""
+    op_file = tmp_path / "op.txt"
+    op_file.write_text("0 0 0 0 X\n0 0 0 1 Z\n3 1 2 1 Y\n5 6 7 0 X\n5 6 7 1 X\n")
+    for op, exit_code, support, boxcounts in [
+        (str(op_file), 0, 3, "scale,count\r\n1,3\r\n2,3\r\n4,2\r\n"),
+        ("XZ@1,2,3", 3, 1, "scale,count\r\n1,1\r\n2,1\r\n4,1\r\n"),
+    ]:
+        out = tmp_path / op.replace("/", "_")
+        assert main(["fractal", "--code", "cubic1", "--L", "8", "--op", op, "--out", str(out)]) == exit_code
+        (check,) = json.loads(report_bytes(out, "fractal"))["checks"]
+        assert check["measured"]["support"]["value"] == support
+        assert next(out.glob("fractal-*/boxcounts.csv")).read_bytes().decode() == boxcounts
+
+
+# SHA-256 of CSV series as written before the series were kept as the
+# caller's rows (a ``tuple`` copy of each row) and before ``fractal`` read a
+# coordinate array; the digest gate of the benchmark hashes report.json only.
+CSV_DIGESTS = [
+    (["pyramid", "--code", "cubic1", "--L", "8", "--p", "3"],
+     {"profile.csv": "4f4dbdf45ea4817af208234a840e25db2fea0bde7a8c9f0e552ebf921b0f2985"}),
+    (["fractal", "--code", "cubic1", "--L", "16", "--p", "3"],
+     {"boxcounts.csv": "5a86349795e38a535c73186755a55072664b28b794b6b8b1d8709f6ab90cb1d2"}),
+    (["barrier", "--code", "cubic1", "--L", "2", "--target", "pyramid:1"],
+     {"witness_path.csv": "8fa5c74c32ab18593fbf388cccf1d02699cf92598a92e0c3fe4af5f1f1885937",
+      "witness_profile.csv": "78ab075babbf28e6324924d16b3778795dafa5edc652633b7ea4209bfa239f96"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", CSV_DIGESTS, ids=[a[0] for a, _ in CSV_DIGESTS])
+def test_csv_series_bytes_are_pinned(tmp_path, argv, digests):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.glob(f"{argv[0]}-*")
+    got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
 
 
 def test_elimination_does_not_import_numpy_ma(tmp_path):

@@ -1,12 +1,16 @@
 """Error paths, energy profiles, and the pyramid construction."""
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path_steps, reference_flips
 from stabscape import get_code
+from stabscape.codes import CodeInstance
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
 from stabscape.paths import (
@@ -173,6 +177,65 @@ def test_verify_logical_witness_shortcut():
     u = (0, 0, 0)
     op = pyramid_operator(code, 4, u)
     assert verify_logical(code, op, anticommuting_witness=logical_zbar(code, u)) == LOGICAL
+
+
+def walked_syndrome(code, op):
+    """The walker's final syndrome of a path from vacuum whose product is ``op``."""
+    return energy_profile(code, ErrorPath.from_steps(op.terms())).final_syndrome
+
+
+def test_verify_logical_reads_a_supplied_syndrome(cubic4, monkeypatch):
+    """The trichotomy fixtures, each given the walker's final syndrome of
+    its terms: ``syndrome_of`` is not called, and the supplied syndrome is
+    the one read."""
+    g = cubic4.geometry
+    cases = [
+        (cubic4.generator((1, 1, 1), 0), STABILIZER),
+        (PauliOperator.single(g, QubitIndex((0, 0, 0), 0), "X"), NOT_CENTRALIZING),
+        (pyramid_operator(cubic4, 2, (0, 0, 0)), LOGICAL),
+        (pyramid_operator(cubic4, 1, (0, 0, 0)), NOT_CENTRALIZING),
+    ]
+    syndromes = [walked_syndrome(cubic4, op) for op, _ in cases]
+
+    def forbidden(self, op):
+        raise AssertionError("syndrome_of called")
+
+    monkeypatch.setattr(CodeInstance, "syndrome_of", forbidden)
+    for (op, kind), syndrome in zip(cases, syndromes):
+        assert verify_logical(cubic4, op, syndrome=syndrome) == kind
+    assert verify_logical(cubic4, cases[0][0], syndrome=syndromes[1]) == NOT_CENTRALIZING
+
+
+@lru_cache(maxsize=None)
+def code_L4(name):
+    return get_code(name, 4)
+
+
+@settings(max_examples=80)
+@given(name=st.sampled_from(["cubic1", "toric2d"]), data=st.data())
+def test_verify_logical_with_a_walked_syndrome_matches_syndrome_of(name, data):
+    """A random product of generators, logical basis rows and a few
+    single-qubit errors on cubic1 or toric2d at L=4, classified with the
+    walker's final syndrome of its terms and through ``syndrome_of``,
+    without and (on cubic1) with the ``logical_zbar`` witness."""
+    code = code_L4(name)
+    g = code.geometry
+    op = PauliOperator.identity(g)
+    for i in data.draw(st.lists(st.integers(0, code.n_generators - 1), max_size=6), label="generators"):
+        op = op * code.generator(*code.generators_at([i])[0])
+    rows = code.logical_basis()
+    for i in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3), label="logicals"):
+        op = op * PauliOperator.from_symplectic(g, rows[i])
+    errors = data.draw(st.lists(st.tuples(st.integers(0, g.n_qubits - 1), st.integers(1, 3)), max_size=3),
+                       label="errors")
+    op = op * PauliOperator.from_codes(g, [q for q, _ in errors], [p for _, p in errors])
+    syndrome = walked_syndrome(code, op)
+    assert syndrome == code.syndrome_of(op)
+    witnesses = [None]
+    if name == "cubic1":
+        witnesses.append(logical_zbar(code, data.draw(st.tuples(*[st.integers(0, 3)] * 3), label="u")))
+    for witness in witnesses:
+        assert verify_logical(code, op, witness, syndrome=syndrome) == verify_logical(code, op, witness)
 
 
 def test_error_path_text_roundtrip(cubic4):

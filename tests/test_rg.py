@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from conftest import reference_set_distance, retired_dense_run
 from stabscape import get_code
 from stabscape.defects import ScaleParams
-from stabscape.lattice import LatticeGeometry, QubitIndex
+from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
 from stabscape.paths import ErrorPath, pyramid_operator, pyramid_path
 from stabscape.rg import (
     SyndromeHistory,
     box_counting_dimension,
     level_histories,
-    support_connectivity,
     syndrome_history,
     track_charged_clusters,
 )
@@ -260,6 +259,33 @@ def test_box_counting_matches_set_count_and_polyfit():
                     assert abs(est.gamma - np.polyfit(*logs, 1)[0]) <= 1e-9
 
 
+@settings(max_examples=100)
+@given(rows=st.lists(st.tuples(*[st.integers(-3, 20)] * 3), min_size=1, max_size=40), data=st.data())
+def test_box_counting_reads_an_array_as_the_set_of_its_rows(rows, data):
+    """An ``(N, D)`` array, repeated rows included, gives the gamma, counts
+    and degenerate flag of the set of its distinct rows as tuples."""
+    scales = data.draw(st.lists(st.integers(1, 9), min_size=3, max_size=5, unique=True), label="scales")
+    repeats = data.draw(st.lists(st.sampled_from(rows), max_size=10), label="repeats")
+    from_array = box_counting_dimension(np.array(rows + repeats), scales)
+    from_set = box_counting_dimension(set(rows), scales)
+    assert (from_array.gamma, from_array.counts, from_array.degenerate) == (
+        from_set.gamma, from_set.counts, from_set.degenerate)
+    assert from_set.degenerate == (len(set(rows)) == 1)
+
+
+def test_box_counting_reads_support_coords_as_support_sites():
+    """``support_coords`` lists each support site once, in the rows of an
+    array; a site with both sub-qubits in the support counts once."""
+    code = get_code("cubic1", 16)
+    both = PauliOperator.from_terms(code.geometry, [(QubitIndex((1, 2, 3), 0), "X"), (QubitIndex((1, 2, 3), 1), "Z")])
+    for op in (pyramid_operator(code, 3, (5, 0, 9)), pyramid_operator(code, 3, (5, 0, 9)) * both, both):
+        coords, sites = op.support_coords(), op.support_sites()
+        assert coords.shape == (len(sites), 3) and {tuple(c) for c in coords.tolist()} == sites
+        a, b = box_counting_dimension(coords, [1, 2, 4]), box_counting_dimension(sites, [1, 2, 4])
+        assert (a.gamma, a.counts, a.degenerate) == (b.gamma, b.counts, b.degenerate)
+    assert box_counting_dimension(np.array([[3, 3, 3]] * 4), [1, 2, 4]).degenerate
+
+
 def test_box_counting_guards():
     with pytest.raises(ValueError):
         box_counting_dimension([], [1, 2, 4])
@@ -272,27 +298,3 @@ def test_box_counting_guards():
             box_counting_dimension([(0, 0, 0), (1, 2, 3)], scales)
     est = box_counting_dimension([(3, 3, 3)], [1, 2, 4])
     assert est.degenerate and est.gamma == 0.0
-
-
-# -- connectivity -------------------------------------------------------------------
-
-
-def test_connectivity_trivial_and_disconnected():
-    geo = LatticeGeometry(3, 8, 2)
-    support = {(0, 0, 0), (1, 1, 1), (5, 5, 5)}
-    assert support_connectivity(geo, support, [(0, 0, 0)], [(0, 0, 0)]) == [(0, 0, 0)]
-    path = support_connectivity(geo, support, [(0, 0, 0)], [(1, 1, 1)])
-    assert path == [(0, 0, 0), (1, 1, 1)]
-    assert support_connectivity(geo, support, [(0, 0, 0)], [(5, 5, 5)]) is None
-    with pytest.raises(ValueError):
-        support_connectivity(geo, support, [(2, 2, 2)], [(0, 0, 0)])
-
-
-def test_connectivity_pyramid_far_corner():
-    # L = 2**(p+1) so the wrap shortcut is outside the support
-    p = 4
-    code = get_code("cubic1", 2 ** (p + 1))
-    sites = pyramid_operator(code, p, (0, 0, 0)).support_sites()
-    path = support_connectivity(code.geometry, sites, [(0, 0, 0)], [(2**p - 1, 0, 0)])
-    assert path is not None
-    assert len(path) - 1 >= 2**p - 1
