@@ -17,7 +17,6 @@ from .codes import (
 )
 from .defects import (
     ScaleParams,
-    classify_string_segment,
     cluster_partition,
     creation_operator,
     dense_runs,

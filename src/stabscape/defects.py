@@ -513,34 +513,12 @@ class CubeBox:
         return geometry.box_sites(self.corner, self.size)
 
 
-NOT_SEGMENT = "not_segment"
-TRIVIAL = "trivial"
-NONTRIVIAL = "nontrivial"
-
-
-@dataclass
-class SegmentClassification:
-    kind: str
-    aspect_ratio: float
-    anchor_syndromes: tuple[Syndrome, Syndrome]
-    charged_anchors: tuple[int, ...]
-    stray_defects: Syndrome
-
-
-def anchor_aspect_ratio(geometry: LatticeGeometry, box1: CubeBox, box2: CubeBox) -> float:
-    """Overall extent of the anchor pair in units of the anchor size.
-
-    Measured as the diameter of the combined anchor regions divided by the
-    anchor size, so two unit anchors at torus distance d score d + 1.
-    """
-    return float(_aspect_ratios(geometry, box1, [box2.corner], box2.size)[0])
-
-
 def _aspect_ratios(geometry: LatticeGeometry, box1: CubeBox, corners2, size2: int) -> np.ndarray:
-    """``anchor_aspect_ratio`` of ``box1`` and a size-``size2`` box at each of
-    ``corners2 (N, D)``: 1 + the largest torus length ``min(t, -t) mod L`` of
-    the per-axis coordinate differences t, which fill a range within either
-    box and one across.  Over a range it peaks at ``L // 2`` or at an end."""
+    """Aspect ratios of ``box1`` and a size-``size2`` box at each of ``corners2 (N, D)``:
+    the diameter of the two anchor regions over ``box1.size``, so two unit anchors at
+    torus distance d score d + 1.  The diameter is 1 + the largest torus length
+    ``min(t, -t) mod L`` of the per-axis coordinate differences t, which fill a range
+    within either box and one across.  Over a range it peaks at ``L // 2`` or at an end."""
     L, half = geometry.L, geometry.L // 2
     delta = np.asarray(corners2, dtype=np.int64).reshape(-1, geometry.D) - np.asarray(box1.corner, dtype=np.int64)
     lo = np.stack(np.broadcast_arrays(0, 0, delta - (box1.size - 1)))
@@ -548,39 +526,6 @@ def _aspect_ratios(geometry: LatticeGeometry, box1: CubeBox, corners2, size2: in
     ends = np.maximum(np.minimum(lo % L, -lo % L), np.minimum(hi % L, -hi % L))
     spread = np.where((half - lo) % L <= hi - lo, half, ends)
     return (1 + spread.max(axis=(0, 2))) / box1.size
-
-
-def classify_string_segment(
-    code: CodeInstance,
-    op: PauliOperator,
-    box1: CubeBox,
-    box2: CubeBox,
-    params: ScaleParams,
-) -> SegmentClassification:
-    """Classify an operator against a pair of anchor regions.
-
-    An operator whose defects all sit inside the anchors is a string segment;
-    it is trivial iff both anchor clusters are neutral at the TQO scale.
-    """
-    g = code.geometry
-    if box1.size != box2.size:
-        raise ValueError("anchor boxes must have equal linear size")
-    cubes1, cubes2 = set(box1.cubes(g)), set(box2.cubes(g))
-    if cubes1 & cubes2:
-        raise ValueError("anchor boxes overlap")
-    syndrome = code.syndrome_of(op)
-    ratio = anchor_aspect_ratio(g, box1, box2)
-    in1 = frozenset(d for d in syndrome if d[0] in cubes1)
-    in2 = frozenset(d for d in syndrome if d[0] in cubes2)
-    stray = frozenset(syndrome - in1 - in2)
-    if stray:
-        return SegmentClassification(NOT_SEGMENT, ratio, (in1, in2), (), stray)
-    scale = params.ltqo_for(g)
-    charged = tuple(
-        i for i, cluster in enumerate((in1, in2)) if not is_neutral(code, cluster, scale).neutral
-    )
-    kind = TRIVIAL if not charged else NONTRIVIAL
-    return SegmentClassification(kind, ratio, (in1, in2), charged, stray)
 
 
 @dataclass

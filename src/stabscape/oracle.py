@@ -25,7 +25,7 @@ from .pauli import PAULI_CODE, PauliOperator
 from .paths import ErrorPath, energy_profile
 
 MOVE_PAULIS = "XYZ"
-BLOCK = 1 << 15  # candidates per block; its largest array, one syndrome word each, is 256 KiB
+BLOCK = 1 << 15  # (state, move) pairs per ceiling chunk, state words per dedup block: 256 KiB arrays at most
 FINGERPRINT_SEED = 0x5EED
 
 
@@ -94,9 +94,21 @@ def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _index(fps: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fingerprints, states) sorted by fingerprint; the stable sort merges sorted runs in linear time."""
-    order = np.argsort(fps, kind="stable")
+    """(fingerprints, states) sorted by fingerprint, equal ones in any order."""
+    order = np.argsort(fps)
     return fps[order], states[order]
+
+
+def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Two indexes as one, an equal fingerprint's older entries first.  Each entry is
+    scattered to its merged position: no sort, and no concatenated copy to sort."""
+    at = np.searchsorted(older[0], newer[0], side="right") + np.arange(len(newer[0]))
+    rest = np.ones(len(older[0]) + len(newer[0]), dtype=bool)
+    rest[at] = False
+    merged = tuple(np.empty((len(rest), *a.shape[1:]), a.dtype) for a in older)
+    for m, a, b in zip(merged, older, newer):
+        m[at], m[rest] = b, a
+    return merged
 
 
 def _lookup(index: tuple[np.ndarray, np.ndarray], fps: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -118,18 +130,41 @@ def _lookup(index: tuple[np.ndarray, np.ndarray], fps: np.ndarray, states: np.nd
 
 def _fresh(indexes, fps: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Indices of the candidates whose state no index and no earlier candidate holds, sorted
-    by fingerprint.  Both sorts are stable, so equal states stay in candidate order; the
-    state words join the sort only when two distinct states share a fingerprint."""
-    order = np.argsort(fps, kind="stable")
-    same_fp = fps[order[1:]] == fps[order[:-1]]
-    dup = same_fp & _rows_equal(states[order[1:]], states[order[:-1]])
-    if (dup != same_fp).any():
+    by fingerprint.  Sorting puts equal states side by side, and each group keeps its least
+    index; state words are compared where fingerprints tie, and join the sort only when
+    two distinct states share a fingerprint."""
+    order = np.argsort(fps)
+    tie = np.flatnonzero(fps[order[1:]] == fps[order[:-1]])
+    dup = _rows_equal(states[order[tie + 1]], states[order[tie]])
+    if not dup.all():
         order = np.lexsort((*states.T[::-1], fps))
-        dup = (fps[order[1:]] == fps[order[:-1]]) & _rows_equal(states[order[1:]], states[order[:-1]])
-    first = order[np.concatenate([[True], ~dup])] if len(order) else order
+        tie = np.flatnonzero(fps[order[1:]] == fps[order[:-1]])
+        dup = _rows_equal(states[order[tie + 1]], states[order[tie]])
+    starts = np.ones(len(order), dtype=bool)
+    starts[tie[dup] + 1] = False
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
     for index in indexes:
         first = first[~_lookup(index, fps[first], states[first])]
     return first
+
+
+def _ceiling_blocks(states: np.ndarray, dsynd_t: np.ndarray, omega: int, span: int):
+    """The flat (state, move) indices whose syndrome weight is at most ``omega``, ascending,
+    in blocks of ``span`` (the level's last one may be shorter).  The ceiling is tested on
+    dense chunks of ``BLOCK`` pairs, one syndrome word at a time: contiguous planes."""
+    nmoves = dsynd_t.shape[1]
+    step = max(1, BLOCK // nmoves)  # frontier states per ceiling chunk
+    held = np.zeros(0, dtype=np.int64)
+    for a in range(0, len(states), step):
+        weight = np.zeros((len(states[a : a + step]), nmoves), dtype=np.uint16)
+        for c, row in enumerate(dsynd_t):
+            weight += np.bitwise_count(states[a : a + step, c, None] ^ row)
+        held = np.concatenate([held, np.flatnonzero(weight <= omega) + a * nmoves])
+        full = len(held) - len(held) % span
+        yield from held[:full].reshape(-1, span)
+        held = held[full:]
+    if len(held):
+        yield held
 
 
 def _search_pass(space: CosetSpace, omega: int, goal: np.ndarray, budget: SearchBudget, deadline: float):
@@ -150,14 +185,11 @@ def _search_pass(space: CosetSpace, omega: int, goal: np.ndarray, budget: Search
     states, fps = np.zeros_like(dstate[:1]), np.zeros_like(dfp[:1])
     seen, history = (fps, states), []  # history: (parent, move) arrays per level past the start
     visited = peak = 1
-    step = max(1, BLOCK // len(dstate))  # frontier states per block
+    span = max(1, BLOCK // dstate.shape[1])  # candidates per dedup block
     while len(states):
         runs, level, peak = [], [], max(peak, len(states))
-        for a in range(0, len(states), step):
-            weight = np.zeros((len(states[a : a + step]), len(dstate)), dtype=np.uint16)
-            for c, row in enumerate(dsynd_t):  # one word at a time: contiguous (state, move) planes
-                weight += np.bitwise_count(states[a : a + step, c, None] ^ row)
-            si, j = np.divmod(np.flatnonzero(weight <= omega) + a * len(dstate), len(dstate))
+        for pairs in _ceiling_blocks(states, dsynd_t, omega, span):
+            si, j = np.divmod(pairs, len(dstate))
             cstates, cfps = states[si] ^ dstate[j], fps[si] ^ dfp[j]
             fresh = _fresh((seen, *runs), cfps, cstates)
             runs.append((cfps[fresh], cstates[fresh]))
@@ -181,8 +213,9 @@ def _search_pass(space: CosetSpace, omega: int, goal: np.ndarray, budget: Search
                 return None, visited, True, peak
             level.append((si.astype(np.int32), j.astype(np.int32)))
             while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-                newer, older = runs.pop(), runs.pop()
-                runs.append(_index(np.concatenate([older[0], newer[0]]), np.concatenate([older[1], newer[1]])))
+                runs[-2:] = [_merge(*runs[-2:])]
+        if not level:
+            break
         # Level k+1 was held only in ``runs``; its states follow from their
         # parents, built once both old indexes are released.
         parent, move = (np.concatenate(c) for c in zip(*level))
@@ -300,7 +333,8 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
             if time.monotonic() > deadline:  # the lightest element so far bounds d
                 return DistanceResult(None, None, "budget_exhausted", 0, 0, 0, d_upper if best is None else best[0])
             cs, ss = slice(c, c + step), slice(s, s + span)
-            weights = np.bitwise_count((cx[cs, None] ^ sx[ss]) | (cz[cs, None] ^ sz[ss])).sum(axis=-1)
+            # a weight is at most n, which the dense views cap at 4,096: uint16 sums cannot wrap
+            weights = np.bitwise_count((cx[cs, None] ^ sx[ss]) | (cz[cs, None] ^ sz[ss])).sum(-1, np.uint16)
             i, j = np.unravel_index(np.argmin(weights), weights.shape)  # row-major: the first lightest
             if best is None or weights[i, j] < best[0]:
                 best = (int(weights[i, j]), c + int(i), s + int(j))

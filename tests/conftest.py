@@ -242,7 +242,7 @@ def cluster_diameter(geometry, cubes):
 
 def reference_aspect_ratio(geometry, box1, box2):
     """The retired set-based aspect ratio (test oracle for the closed form of
-    ``defects.anchor_aspect_ratio``): the diameter of the union of both
+    ``defects._aspect_ratios``): the diameter of the union of both
     boxes' cube sets over the anchor size."""
     return cluster_diameter(geometry, set(box1.cubes(geometry)) | set(box2.cubes(geometry))) / box1.size
 

@@ -29,21 +29,17 @@ from stabscape import defects, get_code, gf2
 from stabscape.codes import InputError
 from stabscape.defects import (
     _BoxSolver,
+    _aspect_ratios,
     _box_solver,
     _footprint_box,
     _single_qubit_witness,
     _support_placements,
-    NONTRIVIAL,
-    NOT_SEGMENT,
-    TRIVIAL,
     CubeBox,
     ScaleParams,
     SearchBudget,
     SegmentFinding,
     StringScanReport,
     TQOViolationError,
-    anchor_aspect_ratio,
-    classify_string_segment,
     cluster_partition,
     creation_operator,
     dense_runs,
@@ -60,6 +56,11 @@ from stabscape.paths import apex_cube, pyramid_syndrome
 
 PARAMS = ScaleParams()
 GEO8 = LatticeGeometry(3, 8, 2)
+
+
+def aspect_ratio(g, box1, box2):
+    """The aspect ratio of one anchor pair, read through the scan's batched closed form."""
+    return float(_aspect_ratios(g, box1, [box2.corner], box2.size)[0])
 
 
 def zdefects(code, *cubes):
@@ -512,43 +513,37 @@ def test_localize_none_when_region_too_small(toric4):
 # -- string segments --------------------------------------------------------------
 
 
-def test_toric_string_segment_nontrivial(toric3):
-    g = toric3.geometry
-    # vertical-edge X path: defects at plaquettes (0,1) and (2,1)
-    seg = PauliOperator.from_terms(g, [(QubitIndex((x, 1), 1), "X") for x in (1, 2)])
-    out = classify_string_segment(
-        toric3, seg, CubeBox((0, 1), 1), CubeBox((2, 1), 1), ScaleParams(ltqo=1)
-    )
-    assert out.kind == NONTRIVIAL
-    assert out.charged_anchors == (0, 1)
+def test_scan_charged_anchors_make_a_nontrivial_finding(toric3):
+    """A single X between two unit plaquette anchors leaves one defect on
+    each; neither is neutral, so both anchors are charged."""
+    report = scan_for_strings(toric3, 1, SearchBudget(), ScaleParams(alpha=1.0, ltqo=2))
+    assert not report.budget_exhausted and report.nontrivial
+    findings = {(f.box2.corner, f.syndrome): f for f in report.nontrivial}
+    string = findings[(0, 1), frozenset({((0, 0), 0), ((0, 1), 0)})]
+    assert string.charged_anchors == (0, 1) and string.operator_weight == 1
+    assert all(f.charged_anchors == (0, 1) for f in report.nontrivial)
 
 
-def test_cubic_pyramid_segment_trivial(cubic8):
-    g = cubic8.geometry
-    u = (1, 1, 1)
-    seg = PauliOperator.single(g, QubitIndex(u, 0), "X")
-    box1 = CubeBox((0, 0, 0), 2)  # holds all four pyramid defects
-    box2 = CubeBox((5, 5, 5), 2)
-    out = classify_string_segment(cubic8, seg, box1, box2, ScaleParams(ltqo=4))
-    assert out.kind == TRIVIAL
+def test_scan_rejects_a_witness_with_a_stray_defect(toric3, monkeypatch):
+    """Every scanned pattern lies on the anchors; a witness whose syndrome
+    strays from its pattern fails the scan's audit rather than being classified."""
+    witness = _BoxSolver.achievable_witness
+    stray = PauliOperator.single(toric3.geometry, QubitIndex((1, 1), 0), "X")
+    monkeypatch.setattr(_BoxSolver, "achievable_witness", lambda self, *args: witness(self, *args) * stray)
+    with pytest.raises(RuntimeError, match="wrong defect pattern"):
+        scan_for_strings(toric3, 1, SearchBudget(), ScaleParams(alpha=1.0, ltqo=2))
 
 
-def test_stray_defect_is_not_segment(toric3):
-    g = toric3.geometry
-    seg = PauliOperator.from_terms(g, [(QubitIndex((x, 1), 1), "X") for x in (1, 2)])
-    out = classify_string_segment(
-        toric3, seg, CubeBox((0, 1), 1), CubeBox((1, 0), 1), ScaleParams(ltqo=1)
-    )
-    assert out.kind == NOT_SEGMENT
-    assert out.stray_defects
-
-
-def test_segment_validation_errors(toric3):
-    op = PauliOperator.identity(toric3.geometry)
-    with pytest.raises(ValueError):
-        classify_string_segment(toric3, op, CubeBox((0, 0), 1), CubeBox((0, 0), 1), PARAMS)
-    with pytest.raises(ValueError):
-        classify_string_segment(toric3, op, CubeBox((0, 0), 1), CubeBox((2, 2), 2), PARAMS)
+def test_scan_pairs_only_disjoint_anchors_of_one_size(toric4):
+    """On the stride-2 grid of toric2d L=4 the origin's own box overlaps the
+    pinned anchor and is never paired; the three other corners are."""
+    report = scan_for_strings(toric4, 2, SearchBudget(), ScaleParams(alpha=1.0, ltqo=2))
+    assert report.pairs_scanned == 3
+    assert {f.box2.corner for f in report.nontrivial} == {(0, 2), (2, 0), (2, 2)}
+    g = toric4.geometry
+    for f in report.nontrivial:
+        assert f.box1.size == f.box2.size == 2
+        assert not set(f.box1.cubes(g)) & set(f.box2.cubes(g))
 
 
 def test_scan_finds_strings_on_toric():
@@ -850,7 +845,7 @@ def reference_scan(code, rho, budget, params):
         box2 = CubeBox(v, rho)
         if cubes1 & set(box2.cubes(g)):
             continue
-        if anchor_aspect_ratio(g, box1, box2) > params.alpha:
+        if aspect_ratio(g, box1, box2) > params.alpha:
             placements.append(box2)
     placements.sort(key=lambda b: b.corner)
     findings = []
@@ -866,7 +861,7 @@ def reference_scan(code, rho, budget, params):
             break
         pairs_scanned += 1
         anchors = [(c, s) for c in box1.cubes(g) + box2.cubes(g) for s in range(code.n_species)]
-        ratio = anchor_aspect_ratio(g, box1, box2)
+        ratio = aspect_ratio(g, box1, box2)
         corners = reference_support_placements(code, box1, box2, scale)
         seen_patterns = set()
         for corner, local_rows in zip(corners, solver.local_rows(anchors, np.array(corners))):
@@ -1026,7 +1021,7 @@ def test_aspect_ratio_matches_set_based_diameter(name, L, rho):
     g = code_for(name, L).geometry
     box1 = CubeBox((0,) * g.D, rho)
     for v in itertools.product(range(0, L, rho), repeat=g.D):
-        assert anchor_aspect_ratio(g, box1, CubeBox(v, rho)) == reference_aspect_ratio(g, box1, CubeBox(v, rho))
+        assert aspect_ratio(g, box1, CubeBox(v, rho)) == reference_aspect_ratio(g, box1, CubeBox(v, rho))
 
 
 @settings(max_examples=300)
@@ -1037,7 +1032,7 @@ def test_aspect_ratio_closed_form_on_any_boxes(data, D, L):
     corner = st.tuples(*[st.integers(-L, 2 * L)] * D)
     box1 = CubeBox(data.draw(corner), data.draw(st.integers(1, L + 2)))
     box2 = CubeBox(data.draw(corner), data.draw(st.integers(1, L + 2)))
-    assert anchor_aspect_ratio(g, box1, box2) == reference_aspect_ratio(g, box1, box2)
+    assert aspect_ratio(g, box1, box2) == reference_aspect_ratio(g, box1, box2)
 
 
 @pytest.mark.parametrize("rows", [0, 3, 12, 13, 14])

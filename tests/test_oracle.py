@@ -363,6 +363,49 @@ def test_distance_time_cap_ends_enumeration_with_an_upper_bound(toric3, monkeypa
     assert (res.status, res.d) == ("budget_exhausted", None) and res.d_upper >= exact.d
 
 
+def xstring_search(L, budget=None):
+    """The toric2d X-string barrier search, each ``_fresh`` call recorded as
+    (the level's ``seen`` index, candidates, new states)."""
+    code = get_code("toric2d", L)
+    xstring = PauliOperator.from_terms(code.geometry, [(QubitIndex((x, 0), 1), "X") for x in range(L)])
+    calls, fresh = [], oracle._fresh
+
+    def spy(indexes, fps, states):
+        out = fresh(indexes, fps, states)
+        calls.append((indexes[0], len(fps), len(out)))
+        return out
+
+    with mock.patch.object(oracle, "_fresh", spy):
+        return min_barrier_logical(code, xstring, budget), calls, coset_space(code).move_dstate.shape[1]
+
+
+def test_dedup_runs_once_per_level_and_full_block():
+    """Ceiling-passing candidates wait for a full dedup block of ``BLOCK``
+    state words or the level's end: one ``_fresh`` call per BFS level plus one
+    per full block.  The passes below omega 2 enter no state, and the goal
+    lies as many levels deep as the witness has steps."""
+    res, calls, words = xstring_search(7)
+    assert res.omega == 2 and [states for _, states, _ in res.passes[:2]] == [1, 1]
+    assert all(n * words <= oracle.BLOCK for _, n, _ in calls)
+    levels = len(res.witness.sites)
+    assert len(calls) <= levels + sum(n for _, n, _ in calls) * words // oracle.BLOCK
+
+
+def test_time_cap_trips_inside_a_level_of_several_dedup_blocks(monkeypatch):
+    """The deadline is read once per dedup block that enters states.  A clock
+    that jumps past the cap at a block with more of its level still to come
+    ends the search there, with that block's states counted."""
+    with mock.patch.object(oracle, "BLOCK", 64):
+        _, calls, _ = xstring_search(5)
+        entering = [(seen, new) for seen, _, new in calls if new]
+        trip = next(k for k in range(len(entering) - 1) if entering[k + 1][0] is entering[k][0])
+        readings = itertools.chain([0.0], itertools.repeat(0.0, trip), itertools.repeat(10.0))
+        monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings))
+        res, _, _ = xstring_search(5, SearchBudget(time_cap=1.0))
+    assert (res.status, res.omega) == ("budget_exhausted", None)
+    assert res.passes[-1][1] == 1 + sum(new for _, new in entering[: trip + 1])
+
+
 # -- the retired dict BFS: the reference for the level-synchronous pass ----------
 
 
@@ -461,15 +504,32 @@ def test_search_pass_matches_dict_bfs(data):
     space = coset_space(code)
     op, syndrome_goal = draw_goal(data, code)
     omega = data.draw(st.integers(0, 6), label="omega")
-    # one frontier state per block, a few, or the shipped block size: a level
-    # spread over many blocks must dedupe across them
-    block = data.draw(st.sampled_from([1, 300, oracle.BLOCK]), label="block")
+    # block sizes where a level spans many dedup blocks (1), where one dedup
+    # block gathers several ceiling chunks (2048), both (64, 300), and the
+    # shipped size: the dedup must not depend on where blocks end
+    block = data.draw(st.sampled_from([1, 64, 300, 2048, oracle.BLOCK]), label="block")
     moves, visited, capped = compare_with_reference(space, omega, op, syndrome_goal, REFERENCE_CAP, block)
     # caps that trip on the first insertion, mid-level, just before the goal
     # and on the goal's own insertion
     caps = {1, 2, visited, max(visited - 1, 1), data.draw(st.integers(1, visited), label="cap")}
     for cap in sorted(caps):
         compare_with_reference(space, omega, op, syndrome_goal, cap, block)
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_run_merge_matches_the_sorted_concatenation(data):
+    """``_merge`` of two indexes is a stable sort of their concatenation, entry
+    for entry; fingerprints drawn from four values collide all the time."""
+    def index(label, offset):
+        fps = np.array(data.draw(st.lists(st.integers(0, 3), max_size=12), label=label), dtype=np.uint64)
+        return oracle._index(fps, np.arange(offset, offset + 2 * len(fps), dtype=np.uint64).reshape(-1, 2))
+
+    older, newer = index("older", 0), index("newer", 100)
+    fps, states = (np.concatenate(pair) for pair in zip(older, newer))
+    order = np.argsort(fps, kind="stable")
+    for got, want in zip(oracle._merge(older, newer), (fps[order], states[order])):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
