@@ -55,13 +55,8 @@ class ScaleParams:
 
 def occupied_cubes(syndrome_or_cubes: Iterable) -> frozenset[Site]:
     """Cube coordinates occupied by a syndrome (or an explicit cube set)."""
-    out = set()
-    for el in syndrome_or_cubes:
-        if len(el) == 2 and isinstance(el[0], tuple):
-            out.add(el[0])  # (cube, species) defect
-        else:
-            out.add(tuple(el))
-    return frozenset(out)
+    # a (cube, species) defect, or a cube
+    return frozenset(el[0] if len(el) == 2 and isinstance(el[0], tuple) else tuple(el) for el in syndrome_or_cubes)
 
 
 @dataclass(frozen=True)
@@ -74,17 +69,31 @@ class SparsityVerdict:
     diameters: tuple[int, ...]
 
 
-def _torus_distances(geometry: LatticeGeometry, cubes: Sequence[Site]) -> np.ndarray:
-    """Pairwise torus l-infinity distances between cubes, as an m x m matrix.
-
-    Built one axis at a time with a running max, so the work space stays m^2.
-    """
+def _torus_distances(geometry: LatticeGeometry, cubes) -> np.ndarray:
+    """Pairwise torus l-infinity distances between cubes, ``(..., m, m)`` from
+    ``(..., m, D)``: one axis at a time with a running max, in m^2 per set."""
     L = geometry.L
-    dist = np.zeros((len(cubes), len(cubes)), dtype=np.int64)
-    for axis in np.asarray(cubes, dtype=np.int64).T:
-        delta = np.abs(axis[:, None] - axis[None, :]) % L
+    cubes = np.asarray(cubes, dtype=np.int64)
+    dist = np.zeros(cubes.shape[:-1] + cubes.shape[-2:-1], dtype=np.int64)
+    for axis in np.moveaxis(cubes, -1, 0):
+        delta = np.abs(axis[..., :, None] - axis[..., None, :]) % L
         np.maximum(dist, np.minimum(delta, L - delta), out=dist)
     return dist
+
+
+_PAIR_BLOCK = 1 << 16  # most padded cube pairs (sets x m x m) in one block of cube sets
+
+
+def _padded_blocks(cube_lists: Sequence[Sequence[Site]]) -> Iterator[tuple[slice, np.ndarray]]:
+    """Consecutive blocks of nonempty cube lists, each as its slice and one
+    ``(S, m, D)`` coordinate array of at most ``_PAIR_BLOCK`` pairs (or one
+    list).  Each list is padded to the block's longest with repeats of its
+    first cube, which add no distance and no footprint."""
+    step = max(1, _PAIR_BLOCK // max(map(len, cube_lists), default=1) ** 2)
+    for k in range(0, len(cube_lists), step):
+        block = cube_lists[k : k + step]
+        m = max(map(len, block))
+        yield slice(k, k + step), np.array([[*c, *[c[0]] * (m - len(c))] for c in block], dtype=np.int64)
 
 
 def set_distance(geometry: LatticeGeometry, a: Iterable[Site], b: Iterable[Site]) -> int:
@@ -126,40 +135,40 @@ def _complete_linkage(dist: np.ndarray, cap: float) -> Iterator[tuple[int, int, 
         yield i, j, height
 
 
-def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: ScaleParams) -> SparsityVerdict:
-    """Decide level-``p`` sparsity by complete-linkage merging.
+def cluster_partitions(geometry: LatticeGeometry, syndromes: Sequence, p: int, params: ScaleParams) -> list[SparsityVerdict]:
+    """Decide level-``p`` sparsity of every syndrome by complete-linkage merging.
 
     Clusters merge (see ``_complete_linkage``) while their union's diameter
-    is at most ``xi(p+1)``.  The syndrome is sparse iff every remaining
-    cluster has diameter at most ``xi(p)``; when it is, the returned
-    partition satisfies both defining conditions exactly.
+    is at most ``xi(p+1)``.  A syndrome is sparse iff every remaining cluster
+    has diameter at most ``xi(p)``; when it is, its partition satisfies both
+    defining conditions exactly.  One padded array per block of syndromes
+    (``_padded_blocks``) gives every pairwise distance; only a syndrome of
+    diameter above ``xi(p+1)`` runs the merge loop, on its own distances.
     """
-    cubes = occupied_cubes(syndrome)
-    if not cubes:
+    orders = [sorted(occupied_cubes(s)) for s in syndromes]
+    if not all(orders):
         raise ValueError("sparsity is undefined for the empty syndrome")
     if p < 0:
         raise ValueError("level must be non-negative")
-    xi_p1 = params.xi(p + 1)
+    xi_p, xi_p1 = params.xi(p), params.xi(p + 1)
+    verdicts = []
+    for block, cubes in _padded_blocks(orders):
+        dist = _torus_distances(geometry, cubes)
+        for order, own, top in zip(orders[block], dist, dist.max(axis=(1, 2)).tolist()):
+            members, spreads = [order], [top]
+            if 1 + top > xi_p1:  # not every merge qualifies
+                members, spreads = [[c] for c in order], [0] * len(order)
+                for i, j, height in _complete_linkage(own[: len(order), : len(order)], xi_p1):
+                    members[i], members[j], spreads[i] = members[i] + members[j], [], height
+                members, spreads = zip(*[(m, s) for m, s in zip(members, spreads) if m])
+            diameters = tuple(1 + s for s in spreads)
+            verdicts.append(SparsityVerdict(p, all(d <= xi_p for d in diameters), tuple(map(frozenset, members)), diameters))
+    return verdicts
 
-    order = sorted(cubes)
-    dist = _torus_distances(geometry, order)
-    top = int(dist.max())
-    if 1 + top <= xi_p1:  # every merge qualifies: one cluster
-        members, spreads = [order], [top]
-    else:
-        members = [[c] for c in order]
-        spreads = [0] * len(order)
-        for i, j, height in _complete_linkage(dist, xi_p1):
-            members[i] += members[j]
-            members[j] = []
-            spreads[i] = height
-        live = [k for k, m in enumerate(members) if m]
-        members = [members[k] for k in live]
-        spreads = [spreads[k] for k in live]
 
-    diameters = tuple(1 + s for s in spreads)
-    sparse = all(d <= params.xi(p) for d in diameters)
-    return SparsityVerdict(p, sparse, tuple(frozenset(c) for c in members), diameters)
+def cluster_partition(geometry: LatticeGeometry, syndrome, p: int, params: ScaleParams) -> SparsityVerdict:
+    """Level-``p`` sparsity of one syndrome (``cluster_partitions``)."""
+    return cluster_partitions(geometry, [syndrome], p, params)[0]
 
 
 def _dense_run(geometry: LatticeGeometry, cubes: frozenset[Site], params: ScaleParams) -> int:
@@ -232,11 +241,24 @@ class NeutralityResult:
         return self.neutral
 
 
+def _footprint_boxes(geometry: LatticeGeometry, cubes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least boxes covering the corner sites of padded cube sets ``(C, k, D)``
+    (``_padded_blocks``), as corners and extents ``(C, D)``.  Per axis the
+    corners' coordinates are the cubes' and their successors mod L, and the
+    shortest circular interval covering them starts after the first largest
+    gap between them in sorted order (the last gap wraps round to the first)."""
+    L = geometry.L
+    coords = np.sort(np.concatenate([cubes, cubes + 1], axis=1) % L, axis=1)
+    ends = np.concatenate([coords, coords[:, :1] + L], axis=1)  # the first again, one turn on
+    gaps = ends[:, 1:] - ends[:, :-1]
+    after = gaps.argmax(axis=1) + 1
+    return ends[np.arange(len(after))[:, None], after, np.arange(after.shape[1])] % L, L + 1 - gaps.max(axis=1)
+
+
 def _footprint_box(geometry: LatticeGeometry, cubes: Iterable[Site]) -> tuple[Site, tuple[int, ...]]:
-    """Bounding box of the cubes' corner sites, from two corners per cube: the
-    box's interval on an axis depends on the corners' coordinates on that
-    axis alone, and those are the cubes' coordinates and their successors."""
-    return geometry.bounding_box([s for c in cubes for s in (c, geometry.shift(c, (1,) * geometry.D))])
+    """Footprint box of one nonempty cube set (``_footprint_boxes``)."""
+    corners, extents = _footprint_boxes(geometry, next(_padded_blocks([list(cubes)]))[1])
+    return tuple(corners[0].tolist()), tuple(extents[0].tolist())
 
 
 def _single_qubit_witness(code: CodeInstance, site_ids: np.ndarray, target: Syndrome) -> PauliOperator | None:
@@ -410,27 +432,36 @@ def _local_witness(code: CodeInstance, syndrome: Syndrome, size: int, corners: n
     return k + 1, corner, witness
 
 
-def is_neutral(code: CodeInstance, syndrome, size: int) -> NeutralityResult:
-    """Whether the defect cluster can be created, alone, by an operator whose
-    support fits in a cube of linear ``size``.
+def neutralities(code: CodeInstance, syndromes: Sequence, size: int) -> list[NeutralityResult]:
+    """Whether each defect cluster can be created, alone, by an operator
+    whose support fits in a cube of linear ``size``.
 
-    Every placement of the size-cube that covers the cluster footprint is
-    tested at once; the witness is built for the first achievable one and is
-    valid but not weight-reduced.  A cluster with no witness at this scale is
-    charged.
+    The footprints come from one padded array per block (``_padded_blocks``),
+    and one wider than ``min(size, L)`` is charged.  For the rest, every
+    placement of the size-cube covering the footprint is tested at once
+    (``_local_witness``); the witness, for the first achievable one, is valid
+    but not weight-reduced.  A cluster with no witness at this scale is charged.
     """
-    syndrome = code.defect_set(syndrome)
-    g = code.geometry
-    if not syndrome:
-        return NeutralityResult(True, PauliOperator.identity(g), "empty cluster")
-    corner, extents = _footprint_box(g, occupied_cubes(syndrome))
-    eff = min(size, g.L)
-    if max(extents) > eff:
-        return NeutralityResult(False, None, f"cluster footprint {extents} exceeds size-{size} cube")
-    tried, place, witness = _local_witness(code, syndrome, eff, _cube_placements(g, corner, extents, eff))
-    if witness is None:
-        return NeutralityResult(False, None, "no creation operator at this scale", tried)
-    return NeutralityResult(True, witness, f"witness in cube at {place}", tried)
+    g, eff = code.geometry, min(size, code.geometry.L)
+    syndromes = [code.defect_set(s) for s in syndromes]
+    live = [s for s in syndromes if s]
+    found = []
+    for block, padded in _padded_blocks([list({c for c, _ in s}) for s in live]):
+        corners, extents = (a.tolist() for a in _footprint_boxes(g, padded))
+        for syndrome, corner, ext in zip(live[block], corners, extents):
+            if max(ext) > eff:
+                found.append(NeutralityResult(False, None, f"cluster footprint {tuple(ext)} exceeds size-{size} cube"))
+                continue
+            tried, place, witness = _local_witness(code, syndrome, eff, _cube_placements(g, corner, ext, eff))
+            found.append(NeutralityResult(False, None, "no creation operator at this scale", tried) if witness is None
+                         else NeutralityResult(True, witness, f"witness in cube at {place}", tried))
+    results = iter(found)
+    return [next(results) if s else NeutralityResult(True, PauliOperator.identity(g), "empty cluster") for s in syndromes]
+
+
+def is_neutral(code: CodeInstance, syndrome, size: int) -> NeutralityResult:
+    """Neutrality of one defect cluster (``neutralities``)."""
+    return neutralities(code, [syndrome], size)[0]
 
 
 def creation_operator(code: CodeInstance, syndrome, params: ScaleParams | None = None) -> PauliOperator:
@@ -641,7 +672,7 @@ def scan_for_strings(
                     raise RuntimeError("box witness produced the wrong defect pattern")
                 in1 = frozenset(d for d in syndrome if d[0] in cubes1)
                 in2 = frozenset(syndrome - in1)
-                charged = tuple(i for i, cl in enumerate((in1, in2)) if not is_neutral(code, cl, scale).neutral)
+                charged = tuple(i for i, r in enumerate(neutralities(code, (in1, in2), scale)) if not r.neutral)
                 if charged:
                     findings.append(SegmentFinding(box1, box2, ratio, charged, syndrome, op.weight))
                 if len(seen_patterns) >= budget.max_patterns:

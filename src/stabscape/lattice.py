@@ -1,4 +1,4 @@
-"""Periodic cubic lattice geometry: coordinates, boxes and covers on the torus."""
+"""Periodic cubic lattice geometry: coordinates and boxes on the torus."""
 
 from __future__ import annotations
 
@@ -47,10 +47,10 @@ class LatticeGeometry:
     # -- coordinates ---------------------------------------------------
 
     def wrap(self, site: Iterable[int]) -> Site:
-        return tuple(c % self.L for c in site)
+        return tuple([c % self.L for c in site])
 
     def shift(self, site: Iterable[int], delta: Iterable[int]) -> Site:
-        return tuple((c + d) % self.L for c, d in zip(site, delta))
+        return tuple([(c + d) % self.L for c, d in zip(site, delta)])
 
     def site_index(self, site: Iterable[int]) -> int:
         idx = 0
@@ -85,34 +85,3 @@ class LatticeGeometry:
             size = (size,) * self.D
         ranges = [range(c, c + s) for c, s in zip(corner, size)]
         return [self.wrap(s) for s in product(*ranges)]
-
-    def min_cover_interval(self, coords: Iterable[int]) -> tuple[int, int]:
-        """Shortest circular interval ``[start, start+length)`` covering coords.
-
-        Ties broken by smallest start, so the result is deterministic.
-        """
-        vals = sorted({c % self.L for c in coords})
-        if not vals:
-            raise ValueError("empty coordinate set")
-        if len(vals) == 1:
-            return vals[0], 1
-        best_gap, best_i = -1, 0
-        for i, v in enumerate(vals):
-            nxt = vals[(i + 1) % len(vals)]
-            gap = (nxt - v) % self.L
-            if gap > best_gap:
-                best_gap, best_i = gap, i
-        start = vals[(best_i + 1) % len(vals)]
-        return start, self.L - best_gap + 1
-
-    def bounding_box(self, sites: Iterable[Site]) -> tuple[Site, tuple[int, ...]]:
-        """Minimal covering box of a site set: (corner, per-axis extents)."""
-        pts = list(sites)
-        if not pts:
-            raise ValueError("empty site set")
-        corner, extents = [], []
-        for axis in range(self.D):
-            start, length = self.min_cover_interval(p[axis] for p in pts)
-            corner.append(start)
-            extents.append(length)
-        return tuple(corner), tuple(extents)

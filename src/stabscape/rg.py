@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes import CodeInstance, Defect, InputError, Syndrome
-from .defects import ScaleParams, cluster_partition, dense_runs, is_neutral, set_distance
+from .defects import ScaleParams, cluster_partitions, dense_runs, neutralities, set_distance
 from .lattice import LatticeGeometry, Site
 from .pauli import PauliOperator
 from .paths import ErrorPath, walk_events
@@ -154,25 +154,25 @@ def track_charged_clusters(
     neutral/charged at the TQO scale, and charged clusters are matched to
     their nearest successor within the continuity radius ``xi(p)``.  Locking
     excursions beyond ``alpha * xi(p)`` are diagnostics, not failures: codes
-    with movable charges are expected to produce them.
+    with movable charges are expected to produce them.  The partitions and
+    the neutralities each run once over the whole segment.
     """
     g = code.geometry
     xi_p = params.xi(p)
-    scale = params.ltqo_for(g)
-    per_time: list[list[frozenset[Site]]] = []
-    for syn in segment:
-        if not syn:
-            per_time.append([])
-            continue
-        verdict = cluster_partition(g, syn, p, params)
-        if not verdict.sparse:
-            raise DenseSegmentError("segment contains a syndrome dense at this level")
-        charged = []
-        for cluster in verdict.clusters:
-            cluster_syndrome = frozenset(d for d in syn if d[0] in cluster)
-            if not is_neutral(code, cluster_syndrome, scale).neutral:
-                charged.append(cluster)
-        per_time.append(sorted(charged, key=sorted))
+    occupied = [t for t, syn in enumerate(segment) if syn]
+    verdicts = cluster_partitions(g, [segment[t] for t in occupied], p, params)
+    # classify the clusters before the first dense syndrome, then raise: a per-syndrome loop's order
+    dense = next((k for k, v in enumerate(verdicts) if not v.sparse), len(verdicts))
+    found = [(t, cl) for t, v in zip(occupied, verdicts[:dense]) for cl in v.clusters]
+    clusters = [frozenset(d for d in segment[t] if d[0] in cl) for t, cl in found]
+    neutral = neutralities(code, clusters, params.ltqo_for(g))
+    if dense < len(verdicts):
+        raise DenseSegmentError("segment contains a syndrome dense at this level")
+    per_time: list[list[frozenset[Site]]] = [[] for _ in segment]
+    for (t, cl), verdict in zip(found, neutral):
+        if not verdict.neutral:
+            per_time[t].append(cl)
+    per_time = [sorted(charged, key=sorted) for charged in per_time]
 
     counts = [len(c) for c in per_time]
     g_constant = len(set(counts)) <= 1

@@ -72,6 +72,45 @@ def reference_set_distance(geometry, A, B):
     return min(reference_distance(geometry, a, b) for a in A for b in B)
 
 
+def pairwise_reference_partition(geometry, cubes, p, params):
+    """The retired greedy loop: on every merge, the union diameter of every
+    cluster pair (test oracle for ``defects.cluster_partitions``), as
+    (clusters, diameters, sparse)."""
+    from stabscape.defects import occupied_cubes
+
+    xi_p, xi_p1 = params.xi(p), params.xi(p + 1)
+    clusters = [(c,) for c in sorted(occupied_cubes(cubes))]
+    spreads = [0] * len(clusters)
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                cross = max(reference_distance(geometry, a, b) for a in clusters[i] for b in clusters[j])
+                s = max(spreads[i], spreads[j], cross)
+                if 1 + s <= xi_p1:
+                    key = (1 + s, clusters[i][0], clusters[j][0])
+                    if best is None or key < best[0]:
+                        best = (key, i, j, s)
+        if best is None:
+            break
+        _, i, j, s = best
+        merged = tuple(sorted(clusters[i] + clusters[j]))
+        for idx in sorted((i, j), reverse=True):
+            del clusters[idx]
+            del spreads[idx]
+        clusters.append(merged)
+        spreads.append(s)
+        order = sorted(range(len(clusters)), key=lambda t: clusters[t][0])
+        clusters = [clusters[t] for t in order]
+        spreads = [spreads[t] for t in order]
+    diameters = tuple(1 + s for s in spreads)
+    return (
+        tuple(frozenset(c) for c in clusters),
+        diameters,
+        all(d <= xi_p for d in diameters),
+    )
+
+
 def retired_dense_run(geometry, cubes, params):
     """The retired per-level loop: ``cluster_partition`` at p = 0, 1, ...
     until sparse (test oracle for ``dense_runs``)."""
@@ -83,10 +122,37 @@ def retired_dense_run(geometry, cubes, params):
     return p - 1
 
 
+def min_cover_interval(geometry, coords):
+    """Shortest circular interval ``[start, start+length)`` covering the
+    coordinates mod L: it starts after the first largest gap between the
+    sorted distinct coordinates (test oracle for ``defects._footprint_boxes``)."""
+    vals = sorted({c % geometry.L for c in coords})
+    if not vals:
+        raise ValueError("empty coordinate set")
+    if len(vals) == 1:
+        return vals[0], 1
+    best_gap, best_i = -1, 0
+    for i, v in enumerate(vals):
+        gap = (vals[(i + 1) % len(vals)] - v) % geometry.L
+        if gap > best_gap:
+            best_gap, best_i = gap, i
+    return vals[(best_i + 1) % len(vals)], geometry.L - best_gap + 1
+
+
+def bounding_box(geometry, sites):
+    """Minimal covering box of a site set: (corner, per-axis extents), one
+    ``min_cover_interval`` per axis."""
+    pts = list(sites)
+    if not pts:
+        raise ValueError("empty site set")
+    intervals = [min_cover_interval(geometry, [p[axis] for p in pts]) for axis in range(geometry.D)]
+    return tuple(start for start, _ in intervals), tuple(length for _, length in intervals)
+
+
 def reference_footprint_box(geometry, cubes):
     """The retired footprint box: the bounding box of all 2^D corner sites of
-    every cube (test oracle for ``defects._footprint_box``)."""
-    return geometry.bounding_box({s for c in cubes for s in cube_corner_sites(geometry, c)})
+    every cube (test oracle for ``defects._footprint_boxes``)."""
+    return bounding_box(geometry, {s for c in cubes for s in cube_corner_sites(geometry, c)})
 
 
 def reference_generator(code, cube, s):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stabscape
-
+from conftest import reference_footprint_box
 from stabscape.cli import DEFAULTS, OPTIONS, SHARED_OPTIONS, SUBCOMMANDS, build_parser, main
 from stabscape.codes import CodeInstance, registered_spec, registry_names
 from stabscape.gf2 import BitMatrix
@@ -389,6 +389,45 @@ def test_csv_series_bytes_are_pinned(tmp_path, argv, digests):
     assert got == digests
 
 
+# SHA-256 of report.json and levels.csv of tracked rg runs, as written before
+# tracking partitioned and classified a whole segment at once: the merge loop
+# runs at alpha 1.3, the box solver at the TQO scale, and the alpha 1.5 run
+# skips 3 of its 4 segments as dense.
+RG_TRACK_DIGESTS = [
+    (["--L", "32", "--p", "5", "--alpha", "1.3", "--ltqo", "8", "--track-level", "0"],
+     {"report.json": "5d07a858768de4564fbd95b3d19efe52ae6f992a7fa97978d2342d30a0abd957",
+      "levels.csv": "7b5f8f0ea3a9c22aabe10df5a4dcc971bb9c99629acbe4602ac981d6ac2c6771"}),
+    (["--L", "16", "--p", "3", "--track-level", "1", "--ltqo", "4"],
+     {"report.json": "654855dc5332f1e5fdc93e5a759c6908ca84a15be1fe47cdeb73e74baa142c92",
+      "levels.csv": "3067d95ad3c4469452c529e44453e49fffac812455716e197febb61abdc86a3f"}),
+    (["--L", "64", "--p", "5", "--alpha", "1.5", "--ltqo", "8", "--track-level", "1"],
+     {"report.json": "ce7a38b5079365c175da0a52b78cdaa2eb74dc63db5b479280a239212236649a",
+      "levels.csv": "5adb561df50e8a5878e64dd8abb7fc6bd6e0761bc64bdf0a74369e3c766814e9"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", RG_TRACK_DIGESTS, ids=["linkage", "solver", "dense-skip"])
+def test_rg_tracking_bytes_are_pinned(tmp_path, argv, digests):
+    assert run(tmp_path, "rg", "--code", "cubic1", *argv) == 0
+    (run_dir,) = tmp_path.glob("rg-*")
+    got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
+
+
+def test_tracked_rg_does_not_import_numpy_ma(tmp_path):
+    """Tracking partitions, footprints and classifies in sorts and
+    broadcasts: numpy.ma stays unloaded."""
+    script = (
+        "import sys\n"
+        "from stabscape.cli import main\n"
+        "argv = ['rg', '--code', 'cubic1', '--L', '16', '--p', '3', '--track-level', '1', '--ltqo', '4']\n"
+        f"assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_elimination_does_not_import_numpy_ma(tmp_path):
     """``distance``, ``check`` and ``strings`` (rref, nullspace, independent
     rows) and ``gf2_solve`` run without loading numpy.ma, which ``np.unique``
@@ -522,11 +561,38 @@ def test_rg_tracking_error_is_not_a_dense_segment(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("neutrality solve failed")
 
-    monkeypatch.setattr(rg, "is_neutral", failing)
+    monkeypatch.setattr(rg, "neutralities", failing)  # tracking classifies a segment's clusters at once
     code = run(tmp_path, "rg", "--code", "cubic1", "--L", "8", "--p", "2",
                "--track-level", "1", "--alpha", "1", "--ltqo", "4")
     assert code == 4  # a ValueError from library code is a fault, not bad input
     assert not list(tmp_path.glob("rg-*/report.json"))
+
+
+def test_rg_tracking_solves_only_the_clusters_that_fit(tmp_path, monkeypatch):
+    """The benchmark's ``rg16-p3-track`` shape: the partition builds pairwise
+    distances once per block of a segment (one block here), not once per
+    syndrome, and only the clusters whose footprint fits the size-4 TQO box
+    reach the box solver; the other 59 of 63 are charged from the arrays."""
+    import stabscape.defects as defects
+    import stabscape.rg as rg
+
+    calls = {"_torus_distances": [], "cluster_partitions": [], "neutralities": [], "_local_witness": []}
+
+    def recording(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls[name].append(args) or fn(*args))
+
+    recording(defects, "_torus_distances")
+    recording(rg, "cluster_partitions")
+    recording(rg, "neutralities")
+    recording(defects, "_local_witness")
+    assert run(tmp_path, "rg", "--code", "cubic1", "--L", "16", "--p", "3", "--track-level", "1", "--ltqo", "4") == 0
+    assert len(calls["cluster_partitions"]) == len(calls["_torus_distances"]) == 1
+    g = stabscape.get_code("cubic1", 16).geometry
+    ((_, clusters, _),) = calls["neutralities"]
+    fits = [c for c in clusters if max(reference_footprint_box(g, {cube for cube, _ in c})[1]) <= 4]
+    assert (len(clusters), len(fits)) == (63, 4)
+    assert [syndrome for _, syndrome, _, _ in calls["_local_witness"]] == fits
 
 
 def test_rg_world_lines(tmp_path):

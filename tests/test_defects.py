@@ -12,12 +12,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bounding_box,
     cluster_diameter,
     cube_corner_sites,
     neighborhood,
+    pairwise_reference_partition,
     reference_achievable_subsets,
     reference_aspect_ratio,
-    reference_distance,
     reference_footprint_box,
     reference_lift,
     reference_restricted_matrix,
@@ -32,6 +33,8 @@ from stabscape.defects import (
     _aspect_ratios,
     _box_solver,
     _footprint_box,
+    _footprint_boxes,
+    _padded_blocks,
     _single_qubit_witness,
     _support_placements,
     CubeBox,
@@ -41,6 +44,7 @@ from stabscape.defects import (
     StringScanReport,
     TQOViolationError,
     cluster_partition,
+    cluster_partitions,
     creation_operator,
     dense_runs,
     is_neutral,
@@ -156,11 +160,20 @@ def cube_clusters(draw):
     return LatticeGeometry(D, L, 1), draw(st.lists(cube, min_size=1, max_size=3 * L))
 
 
-@given(cube_clusters())
+@given(cube_clusters(), st.data())
 @settings(max_examples=400)
-def test_footprint_box_matches_the_corner_site_expansion(case):
+def test_footprint_box_matches_the_corner_site_expansion(case, data):
+    """One cluster through ``_footprint_box``, and it with a list of further
+    clusters on the same torus through the padded blocks of
+    ``_footprint_boxes``, give the reference box of every cluster."""
     geometry, cubes = case
     assert _footprint_box(geometry, cubes) == reference_footprint_box(geometry, cubes)
+    cube = st.tuples(*[st.integers(-geometry.L, 2 * geometry.L - 1)] * geometry.D)
+    more = data.draw(st.lists(st.lists(cube, min_size=1, max_size=3 * geometry.L), max_size=5), label="more")
+    clusters = [cubes, *more]
+    boxes = [box for _, padded in _padded_blocks(clusters)
+             for box in zip(*(a.tolist() for a in _footprint_boxes(geometry, padded)))]
+    assert [(tuple(c), tuple(e)) for c, e in boxes] == [reference_footprint_box(geometry, c) for c in clusters]
 
 
 def definition_holds(geometry, clusters, p, params):
@@ -234,42 +247,6 @@ def test_sparse_partition_unique_against_exhaustive(rng):
     assert checked >= 20
 
 
-def pairwise_reference_partition(geometry, cubes, p, params):
-    """The retired greedy loop: on every merge, the union diameter of every
-    cluster pair (test oracle for the distance-matrix version)."""
-    xi_p, xi_p1 = params.xi(p), params.xi(p + 1)
-    clusters = [(c,) for c in sorted(occupied_cubes(cubes))]
-    spreads = [0] * len(clusters)
-    while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                cross = max(reference_distance(geometry, a, b) for a in clusters[i] for b in clusters[j])
-                s = max(spreads[i], spreads[j], cross)
-                if 1 + s <= xi_p1:
-                    key = (1 + s, clusters[i][0], clusters[j][0])
-                    if best is None or key < best[0]:
-                        best = (key, i, j, s)
-        if best is None:
-            break
-        _, i, j, s = best
-        merged = tuple(sorted(clusters[i] + clusters[j]))
-        for idx in sorted((i, j), reverse=True):
-            del clusters[idx]
-            del spreads[idx]
-        clusters.append(merged)
-        spreads.append(s)
-        order = sorted(range(len(clusters)), key=lambda t: clusters[t][0])
-        clusters = [clusters[t] for t in order]
-        spreads = [spreads[t] for t in order]
-    diameters = tuple(1 + s for s in spreads)
-    return (
-        tuple(frozenset(c) for c in clusters),
-        diameters,
-        all(d <= xi_p for d in diameters),
-    )
-
-
 def clump(draw, D, L):
     """Up to 14 cubes in a few clumps.  A coarse grid step makes distance ties
     common, and small tori make wrap-around common; only on the large tori
@@ -316,6 +293,30 @@ def test_cluster_partition_matches_pairwise_reference(case, alpha, p):
     v = cluster_partition(geo, cubes, p, params)
     got = (v.clusters, v.diameters, v.sparse)
     assert got == pairwise_reference_partition(geo, cubes, p, params)
+
+
+@settings(max_examples=250)
+@given(
+    case=clumped_histories(),
+    alpha=st.sampled_from([1.0, 1.3, 2.0, 15.0]),
+    p=st.sampled_from([0, 1, 2]),
+    block=st.sampled_from([1, 20, 200, defects._PAIR_BLOCK]),
+)
+def test_cluster_partitions_match_the_per_syndrome_reference(case, alpha, p, block):
+    """Every syndrome of a history gets the pairwise reference's verdict when
+    the partition runs over the whole history, in blocks that a lowered block
+    size splits at different places (one syndrome per block at size 1)."""
+    geo, history = case
+    params = ScaleParams(alpha=alpha)
+    with mock.patch.object(defects, "_PAIR_BLOCK", block):
+        verdicts = cluster_partitions(geo, history, p, params)
+        blocks = [b for b, _ in _padded_blocks(history)]
+    assert [i for b in blocks for i in range(len(history))[b]] == list(range(len(history)))
+    if block == 1:
+        assert len(blocks) == len(history)
+    assert all(v.level == p for v in verdicts)
+    got = [(v.clusters, v.diameters, v.sparse) for v in verdicts]
+    assert got == [pairwise_reference_partition(geo, cubes, p, params) for cubes in history]
 
 
 @settings(max_examples=250)
@@ -415,8 +416,8 @@ def test_witness_support_stays_in_cube(cubic8):
     u = (3, 3, 3)
     S = cubic8.syndrome_of(PauliOperator.single(cubic8.geometry, QubitIndex(u, 0), "X"))
     res = is_neutral(cubic8, S, 4)
-    corner, extents = cubic8.geometry.bounding_box(
-        [s for c in occupied_cubes(S) for s in cube_corner_sites(cubic8.geometry, c)]
+    corner, extents = bounding_box(
+        cubic8.geometry, [s for c in occupied_cubes(S) for s in cube_corner_sites(cubic8.geometry, c)]
     )
     assert max(extents) <= 4
     assert res.neutral and res.witness.weight >= 1
@@ -451,7 +452,7 @@ def test_pyramid_operator_is_a_near_minimal_creation_witness(cubic8):
         assert cubic8.syndrome_of(op) == S
         assert op.weight == 4**p
         footprint = {s for c in occupied_cubes(S) for s in cube_corner_sites(g, c)}
-        corner, extents = g.bounding_box(footprint)
+        corner, extents = bounding_box(g, footprint)
         ball = g.box_sites(
             tuple(c - 1 for c in corner), tuple(min(e + 2, g.L) for e in extents)
         )
@@ -690,7 +691,7 @@ def reference_placements(g, syndrome, size=None):
     """Corners of the size-cubes covering the cluster footprint, in the
     retired loop's order (size defaults to the footprint's largest extent),
     or None when the footprint does not fit; with the size used."""
-    corner, extents = g.bounding_box({s for c, _ in syndrome for s in cube_corner_sites(g, c)})
+    corner, extents = bounding_box(g, {s for c, _ in syndrome for s in cube_corner_sites(g, c)})
     size = min(max(extents) if size is None else size, g.L)
     if max(extents) > size:
         return None, size

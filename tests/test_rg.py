@@ -1,17 +1,20 @@
 """Level histories, world-line tracking, and fractal-support measurements."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_set_distance, retired_dense_run
-from stabscape import get_code
-from stabscape.defects import ScaleParams
+from conftest import pairwise_reference_partition, reference_set_distance, retired_dense_run
+from stabscape import defects, get_code, rg
+from stabscape.defects import ScaleParams, neutralities
 from stabscape.lattice import QubitIndex
 from stabscape.pauli import PauliOperator
 from stabscape.paths import ErrorPath, pyramid_operator, pyramid_path
 from stabscape.rg import (
+    DenseSegmentError,
     SyndromeHistory,
     box_counting_dimension,
     level_histories,
@@ -211,6 +214,39 @@ def test_track_cubic_low_weight_paths_show_no_locking_violations(cubic8, rng):
         except ValueError:
             continue  # a syndrome was dense at level 1; not trackable
         assert not report.locking_violations
+
+
+@pytest.mark.parametrize("block", [4, 8, 1 << 16])  # 1, 2 and all syndromes of 2 cubes per block
+@pytest.mark.parametrize("dense_at", [0, 2, 5])
+def test_track_raises_where_the_per_syndrome_loop_did(dense_at, block):
+    """A segment of sparse level-0 syndromes (string ends 12 apart) with one
+    dense syndrome (an adjacent pair) inserted raises DenseSegmentError, and
+    before raising classifies exactly the clusters that a loop over the
+    syndromes, one at a time, classified before it reached the dense one."""
+    code = get_code("toric2d", 32)
+    g = code.geometry
+    params = ScaleParams(alpha=1.0, ltqo=4)
+
+    def string(x, length):
+        return code.syndrome_of(PauliOperator.from_terms(g, [(QubitIndex((x + i, 0), 1), "X") for i in range(length)]))
+
+    sparse = [string(x, 12) for x in range(5)]
+    segment = sparse[:dense_at] + [string(20, 1)] + sparse[dense_at:]
+    classified = []
+
+    def recording(code, clusters, size):
+        classified.extend(clusters)
+        return neutralities(code, clusters, size)
+
+    with mock.patch.object(defects, "_PAIR_BLOCK", block), mock.patch.object(rg, "neutralities", recording):
+        with pytest.raises(DenseSegmentError):
+            track_charged_clusters(code, segment, 0, params)
+        _, report = track_charged_clusters(code, sparse, 0, params)
+    verdicts = [pairwise_reference_partition(g, syn, 0, params) for syn in segment]
+    assert [sparse for _, _, sparse in verdicts].index(False) == dense_at
+    before = [frozenset(d for d in syn if d[0] in cl) for syn, v in zip(segment[:dense_at], verdicts) for cl in v[0]]
+    assert classified[: len(before)] == before and len(classified) == len(before) + 2 * len(sparse)
+    assert report.charged_counts == [2] * len(sparse)
 
 
 def test_track_rejects_dense_segment(toric3):
