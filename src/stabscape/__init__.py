@@ -33,7 +33,7 @@ from .paths import (
     pyramid_path,
     verify_logical,
 )
-from .oracle import SearchBudget, canonicalize, code_distance, min_barrier_cluster, min_barrier_logical
+from .oracle import SearchBudget, code_distance, min_barrier_cluster, min_barrier_logical
 from .rg import (
     box_counting_dimension,
     level_histories,

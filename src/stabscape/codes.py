@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -315,10 +316,9 @@ class CodeInstance:
         stabilizer group."""
         if self._logical_basis is None:
             rref, _ = self.stabilizer_rref()
-            centralizer = gf2.nullspace(self.syndrome_matrix())
-            kept = np.asarray(BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * self.n_qubits)
-                              .independent_rows(), dtype=np.int64)
-            self._logical_basis = centralizer.words[kept[kept >= rref.nrows] - rref.nrows]
+            centralizer = gf2.nullspace(self.syndrome_matrix()).words
+            kept = np.asarray(gf2._echelon(chain(gf2.to_ints(rref.words), gf2.to_ints(centralizer)))[1], dtype=np.int64)
+            self._logical_basis = centralizer[kept[kept >= rref.nrows] - rref.nrows]
         return self._logical_basis
 
     def stabilizer_rank(self) -> int:

@@ -265,11 +265,11 @@ def _single_qubit_witness(code: CodeInstance, site_ids: np.ndarray, target: Synd
     """The first single-qubit Pauli (site, sub, then X, Z, Y) on the given
     flat site ids whose flips are exactly the nonempty ``target``, or None."""
     g = code.geometry
-    target_bits = gf2.to_bool(code.syndrome_to_words(target), code.n_generators)
     # a flip in the target scores 1, any other flip pushes the score past len(target)
     cand = (site_ids[:, None] * g.q + np.arange(g.q)).ravel()
     step, gens = code.qubit_flip_events(np.repeat(cand, 3), np.tile([PAULI_CODE[p] for p in "XZY"], len(cand)))
-    exact = np.bincount(step, np.where(target_bits[gens], 1, len(target) + 1), minlength=3 * len(cand)) == len(target)
+    hit = gf2.get_bit(code.syndrome_to_words(target), gens)
+    exact = np.bincount(step, np.where(hit, 1, len(target) + 1), minlength=3 * len(cand)) == len(target)
     if not exact.any():
         return None
     j, k = divmod(int(exact.argmax()), 3)
@@ -307,19 +307,20 @@ class _BoxSolver:
         # column j is an X error on qubit j, column j + nq a Z error
         paulis = np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], nq)
         cols, flipped = code.flip_events(np.tile(self._sites, (2, 1)), np.tile(self._subs, 2), paulis)
-        # One elimination of [matrix | I]: the identity part of reduced row j
-        # lists the matrix rows that sum to it.  Reduced rows past the rank
-        # span the left nullspace; the rest give the pivot values of
-        # gf2_solve's solution, which is unique because the RREF is.
-        aug = np.hstack([np.zeros((nrows, ncols), dtype=bool), np.eye(nrows, dtype=bool)])
-        aug[np.searchsorted(rows, flipped), cols] = True
-        reduced, pivots = gf2.BitMatrix.from_bool_array(aug).rref()
+        # One elimination of [matrix | I], built by one scatter: the identity
+        # part of reduced row j lists the matrix rows that sum to it.  Reduced
+        # rows past the rank span the left nullspace; the rest give the pivot
+        # values of gf2_solve's solution, which is unique because the RREF is.
+        width = gf2.n_words(ncols + nrows) * gf2.WORD_BITS
+        flat = np.concatenate([np.searchsorted(rows, flipped) * width + cols, np.arange(nrows) * (width + 1) + ncols])
+        reduced, pivots = gf2.BitMatrix(gf2.from_indices(flat, nrows * width).reshape(nrows, -1), ncols + nrows).rref()
         self._pivots = np.array([c for c in pivots if c < ncols], dtype=np.int64)
         # row i's membership in every reduced row, packed and as an int, and in
         # the left nullspace (the reduced rows past the rank), packed
-        combos = reduced.select_columns(np.arange(ncols, ncols + nrows)).transpose()
-        self._combos, self._null = combos.words, combos.select_columns(np.arange(len(self._pivots), nrows)).words
-        self._memberships = gf2.to_ints(self._combos)
+        self._combos = reduced.columns(np.arange(ncols, ncols + nrows)).words
+        self._memberships = list(gf2.to_ints(self._combos))
+        rank = len(self._pivots)
+        self._null = gf2.from_ints([x >> rank for x in self._memberships], gf2.n_words(nrows - rank))
         # local row of the generator of each species on the cube at offset o - 1
         # from the corner, o in 0..size per axis
         self._row_at = np.searchsorted(rows, gens).reshape((self.size + 1,) * g.D + (code.n_species,))
@@ -508,17 +509,16 @@ def localize(code: CodeInstance, op: PauliOperator, region_sites: Iterable[Site]
     region = {g.wrap(s) for s in region_sites}
     allowed = {g.qubit_index(QubitIndex(s, sub)) for s in region for sub in range(g.q)}
     outside = [j for j in range(n) if j not in allowed]
-    out_cols = [j for j in outside] + [j + n for j in outside]
+    out_cols = np.array(outside + [j + n for j in outside], dtype=np.int64)
     e = op.symplectic()
     rref, _ = code.stabilizer_rref()
-    if not out_cols:
+    if not len(out_cols):
         return op
-    system = rref.select_columns(out_cols).transpose()  # |out_cols| x rank
-    rhs = gf2.from_bool([gf2.get_bit(e, c) for c in out_cols])
-    y = gf2.gf2_solve(system, rhs)
+    # rows: the outside columns of the stabilizer RREF; right-hand side: op's bits there
+    y = gf2.gf2_solve(rref.columns(out_cols), gf2.from_indices(np.flatnonzero(gf2.get_bit(e, out_cols)), len(out_cols)))
     if y is None:
         return None
-    combo = np.bitwise_xor.reduce(rref.words[gf2.to_bool(y, rref.nrows)], axis=0)
+    combo = np.bitwise_xor.reduce(rref.words[gf2.nonzero_indices(y, rref.nrows)], axis=0)
     result = PauliOperator.from_symplectic(g, e ^ combo)
     # Post-condition audit: support containment, syndrome equality, membership.
     if not result.support_sites() <= region:

@@ -2,10 +2,15 @@
 
 Vectors are numpy ``uint64`` arrays holding 64 bits per word, little-endian
 within each word (bit ``j`` lives at ``words[j >> 6]``, position ``j & 63``).
-Word size is internal; callers only ever see logical bit counts.
+Word size is internal; callers only ever see logical bit counts.  Bits stay
+in words end to end: ``from_indices`` is the one packer, ``BitMatrix.columns``
+the one column gather, and ``_echelon`` the one elimination, which ``rref``,
+``nullspace``, ``gf2_solve`` and ``independent_rows`` all run.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,15 +25,6 @@ def n_words(nbits: int) -> int:
 
 def zeros(nbits: int) -> np.ndarray:
     return np.zeros(n_words(nbits), dtype=np.uint64)
-
-
-def from_bool(bits) -> np.ndarray:
-    """Pack a boolean/0-1 array into a word vector."""
-    return BitMatrix.from_bool_array(np.reshape(bits, (1, -1))).words[0]
-
-
-def to_bool(words: np.ndarray, nbits: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:nbits].astype(bool)
 
 
 def from_indices(indices, nbits: int, parity: bool = False) -> np.ndarray:
@@ -61,23 +57,28 @@ def nonzero_indices(words: np.ndarray, nbits: int) -> np.ndarray:
     return idx[idx < nbits]
 
 
-def get_bit(words: np.ndarray, j: int) -> int:
-    return int((words[j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
+def get_bit(words: np.ndarray, j) -> np.ndarray:
+    """Bit ``j`` of a vector as a bool; an int array ``j`` gathers a bool array."""
+    j = np.asarray(j, dtype=np.int64)
+    return (words[j >> 6] >> (j & 63).astype(np.uint64)) & np.uint64(1) == 1
 
 
 def popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def to_int(words: np.ndarray) -> int:
-    """Whole vector as a python int (hashable key; bit j of the int = bit j)."""
-    return int.from_bytes(words.tobytes(), "little")
-
-
-def to_ints(rows: np.ndarray, byteorder: str = "little") -> list[int]:
-    """Each row of a 2-d array as a python int (``to_int`` per word row), from one byte buffer."""
+def to_ints(rows: np.ndarray, byteorder: str = "little") -> Iterator[int]:
+    """Each row of a 2-d array as a python int (bit j of the int = bit j), read
+    lazily from one byte buffer: an elimination holds its table, not its input."""
     data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-    return [int.from_bytes(data[i * width : (i + 1) * width], byteorder) for i in range(len(rows))]
+    return (int.from_bytes(data[i * width : (i + 1) * width], byteorder) for i in range(len(rows)))
+
+
+def from_ints(rows: list[int], nwords: int, byteorder: str = "little") -> np.ndarray:
+    """``(len(rows), nwords)`` word rows of python ints below ``2 ** (64 * nwords)``
+    (the inverse of ``to_ints``), from one byte buffer."""
+    data = bytearray(b"".join(x.to_bytes(8 * nwords, byteorder) for x in rows))
+    return np.frombuffer(data, dtype=np.uint64).reshape(len(rows), nwords)
 
 
 def split_halves(vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +103,7 @@ def subset_xors(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _echelon(rows: list[int]) -> tuple[dict[int, int], list[int]]:
+def _echelon(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """Forward elimination of int rows: a dict from each lead (the highest set
     bit, as ``x.bit_length()``) to one row with that lead, spanning the input,
     and the indices of the input rows that got a new lead (those the rows
@@ -139,28 +140,21 @@ class BitMatrix:
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
         return cls(np.zeros((nrows, n_words(ncols)), dtype=np.uint64), ncols)
 
-    @classmethod
-    def from_bool_array(cls, arr) -> "BitMatrix":
-        """Pack a 2-d boolean/0-1 array, one word-row per row; every packer
-        in this module goes through here."""
-        nrows, ncols = np.shape(arr)
-        mat = cls.zeros(nrows, ncols)
-        if nrows and ncols:
-            bits = np.zeros((nrows, mat.words.shape[1] * WORD_BITS), dtype=np.uint8)
-            bits[:, :ncols] = arr
-            mat.words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-        return mat
-
-    def to_bool_array(self) -> np.ndarray:
-        full = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return full[:, : self.ncols].astype(bool)
-
-    def select_columns(self, cols) -> "BitMatrix":
-        """Submatrix keeping the given columns, in the given order."""
-        return BitMatrix.from_bool_array(self.to_bool_array()[:, np.asarray(cols, dtype=np.int64)])
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_bool_array(self.to_bool_array().T)
+    def columns(self, cols) -> "BitMatrix":
+        """Column gather: row ``i`` of the result is column ``cols[i]``, over
+        ``nrows`` bits; columns may repeat and come in any order.  Each set
+        bit is scattered to every place its column takes in ``cols``, so the
+        cost is the matrix's support, not its area."""
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.argsort(cols)
+        places = np.bincount(cols, minlength=self.words.shape[1] * WORD_BITS)
+        row, bit = nonzero_bits(self.words)
+        # a set bit's places in cols are order[lo .. lo + count - 1]
+        count, lo = places[bit], (np.cumsum(places) - places)[bit]
+        at = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        nw = n_words(self.nrows)
+        words = from_indices(at * (nw * WORD_BITS) + np.repeat(row, count), len(cols) * nw * WORD_BITS)
+        return BitMatrix(words.reshape(len(cols), nw), self.nrows)
 
     def independent_rows(self) -> list[int]:
         """Indices of the rows that the rows before them do not span, in order."""
@@ -192,9 +186,8 @@ class BitMatrix:
             table[lead] = x
             done |= 1 << (lead - 1)
         leads = sorted(table, reverse=True)
-        data = np.frombuffer(b"".join(table[lead].to_bytes(width, "big") for lead in leads), dtype=np.uint8)
-        words = _REVERSED[data].view(np.uint64).reshape(len(leads), self.words.shape[1])
-        return BitMatrix(words, self.ncols), [8 * width - lead for lead in leads]
+        data = from_ints([table[lead] for lead in leads], self.words.shape[1], "big")
+        return BitMatrix(_REVERSED[data.view(np.uint8)].view(np.uint64), self.ncols), [8 * width - lead for lead in leads]
 
 
 def reduce_by_rref(rref: BitMatrix, pivots: list[int] | np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -207,8 +200,7 @@ def reduce_by_rref(rref: BitMatrix, pivots: list[int] | np.ndarray, vec: np.ndar
     reducing many vectors pass ``pivots`` as an int array to skip converting
     the list on every call.
     """
-    hits = to_bool(vec, rref.ncols)[pivots]
-    return vec ^ np.bitwise_xor.reduce(rref.words[hits], axis=0)
+    return vec ^ np.bitwise_xor.reduce(rref.words[get_bit(vec, pivots)], axis=0)
 
 
 def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
@@ -216,23 +208,34 @@ def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
 
     Returns one solution (free variables set to zero, leftmost-pivot
     elimination, so the witness is reproducible), or None if inconsistent.
-    ``rhs`` is a packed word vector over ``mat.nrows`` bits.
+    ``rhs`` is a packed word vector over ``mat.nrows`` bits; it joins ``mat``
+    as one last column, and the RREF is unique, so that column's bits are the
+    pivot variables' values.
     """
     if len(rhs) != n_words(mat.nrows):
         raise ValueError("rhs length does not match row count")
-    aug = np.column_stack([mat.to_bool_array(), to_bool(rhs, mat.nrows)])
-    rref, pivots = BitMatrix.from_bool_array(aug).rref()
+    nw = n_words(mat.ncols + 1)
+    flat = nonzero_indices(rhs, mat.nrows) * (nw * WORD_BITS) + mat.ncols
+    aug = from_indices(flat, mat.nrows * nw * WORD_BITS).reshape(mat.nrows, nw)
+    aug[:, : mat.words.shape[1]] |= mat.words
+    rref, pivots = BitMatrix(aug, mat.ncols + 1).rref()
     # The rhs column becomes a pivot iff some row reduces to 0 = 1.
     if pivots and pivots[-1] == mat.ncols:
         return None
-    return from_indices(np.asarray(pivots, dtype=np.int64)[rref.to_bool_array()[:, -1]], mat.ncols)
+    # bit ncols of every reduced row: the words of the transpose run down the rows
+    return from_indices(np.asarray(pivots, dtype=np.int64)[get_bit(rref.words.T, mat.ncols)], mat.ncols)
 
 
 def nullspace(mat: BitMatrix) -> BitMatrix:
-    """Basis of ``{x : mat @ x = 0}``, one packed row per basis vector."""
-    rref, pivots = mat.rref()
-    free_cols = np.delete(np.arange(mat.ncols), pivots)
-    basis = np.zeros((len(free_cols), mat.ncols), dtype=bool)
-    basis[np.arange(len(free_cols)), free_cols] = True
-    basis[:, pivots] = rref.to_bool_array()[:, free_cols].T
-    return BitMatrix.from_bool_array(basis)
+    """Basis of ``{x : mat @ x = 0}``, one packed row per basis vector.
+
+    One forward elimination of the columns of ``mat``, column ``j`` carrying
+    tag bit ``j`` below it: a kept row is a column combination whose tag
+    bits name it, and the ``ncols - rank`` rows led by a tag have a zero
+    column part, so their tags are the basis.  A column the columns before
+    it span ends led by its own tag, as itself plus pivot columns before it,
+    so the rows are the RREF's free-column basis, in column order.
+    """
+    n = mat.ncols
+    table, _ = _echelon(c << n | 1 << j for j, c in enumerate(to_ints(mat.columns(np.arange(n)).words)))
+    return BitMatrix(from_ints([table[lead] for lead in sorted(table) if lead <= n], n_words(n)), n)

@@ -54,11 +54,12 @@ class CosetSpace:
         self.code = code
         n = code.n_qubits
         moves, gens = code.qubit_flip_events(np.arange(3 * n) // 3, np.tile([PAULI_CODE[p] for p in MOVE_PAULIS], n))
-        dsynd = np.zeros((3 * n, gf2.n_words(code.n_generators)), dtype=np.uint64)
-        np.bitwise_or.at(dsynd, (moves, gens >> 6), np.uint64(1) << (gens & 63).astype(np.uint64))
-        # X on qubit j flips label bit i iff row i has a Z bit on j, Z iff an X bit, Y iff exactly one
-        x, z = np.split(gf2.BitMatrix(code.logical_basis(), 2 * n).to_bool_array().T, 2)
-        dlabel = gf2.BitMatrix.from_bool_array(np.stack([z, x ^ z, x], axis=1).reshape(3 * n, x.shape[1])).words
+        width = gf2.n_words(code.n_generators) * gf2.WORD_BITS
+        dsynd = gf2.from_indices(moves * width + gens, 3 * n * width).reshape(3 * n, -1)
+        # X on qubit j flips label bit i iff row i has a Z bit on j, Z iff an X bit, Y iff exactly one:
+        # row j of the column gather is X column j, row n + j is Z column j
+        x, z = np.split(gf2.BitMatrix(code.logical_basis(), 2 * n).columns(np.arange(2 * n)).words, 2)
+        dlabel = np.stack([z, x ^ z, x], axis=1).reshape(3 * n, x.shape[1])
         self.move_dstate = np.hstack([dsynd, dlabel])
         # The fingerprint XORs one fixed random word per state bit (stdlib random: numpy.random costs ~6 MiB RSS)
         rand = np.frombuffer(random.Random(FINGERPRINT_SEED).randbytes(512 * self.move_dstate.shape[1]), np.uint64)
@@ -78,12 +79,6 @@ def coset_space(code: CodeInstance) -> CosetSpace:
     if code._coset_space is None:
         code._coset_space = CosetSpace(code)
     return code._coset_space
-
-
-def canonicalize(code: CodeInstance, op: PauliOperator) -> int:
-    """Canonical coset key, the residue modulo the stabilizer RREF: equal for
-    two Paulis iff their product is a stabilizer; the identity coset maps to 0."""
-    return gf2.to_int(gf2.reduce_by_rref(*code.stabilizer_rref(), op.symplectic()))
 
 
 def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -129,17 +129,17 @@ class PauliOperator:
         return set(map(tuple, self.support_coords().tolist()))
 
     def terms(self) -> list[tuple[QubitIndex, str]]:
-        x, z = self.xwords, self.zwords
-        return [(self.geometry.qubit_at(i), CODE_CHARS[gf2.get_bit(x, i) + 2 * gf2.get_bit(z, i)])
-                for i in self.support_indices().tolist()]
+        idx = self.support_indices()
+        codes = gf2.get_bit(self.xwords, idx) + 2 * gf2.get_bit(self.zwords, idx)
+        return [(self.geometry.qubit_at(i), CODE_CHARS[c]) for i, c in zip(idx.tolist(), codes.tolist())]
 
     # -- conversions --------------------------------------------------------
 
     def symplectic(self) -> np.ndarray:
         """Packed (X-part || Z-part) vector over ``2n`` bits."""
         n = self.geometry.n_qubits
-        bits = np.concatenate([gf2.to_bool(self.xwords, n), gf2.to_bool(self.zwords, n)])
-        return gf2.from_bool(bits)
+        x, z = (gf2.nonzero_indices(w, n) for w in (self.xwords, self.zwords))
+        return gf2.from_indices(np.concatenate([x, z + n]), 2 * n)
 
     def __repr__(self) -> str:
         w = self.weight

@@ -193,7 +193,7 @@ def reference_gram_witness(code):
     matrix as a float32 product; its first nonzero entry in row-major order,
     as a generator pair, or None."""
     n = code.n_qubits
-    bits = code.stabilizer_matrix().to_bool_array()
+    bits = to_bool_array(code.stabilizer_matrix())
     gx, gz = bits[:, :n].astype(np.float32), bits[:, n:].astype(np.float32)
     bad = np.argwhere((gx @ gz.T + gz @ gx.T) % 2 != 0)
     if not bad.size:
@@ -240,17 +240,16 @@ def cube_corner_sites(geometry, cube):
 def translate(op, delta):
     """The operator with its support shifted by ``delta`` (mod L on every
     axis), one ``np.roll`` of its bit grids per axis."""
-    from stabscape import gf2
     from stabscape.pauli import PauliOperator
 
     g = op.geometry
     shape = (g.L,) * g.D + (g.q,)
-    xb = gf2.to_bool(op.xwords, g.n_qubits).reshape(shape)
-    zb = gf2.to_bool(op.zwords, g.n_qubits).reshape(shape)
+    xb = to_bool(op.xwords, g.n_qubits).reshape(shape)
+    zb = to_bool(op.zwords, g.n_qubits).reshape(shape)
     for axis, d in enumerate(delta):
         xb = np.roll(xb, d % g.L, axis=axis)
         zb = np.roll(zb, d % g.L, axis=axis)
-    return PauliOperator(g, gf2.from_bool(xb.reshape(-1)), gf2.from_bool(zb.reshape(-1)))
+    return PauliOperator(g, from_bool(xb.reshape(-1)), from_bool(zb.reshape(-1)))
 
 
 def reference_flips(code, qubit, p):
@@ -292,6 +291,85 @@ def set_bit(words, j, value=1):
 def rank(m):
     """GF(2) rank of a ``BitMatrix``."""
     return len(m.rref()[1])
+
+
+# -- bool references: the retired packers, solvers and coset key ---------------
+
+
+def from_bool_array(arr):
+    """Pack a 2-d boolean/0-1 array into a ``BitMatrix``, one word-row per row."""
+    from stabscape.gf2 import WORD_BITS, BitMatrix
+
+    nrows, ncols = np.shape(arr)
+    mat = BitMatrix.zeros(nrows, ncols)
+    if nrows and ncols:
+        bits = np.zeros((nrows, mat.words.shape[1] * WORD_BITS), dtype=np.uint8)
+        bits[:, :ncols] = arr
+        mat.words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    return mat
+
+
+def to_bool_array(m):
+    """A ``BitMatrix`` unpacked to a 2-d bool array."""
+    full = np.unpackbits(m.words.view(np.uint8), axis=1, bitorder="little")
+    return full[:, : m.ncols].astype(bool)
+
+
+def from_bool(bits):
+    """Pack a boolean/0-1 array into a word vector."""
+    return from_bool_array(np.reshape(bits, (1, -1))).words[0]
+
+
+def to_bool(words, nbits):
+    """The first ``nbits`` bits of a word vector as a bool array."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[:nbits].astype(bool)
+
+
+def reference_gf2_solve(mat, rhs):
+    """The retired bool solve: RREF of ``[mat | rhs]`` unpacked to bools, the
+    free variables zero (test oracle for ``gf2.gf2_solve``)."""
+    from stabscape import gf2
+
+    aug = np.column_stack([to_bool_array(mat), to_bool(rhs, mat.nrows)])
+    rref, pivots = from_bool_array(aug).rref()
+    if pivots and pivots[-1] == mat.ncols:
+        return None
+    return gf2.from_indices(np.asarray(pivots, dtype=np.int64)[to_bool_array(rref)[:, -1]], mat.ncols)
+
+
+def reference_nullspace(mat):
+    """The retired bool nullspace: one basis row per free column of the RREF,
+    in column order (test oracle for ``gf2.nullspace``)."""
+    rref, pivots = mat.rref()
+    free_cols = np.delete(np.arange(mat.ncols), pivots)
+    basis = np.zeros((len(free_cols), mat.ncols), dtype=bool)
+    basis[np.arange(len(free_cols)), free_cols] = True
+    basis[:, pivots] = to_bool_array(rref)[:, free_cols].T
+    return from_bool_array(basis)
+
+
+def reference_logical_basis(code):
+    """``CodeInstance.logical_basis`` over ``reference_nullspace``."""
+    from stabscape.gf2 import BitMatrix
+
+    rref, _ = code.stabilizer_rref()
+    centralizer = reference_nullspace(code.syndrome_matrix())
+    kept = np.asarray(BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * code.n_qubits)
+                      .independent_rows(), dtype=np.int64)
+    return centralizer.words[kept[kept >= rref.nrows] - rref.nrows]
+
+
+def to_int(words):
+    """Whole vector as a python int (hashable key; bit j of the int = bit j)."""
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def canonicalize(code, op):
+    """Canonical coset key, the residue modulo the stabilizer RREF: equal for
+    two Paulis iff their product is a stabilizer; the identity coset maps to 0."""
+    from stabscape import gf2
+
+    return to_int(gf2.reduce_by_rref(*code.stabilizer_rref(), op.symplectic()))
 
 
 def parities_with(m, vec):

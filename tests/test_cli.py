@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stabscape
-from conftest import reference_footprint_box
+from conftest import reference_footprint_box, to_bool_array
 from stabscape.cli import DEFAULTS, OPTIONS, SHARED_OPTIONS, SUBCOMMANDS, build_parser, main
 from stabscape.codes import CodeInstance, registered_spec, registry_names
 from stabscape.gf2 import BitMatrix
@@ -289,7 +289,7 @@ def test_check_draws_cover_every_factor_kind(tmp_path, monkeypatch, seed):
     calls = recording_kernel(monkeypatch)
     assert run(tmp_path, "check", "--code", "cubic1", "--L", "4", "--seed", str(seed)) == 0
     g = stabscape.get_code("cubic1", 4).geometry
-    x, z = (BitMatrix(words[:100], g.n_qubits).to_bool_array() for words in calls[0])
+    x, z = (to_bool_array(BitMatrix(words[:100], g.n_qubits)) for words in calls[0])
     weights = (x | z).sum(axis=1)
     assert weights.max() <= 5 and (weights >= 4).any()
     # each kind holds at least a fifth of the terms: a draw of X and Z alone
@@ -490,6 +490,26 @@ def test_string_scan_memory_stays_batched(tmp_path):
                              env=child_env(), capture_output=True, text=True, check=True)
         peaks.append(int(out.stdout.splitlines()[-1]))
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_logical_basis_memory_stays_near_the_stabilizer_rref():
+    """``logical_basis()`` at cubic1 L=12 (6,912 move columns) raises the peak
+    by at most 30 MiB over ``stabilizer_rref()`` alone: its eliminations read
+    their rows lazily from word arrays.  The bool unpack and repack it
+    replaced raised it by about 76 MiB.  The job runs under ``LAUNCHER``."""
+    script = (
+        "import resource\n"
+        "from stabscape import get_code\n"
+        "code = get_code('cubic1', 12)\n"
+        "code.stabilizer_rref()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "code.logical_basis()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-c", script],
+                         env=child_env(), capture_output=True, text=True, check=True)
+    before, after = (int(line) for line in out.stdout.splitlines()[-2:])
+    assert after - before <= 30 * 1024  # ru_maxrss is in KiB
 
 
 def test_reports_byte_identical(tmp_path):

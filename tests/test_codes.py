@@ -22,15 +22,20 @@ from stabscape.pauli import PauliOperator
 from stabscape.paths import apex_cube
 
 from conftest import (
+    from_bool,
+    from_bool_array,
     parities_with,
     random_operator,
     rank,
     reference_generator,
     reference_gram_witness,
+    reference_logical_basis,
     reference_restricted_matrix,
     reference_stabilizer_words,
     single_paulis_anticommute,
     spec_dict,
+    to_bool,
+    to_bool_array,
     translate,
 )
 
@@ -185,7 +190,7 @@ def test_restricted_matrix_agrees_with_dense(toric4, rng):
     g = toric4.geometry
     sites = g.box_sites((1, 1), 2)
     sub, qubits, gen_rows = reference_restricted_matrix(toric4, sites)
-    dense = toric4.syndrome_matrix().to_bool_array()
+    dense = to_bool_array(toric4.syndrome_matrix())
     nq = len(qubits)
     for r, gi in enumerate(gen_rows):
         # column layout: X-parts then Z-parts of the region's qubits, and a
@@ -235,8 +240,8 @@ def test_dense_matrices_match_per_generator_loop(name, L):
     assert code.stabilizer_matrix().words.tobytes() == stab.tobytes()
     swapped = []
     for row in stab:
-        bits = gf2.to_bool(row, 2 * n)
-        swapped.append(gf2.from_bool(np.concatenate([bits[n:], bits[:n]])))
+        bits = to_bool(row, 2 * n)
+        swapped.append(from_bool(np.concatenate([bits[n:], bits[:n]])))
     assert np.array_equal(code.syndrome_matrix().words, np.array(swapped))
     for i, gen in enumerate(gens):
         assert code.generator(*code.generator_at(i)) == gen
@@ -309,7 +314,7 @@ def label_code(name, L):
 def symplectic_products(a, b, n):
     """Symplectic products of (X||Z) word rows, ``(len(a), len(b))`` 0/1 ints,
     by dense integer matrix products."""
-    bits = [gf2.BitMatrix(rows, 2 * n).to_bool_array().astype(np.int64) for rows in (a, b)]
+    bits = [to_bool_array(gf2.BitMatrix(rows, 2 * n)).astype(np.int64) for rows in (a, b)]
     return bits[0] @ np.roll(bits[1], n, axis=1).T % 2
 
 
@@ -327,7 +332,7 @@ def test_logical_labels_vanish_exactly_on_the_stabilizer_group(name, L, seed):
     assert basis.dtype == np.uint64 and basis.shape == (2 * code.k, gf2.n_words(2 * n))
     assert not symplectic_products(code.stabilizer_matrix().words, basis, n).any()
     gram = symplectic_products(basis, basis, n)
-    assert rank(gf2.BitMatrix.from_bool_array(gram)) == 2 * code.k
+    assert rank(from_bool_array(gram)) == 2 * code.k
     rng = np.random.default_rng(seed)
     stabs, centralizer = code.stabilizer_matrix().words, gf2.nullspace(code.syndrome_matrix()).words
     for _ in range(8):
@@ -337,6 +342,35 @@ def test_logical_labels_vanish_exactly_on_the_stabilizer_group(name, L, seed):
         op = PauliOperator.from_symplectic(code.geometry, vec)
         assert not code.syndrome_of(op)
         assert (not symplectic_products(vec[None], basis, n).any()) == code.in_stabilizer_group(op)
+
+
+@lru_cache(maxsize=None)
+def bool_logical_basis(name, L):
+    return reference_logical_basis(label_code(name, L))
+
+
+@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_logical_basis_matches_bool_reference(name, L, seed):
+    """The word-native basis against the one built on the retired bool
+    nullspace: the same span modulo the stabilizers (equal ranks, and a
+    random combination of either basis with random stabilizers lies in the
+    other's span), a rank-2k Gram matrix, and in fact the same rows, which
+    keeps every basis-dependent report value (such as ``d_upper``) fixed."""
+    code = label_code(name, L)
+    n, new, old = code.n_qubits, code.logical_basis(), bool_logical_basis(name, L)
+    assert new.shape == old.shape == (2 * code.k, gf2.n_words(2 * n))
+    assert rank(from_bool_array(symplectic_products(new, new, n))) == 2 * code.k
+    stabs = code.stabilizer_matrix().words
+    with_stabs = lambda *blocks: gf2.BitMatrix(np.vstack([stabs, *blocks]), 2 * n)
+    assert rank(with_stabs(new)) == rank(with_stabs(old)) == rank(with_stabs(new, old)) == code.stabilizer_rank() + 2 * code.k
+    rng = np.random.default_rng(seed)
+    for a, b in ((new, old), (old, new)):
+        vec = np.bitwise_xor.reduce(np.vstack([a, stabs])[rng.random(len(a) + len(stabs)) < 0.5], axis=0, initial=0)
+        assert not gf2.reduce_by_rref(*with_stabs(b).rref(), vec).any()
+    assert np.array_equal(new, old)
 
 
 def test_defect_set_reads_cubes_modulo_L_and_rejects_unknown_species(toric3):

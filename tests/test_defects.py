@@ -15,6 +15,8 @@ from conftest import (
     bounding_box,
     cluster_diameter,
     cube_corner_sites,
+    from_bool,
+    from_bool_array,
     neighborhood,
     pairwise_reference_partition,
     reference_achievable_subsets,
@@ -24,6 +26,8 @@ from conftest import (
     reference_restricted_matrix,
     reference_set_distance,
     retired_dense_run,
+    to_bool,
+    to_int,
     translate,
 )
 from stabscape import defects, get_code, gf2
@@ -608,13 +612,13 @@ def test_box_achievability_matches_solve(name, L, size):
     code = get_code(name, L)
     solver = _BoxSolver(code, size)
     dense, qubits, gen_rows = reference_restricted_matrix(code, code.geometry.box_sites((0,) * code.geometry.D, size))
-    matrix, nrows = gf2.BitMatrix.from_bool_array(dense), len(dense)
+    matrix, nrows = from_bool_array(dense), len(dense)
     for k in (1, 2, 3):
         for pattern in itertools.combinations(range(nrows), k):
             rhs = np.zeros(nrows, dtype=np.uint8)
             rhs[list(pattern)] = 1
             witness = solver.achievable_witness(pattern, (0,) * code.geometry.D)
-            x = gf2.gf2_solve(matrix, gf2.from_bool(rhs))
+            x = gf2.gf2_solve(matrix, from_bool(rhs))
             assert (witness is None) == (x is None)
             if witness is not None:
                 assert witness == reference_lift(code.geometry, qubits, x)
@@ -636,7 +640,7 @@ def test_lift_matches_bitwise_reference(corner, size, seed):
     pattern = np.flatnonzero(np.random.default_rng(seed).random(len(dense)) < 0.3)
     rhs = np.zeros(len(dense), dtype=np.uint8)
     rhs[pattern] = 1
-    x = gf2.gf2_solve(gf2.BitMatrix.from_bool_array(dense), gf2.from_bool(rhs))
+    x = gf2.gf2_solve(from_bool_array(dense), from_bool(rhs))
     witness = _BoxSolver(code, size).achievable_witness(pattern, corner)
     assert (witness is None) == (x is None)
     if x is not None:
@@ -678,11 +682,11 @@ def reference_first_box(code, syndrome, corners, size):
     """Retired per-placement solve: build and solve the restricted syndrome
     system of each box in turn; returns (boxes tried, first solvable corner)."""
     g = code.geometry
-    bits = gf2.to_bool(code.syndrome_to_words(syndrome), code.n_generators)
+    bits = to_bool(code.syndrome_to_words(syndrome), code.n_generators)
     for tried, corner in enumerate(corners, 1):
         dense, _, gen_rows = reference_restricted_matrix(code, g.box_sites(corner, size))
-        sub, rhs = gf2.BitMatrix.from_bool_array(dense), bits[gen_rows]
-        if rhs.sum() == len(syndrome) and gf2.gf2_solve(sub, gf2.from_bool(rhs)) is not None:
+        sub, rhs = from_bool_array(dense), bits[gen_rows]
+        if rhs.sum() == len(syndrome) and gf2.gf2_solve(sub, from_bool(rhs)) is not None:
             return tried, corner
     return len(corners), None
 
@@ -1053,7 +1057,7 @@ def test_achievable_subsets_match_per_subset_test(rows):
 
 def null_memberships(solver, rows):
     """Left-nullspace membership of each row, as ints, from the packed table."""
-    return [gf2.to_int(c) for c in solver._null[rows]]
+    return [to_int(c) for c in solver._null[rows]]
 
 
 def membership_rank(memberships):

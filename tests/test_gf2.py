@@ -8,11 +8,22 @@ from hypothesis import strategies as st
 from stabscape import gf2
 from stabscape.gf2 import BitMatrix
 
-from conftest import parities_with, rank, set_bit
+from conftest import (
+    from_bool,
+    from_bool_array,
+    parities_with,
+    rank,
+    reference_gf2_solve,
+    reference_nullspace,
+    set_bit,
+    to_bool,
+    to_bool_array,
+    to_int,
+)
 
 
 def random_matrix(rng, nrows, ncols, density=0.4):
-    return BitMatrix.from_bool_array(rng.random((nrows, ncols)) < density)
+    return from_bool_array(rng.random((nrows, ncols)) < density)
 
 
 # -- test-only references: the sequential routines the library replaced ------
@@ -102,20 +113,20 @@ def matrices(draw, max_rows=12, max_cols=140):
     density = draw(st.sampled_from([0.05, 0.3, 0.5]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    return BitMatrix.from_bool_array(rng.random((nrows, ncols)) < density), rng
+    return from_bool_array(rng.random((nrows, ncols)) < density), rng
 
 
 def test_pack_unpack_roundtrip(rng):
     for nbits in (1, 7, 63, 64, 65, 200):
         bits = rng.random(nbits) < 0.5
-        words = gf2.from_bool(bits)
-        assert np.array_equal(gf2.to_bool(words, nbits), bits)
+        words = from_bool(bits)
+        assert np.array_equal(to_bool(words, nbits), bits)
         assert gf2.popcount(words) == int(bits.sum())
 
 
 def test_int_roundtrip(rng):
     bits = rng.random(130) < 0.5
-    value = gf2.to_int(gf2.from_bool(bits))
+    value = to_int(from_bool(bits))
     assert value < 1 << 130
     assert [bool(value >> j & 1) for j in range(130)] == bits.tolist()
 
@@ -125,9 +136,9 @@ def test_int_roundtrip(rng):
 def test_to_ints_match_per_row_to_int(rng, nrows, nwords):
     """One buffer read against ``to_int`` per row, including rows of 0 words."""
     words = rng.integers(0, 2**64, size=(nrows, nwords), dtype=np.uint64)
-    assert gf2.to_ints(words) == [gf2.to_int(row) for row in words]
+    assert list(gf2.to_ints(words)) == [to_int(row) for row in words]
     big = words.view(np.uint8)
-    assert gf2.to_ints(big, "big") == [int.from_bytes(row.tobytes(), "big") for row in big]
+    assert list(gf2.to_ints(big, "big")) == [int.from_bytes(row.tobytes(), "big") for row in big]
 
 
 @given(nrows=st.integers(0, 8), width=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32 - 1))
@@ -150,10 +161,10 @@ def test_split_halves_match_bool_split(rng):
     the word edge (n = 64, 128) and past it, for one vector and for rows."""
     for n in range(1, 201):
         bits = rng.random((3, 2 * n)) < 0.5
-        rows = BitMatrix.from_bool_array(bits).words
+        rows = from_bool_array(bits).words
         x, z = gf2.split_halves(rows, n)
-        assert np.array_equal(x, BitMatrix.from_bool_array(bits[:, :n]).words)
-        assert np.array_equal(z, BitMatrix.from_bool_array(bits[:, n:]).words)
+        assert np.array_equal(x, from_bool_array(bits[:, :n]).words)
+        assert np.array_equal(z, from_bool_array(bits[:, n:]).words)
         x1, z1 = gf2.split_halves(rows[1], n)
         assert np.array_equal(x1, x[1]) and np.array_equal(z1, z[1])
 
@@ -164,15 +175,15 @@ def test_from_indices():
 
 
 def test_solve_identity():
-    eye = BitMatrix.from_bool_array(np.eye(9, dtype=np.uint8))
+    eye = from_bool_array(np.eye(9, dtype=np.uint8))
     b = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-    x = gf2.gf2_solve(eye, gf2.from_bool(b))
-    assert np.array_equal(gf2.to_bool(x, 9).astype(np.uint8), b)
+    x = gf2.gf2_solve(eye, from_bool(b))
+    assert np.array_equal(to_bool(x, 9).astype(np.uint8), b)
 
 
 def test_solve_zero_matrix_inconsistent():
     zero = BitMatrix.zeros(4, 6)
-    assert gf2.gf2_solve(zero, gf2.from_bool([0, 1, 0, 0])) is None
+    assert gf2.gf2_solve(zero, from_bool([0, 1, 0, 0])) is None
     x = gf2.gf2_solve(zero, gf2.zeros(4))
     assert x is not None and not x.any()
 
@@ -189,12 +200,12 @@ def test_solve_reverified_by_multiplication(rng):
     for _ in range(300):
         m = random_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
         b = (rng.random(m.nrows) < 0.5).astype(np.uint8)
-        x = gf2.gf2_solve(m, gf2.from_bool(b))
+        x = gf2.gf2_solve(m, from_bool(b))
         if x is None:
             # Inconsistency must be real: check against bool-domain lstsq
             # by exhaustive search on small systems.
             if m.ncols <= 8:
-                bools = m.to_bool_array()
+                bools = to_bool_array(m)
                 for cand in range(1 << m.ncols):
                     vec = np.array([(cand >> i) & 1 for i in range(m.ncols)], dtype=np.uint8)
                     assert not np.array_equal(bools @ vec % 2, b)
@@ -206,7 +217,7 @@ def test_solve_reverified_by_multiplication(rng):
 
 def test_solve_deterministic(rng):
     m = random_matrix(rng, 10, 14)
-    b = gf2.from_bool(rng.random(10) < 0.5)
+    b = from_bool(rng.random(10) < 0.5)
     x1, x2 = gf2.gf2_solve(m, b), gf2.gf2_solve(m, b)
     if x1 is None:
         assert x2 is None
@@ -226,9 +237,9 @@ def test_rref_idempotent_and_rank(rng):
 def test_in_span_iff_transposed_solve(rng):
     for _ in range(100):
         basis = random_matrix(rng, int(rng.integers(1, 8)), 10)
-        v = gf2.from_bool((rng.random(10) < 0.5).astype(np.uint8))
+        v = from_bool((rng.random(10) < 0.5).astype(np.uint8))
         lhs = not gf2.reduce_by_rref(*basis.rref(), v).any()
-        rhs = gf2.gf2_solve(basis.transpose(), v) is not None
+        rhs = gf2.gf2_solve(basis.columns(range(basis.ncols)), v) is not None
         assert lhs == rhs
 
 
@@ -255,7 +266,7 @@ def test_nullspace_annihilates(rng):
 def test_reduce_by_rref_canonical(rng):
     m = random_matrix(rng, 6, 10)
     rref, pivots = m.rref()
-    v = gf2.from_bool((rng.random(10) < 0.5).astype(np.uint8))
+    v = from_bool((rng.random(10) < 0.5).astype(np.uint8))
     red = gf2.reduce_by_rref(rref, pivots, v)
     # residue of (v + row) matches residue of v
     for i in range(m.nrows):
@@ -264,21 +275,38 @@ def test_reduce_by_rref_canonical(rng):
     assert not gf2.reduce_by_rref(rref, pivots, v ^ red).any()
 
 
-def test_select_and_transpose(rng):
+def test_columns_gather_and_transpose(rng):
+    """``columns`` against the bool gather: selected columns across the word
+    edge, a full transpose, and 0-row, 0-column, empty and repeated cases."""
     m = random_matrix(rng, 7, 130)
+    bools = to_bool_array(m)
     cols = [0, 3, 63, 64, 65, 129]
-    sub = m.select_columns(cols)
-    bools = m.to_bool_array()
-    assert np.array_equal(sub.to_bool_array(), bools[:, cols])
-    mt = m.transpose()
-    assert np.array_equal(mt.to_bool_array(), bools.T)
+    assert np.array_equal(to_bool_array(m.columns(cols)), bools[:, cols].T)
+    assert np.array_equal(to_bool_array(m.columns(range(130))), bools.T)
     for shape, cols in (((0, 5), [1, 3]), ((5, 0), []), ((4, 70), []), ((3, 64), [63, 0, 63])):
         m = random_matrix(rng, *shape)
-        bools = m.to_bool_array()
-        sub, mt = m.select_columns(cols), m.transpose()
-        assert (sub.nrows, sub.ncols, mt.nrows, mt.ncols) == (shape[0], len(cols), shape[1], shape[0])
-        assert np.array_equal(sub.to_bool_array(), bools[:, cols])
-        assert np.array_equal(mt.to_bool_array(), bools.T)
+        got = m.columns(cols)
+        assert (got.nrows, got.ncols) == (len(cols), shape[0])
+        assert np.array_equal(to_bool_array(got), to_bool_array(m)[:, cols].T)
+
+
+@settings(max_examples=200)
+@given(
+    nrows=st.sampled_from([0, 1, 5, 63, 64, 65, 130]),
+    ncols=st.sampled_from([1, 63, 64, 65, 130]),
+    density=st.sampled_from([0.05, 0.5, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_columns_match_bool_gather(nrows, ncols, density, seed, data):
+    """Row i of ``columns(cols)`` is column ``cols[i]``, for empty, repeated
+    and unordered column lists on shapes that cross the word edge both ways."""
+    bools = np.random.default_rng(seed).random((nrows, ncols)) < density
+    cols = data.draw(st.lists(st.integers(0, ncols - 1), max_size=2 * ncols + 2), label="cols")
+    got = from_bool_array(bools).columns(cols)
+    assert (got.nrows, got.ncols, got.words.shape) == (len(cols), nrows, (len(cols), gf2.n_words(nrows)))
+    assert np.array_equal(to_bool_array(got), bools[:, cols].T)
+    assert gf2.popcount(got.words) == int(bools[:, cols].sum())  # no bit past nrows
 
 
 @settings(max_examples=200)
@@ -287,7 +315,7 @@ def test_reduce_by_rref_matches_sequential_reference(case):
     m, rng = case
     rref, pivots = m.rref()
     for _ in range(4):
-        v = gf2.from_bool(rng.random(m.ncols) < 0.5)
+        v = from_bool(rng.random(m.ncols) < 0.5)
         assert np.array_equal(gf2.reduce_by_rref(rref, pivots, v), reference_reduce(rref, pivots, v))
     combo = gf2.zeros(m.ncols)
     for i in range(m.nrows):
@@ -301,14 +329,26 @@ def test_reduce_by_rref_matches_sequential_reference(case):
 def test_gf2_solve_bit_identical_to_reference(case):
     m, rng = case
     random_rhs = (rng.random(m.nrows) < 0.5).astype(np.uint8)
-    image_rhs = parities_with(m, gf2.from_bool(rng.random(m.ncols) < 0.5))  # always consistent
+    image_rhs = parities_with(m, from_bool(rng.random(m.ncols) < 0.5))  # always consistent
     for b in (random_rhs, image_rhs):
-        got = gf2.gf2_solve(m, gf2.from_bool(b))
+        got = gf2.gf2_solve(m, from_bool(b))
         want = reference_solve(m, b)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got, want)
             assert np.array_equal(parities_with(m, got), b)
+
+
+@settings(max_examples=300)
+@given(matrices(max_rows=40, max_cols=140))
+def test_gf2_solve_matches_bool_reference(case):
+    """The same vector as the retired bool solve, and None exactly when it
+    returns None, for random and consistent right-hand sides."""
+    m, rng = case
+    for bits in (rng.random(m.nrows) < 0.5, parities_with(m, from_bool(rng.random(m.ncols) < 0.5))):
+        got, want = gf2.gf2_solve(m, from_bool(bits)), reference_gf2_solve(m, from_bool(bits))
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
 
 
 @st.composite
@@ -322,7 +362,7 @@ def elimination_inputs(draw):
     bits = rng.random((nrows, ncols)) < density
     if nrows > 1 and draw(st.booleans()):
         bits[rng.integers(0, nrows, size=nrows // 2)] = bits[rng.integers(0, nrows, size=nrows // 2)]
-    return BitMatrix.from_bool_array(bits)
+    return from_bool_array(bits)
 
 
 @settings(max_examples=300)
@@ -355,7 +395,7 @@ def test_elimination_at_word_edges_with_zero_and_repeated_rows(rng, ncols):
     bits[[0, 5]] = False
     bits[[3, 8]] = bits[[2, 2]]
     bits[10] = bits[1] ^ bits[4]
-    for m in (BitMatrix.from_bool_array(bits), BitMatrix.from_bool_array(bits[:0]), BitMatrix.zeros(3, ncols)):
+    for m in (from_bool_array(bits), from_bool_array(bits[:0]), BitMatrix.zeros(3, ncols)):
         reduced, pivots = m.rref()
         want, want_pivots = reference_rref(m)
         assert pivots == want_pivots and np.array_equal(reduced.words, want) and reduced.ncols == ncols
@@ -366,7 +406,19 @@ def test_elimination_at_word_edges_with_zero_and_repeated_rows(rng, ncols):
 @given(elimination_inputs())
 def test_nonzero_bits_match_bool_unpack(m):
     rows, bits = gf2.nonzero_bits(m.words)
-    want_rows, want_bits = np.nonzero(m.to_bool_array())
+    want_rows, want_bits = np.nonzero(to_bool_array(m))
     assert np.array_equal(rows, want_rows) and np.array_equal(bits, want_bits)
     for i in range(m.nrows):
         assert np.array_equal(gf2.nonzero_indices(m.words[i], m.ncols), want_bits[want_rows == i])
+
+
+@settings(max_examples=300)
+@given(elimination_inputs())
+def test_nullspace_annihilates_with_full_rank(m):
+    """``mat @ basis = 0``, ``ncols - rank(mat)`` independent rows, and the
+    rows of the retired bool nullspace, one per free column in order."""
+    basis = gf2.nullspace(m)
+    assert (basis.ncols, basis.nrows) == (m.ncols, m.ncols - rank(m)) and rank(basis) == basis.nrows
+    for row in basis.words:
+        assert not parities_with(m, row).any()
+    assert np.array_equal(basis.words, reference_nullspace(m).words)

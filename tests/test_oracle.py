@@ -21,7 +21,6 @@ from stabscape.oracle import (
     CosetSpace,
     SearchBudget,
     _search_pass,
-    canonicalize,
     code_distance,
     coset_space,
     min_barrier_cluster,
@@ -30,7 +29,7 @@ from stabscape.oracle import (
 from stabscape.pauli import PauliOperator
 from stabscape.paths import ErrorPath, energy_profile, pyramid_operator
 
-from conftest import random_operator
+from conftest import canonicalize, random_operator, to_int
 
 # Frozen by exhaustive enumeration on first run (see test below): the L=2
 # cubic instance has a weight-2 logical, and the level-1 pyramid class has
@@ -210,12 +209,12 @@ def reference_class_reps(code):
     rref, pivots = code.stabilizer_rref()
     by_high, reps = {}, []
     for row in centralizer.words:
-        residue = gf2.to_int(gf2.reduce_by_rref(rref, pivots, row.copy()))
+        residue = to_int(gf2.reduce_by_rref(rref, pivots, row.copy()))
         while residue:
             high = residue.bit_length() - 1
             if high not in by_high:
                 by_high[high] = residue
-                reps.append(gf2.to_int(row))
+                reps.append(to_int(row))
                 break
             residue ^= by_high[high]
     return reps
@@ -237,7 +236,7 @@ def reference_distance(code, state_cap):
     weight = lambda v: ((v & mask) | (v >> n)).bit_count()
     skip = lambda v: (code.is_classical_z() and v & mask == 0) or (code.is_classical_x() and v >> n == 0)
     reps = reference_class_reps(code)
-    stab_basis = [gf2.to_int(row) for row in code.stabilizer_rref()[0].words]
+    stab_basis = [to_int(row) for row in code.stabilizer_rref()[0].words]
     if (1 << len(reps)) * (1 << len(stab_basis)) > state_cap:
         return None, "budget_exhausted", 0, 0, 0, min((weight(r) for r in reps if not skip(r)), default=None)
     assert 2 * n <= 63
@@ -271,7 +270,7 @@ def test_logical_class_reps_match_greedy_residue_loop(name_L):
     code = distance_code(*name_L)
     reps = code.logical_basis()
     assert reps.dtype == np.uint64 and len(reps) == 2 * code.k
-    assert [gf2.to_int(row) for row in reps] == reference_class_reps(code)
+    assert [to_int(row) for row in reps] == reference_class_reps(code)
 
 
 @pytest.mark.parametrize("name_L", DISTANCE_CODES)
@@ -416,7 +415,7 @@ def reference_moves(code):
     g = code.geometry
     ops = [PauliOperator.single(g, g.qubit_at(j), p) for j in range(code.n_qubits) for p in oracle.MOVE_PAULIS]
     dkey = [canonicalize(code, op) for op in ops]
-    dsynd = [gf2.to_int(code.syndrome_to_words(code.syndrome_of(op))) for op in ops]
+    dsynd = [to_int(code.syndrome_to_words(code.syndrome_of(op))) for op in ops]
     return dkey, dsynd
 
 
@@ -485,7 +484,7 @@ def compare_with_reference(space, omega, op, syndrome_goal, cap, block=oracle.BL
     code = space.code
     synd = code.syndrome_to_words(code.syndrome_of(op))
     if syndrome_goal:
-        expected = reference_search_pass(code, omega, None, gf2.to_int(synd), cap)
+        expected = reference_search_pass(code, omega, None, to_int(synd), cap)
     else:
         expected = reference_search_pass(code, omega, canonicalize(code, op), None, cap)
     with mock.patch.object(oracle, "BLOCK", block):

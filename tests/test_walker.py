@@ -29,6 +29,8 @@ from stabscape.paths import ErrorPath, defect_after_each_step, energy_profile, p
 from stabscape.rg import box_counting_dimension, syndrome_history
 
 from conftest import (
+    from_bool,
+    from_bool_array,
     path_steps,
     reference_flips,
     reference_gram_witness,
@@ -37,6 +39,8 @@ from conftest import (
     reference_support_sites,
     set_bit,
     spec_dict,
+    to_bool,
+    to_int,
 )
 
 CODES = [("cubic1", 2), ("cubic1", 4), ("toric2d", 3), ("toric3d", 3), ("rep1d", 5)]
@@ -385,7 +389,7 @@ def test_restricted_matrix_matches_retired_loop(name, L, seed):
         made = dense.astype(np.int64) @ (rng.random(dense.shape[1]) < 0.2) % 2 == 1
         for rhs in (made, rng.random(len(dense)) < 0.2):
             rows = np.flatnonzero(rhs)
-            x = gf2.gf2_solve(gf2.BitMatrix.from_bool_array(dense), gf2.from_bool(rhs))
+            x = gf2.gf2_solve(from_bool_array(dense), from_bool(rhs))
             witness = solver.achievable_witness(rows, (0,) * g.D)
             assert bool(solver.achievable(rows)) == (witness is not None) == (x is not None)
             if x is not None:
@@ -427,7 +431,7 @@ def test_oracle_move_syndromes_match_retired_loop(name_L):
             for cube, s in reference_flips(code, g.qubit_at(j), p):
                 synd |= 1 << code.generator_index(cube, s)
             expected.append(synd)
-    assert [gf2.to_int(row[: gf2.n_words(code.n_generators)]) for row in space.move_dstate] == expected
+    assert [to_int(row[: gf2.n_words(code.n_generators)]) for row in space.move_dstate] == expected
 
 
 @settings(max_examples=50)
@@ -458,7 +462,7 @@ def test_nonzero_indices_and_parity_scatter(nbits, data):
     listed = data.draw(st.lists(st.integers(0, nbits - 1), max_size=40), label="listed")
     odd = sorted(j for j in set(listed) if listed.count(j) % 2)
     words = gf2.from_indices(listed, nbits, parity=True)
-    assert np.flatnonzero(gf2.to_bool(words, nbits)).tolist() == odd
+    assert np.flatnonzero(to_bool(words, nbits)).tolist() == odd
     assert gf2.nonzero_indices(words, nbits).tolist() == odd
     if nbits % 64:  # bits past nbits in the last word are not part of the vector
         words[-1] |= np.uint64(1) << np.uint64(63)
