@@ -184,7 +184,7 @@ def run_syndrome(config: dict, code: CodeInstance, report: Report) -> None:
     op = parse_operator(code, config["op"])
     syndrome = sorted(code.syndrome_of(op))
     rows = [(*cube, code.species_name(s)) for cube, s in syndrome]
-    report.add_series("defects", tuple(f"c{i}" for i in range(code.geometry.D)) + ("species",), rows)
+    report.add_series("defects", tuple(f"c{i}" for i in range(code.geometry.D)) + ("species",), zip(*rows))
     report.add_check(
         "syndrome",
         PASS,
@@ -212,7 +212,7 @@ def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
     apex = (apex_cube(code, u), code.species_index("z"))
     expected = pyramid_syndrome(code, p, apex_cube(code, u))
 
-    report.add_series("profile", ("t", "defect_count"), enumerate(profile.counts))
+    report.add_series("profile", ("t", "defect_count"), (np.arange(len(path) + 1), profile.counts))
     measured = {
         "steps": value(len(path), PROV_CONSTRUCTED),
         "barrier": value(profile.barrier, PROV_CONSTRUCTED),
@@ -262,7 +262,7 @@ def _run_pyramid_sweep(config: dict, report: Report) -> None:
         bound = 4 * n + 4
         ok &= profile.barrier <= bound and not profile.final_syndrome
         rows.append((L, profile.barrier, bound))
-    report.add_series("barrier_vs_L", ("L", "constructed_barrier", "bound_4log2L_plus_4"), rows)
+    report.add_series("barrier_vs_L", ("L", "constructed_barrier", "bound_4log2L_plus_4"), zip(*rows))
     report.add_check(
         "sweep_within_bound",
         PASS if ok else FAIL,
@@ -301,9 +301,9 @@ def run_barrier(config: dict, code: CodeInstance, report: Report) -> None:
     if result.exact:
         measured["omega"] = value(result.omega, PROV_ORACLE)
         measured["witness_steps"] = value(len(result.witness), PROV_ORACLE)
-        report.add_series("witness_path", ("step",), [(line,) for line in result.witness.to_lines()])
+        report.add_series("witness_path", ("step",), [result.witness.to_lines()])
         profile = energy_profile(code, result.witness)
-        report.add_series("witness_profile", ("t", "defect_count"), enumerate(profile.counts))
+        report.add_series("witness_profile", ("t", "defect_count"), (np.arange(len(profile.counts)), profile.counts))
         report.add_check("min_barrier", PASS, measured)
     else:
         measured["ruled_out_up_to"] = value(result.ruled_out, PROV_ORACLE)
@@ -340,7 +340,7 @@ def run_rg(config: dict, code: CodeInstance, report: Report) -> None:
         (lvl.level, len(lvl.retained), len(lvl.interior()), len(lvl.retained) - 1)
         for lvl in analysis.levels
     ]
-    report.add_series("levels", ("level", "retained", "interior", "errors"), rows)
+    report.add_series("levels", ("level", "retained", "interior", "errors"), zip(*rows))
     nested = all(
         set(hi.retained) <= set(lo.retained)
         for lo, hi in zip(analysis.levels, analysis.levels[1:])
@@ -416,7 +416,7 @@ def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
     else:
         scales = default_scales
     est = box_counting_dimension(sites, scales)
-    report.add_series("boxcounts", ("scale", "count"), est.counts)
+    report.add_series("boxcounts", ("scale", "count"), zip(*est.counts))
     report.add_check(
         "box_counting",
         PASS if not est.degenerate else INDETERMINATE,
@@ -434,7 +434,7 @@ def run_strings(config: dict, code: CodeInstance, report: Report) -> None:
         (str(f.box1.corner), str(f.box2.corner), f.aspect_ratio, len(f.syndrome), f.operator_weight)
         for f in scan.nontrivial
     ]
-    report.add_series("segments", ("anchor1", "anchor2", "aspect_ratio", "defects", "weight"), rows)
+    report.add_series("segments", ("anchor1", "anchor2", "aspect_ratio", "defects", "weight"), zip(*rows))
     report.add_check(
         "string_scan",
         INDETERMINATE if scan.budget_exhausted or not scan.pairs_scanned else PASS,

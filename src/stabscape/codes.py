@@ -65,9 +65,6 @@ class SpeciesTemplate:
     name: str
     entries: tuple[tuple[Site, str], ...]
 
-    def offsets(self) -> tuple[Site, ...]:
-        return tuple(o for o, _ in self.entries)
-
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -87,7 +84,7 @@ class CodeSpec:
                     raise CodeConstructionError(f"{self.name}/{sp.name}: offset {offset} leaves the elementary cube")
                 if len(label) != self.q or any(c not in "IXYZ" for c in label):
                     raise CodeConstructionError(f"{self.name}/{sp.name}: bad label {label!r}")
-            if len(set(sp.offsets())) != len(sp.entries):
+            if len({o for o, _ in sp.entries}) != len(sp.entries):
                 raise CodeConstructionError(f"{self.name}/{sp.name}: repeated offset")
 
     @classmethod

@@ -59,11 +59,7 @@ class LatticeGeometry:
         return idx
 
     def site_at(self, index: int) -> Site:
-        coords = []
-        for _ in range(self.D):
-            coords.append(index % self.L)
-            index //= self.L
-        return tuple(reversed(coords))
+        return tuple(index // self.L**k % self.L for k in range(self.D - 1, -1, -1))
 
     def site_indices(self, sites) -> np.ndarray:
         """``site_index`` over an ``(N, D)`` coordinate array."""
@@ -80,8 +76,5 @@ class LatticeGeometry:
 
     def box_sites(self, corner: Iterable[int], size) -> list[Site]:
         """Sites of an axis-aligned box; ``size`` is an int or per-axis tuple."""
-        corner = tuple(corner)
-        if isinstance(size, int):
-            size = (size,) * self.D
-        ranges = [range(c, c + s) for c, s in zip(corner, size)]
-        return [self.wrap(s) for s in product(*ranges)]
+        sizes = (size,) * self.D if isinstance(size, int) else size
+        return [self.wrap(s) for s in product(*[range(c, c + s) for c, s in zip(corner, sizes)])]

@@ -108,32 +108,32 @@ def walk_events(
 class EnergyProfile:
     """Defect counts along a path; the barrier is the profile maximum."""
 
-    counts: tuple[int, ...]
+    counts: np.ndarray  # int64, one count per step 0..T
     final_syndrome: Syndrome
 
     @property
     def barrier(self) -> int:
-        return max(self.counts)
+        return int(self.counts.max())
 
 
 def energy_profile(code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()) -> EnergyProfile:
     """Defect count after every step of a path.
 
-    The walker's events are sorted by (generator, step); within a
-    generator's events the even ranks create its defect (+1) and the odd
+    The walker's events are sorted by (generator, step), one key
+    ``generator * (T + 1) + step`` (equal keys are identical events); within
+    a generator's events the even ranks create its defect (+1) and the odd
     ranks remove it (-1), and the counts are the running sum of the signs.
     The cost per step is constant and independent of the lattice size.
     """
     step, gens = walk_events(code, path, initial)
-    order = np.argsort(gens, kind="stable")
-    step, gens = step[order], gens[order]
+    T = len(path)
+    gens, step = np.divmod(np.sort(gens * (T + 1) + step), T + 1)
     n = np.arange(len(gens))
     run_start = np.maximum.accumulate(np.where(np.diff(gens, prepend=-1) != 0, n, 0))
     created = (n - run_start) % 2 == 0
-    T = len(path)
     counts = np.cumsum(np.bincount(step[created], minlength=T + 1) - np.bincount(step[~created], minlength=T + 1))
     final = gens[created & (np.diff(gens, append=-1) != 0)]
-    return EnergyProfile(tuple(counts.tolist()), frozenset(code.generators_at(final)))
+    return EnergyProfile(counts, frozenset(code.generators_at(final)))
 
 
 def defect_after_each_step(code: CodeInstance, path: ErrorPath, defect: Defect) -> np.ndarray:
@@ -171,25 +171,18 @@ def pyramid_syndrome(code: CodeInstance, p: int, apex: Site) -> Syndrome:
     """
     _require_cubic(code)
     g = code.geometry
-    zspecies = code.species_index("z")
-    step = 2**p
-    cubes: dict[Site, int] = {}
+    zspecies, step = code.species_index("z"), 2**p
+    defects: frozenset[Defect] = frozenset()
     for delta in ((0, 0, 0), (step, 0, 0), (0, step, 0), (0, 0, step)):
-        c = g.shift(apex, delta)
-        cubes[c] = cubes.get(c, 0) ^ 1
-    return frozenset((c, zspecies) for c, odd in cubes.items() if odd)
+        defects ^= {(g.shift(apex, delta), zspecies)}
+    return defects
 
 
 def _pyramid_offsets(p: int) -> np.ndarray:
-    offsets = np.zeros((1, 3), dtype=np.int64)
+    """Level-p offsets: the level p-1 offsets, then their x, y and z translates by ``2**(p-1)``."""
+    offsets, shifts = np.zeros((1, 3), dtype=np.int64), np.eye(4, 3, -1, dtype=np.int64)
     for level in range(p):
-        step = 2**level
-        shifted = [offsets]
-        for axis in range(3):
-            block = offsets.copy()
-            block[:, axis] += step
-            shifted.append(block)
-        offsets = np.concatenate(shifted)
+        offsets = (shifts[:, None] * 2**level + offsets).reshape(-1, 3)
     return offsets
 
 
@@ -235,10 +228,8 @@ def logical_zbar(code: CodeInstance, u: Site) -> PauliOperator:
     """
     _require_cubic(code)
     g = code.geometry
-    x0 = (u[0] - 1) % g.L
-    yz = np.arange(g.L, dtype=np.int64)
-    yy, zz = np.meshgrid(yz, yz, indexing="ij")
-    flat = ((x0 * g.L + yy.ravel()) * g.L + zz.ravel()) * g.q
+    # the sites of one x-plane are L**2 consecutive site indices
+    flat = ((u[0] - 1) % g.L * g.L**2 + np.arange(g.L**2, dtype=np.int64)) * g.q
     zwords = gf2.from_indices(flat, g.n_qubits)
     return PauliOperator(g, gf2.zeros(g.n_qubits), zwords)
 

@@ -142,10 +142,5 @@ class PauliOperator:
         return gf2.from_indices(np.concatenate([x, z + n]), 2 * n)
 
     def __repr__(self) -> str:
-        w = self.weight
-        if w == 0:
-            return "PauliOperator(I)"
-        terms = self.terms()
-        shown = " ".join(f"{p}@{q.site}:{q.sub}" for q, p in terms[:4])
-        more = "" if w <= 4 else f" ...({w} qubits)"
-        return f"PauliOperator({shown}{more})"
+        shown = " ".join(f"{p}@{q.site}:{q.sub}" for q, p in self.terms()[:4]) or "I"
+        return f"PauliOperator({shown}{'' if self.weight <= 4 else f' ...({self.weight} qubits)'})"

@@ -195,14 +195,8 @@ def track_charged_clusters(
                     continuity.append((t, d))
                 taken.add(i)
                 wl.clusters.append(nxt[i])
-    locking = []
-    alpha_xi = params.alpha * xi_p
-    for a, wl in enumerate(worldlines):
-        first = wl.clusters[0]
-        for t, cluster in enumerate(wl.clusters):
-            d = set_distance(g, cluster, first)
-            if d > alpha_xi:
-                locking.append((a, t, d))
+    locking = [(a, t, d) for a, wl in enumerate(worldlines) for t, cluster in enumerate(wl.clusters)
+               if (d := set_distance(g, cluster, wl.clusters[0])) > params.alpha * xi_p]
     report = TrackingReport(counts, g_constant, continuity, locking, sorted(set(ambiguities)))
     return worldlines, report
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from importlib import resources
 
@@ -291,6 +293,16 @@ def set_bit(words, j, value=1):
 def rank(m):
     """GF(2) rank of a ``BitMatrix``."""
     return len(m.rref()[1])
+
+
+def reference_csv_bytes(header, rows):
+    """A series as the retired writer wrote it: ``csv.writer`` (excel
+    dialect) on the header row and then the rows, UTF-8 encoded."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 # -- bool references: the retired packers, solvers and coset key ---------------

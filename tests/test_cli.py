@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stabscape
-from conftest import reference_footprint_box, to_bool_array
+from conftest import reference_csv_bytes, reference_footprint_box, to_bool_array
 from stabscape.cli import DEFAULTS, OPTIONS, SHARED_OPTIONS, SUBCOMMANDS, build_parser, main
 from stabscape.codes import CodeInstance, registered_spec, registry_names
 from stabscape.gf2 import BitMatrix
-from stabscape.reports import config_hash
+from stabscape.reports import _csv_bytes, config_hash
 
 
 def run(tmp_path, *args):
@@ -378,15 +378,75 @@ CSV_DIGESTS = [
     (["barrier", "--code", "cubic1", "--L", "2", "--target", "pyramid:1"],
      {"witness_path.csv": "8fa5c74c32ab18593fbf388cccf1d02699cf92598a92e0c3fe4af5f1f1885937",
       "witness_profile.csv": "78ab075babbf28e6324924d16b3778795dafa5edc652633b7ea4209bfa239f96"}),
+    # pinned from csv.writer output: the only quoted cells (tuple anchors) and
+    # float cells, a text column, a row-built int series, and 16,385 rows
+    (["strings", "--code", "toric2d", "--L", "6", "--alpha", "3"],
+     {"segments.csv": "3256cbb60fcda8fe5d1815bf476deb72242bf2744e8c65749b4ba1aabdcc9523"}),
+    (["syndrome", "--code", "cubic1", "--L", "4", "--op", "XI@1,2,3"],
+     {"defects.csv": "70e1421e09a56cc56fd3e0730cbee44e8bee2dfff5c0ac3994b664071388e619"}),
+    (["pyramid", "--code", "cubic1", "--sweep", "2,4,8"],
+     {"barrier_vs_L.csv": "4b55fa237afb43d2bb0e0bc95bcbdffb4c3e501349a848ae54e9997ca060c96b"}),
+    (["pyramid", "--code", "cubic1", "--L", "128", "--p", "7"],
+     {"profile.csv": "6c2895f9904c2b9e193eb31dec20b181eac0028ac0c3c05d45420d261bd422d6"}),
 ]
+CSV_IDS = ["pyramid", "fractal", "barrier", "strings", "syndrome", "pyramid-sweep", "pyramid-L128"]
 
 
-@pytest.mark.parametrize("argv, digests", CSV_DIGESTS, ids=[a[0] for a, _ in CSV_DIGESTS])
+@pytest.mark.parametrize("argv, digests", CSV_DIGESTS, ids=CSV_IDS)
 def test_csv_series_bytes_are_pinned(tmp_path, argv, digests):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     (run_dir,) = tmp_path.glob(f"{argv[0]}-*")
     got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in digests}
     assert got == digests
+
+
+INT64_EDGES = st.sampled_from([0, -1, 1, -(2**63), 2**63 - 1])
+# no NUL (the writer's padding) and no lone surrogate (not UTF-8, so no file ever held one)
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00") | st.sampled_from(',"\r\n'),
+                   max_size=6)
+
+
+def csv_column(kind, n):
+    """A column of ``n`` cells of one kind, as series callers hold them."""
+    int64 = INT64_EDGES | st.integers(-(2**63), 2**63 - 1)
+    return {
+        "int64": st.lists(int64, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        "uint64": st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n).map(lambda v: np.array(v, np.uint64)),
+        "int8": st.lists(st.sampled_from([-128, 127]) | st.integers(-128, 127), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, np.int8)),
+        "ints": st.lists(int64 | st.integers(), min_size=n, max_size=n),
+        "ints-and-bools": st.lists(st.integers(-3, 3) | st.booleans(), min_size=n, max_size=n),
+        "floats": st.lists(st.floats() | st.integers(-9, 9), min_size=n, max_size=n),
+        "bools": st.lists(st.booleans(), min_size=n, max_size=n),
+        "text": st.lists(CSV_TEXT, min_size=n, max_size=n),
+    }[kind]
+
+
+@st.composite
+def csv_series(draw):
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(["int64", "uint64", "int8", "ints", "ints-and-bools", "floats", "bools",
+                                           "text"]), min_size=1, max_size=4))
+    header = draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return header, [draw(csv_column(kind, n)) for kind in kinds]
+
+
+@settings(max_examples=400)
+@given(series=csv_series())
+def test_csv_bytes_match_csv_writer(series):
+    """The series writer's bytes are csv.writer's for every cell kind the
+    callers hold: int64, int8 and uint64 arrays (with 0, negatives, -2**63
+    and -128), Python int lists of any size, floats, bools and quoted text."""
+    header, columns = series
+    assert _csv_bytes(header, columns) == reference_csv_bytes(header, zip(*columns))
+
+
+def test_csv_bytes_edge_series():
+    """Zero rows (columns from ``zip(*[])``) write the header alone; a
+    one-column row's empty cell is written as ``""``."""
+    assert _csv_bytes(("a", "b"), tuple(zip(*[]))) == b"a,b\r\n"
+    assert _csv_bytes(("",), [["", "x", ""]]) == b'""\r\n""\r\nx\r\n""\r\n'
+    assert _csv_bytes(("v",), [np.array([-(2**63), 0, 7])]) == b"v\r\n-9223372036854775808\r\n0\r\n7\r\n"
 
 
 # SHA-256 of report.json and levels.csv of tracked rg runs, as written before

@@ -30,7 +30,7 @@ from stabscape.paths import (
 
 def test_empty_path_profile(cubic4):
     prof = energy_profile(cubic4, ErrorPath.from_steps([]))
-    assert prof.counts == (0,)
+    assert prof.counts.tolist() == [0]
     assert prof.barrier == 0
     assert prof.final_syndrome == frozenset()
 
@@ -38,7 +38,7 @@ def test_empty_path_profile(cubic4):
 def test_double_bitflip_profile(cubic4):
     u = QubitIndex((1, 2, 3), 0)
     prof = energy_profile(cubic4, ErrorPath.from_steps([(u, "X"), (u, "X")]))
-    assert prof.counts == (0, 4, 0)
+    assert prof.counts.tolist() == [0, 4, 0]
     assert prof.barrier == 4
 
 

@@ -146,7 +146,7 @@ def test_energy_profile_matches_retired_loop(walk):
     code, steps, initial = walk
     expected = reference_syndromes(code, steps, initial)
     prof = energy_profile(code, ErrorPath.from_steps(steps), initial)
-    assert prof.counts == tuple(len(s) for s in expected)
+    assert prof.counts.tolist() == [len(s) for s in expected]
     assert prof.final_syndrome == expected[-1]
 
 
@@ -154,11 +154,11 @@ def test_energy_profile_edge_cases(cubic4):
     z = cubic4.species_index("z")
     start = frozenset({((1, 1, 1), z)})
     empty = ErrorPath.from_steps([])
-    assert energy_profile(cubic4, empty, start).counts == (1,)
+    assert energy_profile(cubic4, empty, start).counts.tolist() == [1]
     assert energy_profile(cubic4, empty, start).final_syndrome == start
     y = (QubitIndex((1, 2, 3), 1), "Y")
     prof = energy_profile(cubic4, ErrorPath.from_steps([y, y, y]), start)
-    assert prof.counts == tuple(len(s) for s in reference_syndromes(cubic4, [y, y, y], start))
+    assert prof.counts.tolist() == [len(s) for s in reference_syndromes(cubic4, [y, y, y], start)]
 
 
 @settings(max_examples=200)
@@ -212,7 +212,9 @@ def test_walker_reads_defects_modulo_L(name, L, data):
         for ks in data.draw(shift, label=f"names of {cube}:{s}")
     ]
     renamed = [name for _, name in names]
-    assert energy_profile(code, path, renamed) == energy_profile(code, path, initial)
+    by_name, by_generator = energy_profile(code, path, renamed), energy_profile(code, path, initial)
+    assert by_name.counts.tolist() == by_generator.counts.tolist()
+    assert by_name.final_syndrome == by_generator.final_syndrome
     assert syndrome_history(code, path, renamed).syndromes == syndrome_history(code, path, initial).syndromes
     for defect, name in names:
         assert (defect_after_each_step(code, path, name) == defect_after_each_step(code, path, defect)).all()
