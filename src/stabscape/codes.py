@@ -119,6 +119,15 @@ def registry_names() -> list[str]:
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
 
 
+# What a code's shape fixes, per (spec value, L) for the life of the process:
+# "rank" the stabilizer rank, an int s the read-only defects._BoxSolver of box
+# size s: about ((s + 1)^D * species)^2 bits of memberships, and a witness memo
+# (_solutions) that grows with every distinct pattern solved.  Only a process
+# that meets a shape again reads an entry back; a CLI job builds each once.
+# No value references a CodeInstance, so a code is freed as if it held none.
+_SHAPES: dict[tuple[CodeSpec, int], dict] = {}
+
+
 class CodeInstance:
     """A code spec instantiated on ``Z_L^D``: generators plus syndrome map.
 
@@ -150,8 +159,8 @@ class CodeInstance:
         self._syndrome_matrix: BitMatrix | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
         self._logical_basis: np.ndarray | None = None
+        # the views above, the logical basis and the coset space live as long as this code
         self._coset_space = None  # oracle.CosetSpace, built by oracle.coset_space
-        self._box_solvers: dict = {}  # defects._BoxSolver by effective box size
 
     # -- indexing -----------------------------------------------------------
 
@@ -319,7 +328,11 @@ class CodeInstance:
         return self._logical_basis
 
     def stabilizer_rank(self) -> int:
-        return len(self.stabilizer_matrix().independent_rows())
+        """One elimination per shape and process, kept in ``_SHAPES``."""
+        shape = _SHAPES.setdefault((self.spec, self.geometry.L), {})
+        if "rank" not in shape:
+            shape["rank"] = len(self.stabilizer_matrix().independent_rows())
+        return shape["rank"]
 
     @property
     def k(self) -> int:
@@ -347,9 +360,6 @@ class FrustrationReport:
     n_generators: int
     rank: int | None
     k: int | None
-
-    def __bool__(self) -> bool:
-        return self.commuting
 
 
 def build_code(spec: CodeSpec, L: int) -> CodeInstance:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import CodeInstance, Defect, InputError, SearchBudget, Syndrome
+from .codes import _SHAPES, CodeInstance, Defect, InputError, SearchBudget, Syndrome
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PAULI_CODE, PauliOperator
 
@@ -237,9 +237,6 @@ class NeutralityResult:
     reason: str
     placements_tried: int = 0
 
-    def __bool__(self) -> bool:
-        return self.neutral
-
 
 def _footprint_boxes(geometry: LatticeGeometry, cubes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least boxes covering the corner sites of padded cube sets ``(C, k, D)``
@@ -290,7 +287,7 @@ class _BoxSolver:
     """
 
     def __init__(self, code: CodeInstance, size: int):
-        g = self.geometry = code.geometry  # not the code: the code keeps this solver
+        g = self.geometry = code.geometry  # not the code: codes._SHAPES keeps this solver past it
         self.size = min(size, g.L)
         # Cube offsets -1..size-1 from the corner, row-major: the box's sites
         # are the offsets with no -1, and the box touches no other cube.
@@ -315,15 +312,16 @@ class _BoxSolver:
         flat = np.concatenate([np.searchsorted(rows, flipped) * width + cols, np.arange(nrows) * (width + 1) + ncols])
         reduced, pivots = gf2.BitMatrix(gf2.from_indices(flat, nrows * width).reshape(nrows, -1), ncols + nrows).rref()
         self._pivots = np.array([c for c in pivots if c < ncols], dtype=np.int64)
-        # row i's membership in every reduced row, packed and as an int, and in
-        # the left nullspace (the reduced rows past the rank), packed
-        self._combos = reduced.columns(np.arange(ncols, ncols + nrows)).words
-        self._memberships = list(gf2.to_ints(self._combos))
+        # row i's membership in every reduced row, as an int, and in the left
+        # nullspace (the reduced rows past the rank), packed
+        self._memberships = tuple(gf2.to_ints(reduced.columns(np.arange(ncols, ncols + nrows)).words))
         rank = len(self._pivots)
         self._null = gf2.from_ints([x >> rank for x in self._memberships], gf2.n_words(nrows - rank))
         # local row of the generator of each species on the cube at offset o - 1
         # from the corner, o in 0..size per axis
         self._row_at = np.searchsorted(rows, gens).reshape((self.size + 1,) * g.D + (code.n_species,))
+        for shared in (self._box, self._sites, self._subs, self._pivots, self._null, self._row_at):
+            shared.flags.writeable = False
         self._solutions: dict[tuple[int, ...], np.ndarray | None] = {}
 
     def local_rows(self, defects: Sequence[Defect], corners: np.ndarray) -> np.ndarray:
@@ -395,11 +393,12 @@ class _BoxSolver:
 
 
 def _box_solver(code: CodeInstance, size: int) -> _BoxSolver:
-    """The code's box solver at effective size ``min(size, L)``, built once."""
+    """The box solver at effective size ``min(size, L)``, built once per shape in ``codes._SHAPES``."""
     eff = min(size, code.geometry.L)
-    if eff not in code._box_solvers:
-        code._box_solvers[eff] = _BoxSolver(code, eff)
-    return code._box_solvers[eff]
+    shape = _SHAPES.setdefault((code.spec, code.geometry.L), {})
+    if eff not in shape:
+        shape[eff] = _BoxSolver(code, eff)
+    return shape[eff]
 
 
 def _cube_placements(geometry: LatticeGeometry, corner: Site, extents: Sequence[int], size: int) -> np.ndarray:

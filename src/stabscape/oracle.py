@@ -88,12 +88,6 @@ def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return eq
 
 
-def _index(fps: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fingerprints, states) sorted by fingerprint, equal ones in any order."""
-    order = np.argsort(fps)
-    return fps[order], states[order]
-
-
 def _merge(older: tuple[np.ndarray, np.ndarray], newer: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
     """Two indexes as one, an equal fingerprint's older entries first.  Each entry is
     scattered to its merged position: no sort, and no concatenated copy to sort."""
@@ -216,7 +210,9 @@ def _search_pass(space: CosetSpace, omega: int, goal: np.ndarray, budget: Search
         parent, move = (np.concatenate(c) for c in zip(*level))
         runs = seen = None
         new_states, new_fps = states[parent] ^ dstate[move], fps[parent] ^ dfp[move]
-        seen = _index(np.concatenate([fps, new_fps]), np.concatenate([states, new_states]))
+        seen_fps = np.concatenate([fps, new_fps])
+        order = np.argsort(seen_fps)  # equal fingerprints in any order
+        seen = seen_fps[order], np.concatenate([states, new_states])[order]
         states, fps = new_states, new_fps
         history.append((parent, move))
     return None, visited, False, peak

@@ -104,12 +104,17 @@ def walk_events(
     return np.concatenate([np.zeros_like(init), step + 1]), np.concatenate([init, gens])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyProfile:
-    """Defect counts along a path; the barrier is the profile maximum."""
+    """Defect counts along a path; the barrier is the profile maximum.
+    Profiles compare field by field and are unhashable."""
 
     counts: np.ndarray  # int64, one count per step 0..T
     final_syndrome: Syndrome
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, EnergyProfile) and np.array_equal(self.counts, other.counts)
+                and self.final_syndrome == other.final_syndrome)
 
     @property
     def barrier(self) -> int:
@@ -186,14 +191,6 @@ def _pyramid_offsets(p: int) -> np.ndarray:
     return offsets
 
 
-def _require_pyramid_level(code: CodeInstance, p: int) -> None:
-    _require_cubic(code)
-    if p < 0:
-        raise InputError(f"pyramid level must be non-negative, got {p}")
-    if 2**p > code.geometry.L:
-        raise InputError(f"level {p} pyramid does not fit on L={code.geometry.L}")
-
-
 def pyramid_operator(code: CodeInstance, p: int, u: Site) -> PauliOperator:
     """The recursive bit-flip operator creating a level-p pyramid from vacuum.
 
@@ -213,7 +210,11 @@ def pyramid_path(code: CodeInstance, p: int, u: Site) -> ErrorPath:
     ``2**p == L`` the far corners wrap onto the apex and cancel it at the
     two top-level completion points; see ``energy_profile`` tests).
     """
-    _require_pyramid_level(code, p)
+    _require_cubic(code)
+    if p < 0:
+        raise InputError(f"pyramid level must be non-negative, got {p}")
+    if 2**p > code.geometry.L:
+        raise InputError(f"level {p} pyramid does not fit on L={code.geometry.L}")
     sites = (np.asarray(u, dtype=np.int64) + _pyramid_offsets(p)) % code.geometry.L
     return ErrorPath(sites, np.zeros(len(sites), dtype=np.int64), np.full(len(sites), PAULI_CODE["X"]))
 

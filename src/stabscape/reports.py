@@ -66,18 +66,15 @@ class Report:
     def exit_code(self) -> int:
         return {PASS: 0, FAIL: 1, INDETERMINATE: 3}[self.status]
 
-    def as_dict(self) -> dict:
-        return {
+    def to_json_bytes(self) -> bytes:
+        return json.dumps({
             "schema_version": SCHEMA_VERSION,
             "subcommand": self.subcommand,
             "config": self.config,
             "status": self.status,
             "checks": [vars(c) for c in self.checks],
             "series_files": {name: f"{name}.csv" for name in sorted(self.series)},
-        }
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2).encode() + b"\n"
+        }, sort_keys=True, indent=2).encode() + b"\n"
 
 
 def config_hash(config: dict) -> str:

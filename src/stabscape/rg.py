@@ -37,10 +37,6 @@ class SyndromeHistory:
         """Maximum defect count over the whole history."""
         return max(len(s) for s in self.syndromes)
 
-    @property
-    def final(self) -> Syndrome:
-        return self.syndromes[-1]
-
 
 def syndrome_history(code: CodeInstance, path: ErrorPath, initial: Iterable[Defect] = ()) -> SyndromeHistory:
     """Per-step syndromes from the walker's events: each step toggles the

@@ -50,6 +50,24 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture(autouse=True)
+def _shape_store(request):
+    """For a test that requests ``monkeypatch``: put the per-process store of
+    ranks and box solvers (``codes._SHAPES``) back as it was, dropping every
+    entry and value the test added, so a solver or rank built under a patch
+    never reaches a later test.  No code holds an entry, so nothing else can
+    still read a dropped value."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    from stabscape import codes
+
+    before = {key: dict(entry) for key, entry in codes._SHAPES.items()}
+    yield
+    codes._SHAPES.clear()
+    codes._SHAPES.update(before)
+
+
 def random_operator(code, rng, max_terms=6):
     from stabscape.lattice import QubitIndex
     from stabscape.pauli import PauliOperator

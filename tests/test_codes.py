@@ -1,5 +1,6 @@
 """Code construction, the syndrome map, and its audited invariants."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -107,13 +108,53 @@ def test_stabilizer_rank_is_the_rref_rank(name, L):
     reads each row with column 0 as its lowest bit and the RREF with column 0
     as its highest, so their eliminations pivot in opposite orders."""
     code = get_code(name, L)
-    assert code.stabilizer_rank() == len(code.stabilizer_rref()[1])
+    forward = len(code.stabilizer_matrix().independent_rows())  # the stored rank may predate this code
+    assert code.stabilizer_rank() == forward == len(code.stabilizer_rref()[1])
 
 
 def test_stabilizer_rank_is_the_rref_rank_at_check_size():
     """The same on cubic1 L=8, the size that ``check`` audits in the benchmark."""
     code = get_code("cubic1", 8)
-    assert code.stabilizer_rank() == len(code.stabilizer_rref()[1])
+    forward = len(code.stabilizer_matrix().independent_rows())
+    assert code.stabilizer_rank() == forward == len(code.stabilizer_rref()[1])
+
+
+def test_a_second_check_reads_the_stored_rank(tmp_path, monkeypatch):
+    """The rank is kept per (spec, L) for the process: a second ``check`` of
+    cubic1 L=8 runs no rank elimination and reports the same rank and k."""
+    from stabscape import cli, codes
+
+    monkeypatch.delitem(codes._SHAPES, (registered_spec("cubic1"), 8), raising=False)
+    calls = []
+    independent_rows = gf2.BitMatrix.independent_rows
+    monkeypatch.setattr(gf2.BitMatrix, "independent_rows", lambda m: calls.append(m) or independent_rows(m))
+    measured = []
+    for run in ("first", "second"):
+        before = len(calls)
+        assert cli.main(["check", "--code", "cubic1", "--L", "8", "--out", str(tmp_path / run)]) == 0
+        [report] = (tmp_path / run).glob("check-*/report.json")
+        check = {c["name"]: c for c in json.loads(report.read_text())["checks"]}["pairwise_commutation"]
+        measured.append((len(calls) - before, check["measured"]["rank"]["value"], check["measured"]["k"]["value"]))
+    assert measured == [(1, 1024 - 30, 30), (0, 1024 - 30, 30)]
+
+
+def test_equal_specs_share_one_store_entry(monkeypatch):
+    """The store is keyed by the spec's value and L: two specs read from the
+    same JSON share an entry; a spec one template term away, or another L,
+    does not.  Entries appear on first use, not when a code is made."""
+    from stabscape import codes
+
+    monkeypatch.setattr(codes, "_SHAPES", {})
+    a, b = CodeSpec.from_dict(spec_dict("cubic1")), CodeSpec.from_dict(spec_dict("cubic1"))
+    edited = spec_dict("cubic1")
+    edited["species"][1]["labels"][0] = "XZ"
+    c = CodeSpec.from_dict(edited)
+    codes_made = [CodeInstance(s, L) for s, L in ((a, 4), (b, 4), (a, 5), (c, 4))]
+    assert a is not b and a == b and a != c and codes._SHAPES == {}
+    assert codes_made[0].stabilizer_rank() == 64 * 2 - 14
+    assert list(codes._SHAPES) == [(a, 4)] and (b, 4) in codes._SHAPES
+    assert [len(codes._SHAPES.get((s, L), ())) for s, L in ((b, 4), (a, 5), (c, 4))] == [1, 0, 0]
+    assert codes_made[1].stabilizer_rank() == codes._SHAPES[(a, 4)]["rank"] and len(codes._SHAPES) == 1
 
 
 def test_generator_syndromes_empty(cubic4, toric3, rep5):

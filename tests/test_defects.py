@@ -1,9 +1,11 @@
 """Cluster partitions, sparsity levels, neutrality, localization, segments."""
 
+import gc
 import itertools
 import time
+import weakref
 from functools import lru_cache
-from types import SimpleNamespace
+from types import FunctionType, ModuleType, SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,8 +32,8 @@ from conftest import (
     to_int,
     translate,
 )
-from stabscape import defects, get_code, gf2
-from stabscape.codes import InputError
+from stabscape import cli, codes, defects, get_code, gf2, registered_spec
+from stabscape.codes import CodeInstance, InputError
 from stabscape.defects import (
     _BoxSolver,
     _aspect_ratios,
@@ -660,7 +662,7 @@ def test_achievable_witness_at_corner_is_translated_origin_witness(case, corner,
     code = get_code(name, L)
     g = code.geometry
     solver = _box_solver(code, size)
-    nrows = len(solver._combos)
+    nrows = len(solver._memberships)
     rows = np.flatnonzero(np.random.default_rng(seed).random(nrows) < 0.4)
     corner = corner[: g.D]
     origin = solver.achievable_witness(rows, (0,) * g.D)
@@ -971,7 +973,7 @@ def test_admits_pattern_matches_kernel_walk(case, size, data):
     exactly where ``achievable_subsets`` yields one, on random local rows
     with absent anchors (-1) and repeated rows."""
     solver = _box_solver(code_for(*case), size)
-    row = st.integers(-1, len(solver._combos) - 1)
+    row = st.integers(-1, len(solver._memberships) - 1)
     sets = data.draw(st.lists(st.lists(row, max_size=10), min_size=1, max_size=6), label="sets")
     for s in sets:
         if s and data.draw(st.booleans(), label="repeat"):
@@ -1076,8 +1078,8 @@ def kernel_rows(draw, solver, dim):
     ``dim``: 1-3 seed rows with independent memberships, then one row per
     kernel dimension drawn from the rows whose memberships the seeds span
     (the seeds themselves among them), shuffled among absent anchors."""
-    order = draw(st.permutations(range(len(solver._combos))), label="order")
-    members = null_memberships(solver, np.arange(len(solver._combos)))
+    order = draw(st.permutations(range(len(solver._memberships))), label="order")
+    members = null_memberships(solver, np.arange(len(solver._memberships)))
     n_seeds = draw(st.integers(0 if dim == 0 else 1, 3), label="seeds")
     seeds = []
     for r in order:
@@ -1109,7 +1111,7 @@ def wide_cases(draw):
     subset table."""
     name, L, size = draw(st.sampled_from([("toric2d", 6, 3), ("toric3d", 3, 2), ("cubic1", 4, 2), ("cubic1", 4, 3)]))
     solver = _box_solver(code_for(name, L), size)
-    order = draw(st.permutations(range(len(solver._combos))))
+    order = draw(st.permutations(range(len(solver._memberships))))
     m = draw(st.integers(32, min(64, len(order))))
     rows = draw(st.permutations(list(order[:m]) + [-1] * draw(st.integers(0, 4))))
     return solver, np.array(rows, dtype=np.int64)
@@ -1131,3 +1133,69 @@ def test_achievable_subsets_walk_on_wide_boxes(case):
         assert solver.achievable(rows[[i for i in range(len(rows)) if bits >> i & 1]][None])[0]
     if dim <= 14:
         assert len(head) + sum(1 for _ in walk) == (1 << dim) - 1
+
+
+# -- the per-process store of box solvers ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
+@pytest.mark.parametrize("L", [3, 4])
+def test_stored_solver_equals_a_fresh_build(name, L):
+    """Every code of one shape reads one stored solver per box size, and it
+    holds what a fresh build holds, up to and past the wrapped size L."""
+    for size in range(1, 5):
+        stored, fresh = _box_solver(code_for(name, L), size), _BoxSolver(get_code(name, L), size)
+        assert _box_solver(get_code(name, L), size) is stored and stored.size == fresh.size == min(size, L)
+        assert stored._memberships == fresh._memberships
+        for attr in ("_pivots", "_null", "_row_at"):
+            assert np.array_equal(getattr(stored, attr), getattr(fresh, attr)), attr
+
+
+def test_shared_solver_arrays_reject_writes():
+    solver = _box_solver(code_for("cubic1", 4), 2)
+    for attr in ("_box", "_sites", "_subs", "_pivots", "_null", "_row_at"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(solver, attr)[...] = 0
+    assert isinstance(solver._memberships, tuple)
+
+
+def _reachable(root):
+    """Objects reachable from ``root`` by ``gc.get_referents``, not entering
+    classes, modules or functions (which reach every loaded module)."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        todo.extend(gc.get_referents(obj))
+
+
+def test_code_with_stored_rank_and_solver_is_freed():
+    """The store holds data fixed by a shape, never a code: a code whose rank
+    and box solver were built is freed, and no store value reaches a code."""
+    code = get_code("toric2d", 5)
+    assert code.stabilizer_rank() == 48 and _box_solver(code, 2) is codes._SHAPES[(code.spec, 5)][2]
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
+    reached = list(_reachable(codes._SHAPES))
+    assert any(isinstance(obj, _BoxSolver) for obj in reached)
+    assert not [obj for obj in reached if isinstance(obj, CodeInstance)]
+
+
+def test_a_second_tracked_rg_job_builds_no_box_solver(tmp_path, monkeypatch):
+    """Charged-cluster tracking reads the stored solver: a second tracked
+    ``rg`` job of one shape in a process builds none and reports the same."""
+    monkeypatch.delitem(codes._SHAPES, (registered_spec("cubic1"), 16), raising=False)
+    built = []
+    init = _BoxSolver.__init__
+    monkeypatch.setattr(_BoxSolver, "__init__", lambda self, code, size: built.append(size) or init(self, code, size))
+    argv = ["rg", "--code", "cubic1", "--L", "16", "--p", "3", "--track-level", "1", "--ltqo", "4", "--format", "json"]
+    reports = []
+    for run in ("first", "second"):
+        assert cli.main(argv + ["--out", str(tmp_path / run)]) == 0
+        reports.append(next((tmp_path / run).glob("rg-*/report.json")).read_bytes())
+    assert built == [4] and reports[0] == reports[1]  # the first job built the one solver

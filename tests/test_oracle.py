@@ -522,7 +522,8 @@ def test_run_merge_matches_the_sorted_concatenation(data):
     for entry; fingerprints drawn from four values collide all the time."""
     def index(label, offset):
         fps = np.array(data.draw(st.lists(st.integers(0, 3), max_size=12), label=label), dtype=np.uint64)
-        return oracle._index(fps, np.arange(offset, offset + 2 * len(fps), dtype=np.uint64).reshape(-1, 2))
+        order = np.argsort(fps)  # an index: sorted by fingerprint, as a search level builds one
+        return fps[order], np.arange(offset, offset + 2 * len(fps), dtype=np.uint64).reshape(-1, 2)[order]
 
     older, newer = index("older", 0), index("newer", 100)
     fps, states = (np.concatenate(pair) for pair in zip(older, newer))

@@ -35,6 +35,20 @@ def test_empty_path_profile(cubic4):
     assert prof.final_syndrome == frozenset()
 
 
+def test_profiles_compare_field_by_field(cubic4):
+    """``==`` on two profiles of a two-step path is True, not NumPy's
+    ambiguous-truth error; a profile differing in either field is unequal,
+    and profiles stay unhashable."""
+    path = ErrorPath.from_steps([(QubitIndex((1, 2, 3), 0), "X"), (QubitIndex((0, 0, 0), 1), "Z")])
+    prof = energy_profile(cubic4, path)
+    assert prof == energy_profile(cubic4, path) and not prof != energy_profile(cubic4, path)
+    assert prof != type(prof)(prof.counts[:-1], prof.final_syndrome)
+    assert prof != type(prof)(prof.counts, frozenset())
+    assert prof != prof.counts.tolist()
+    with pytest.raises(TypeError):
+        hash(prof)
+
+
 def test_double_bitflip_profile(cubic4):
     u = QubitIndex((1, 2, 3), 0)
     prof = energy_profile(cubic4, ErrorPath.from_steps([(u, "X"), (u, "X")]))

@@ -188,7 +188,7 @@ def test_track_toric_transport_violates_locking():
     g = code.geometry
     params = ScaleParams(alpha=1.0, ltqo=4)
     prep = [(QubitIndex((x, 0), 1), "X") for x in range(1, 17)]
-    start = syndrome_history(code, ErrorPath.from_steps(prep)).final
+    start = syndrome_history(code, ErrorPath.from_steps(prep)).syndromes[-1]
     move = [(QubitIndex((x, 0), 1), "X") for x in range(17, 20)]
     hist = syndrome_history(code, ErrorPath.from_steps(move), initial=start)
     worldlines, report = track_charged_clusters(code, hist.syndromes, 0, params)
