@@ -476,6 +476,15 @@ def run_check(config: dict, code: CodeInstance, report: Report) -> None:
         qubits = g.site_indices(sites) * g.q + subs
         return code.syndrome_words(*stacked_words(g, qubits, paulis, rows, count))
 
+    def moved(words: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Syndrome word rows with every defect of row r moved by ``deltas[r]``."""
+        rows, gens = gf2.nonzero_bits(words)
+        cubes, species = np.divmod(gens, code.n_species)
+        coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
+        width = words.shape[-1] * gf2.WORD_BITS
+        flat = rows * width + g.site_indices(coords + deltas[rows]) * code.n_species + species
+        return gf2.from_indices(flat, len(words) * width).reshape(words.shape)
+
     # rows 0-49 the a operators, 50-99 the b operators, 100-149 each pair's product
     rows, *factors = draw(100)
     s = syndromes(150, np.concatenate([rows, 100 + rows % 50]), *(np.concatenate([f, f]) for f in factors))
@@ -487,14 +496,7 @@ def run_check(config: dict, code: CodeInstance, report: Report) -> None:
     deltas = rng.integers(0, g.L, size=(20, g.D))
     s = syndromes(40, np.concatenate([rows, rows + 20]), np.concatenate([sites, sites + deltas[rows]]),
                   np.tile(subs, 2), np.tile(paulis, 2)).reshape(2, 20, -1)
-    # every defect of S[op], moved by its row's delta, against S[op moved by that delta]
-    rows, gens = gf2.nonzero_bits(s[0])
-    cubes, species = np.divmod(gens, code.n_species)
-    coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
-    moved = g.site_indices(coords + deltas[rows]) * code.n_species + species
-    width = s.shape[-1] * gf2.WORD_BITS
-    expected = gf2.from_indices(rows * width + moved, 20 * width).reshape(s[1].shape)
-    report.add_check("translation_covariance", PASS if (s[1] == expected).all() else FAIL)
+    report.add_check("translation_covariance", PASS if (s[1] == moved(s[0], deltas)).all() else FAIL)
 
     # The commutation audit already took every generator's syndrome.
     report.add_check("generator_syndromes_empty", PASS if frus.commuting else FAIL)
@@ -502,9 +504,8 @@ def run_check(config: dict, code: CodeInstance, report: Report) -> None:
     if config["code"] == "cubic1":
         sites = rng.integers(0, g.L, size=(20, 3))
         flips = syndromes(20, np.arange(20), sites, np.zeros(20, dtype=np.int64), np.full(20, PAULI_CODE["X"]))
-        ok = all(code.words_to_syndrome(row) == pyramid_syndrome(code, 0, apex_cube(code, u))
-                 for row, u in zip(flips, sites.tolist()))
-        report.add_check("bitflip_defect_pattern", PASS if ok else FAIL)
+        origin = code.syndrome_to_words(pyramid_syndrome(code, 0, apex_cube(code, (0, 0, 0))))  # an X flip at the origin
+        report.add_check("bitflip_defect_pattern", PASS if (flips == moved(np.tile(origin, (20, 1)), sites)).all() else FAIL)
 
 
 # Each subcommand's (summary, own option rows, runner); a flag that several

@@ -2,9 +2,9 @@
 
 A code is defined by per-species generator templates acting on the corners of
 one elementary cube; a :class:`CodeInstance` carries every translate on a
-given torus.  Generators and packed matrices are materialized lazily so that
-large lattices (where only template-local syndrome updates are needed) stay
-cheap, while desk-scale instances expose dense GF(2) views for solving.
+given torus.  Syndromes are template-local, so large lattices stay cheap; up
+to ``MAX_DENSE_QUBITS`` qubits a code builds on first use its dense GF(2) views:
+the stabilizer matrix, its RREF, its Pauli-type ``halves()`` and logical basis.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -156,10 +157,10 @@ class CodeInstance:
         self._flip_table = (flips.sum(axis=1), self._terms[order, 3:].reshape(-1, spec.D).T.copy(),
                             species[order].ravel())
         self._stabilizer_matrix: BitMatrix | None = None
-        self._syndrome_matrix: BitMatrix | None = None
+        self._halves: list[tuple[int, np.ndarray, BitMatrix, BitMatrix]] | None = None
         self._stab_rref: tuple[BitMatrix, list[int]] | None = None
         self._logical_basis: np.ndarray | None = None
-        # the views above, the logical basis and the coset space live as long as this code
+        # the views above, the halves, the logical basis and the coset space live as long as this code
         self._coset_space = None  # oracle.CosetSpace, built by oracle.coset_space
 
     # -- indexing -----------------------------------------------------------
@@ -273,38 +274,43 @@ class CodeInstance:
 
     # -- dense views ---------------------------------------------------------
 
-    def _require_dense(self) -> None:
-        if self.n_qubits > MAX_DENSE_QUBITS:
-            raise InputError(
-                f"{self.spec.name} L={self.geometry.L} has {self.n_qubits} qubits; "
-                f"dense GF(2) views are limited to {MAX_DENSE_QUBITS}"
-            )
-
-    def _term_matrix(self, x_column: int, z_column: int) -> BitMatrix:
-        """Every generator as a packed row of 2n columns, set by one scatter of
-        its template terms: a qubit's X bit goes to column ``x_column + qubit``
-        and its Z bit to ``z_column + qubit``; a Y term sets both."""
-        self._require_dense()
-        gens, qubits, paulis = self.generator_terms(np.arange(self.geometry.n_sites))
-        x, z = paulis & 1 == 1, paulis & 2 == 2
-        width = gf2.n_words(2 * self.n_qubits) * gf2.WORD_BITS
-        flat = np.concatenate([gens[x] * width + qubits[x] + x_column, gens[z] * width + qubits[z] + z_column])
-        words = gf2.from_indices(flat, self.n_generators * width).reshape(self.n_generators, -1)
-        return BitMatrix(words, 2 * self.n_qubits)
-
     def stabilizer_matrix(self) -> BitMatrix:
-        """Generators as packed (X-part || Z-part) rows."""
+        """Generators as packed (X-part || Z-part) rows, built on first use by
+        one scatter of their template terms; a Y term sets both parts."""
         if self._stabilizer_matrix is None:
-            self._stabilizer_matrix = self._term_matrix(0, self.n_qubits)
+            if self.n_qubits > MAX_DENSE_QUBITS:
+                raise InputError(f"{self.spec.name} L={self.geometry.L} has {self.n_qubits} qubits; "
+                                 f"dense GF(2) views are limited to {MAX_DENSE_QUBITS}")
+            gens, qubits, paulis = self.generator_terms(np.arange(self.geometry.n_sites))
+            x, z = paulis & 1 == 1, paulis & 2 == 2
+            width = gf2.n_words(2 * self.n_qubits) * gf2.WORD_BITS
+            flat = np.concatenate([gens[x] * width + qubits[x], gens[z] * width + qubits[z] + self.n_qubits])
+            words = gf2.from_indices(flat, self.n_generators * width).reshape(self.n_generators, -1)
+            self._stabilizer_matrix = BitMatrix(words, 2 * self.n_qubits)
         return self._stabilizer_matrix
 
-    def syndrome_matrix(self) -> BitMatrix:
-        """Linear syndrome map: row ``a`` dotted with an (X||Z) error vector
-        gives the flip indicator of generator ``a`` (symplectic pairing), so
-        it is the stabilizer matrix with its X and Z halves swapped."""
-        if self._syndrome_matrix is None:
-            self._syndrome_matrix = self._term_matrix(self.n_qubits, 0)
-        return self._syndrome_matrix
+    def halves(self) -> list[tuple[int, np.ndarray, BitMatrix, BitMatrix]]:
+        """The generators split by Pauli type, built on first use and kept on
+        the code, as ``(column, mask, rows, dual)`` per half: the generators in
+        ``mask`` as rows whose bit 0 is ``column`` of an (X||Z) row, and the
+        rows whose nullspace is the half's part of the centralizer.  A CSS code
+        (no species with both X and Z bits) has an X half at column 0 and a Z
+        half at column n, n columns wide, each the other's dual, either maybe
+        without generators; any other code has one half of (X||Z) rows, whose
+        dual is those rows with X and Z swapped."""
+        if self._halves is None:
+            n, stab = self.n_qubits, self.stabilizer_matrix()
+            kinds = np.zeros(self.n_species, dtype=np.int64)  # per species: has X bits | has Z bits << 1
+            np.bitwise_or.at(kinds, self._terms[:, 0], self._terms[:, 2])
+            xp, zp = gf2.split_halves(stab.words, n)
+            if (kinds == 3).any():
+                dual = gf2.from_ints([z | x << n for x, z in zip(gf2.to_ints(xp), gf2.to_ints(zp))], stab.words.shape[1])
+                self._halves = [(0, np.ones(self.n_generators, bool), stab, BitMatrix(dual, 2 * n))]
+            else:
+                x = (kinds == 1)[np.arange(self.n_generators) % self.n_species]
+                rows, dual = BitMatrix(xp[x], n), BitMatrix(zp[~x], n)
+                self._halves = [(0, x, rows, dual), (n, ~x, dual, rows)]
+        return self._halves
 
     def stabilizer_rref(self) -> tuple[BitMatrix, list[int]]:
         if self._stab_rref is None:
@@ -314,24 +320,28 @@ class CodeInstance:
     def logical_basis(self) -> np.ndarray:
         """The 2k centralizer rows independent modulo the stabilizers, as
         ``(2k, words(2n))`` (X||Z) word rows, built on first use and kept on
-        the code: each centralizer basis row that the stabilizers and the rows
-        before it do not span, by one forward elimination over the stabilizer
-        RREF stacked above them.  The label of a Pauli P is the vector of its
-        symplectic products with the rows: it is linear and zero on
-        stabilizers, and on the centralizer it is zero exactly on the
+        the code: per half, X half first, each row of the nullspace of its
+        dual that the stabilizer RREF rows pivoting in the half's columns (a
+        basis of its rows) and the rows before it do not span, by one forward
+        elimination, placed at the half's column.  The label of a Pauli P is
+        the vector of its symplectic products with the rows: it is linear and
+        zero on stabilizers, and on the centralizer it is zero exactly on the
         stabilizer group."""
         if self._logical_basis is None:
-            rref, _ = self.stabilizer_rref()
-            centralizer = gf2.nullspace(self.syndrome_matrix()).words
-            kept = np.asarray(gf2._echelon(chain(gf2.to_ints(rref.words), gf2.to_ints(centralizer)))[1], dtype=np.int64)
-            self._logical_basis = centralizer[kept[kept >= rref.nrows] - rref.nrows]
+            (rref, pivots), basis = self.stabilizer_rref(), []
+            for column, _, _, dual in self.halves():
+                lo, hi = bisect_left(pivots, column), bisect_left(pivots, column + dual.ncols)  # the half's RREF rows
+                centralizer = list(gf2.to_ints(gf2.nullspace(dual).words))
+                kept = gf2._echelon(chain((r >> column for r in gf2.to_ints(rref.words[lo:hi])), centralizer))[1]
+                basis += [centralizer[i - hi + lo] << column for i in kept if i >= hi - lo]
+            self._logical_basis = gf2.from_ints(basis, gf2.n_words(2 * self.n_qubits))
         return self._logical_basis
 
     def stabilizer_rank(self) -> int:
-        """One elimination per shape and process, kept in ``_SHAPES``."""
+        """One elimination per half, per shape and process, kept in ``_SHAPES``."""
         shape = _SHAPES.setdefault((self.spec, self.geometry.L), {})
         if "rank" not in shape:
-            shape["rank"] = len(self.stabilizer_matrix().independent_rows())
+            shape["rank"] = sum(len(rows.independent_rows()) for _, _, rows, _ in self.halves())
         return shape["rank"]
 
     @property
@@ -341,13 +351,6 @@ class CodeInstance:
 
     def in_stabilizer_group(self, op: PauliOperator) -> bool:
         return not gf2.reduce_by_rref(*self.stabilizer_rref(), op.symplectic()).any()
-
-    def is_classical_z(self) -> bool:
-        """True when every generator is diagonal (pure Z labels)."""
-        return bool((self._terms[:, 2] == PAULI_CODE["Z"]).all())
-
-    def is_classical_x(self) -> bool:
-        return bool((self._terms[:, 2] == PAULI_CODE["X"]).all())
 
 
 @dataclass

@@ -143,18 +143,12 @@ class BitMatrix:
     def columns(self, cols) -> "BitMatrix":
         """Column gather: row ``i`` of the result is column ``cols[i]``, over
         ``nrows`` bits; columns may repeat and come in any order.  Each set
-        bit is scattered to every place its column takes in ``cols``, so the
-        cost is the matrix's support, not its area."""
-        cols = np.asarray(cols, dtype=np.int64)
-        order = np.argsort(cols)
-        places = np.bincount(cols, minlength=self.words.shape[1] * WORD_BITS)
+        bit is scattered once into the transpose, whose rows ``cols`` picks,
+        so the cost is the matrix's support plus the result's size."""
         row, bit = nonzero_bits(self.words)
-        # a set bit's places in cols are order[lo .. lo + count - 1]
-        count, lo = places[bit], (np.cumsum(places) - places)[bit]
-        at = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
-        nw = n_words(self.nrows)
-        words = from_indices(at * (nw * WORD_BITS) + np.repeat(row, count), len(cols) * nw * WORD_BITS)
-        return BitMatrix(words.reshape(len(cols), nw), self.nrows)
+        nw, width = n_words(self.nrows), self.words.shape[1] * WORD_BITS
+        transpose = from_indices(bit * (nw * WORD_BITS) + row, width * nw * WORD_BITS).reshape(width, nw)
+        return BitMatrix(transpose[np.asarray(cols, dtype=np.int64)], self.nrows)
 
     def independent_rows(self) -> list[int]:
         """Indices of the rows that the rows before them do not span, in order."""

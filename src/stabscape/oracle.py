@@ -271,7 +271,7 @@ def min_barrier_cluster(code: CodeInstance, syndrome, budget: SearchBudget | Non
     budget = budget or SearchBudget()
     syndrome = code.defect_set(syndrome)
     target_vec = code.syndrome_to_words(syndrome)
-    if gf2.gf2_solve(code.syndrome_matrix(), target_vec) is None:
+    if gf2.gf2_solve(code.stabilizer_matrix(), target_vec) is None:  # the syndrome map's column span
         return BarrierResult(None, None, 0, "unreachable")
     return _deepening_search(code, target_vec, len(syndrome), budget)
 
@@ -296,16 +296,17 @@ def code_distance(code: CodeInstance, budget: SearchBudget | None = None) -> Dis
     Enumerates logical classes times the stabilizer subgroup exactly when the
     budget allows, in blocks of (class, stabilizer) pairs over the X and Z
     halves of two subset-XOR tables; the witness is the first lightest pair.
-    For classical instances (all generators diagonal) the purely diagonal
-    classes act trivially on the classical ground states and are skipped, so
-    the reported distance is the state-changing one.
+    For classical instances (a half of ``code.halves()`` without generators)
+    the classes without that half's Pauli type act trivially on the ground
+    states and are skipped, so the reported distance is the state-changing one.
     """
     budget = budget or SearchBudget()
     n = code.n_qubits
     reps = code.logical_basis()
     stab_basis = code.stabilizer_rref()[0].words
+    empty = [column for column, mask, _, _ in code.halves() if not mask.any()]
     def skipped(xs, zs):  # classes that act trivially on a classical code's ground states
-        return (code.is_classical_z() & ~xs.any(axis=1)) | (code.is_classical_x() & ~zs.any(axis=1))
+        return ((0 in empty) & ~xs.any(axis=1)) | ((n in empty) & ~zs.any(axis=1))
     x, z = gf2.split_halves(reps, n)
     kept = ~skipped(x, z)  # the kept class generators bound d, should the budget cut the enumeration
     d_upper = int(np.bitwise_count(x[kept] | z[kept]).sum(axis=1).min()) if kept.any() else None

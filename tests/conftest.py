@@ -40,6 +40,11 @@ def rep5():
     return get_code("rep1d", 5)
 
 
+# A non-CSS test-only code: every generator mixes X and Z (the XZZX surface code).
+XZZX_SPEC = {"name": "xzzx", "D": 2, "q": 1,
+             "species": [{"offsets": [[0, 0], [1, 0], [0, 1], [1, 1]], "labels": ["X", "Z", "Z", "X"]}]}
+
+
 def spec_dict(name):
     """A shipped code spec as the JSON object it is stored as."""
     return json.loads(resources.files("stabscape.specs").joinpath(f"{name}.json").read_text())
@@ -378,12 +383,37 @@ def reference_nullspace(mat):
     return from_bool_array(basis)
 
 
+def reference_syndrome_matrix(code):
+    """The syndrome map as a matrix: ``stabilizer_matrix()`` with its X and Z
+    halves swapped, so row ``a`` dotted with an (X||Z) error vector is the
+    flip of generator ``a`` (the symplectic pairing)."""
+    return from_bool_array(np.roll(to_bool_array(code.stabilizer_matrix()), code.n_qubits, axis=1))
+
+
+def reference_reachable(code, words):
+    """Whether some Pauli has the syndrome ``words``: ``gf2_solve`` on the
+    syndrome map (``reference_syndrome_matrix``) has a solution."""
+    from stabscape import gf2
+
+    return gf2.gf2_solve(reference_syndrome_matrix(code), words) is not None
+
+
+def reference_classical(code):
+    """``(every generator pure Z, every generator pure X)``, read off the
+    stabilizer matrix's bits."""
+    bits = to_bool_array(code.stabilizer_matrix())
+    n = code.n_qubits
+    return not bits[:, :n].any(), not bits[:, n:].any()
+
+
 def reference_logical_basis(code):
-    """``CodeInstance.logical_basis`` over ``reference_nullspace``."""
+    """The retired ``CodeInstance.logical_basis``, over ``reference_nullspace``
+    of ``reference_syndrome_matrix``: the centralizer rows independent of the
+    stabilizer RREF stacked above them."""
     from stabscape.gf2 import BitMatrix
 
     rref, _ = code.stabilizer_rref()
-    centralizer = reference_nullspace(code.syndrome_matrix())
+    centralizer = reference_nullspace(reference_syndrome_matrix(code))
     kept = np.asarray(BitMatrix(np.vstack([rref.words, centralizer.words]), 2 * code.n_qubits)
                       .independent_rows(), dtype=np.int64)
     return centralizer.words[kept[kept >= rref.nrows] - rref.nrows]

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabscape import build_code, check_frustration_free, get_code, registered_spec, registry_names
+from stabscape import build_code, check_frustration_free, get_code, min_barrier_cluster, registered_spec, registry_names
 from stabscape import gf2
 from stabscape.codes import (
     CodeConstructionError,
     CodeInstance,
     CodeSpec,
     InputError,
+    SearchBudget,
     SpeciesTemplate,
     commutation_witness,
 )
@@ -23,6 +24,7 @@ from stabscape.pauli import PauliOperator
 from stabscape.paths import apex_cube
 
 from conftest import (
+    XZZX_SPEC,
     from_bool,
     from_bool_array,
     parities_with,
@@ -31,8 +33,10 @@ from conftest import (
     reference_generator,
     reference_gram_witness,
     reference_logical_basis,
+    reference_reachable,
     reference_restricted_matrix,
     reference_stabilizer_words,
+    reference_syndrome_matrix,
     single_paulis_anticommute,
     spec_dict,
     to_bool,
@@ -125,6 +129,7 @@ def test_a_second_check_reads_the_stored_rank(tmp_path, monkeypatch):
     from stabscape import cli, codes
 
     monkeypatch.delitem(codes._SHAPES, (registered_spec("cubic1"), 8), raising=False)
+    halves = len(get_code("cubic1", 8).halves())  # one elimination per half
     calls = []
     independent_rows = gf2.BitMatrix.independent_rows
     monkeypatch.setattr(gf2.BitMatrix, "independent_rows", lambda m: calls.append(m) or independent_rows(m))
@@ -135,7 +140,7 @@ def test_a_second_check_reads_the_stored_rank(tmp_path, monkeypatch):
         [report] = (tmp_path / run).glob("check-*/report.json")
         check = {c["name"]: c for c in json.loads(report.read_text())["checks"]}["pairwise_commutation"]
         measured.append((len(calls) - before, check["measured"]["rank"]["value"], check["measured"]["k"]["value"]))
-    assert measured == [(1, 1024 - 30, 30), (0, 1024 - 30, 30)]
+    assert halves == 2 and measured == [(halves, 1024 - 30, 30), (0, 1024 - 30, 30)]
 
 
 def test_equal_specs_share_one_store_entry(monkeypatch):
@@ -215,7 +220,7 @@ def test_single_qubit_patterns_translation_invariant(cubic4):
 
 
 def test_syndrome_matrix_agrees_with_template_path(cubic4, rng):
-    mat = cubic4.syndrome_matrix()
+    mat = reference_syndrome_matrix(cubic4)
     for _ in range(20):
         op = random_operator(cubic4, rng)
         bits = parities_with(mat, op.symplectic())
@@ -231,7 +236,7 @@ def test_restricted_matrix_agrees_with_dense(toric4, rng):
     g = toric4.geometry
     sites = g.box_sites((1, 1), 2)
     sub, qubits, gen_rows = reference_restricted_matrix(toric4, sites)
-    dense = to_bool_array(toric4.syndrome_matrix())
+    dense = to_bool_array(reference_syndrome_matrix(toric4))
     nq = len(qubits)
     for r, gi in enumerate(gen_rows):
         # column layout: X-parts then Z-parts of the region's qubits, and a
@@ -250,10 +255,16 @@ def test_stabilizer_membership(cubic4):
     assert not cubic4.in_stabilizer_group(xierr)
 
 
-def test_classical_detection(rep5, toric3):
-    assert rep5.is_classical_z()
-    assert not toric3.is_classical_z()
-    assert not toric3.is_classical_x()
+def test_classical_detection(rep5):
+    """rep1d's X half has no generators, toric3d has two halves with
+    generators, and XZZX has one mixed half over 2n columns."""
+    (x_column, x_mask, x_rows, _), (z_column, z_mask, z_rows, _) = rep5.halves()
+    assert (x_column, z_column) == (0, rep5.n_qubits)
+    assert not x_mask.any() and x_rows.nrows == 0 and z_mask.all()
+    assert all(mask.any() for _, mask, _, _ in get_code("toric3d", 3).halves())
+    xzzx = build_code(CodeSpec.from_dict(XZZX_SPEC), 4)
+    [(column, mask, rows, _)] = xzzx.halves()
+    assert column == 0 and mask.all() and rows.ncols == 2 * xzzx.n_qubits
 
 
 ANTICOMMUTING_SPEC = {
@@ -277,13 +288,13 @@ def test_dense_matrices_match_per_generator_loop(name, L):
     gens = [reference_generator(code, *code.generator_at(i)) for i in range(code.n_generators)]
     stab = reference_stabilizer_words(code)
     assert np.array_equal(stab, np.array([gen.symplectic() for gen in gens]))
-    assert code.stabilizer_matrix().ncols == code.syndrome_matrix().ncols == 2 * n
+    assert code.stabilizer_matrix().ncols == reference_syndrome_matrix(code).ncols == 2 * n
     assert code.stabilizer_matrix().words.tobytes() == stab.tobytes()
     swapped = []
     for row in stab:
         bits = to_bool(row, 2 * n)
         swapped.append(from_bool(np.concatenate([bits[n:], bits[:n]])))
-    assert np.array_equal(code.syndrome_matrix().words, np.array(swapped))
+    assert np.array_equal(reference_syndrome_matrix(code).words, np.array(swapped))
     for i, gen in enumerate(gens):
         assert code.generator(*code.generator_at(i)) == gen
 
@@ -349,7 +360,7 @@ def test_commutation_audit_matches_dense_gram(name, L, edits):
 
 @lru_cache(maxsize=None)
 def label_code(name, L):
-    return get_code(name, L)
+    return build_code(CodeSpec.from_dict(XZZX_SPEC), L) if name == "xzzx" else get_code(name, L)
 
 
 def symplectic_products(a, b, n):
@@ -359,7 +370,7 @@ def symplectic_products(a, b, n):
     return bits[0] @ np.roll(bits[1], n, axis=1).T % 2
 
 
-@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
+@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1", "xzzx"])
 @pytest.mark.parametrize("L", [2, 3, 4])
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -375,7 +386,7 @@ def test_logical_labels_vanish_exactly_on_the_stabilizer_group(name, L, seed):
     gram = symplectic_products(basis, basis, n)
     assert rank(from_bool_array(gram)) == 2 * code.k
     rng = np.random.default_rng(seed)
-    stabs, centralizer = code.stabilizer_matrix().words, gf2.nullspace(code.syndrome_matrix()).words
+    stabs, centralizer = code.stabilizer_matrix().words, gf2.nullspace(reference_syndrome_matrix(code)).words
     for _ in range(8):
         vec = np.bitwise_xor.reduce(stabs[rng.random(len(stabs)) < 0.5], axis=0, initial=0)
         if rng.random() < 0.5:
@@ -390,7 +401,7 @@ def bool_logical_basis(name, L):
     return reference_logical_basis(label_code(name, L))
 
 
-@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1"])
+@pytest.mark.parametrize("name", ["rep1d", "toric2d", "toric3d", "cubic1", "xzzx"])
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 @settings(max_examples=5)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -412,6 +423,35 @@ def test_logical_basis_matches_bool_reference(name, L, seed):
         vec = np.bitwise_xor.reduce(np.vstack([a, stabs])[rng.random(len(a) + len(stabs)) < 0.5], axis=0, initial=0)
         assert not gf2.reduce_by_rref(*with_stabs(b).rref(), vec).any()
     assert np.array_equal(new, old)
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(["rep1d", "toric2d", "toric3d", "cubic1", "xzzx"]), L=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_halves_split_the_stabilizer_matrix(name, L, seed):
+    """The halves partition the generators; each half's rows, placed at its
+    column, are its generators' rows of ``stabilizer_matrix()``, so together
+    they span its row space, and their ranks sum to its dense rank.  A random
+    syndrome is ``unreachable`` for ``min_barrier_cluster`` exactly when the
+    reference solve on the syndrome map has no solution."""
+    code = label_code(name, L)
+    n, stab = code.n_qubits, code.stabilizer_matrix()
+    halves = code.halves()
+    assert (sum(mask.astype(int) for _, mask, _, _ in halves) == 1).all()
+    placed = []
+    for column, mask, rows, _ in halves:
+        assert rows.nrows == mask.sum() and rows.ncols == (n if len(halves) == 2 else 2 * n)
+        placed.append(gf2.from_ints([r << column for r in gf2.to_ints(rows.words)], stab.words.shape[1]))
+        assert np.array_equal(placed[-1], stab.words[mask])
+    together = gf2.BitMatrix(np.vstack(placed), 2 * n)
+    assert rank(together) == rank(stab) == rank(gf2.BitMatrix(np.vstack([together.words, stab.words]), 2 * n))
+    assert sum(rank(rows) for _, _, rows, _ in halves) == rank(stab) == code.stabilizer_rank()
+    rng = np.random.default_rng(seed)
+    syndrome = code.generators_at(np.flatnonzero(rng.random(code.n_generators) < rng.random()))
+    if rng.random() < 0.5:  # a reachable one
+        syndrome = code.syndrome_of(random_operator(code, rng))
+    result = min_barrier_cluster(code, syndrome, SearchBudget(omega_max=0))
+    assert (result.status == "unreachable") == (not reference_reachable(code, code.syndrome_to_words(syndrome)))
 
 
 def test_defect_set_reads_cubes_modulo_L_and_rejects_unknown_species(toric3):

@@ -29,7 +29,7 @@ from stabscape.oracle import (
 from stabscape.pauli import PauliOperator
 from stabscape.paths import ErrorPath, energy_profile, pyramid_operator
 
-from conftest import canonicalize, random_operator, to_int
+from conftest import canonicalize, random_operator, reference_classical, reference_syndrome_matrix, to_int
 
 # Frozen by exhaustive enumeration on first run (see test below): the L=2
 # cubic instance has a weight-2 logical, and the level-1 pyramid class has
@@ -205,7 +205,7 @@ def test_distance_budget_exhausted(toric3):
 def reference_class_reps(code):
     """Greedy residue loop: a centralizer row is kept when its residue modulo
     the stabilizers does not reduce to zero against the kept residues."""
-    centralizer = gf2.nullspace(code.syndrome_matrix())
+    centralizer = gf2.nullspace(reference_syndrome_matrix(code))
     rref, pivots = code.stabilizer_rref()
     by_high, reps = {}, []
     for row in centralizer.words:
@@ -234,7 +234,8 @@ def reference_distance(code, state_cap):
     n = code.n_qubits
     mask = (1 << n) - 1
     weight = lambda v: ((v & mask) | (v >> n)).bit_count()
-    skip = lambda v: (code.is_classical_z() and v & mask == 0) or (code.is_classical_x() and v >> n == 0)
+    classical_z, classical_x = reference_classical(code)
+    skip = lambda v: (classical_z and v & mask == 0) or (classical_x and v >> n == 0)
     reps = reference_class_reps(code)
     stab_basis = [to_int(row) for row in code.stabilizer_rref()[0].words]
     if (1 << len(reps)) * (1 << len(stab_basis)) > state_cap:
