@@ -1,8 +1,9 @@
 """Batch experiment runner: every analysis as a subcommand with reproducible
 configs and machine-readable reports.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad input (a flag, config
-or input file the analyses do not accept; --sweep checks --L too), 3 a search
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad input: a flag, config
+or input file that argparse rejects or that raises InputError or
+CodeConstructionError, here or in the library (--sweep checks --L too), 3 a search
 cut off by its budget or a string scan with no anchor pair (indeterminate, not
 a failure), 4 internal error (any other exception, such as a failed self-audit).
 """
@@ -102,21 +103,24 @@ def resolve_config(args: argparse.Namespace) -> dict:
     every value, whatever the subcommand, to its flag's least value."""
     config = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_conf = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_conf = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable or malformed
+            raise InputError(f"config file: {exc}") from None
         if not isinstance(file_conf, dict):
-            raise SystemExit("config file must hold a JSON object")
+            raise InputError("config file must hold a JSON object")
         if unknown := sorted(set(file_conf) - set(DEFAULTS)):
-            raise SystemExit(f"unknown config keys: {unknown}")
+            raise InputError(f"unknown config keys: {unknown}")
         for key, val in file_conf.items():
             _, typ, default, _, _ = OPTIONS[key]
             if val is None and default is None:
                 continue  # null leaves a key without a default unset
             kind = str if isinstance(typ, tuple) else typ
             if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
-                raise SystemExit(f"config key {key!r} must be {kind.__name__}, got {val!r}")
+                raise InputError(f"config key {key!r} must be {kind.__name__}, got {val!r}")
             if isinstance(typ, tuple) and val not in typ:
-                raise SystemExit(f"config key {key!r}: unknown {key} {val!r}")
+                raise InputError(f"config key {key!r}: unknown {key} {val!r}")
         config.update(file_conf)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -125,7 +129,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, (flag, _, _, least, _) in OPTIONS.items():
         # a chained `not least <= v < inf` rather than `v < least`, so that NaN and infinity fail too
         if least is not None and config[key] is not None and not least <= config[key] < math.inf:
-            raise SystemExit(f"{flag} must be at least {least}")
+            raise InputError(f"{flag} must be at least {least}")
     config["subcommand"] = args.subcommand
     return config
 
@@ -135,13 +139,13 @@ def _ints(text, flag: str) -> list[int]:
     try:
         return [int(c) for c in str(text).split(",")]
     except ValueError:
-        raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}") from None
+        raise InputError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _parse_site(text: str, D: int) -> tuple[int, ...]:
     parts = _ints(text, "a site")
     if len(parts) != D:
-        raise SystemExit(f"expected {D} coordinates, got {text!r}")
+        raise InputError(f"expected {D} coordinates, got {text!r}")
     return tuple(parts)
 
 
@@ -153,7 +157,7 @@ def parse_operator(code: CodeInstance, text: str) -> PauliOperator:
         label, _, coords = text.partition("@")
         site = _parse_site(coords, g.D)
         if len(label) != g.q or any(c not in "IXYZ" for c in label):
-            raise SystemExit(f"label {label!r} must be {g.q} Pauli characters")
+            raise InputError(f"label {label!r} must be {g.q} Pauli characters")
         terms = [(QubitIndex(site, sub), p) for sub, p in enumerate(label) if p != "I"]
         return PauliOperator.from_terms(g, terms)
     return ErrorPath.from_lines(_read_lines(text, "operator file"), g.D, g.q).product(code)
@@ -164,9 +168,9 @@ def _read_lines(text: str, what: str) -> list[str]:
     try:
         return Path(text).read_text().splitlines()
     except FileNotFoundError:
-        raise SystemExit(f"{what} {text!r} not found") from None
+        raise InputError(f"{what} {text!r} not found") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"{what} {text!r} is unreadable: {exc}") from None
+        raise InputError(f"{what} {text!r} is unreadable: {exc}") from None
 
 
 def _default_u(config: dict, code: CodeInstance) -> tuple[int, ...]:
@@ -180,7 +184,7 @@ def _default_u(config: dict, code: CodeInstance) -> tuple[int, ...]:
 
 def run_syndrome(config: dict, code: CodeInstance, report: Report) -> None:
     if not config["op"]:
-        raise SystemExit("syndrome requires --op")
+        raise InputError("syndrome requires --op")
     op = parse_operator(code, config["op"])
     syndrome = sorted(code.syndrome_of(op))
     rows = [(*cube, code.species_name(s)) for cube, s in syndrome]
@@ -203,7 +207,7 @@ def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
     if p is None:
         p = config["L"].bit_length() - 1
         if 2**p != config["L"]:
-            raise SystemExit("pyramid needs --p when L is not a power of two")
+            raise InputError("pyramid needs --p when L is not a power of two")
     u = _default_u(config, code)
     path = pyramid_path(code, p, u)
     op = path.product(code)
@@ -255,7 +259,7 @@ def _run_pyramid_sweep(config: dict, report: Report) -> None:
     for L in _ints(config["sweep"], "--sweep"):
         n = L.bit_length() - 1
         if 2**n != L:
-            raise SystemExit(f"sweep sizes must be powers of two, got {L}")
+            raise InputError(f"sweep sizes must be powers of two, got {L}")
         code = get_code(config["code"], L)
         path = pyramid_path(code, n, (0,) * 3)
         profile = energy_profile(code, path)
@@ -274,7 +278,7 @@ def _run_pyramid_sweep(config: dict, report: Report) -> None:
 def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
     text = config["target"]
     if not text:
-        raise SystemExit("barrier requires --target")
+        raise InputError("barrier requires --target")
     if text == "all-x":
         g = code.geometry
         terms = [(g.qubit_at(j), "X") for j in range(g.n_qubits)]
@@ -282,7 +286,7 @@ def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
     if text.startswith("pyramid:"):
         level = text.split(":", 1)[1]
         if not level.isdecimal():
-            raise SystemExit(f"--target pyramid:P takes a non-negative integer P, got {level!r}")
+            raise InputError(f"--target pyramid:P takes a non-negative integer P, got {level!r}")
         return pyramid_operator(code, int(level), _default_u(config, code))
     return parse_operator(code, text)
 
@@ -333,7 +337,7 @@ def run_rg(config: dict, code: CodeInstance, report: Report) -> None:
     elif config["p"] is not None:
         path = pyramid_path(code, config["p"], _default_u(config, code))
     else:
-        raise SystemExit("rg requires --p or --path")
+        raise InputError("rg requires --p or --path")
     history = syndrome_history(code, path)
     analysis = level_histories(code, history, params)
     rows = [
@@ -410,7 +414,7 @@ def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
         sites = pyramid_operator(code, config["p"], _default_u(config, code)).support_coords()
         default_scales = [2**j for j in range(max(config["p"], 3))]
     else:
-        raise SystemExit("fractal requires --p or --op")
+        raise InputError("fractal requires --p or --op")
     if config["scales"]:
         scales = _ints(config["scales"], "--scales")
     else:
@@ -481,9 +485,8 @@ def run_check(config: dict, code: CodeInstance, report: Report) -> None:
         rows, gens = gf2.nonzero_bits(words)
         cubes, species = np.divmod(gens, code.n_species)
         coords = np.array(np.unravel_index(cubes, (g.L,) * g.D)).T
-        width = words.shape[-1] * gf2.WORD_BITS
-        flat = rows * width + g.site_indices(coords + deltas[rows]) * code.n_species + species
-        return gf2.from_indices(flat, len(words) * width).reshape(words.shape)
+        gens = g.site_indices(coords + deltas[rows]) * code.n_species + species
+        return gf2.from_bits(rows, gens, len(words), code.n_generators)
 
     # rows 0-49 the a operators, 50-99 the b operators, 100-149 each pair's product
     rows, *factors = draw(100)
@@ -550,28 +553,17 @@ DEFAULTS = {key: default for key, (_, _, default, _, _) in OPTIONS.items()}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return 0 if exc.code == 0 else USAGE_ERROR
-        print(exc.code, file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, ValueError) as exc:  # unreadable or malformed config file
-        print(f"error: config file: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
         report = Report(args.subcommand, config)
         SUBCOMMANDS[args.subcommand][2](config, get_code(config["code"], config["L"]), report)
         # Output destination and format are I/O plumbing, not experiment
         # parameters: identical experiments yield byte-identical reports.
         report.config = {k: v for k, v in report.config.items() if k not in ("out", "format", "config")}
         written = emit(report, config["out"], config["format"])
-    except SystemExit as exc:
-        print(exc.code, file=sys.stderr)
-        return USAGE_ERROR
+    except SystemExit as exc:  # argparse's own exit: 0 after --help, 2 for a flag it rejects
+        return 0 if exc.code == 0 else USAGE_ERROR
     except (InputError, CodeConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -246,12 +246,7 @@ class CodeInstance:
         # a Y term is its X and Z parts
         paulis = np.repeat([PAULI_CODE["X"], PAULI_CODE["Z"]], [len(xq), len(zq)])
         step, gens = self.qubit_flip_events(np.concatenate([xq, zq]), paulis)
-        nw = gf2.n_words(self.n_generators)
-        # row r's generator j is bit r * width + j of one flat vector
-        flat = np.concatenate([xrow, zrow])[step]
-        flat *= nw * gf2.WORD_BITS
-        flat += gens
-        return gf2.from_indices(flat, len(xwords) * nw * gf2.WORD_BITS, parity=True).reshape(len(xwords), nw)
+        return gf2.from_bits(np.concatenate([xrow, zrow])[step], gens, len(xwords), self.n_generators, parity=True)
 
     def syndrome_of(self, op: PauliOperator) -> Syndrome:
         """Defects of one operator (``syndrome_words`` of a one-row batch)."""
@@ -283,9 +278,8 @@ class CodeInstance:
                                  f"dense GF(2) views are limited to {MAX_DENSE_QUBITS}")
             gens, qubits, paulis = self.generator_terms(np.arange(self.geometry.n_sites))
             x, z = paulis & 1 == 1, paulis & 2 == 2
-            width = gf2.n_words(2 * self.n_qubits) * gf2.WORD_BITS
-            flat = np.concatenate([gens[x] * width + qubits[x], gens[z] * width + qubits[z] + self.n_qubits])
-            words = gf2.from_indices(flat, self.n_generators * width).reshape(self.n_generators, -1)
+            rows, bits = np.concatenate([gens[x], gens[z]]), np.concatenate([qubits[x], qubits[z] + self.n_qubits])
+            words = gf2.from_bits(rows, bits, self.n_generators, 2 * self.n_qubits)
             self._stabilizer_matrix = BitMatrix(words, 2 * self.n_qubits)
         return self._stabilizer_matrix
 

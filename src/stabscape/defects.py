@@ -252,12 +252,6 @@ def _footprint_boxes(geometry: LatticeGeometry, cubes: np.ndarray) -> tuple[np.n
     return ends[np.arange(len(after))[:, None], after, np.arange(after.shape[1])] % L, L + 1 - gaps.max(axis=1)
 
 
-def _footprint_box(geometry: LatticeGeometry, cubes: Iterable[Site]) -> tuple[Site, tuple[int, ...]]:
-    """Footprint box of one nonempty cube set (``_footprint_boxes``)."""
-    corners, extents = _footprint_boxes(geometry, next(_padded_blocks([list(cubes)]))[1])
-    return tuple(corners[0].tolist()), tuple(extents[0].tolist())
-
-
 def _single_qubit_witness(code: CodeInstance, site_ids: np.ndarray, target: Syndrome) -> PauliOperator | None:
     """The first single-qubit Pauli (site, sub, then X, Z, Y) on the given
     flat site ids whose flips are exactly the nonempty ``target``, or None."""
@@ -308,9 +302,9 @@ class _BoxSolver:
         # part of reduced row j lists the matrix rows that sum to it.  Reduced
         # rows past the rank span the left nullspace; the rest give the pivot
         # values of gf2_solve's solution, which is unique because the RREF is.
-        width = gf2.n_words(ncols + nrows) * gf2.WORD_BITS
-        flat = np.concatenate([np.searchsorted(rows, flipped) * width + cols, np.arange(nrows) * (width + 1) + ncols])
-        reduced, pivots = gf2.BitMatrix(gf2.from_indices(flat, nrows * width).reshape(nrows, -1), ncols + nrows).rref()
+        matrix = gf2.from_bits(np.concatenate([np.searchsorted(rows, flipped), np.arange(nrows)]),
+                               np.concatenate([cols, np.arange(nrows) + ncols]), nrows, ncols + nrows)
+        reduced, pivots = gf2.BitMatrix(matrix, ncols + nrows).rref()
         self._pivots = np.array([c for c in pivots if c < ncols], dtype=np.int64)
         # row i's membership in every reduced row, as an int, and in the left
         # nullspace (the reduced rows past the rank), packed
@@ -477,7 +471,8 @@ def creation_operator(code: CodeInstance, syndrome, params: ScaleParams | None =
     params = params or ScaleParams()
     if not syndrome:
         return PauliOperator.identity(g)
-    corner, extents = _footprint_box(g, occupied_cubes(syndrome))
+    _, padded = next(_padded_blocks([list(occupied_cubes(syndrome))]))
+    corner, extents = (a[0].tolist() for a in _footprint_boxes(g, padded))
     size = min(max(extents), g.L)
     _, _, witness = _local_witness(code, syndrome, size + 2, _cube_placements(g, corner, extents, size) - 1)
     if witness is not None:

@@ -3,9 +3,9 @@
 Vectors are numpy ``uint64`` arrays holding 64 bits per word, little-endian
 within each word (bit ``j`` lives at ``words[j >> 6]``, position ``j & 63``).
 Word size is internal; callers only ever see logical bit counts.  Bits stay
-in words end to end: ``from_indices`` is the one packer, ``BitMatrix.columns``
-the one column gather, and ``_echelon`` the one elimination, which ``rref``,
-``nullspace``, ``gf2_solve`` and ``independent_rows`` all run.
+in words end to end: ``from_indices`` packs a vector and ``from_bits`` word rows,
+``BitMatrix.columns`` is the one column gather, and ``_echelon`` the one
+elimination, which ``rref``, ``nullspace``, ``gf2_solve`` and ``independent_rows`` all run.
 """
 
 from __future__ import annotations
@@ -30,11 +30,21 @@ def zeros(nbits: int) -> np.ndarray:
 def from_indices(indices, nbits: int, parity: bool = False) -> np.ndarray:
     """Set the listed bits; with ``parity``, those listed an odd number of times."""
     words = zeros(nbits)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size:
         scatter = np.bitwise_xor if parity else np.bitwise_or
-        scatter.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
+        bit = (idx & 63).view(np.uint64)  # shifted in place: one index-sized temporary, not three
+        scatter.at(words, idx >> 6, np.left_shift(np.uint64(1), bit, out=bit))
     return words
+
+
+def from_bits(rows, bits, nrows: int, ncols: int, parity: bool = False) -> np.ndarray:
+    """``(nrows, n_words(ncols))`` word rows with bit ``bits[i]`` of row ``rows[i]``
+    set (``nonzero_bits`` inverted); either may be a scalar, ``parity`` as in ``from_indices``."""
+    nw = n_words(ncols)
+    flat = np.asarray(rows, dtype=np.int64) * (nw * WORD_BITS)
+    flat += bits
+    return from_indices(flat, nrows * nw * WORD_BITS, parity).reshape(nrows, nw)
 
 
 def nonzero_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +156,7 @@ class BitMatrix:
         bit is scattered once into the transpose, whose rows ``cols`` picks,
         so the cost is the matrix's support plus the result's size."""
         row, bit = nonzero_bits(self.words)
-        nw, width = n_words(self.nrows), self.words.shape[1] * WORD_BITS
-        transpose = from_indices(bit * (nw * WORD_BITS) + row, width * nw * WORD_BITS).reshape(width, nw)
+        transpose = from_bits(bit, row, self.words.shape[1] * WORD_BITS, self.nrows)
         return BitMatrix(transpose[np.asarray(cols, dtype=np.int64)], self.nrows)
 
     def independent_rows(self) -> list[int]:
@@ -208,9 +217,7 @@ def gf2_solve(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     """
     if len(rhs) != n_words(mat.nrows):
         raise ValueError("rhs length does not match row count")
-    nw = n_words(mat.ncols + 1)
-    flat = nonzero_indices(rhs, mat.nrows) * (nw * WORD_BITS) + mat.ncols
-    aug = from_indices(flat, mat.nrows * nw * WORD_BITS).reshape(mat.nrows, nw)
+    aug = from_bits(nonzero_indices(rhs, mat.nrows), mat.ncols, mat.nrows, mat.ncols + 1)
     aug[:, : mat.words.shape[1]] |= mat.words
     rref, pivots = BitMatrix(aug, mat.ncols + 1).rref()
     # The rhs column becomes a pivot iff some row reduces to 0 = 1.

@@ -54,8 +54,7 @@ class CosetSpace:
         self.code = code
         n = code.n_qubits
         moves, gens = code.qubit_flip_events(np.arange(3 * n) // 3, np.tile([PAULI_CODE[p] for p in MOVE_PAULIS], n))
-        width = gf2.n_words(code.n_generators) * gf2.WORD_BITS
-        dsynd = gf2.from_indices(moves * width + gens, 3 * n * width).reshape(3 * n, -1)
+        dsynd = gf2.from_bits(moves, gens, 3 * n, code.n_generators)
         # X on qubit j flips label bit i iff row i has a Z bit on j, Z iff an X bit, Y iff exactly one:
         # row j of the column gather is X column j, row n + j is Z column j
         x, z = np.split(gf2.BitMatrix(code.logical_basis(), 2 * n).columns(np.arange(2 * n)).words, 2)

@@ -22,14 +22,12 @@ PAULI_CODE = {c: i for i, c in enumerate(CODE_CHARS)}
 
 def stacked_words(geometry: LatticeGeometry, qubits, paulis, rows, count: int) -> tuple[np.ndarray, np.ndarray]:
     """X and Z words, each ``(count, words)``, of ``count`` operators given as
-    single-qubit Paulis: qubit ids, Pauli codes and the row of the operator
-    each belongs to.  Repeated factors within a row cancel in pairs."""
+    single-qubit Paulis: qubit ids, Pauli codes and the row of each (or one
+    scalar row for all).  Repeated factors within a row cancel in pairs."""
     paulis = np.asarray(paulis, dtype=np.int64)
-    width = gf2.n_words(geometry.n_qubits) * gf2.WORD_BITS
-    flat = np.asarray(rows, dtype=np.int64) * width + np.asarray(qubits, dtype=np.int64)
-    x = gf2.from_indices(flat[paulis & 1 == 1], count * width, parity=True)
-    z = gf2.from_indices(flat[paulis & 2 == 2], count * width, parity=True)
-    return x.reshape(count, -1), z.reshape(count, -1)
+    rows, qubits = np.asarray(rows, dtype=np.int64), np.asarray(qubits, dtype=np.int64)
+    return tuple(gf2.from_bits(rows[part] if rows.ndim else rows, qubits[part], count, geometry.n_qubits, parity=True)
+                 for part in (paulis & 1 == 1, paulis & 2 == 2))
 
 
 class PauliOperator:

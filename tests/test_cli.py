@@ -18,8 +18,18 @@ from hypothesis import strategies as st
 
 import stabscape
 from conftest import reference_csv_bytes, reference_footprint_box, to_bool_array
-from stabscape.cli import DEFAULTS, OPTIONS, SHARED_OPTIONS, SUBCOMMANDS, build_parser, main
-from stabscape.codes import CodeInstance, registered_spec, registry_names
+from stabscape.cli import (
+    DEFAULTS,
+    OPTIONS,
+    SHARED_OPTIONS,
+    SUBCOMMANDS,
+    _ints,
+    _parse_target,
+    build_parser,
+    main,
+    parse_operator,
+)
+from stabscape.codes import CodeInstance, InputError, get_code, registered_spec, registry_names
 from stabscape.gf2 import BitMatrix
 from stabscape.reports import _csv_bytes, config_hash
 
@@ -943,6 +953,27 @@ def test_usage_error_sites_exit_two(tmp_path, capsys, site):
     assert run(tmp_path, *argv) == 2
     assert fragment in capsys.readouterr().err
     assert not list(tmp_path.glob("*/report.json"))
+
+
+def test_usage_errors_are_input_errors(tmp_path, capsys):
+    """The CLI's parsers raise the library's InputError, not SystemExit, so a
+    library caller keeps its interpreter; ``main`` exits 2 on it and on an
+    unreadable or malformed config file, and 0 after ``--help``."""
+    code = get_code("cubic1", 4)
+    with pytest.raises(InputError, match="2 Pauli characters"):
+        parse_operator(code, "XYZ@0,0,0")
+    with pytest.raises(InputError, match="non-negative integer P"):
+        _parse_target(code, {"target": "pyramid:x"})
+    with pytest.raises(InputError, match="comma-separated integers"):
+        _ints("1,a", "--scales")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    for conf in (tmp_path / "missing.json", malformed):
+        assert run(tmp_path, "check", "--config", str(conf)) == 2
+        assert "config file" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/report.json"))
+    assert main(["check", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 # -- one property over the option table --------------------------------------------

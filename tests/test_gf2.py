@@ -174,6 +174,34 @@ def test_from_indices():
     assert sorted(gf2.nonzero_indices(words, 128)) == [0, 5, 64, 127]
 
 
+@settings(max_examples=300)
+@given(nrows=st.integers(0, 6), ncols=st.sampled_from([1, 63, 64, 65, 128]), parity=st.booleans(), data=st.data())
+def test_from_bits_matches_per_row_from_indices(nrows, ncols, parity, data):
+    """``from_bits`` is a stack of one ``from_indices`` per row, repeated
+    pairs included, also with a scalar row or bit, and ``nonzero_bits`` reads
+    back the distinct (with ``parity``, the odd-count) pairs row-major."""
+    pair = st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, ncols - 1))
+    pairs = data.draw(st.lists(pair, max_size=40 if nrows else 0), label="pairs")
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    bits = np.array([b for _, b in pairs], dtype=np.int64)
+
+    def stack(rows, bits):
+        rows, bits = np.broadcast_arrays(rows, bits)
+        return np.array([gf2.from_indices(bits[rows == r], ncols, parity) for r in range(nrows)],
+                        dtype=np.uint64).reshape(nrows, gf2.n_words(ncols))
+
+    words = gf2.from_bits(rows, bits, nrows, ncols, parity)
+    assert words.dtype == np.uint64 and np.array_equal(words, stack(rows, bits))
+    counts = {p: pairs.count(p) for p in pairs}
+    want = sorted(p for p, c in counts.items() if c % 2 or not parity)
+    assert list(zip(*(a.tolist() for a in gf2.nonzero_bits(words)))) == want
+    if nrows:
+        row, bit = data.draw(pair, label="scalar row and bit")
+        assert np.array_equal(gf2.from_bits(row, bits, nrows, ncols, parity), stack(row, bits))
+        assert np.array_equal(gf2.from_bits(rows, bit, nrows, ncols, parity), stack(rows, bit))
+        assert np.array_equal(gf2.from_bits(row, bit, nrows, ncols, parity), stack(row, bit))
+
+
 def test_solve_identity():
     eye = from_bool_array(np.eye(9, dtype=np.uint8))
     b = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
