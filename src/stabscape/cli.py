@@ -6,6 +6,10 @@ or input file that argparse rejects or that raises InputError or
 CodeConstructionError, here or in the library (--sweep checks --L too), 3 a search
 cut off by its budget or a string scan with no anchor pair (indeterminate, not
 a failure), 4 internal error (any other exception, such as a failed self-audit).
+
+Each runner imports the analysis modules it uses (``paths``, ``defects``,
+``oracle``, ``rg``) in its own body, so a one-job run loads only those and
+reads each analysis name from its defining module when the runner is called.
 """
 
 from __future__ import annotations
@@ -21,43 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
-from .codes import (
-    CodeConstructionError,
-    CodeInstance,
-    InputError,
-    SearchBudget,
-    check_frustration_free,
-    get_code,
-    registry_names,
-)
-from .defects import ScaleParams, scan_for_strings
+from .codes import (CodeConstructionError, CodeInstance, InputError, ScaleParams, SearchBudget, check_frustration_free,
+                    get_code, registry_names)
 from .lattice import QubitIndex
-from .oracle import code_distance, min_barrier_logical
 from .pauli import PAULI_CODE, PauliOperator, stacked_words
-from .paths import (
-    ErrorPath,
-    apex_cube,
-    defect_after_each_step,
-    energy_profile,
-    logical_zbar,
-    pyramid_operator,
-    pyramid_path,
-    pyramid_syndrome,
-    verify_logical,
-)
-from .rg import DenseSegmentError, box_counting_dimension, level_histories, syndrome_history, track_charged_clusters
-from .reports import (
-    FAIL,
-    INDETERMINATE,
-    PASS,
-    PROV_BOUND,
-    PROV_CONSTRUCTED,
-    PROV_MEASURED,
-    PROV_ORACLE,
-    Report,
-    emit,
-    value,
-)
+from .reports import FAIL, INDETERMINATE, PASS, PROV_BOUND, PROV_CONSTRUCTED, PROV_MEASURED, PROV_ORACLE, Report, emit, value
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 4
@@ -160,6 +132,7 @@ def parse_operator(code: CodeInstance, text: str) -> PauliOperator:
             raise InputError(f"label {label!r} must be {g.q} Pauli characters")
         terms = [(QubitIndex(site, sub), p) for sub, p in enumerate(label) if p != "I"]
         return PauliOperator.from_terms(g, terms)
+    from .paths import ErrorPath
     return ErrorPath.from_lines(_read_lines(text, "operator file"), g.D, g.q).product(code)
 
 
@@ -201,6 +174,8 @@ def run_syndrome(config: dict, code: CodeInstance, report: Report) -> None:
 
 
 def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
+    from .paths import (apex_cube, defect_after_each_step, energy_profile, logical_zbar, pyramid_path, pyramid_syndrome,
+                        verify_logical)
     if config["sweep"]:
         return _run_pyramid_sweep(config, report)
     p = config["p"]
@@ -254,6 +229,7 @@ def run_pyramid(config: dict, code: CodeInstance, report: Report) -> None:
 
 def _run_pyramid_sweep(config: dict, report: Report) -> None:
     """Barrier-versus-size series: one full-depth pyramid per lattice size."""
+    from .paths import energy_profile, pyramid_path
     rows = []
     ok = True
     for L in _ints(config["sweep"], "--sweep"):
@@ -284,6 +260,7 @@ def _parse_target(code: CodeInstance, config: dict) -> PauliOperator:
         terms = [(g.qubit_at(j), "X") for j in range(g.n_qubits)]
         return PauliOperator.from_terms(g, terms)
     if text.startswith("pyramid:"):
+        from .paths import pyramid_operator
         level = text.split(":", 1)[1]
         if not level.isdecimal():
             raise InputError(f"--target pyramid:P takes a non-negative integer P, got {level!r}")
@@ -296,6 +273,8 @@ def _budget(config: dict) -> SearchBudget:
 
 
 def run_barrier(config: dict, code: CodeInstance, report: Report) -> None:
+    from .oracle import min_barrier_logical
+    from .paths import energy_profile
     target = _parse_target(code, config)
     result = min_barrier_logical(code, target, _budget(config))
     measured = {
@@ -315,6 +294,7 @@ def run_barrier(config: dict, code: CodeInstance, report: Report) -> None:
 
 
 def run_distance(config: dict, code: CodeInstance, report: Report) -> None:
+    from .oracle import code_distance
     result = code_distance(code, _budget(config))
     measured = {
         "classes": value(result.classes_enumerated, PROV_ORACLE),
@@ -331,6 +311,8 @@ def run_distance(config: dict, code: CodeInstance, report: Report) -> None:
 
 
 def run_rg(config: dict, code: CodeInstance, report: Report) -> None:
+    from .paths import ErrorPath, pyramid_path
+    from .rg import level_histories, syndrome_history
     params = ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
     if config["path"]:
         path = ErrorPath.from_lines(_read_lines(config["path"], "path file"), code.geometry.D, code.geometry.q)
@@ -373,6 +355,7 @@ def _track_world_lines(report, code, history, analysis, level, params) -> None:
     Locking violations are diagnostics (codes with strings are expected to
     produce them); only dense-at-level segments make a segment unusable.
     """
+    from .rg import DenseSegmentError, track_charged_clusters
     if level + 1 >= len(analysis.levels):
         report.add_check("world_lines", INDETERMINATE, notes="no such level in this history")
         return
@@ -407,6 +390,8 @@ def _track_world_lines(report, code, history, analysis, level, params) -> None:
 
 
 def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
+    from .paths import pyramid_operator
+    from .rg import box_counting_dimension
     if config["op"]:
         sites = parse_operator(code, config["op"]).support_coords()
         default_scales = [1, 2, 4]
@@ -432,6 +417,7 @@ def run_fractal(config: dict, code: CodeInstance, report: Report) -> None:
 
 
 def run_strings(config: dict, code: CodeInstance, report: Report) -> None:
+    from .defects import scan_for_strings
     params = ScaleParams(alpha=config["alpha"], ltqo=config["ltqo"])
     scan = scan_for_strings(code, config["rho"], _budget(config), params)
     rows = [
@@ -505,6 +491,7 @@ def run_check(config: dict, code: CodeInstance, report: Report) -> None:
     report.add_check("generator_syndromes_empty", PASS if frus.commuting else FAIL)
 
     if config["code"] == "cubic1":
+        from .paths import apex_cube, pyramid_syndrome
         sites = rng.integers(0, g.L, size=(20, 3))
         flips = syndromes(20, np.arange(20), sites, np.zeros(20, dtype=np.int64), np.full(20, PAULI_CODE["X"]))
         origin = code.syndrome_to_words(pyramid_syndrome(code, 0, apex_cube(code, (0, 0, 0))))  # an X flip at the origin

@@ -60,6 +60,31 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
+class ScaleParams:
+    """Length-scale bookkeeping: the aspect constant and the unit ladder.
+
+    ``alpha`` is the no-strings aspect constant (15 for the cubic code family),
+    ``xi(p) = (10 * alpha) ** p`` the level-p unit of length, ``ltqo`` the
+    locality scale for neutrality solves (defaults to ``L // 2``).
+    """
+
+    alpha: float = 15.0
+    ltqo: int | None = None
+
+    def __post_init__(self):
+        if not 1 <= self.alpha < math.inf:  # NaN and infinity fail too
+            raise InputError("alpha must be at least 1 and finite")
+        if self.ltqo is not None and self.ltqo < 1:
+            raise InputError("ltqo must be at least 1")
+
+    def xi(self, p: int) -> float:
+        return float(10 * self.alpha) ** p
+
+    def ltqo_for(self, geometry: LatticeGeometry) -> int:
+        return self.ltqo if self.ltqo is not None else geometry.L // 2
+
+
+@dataclass(frozen=True)
 class SpeciesTemplate:
     """One generator species: non-identity labels on cube-corner offsets."""
 

@@ -8,7 +8,6 @@ cube has diameter 1; this one convention is shared by every routine below.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -19,38 +18,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import _SHAPES, CodeInstance, Defect, InputError, SearchBudget, Syndrome
+from .codes import _SHAPES, CodeInstance, Defect, InputError, ScaleParams, SearchBudget, Syndrome
 from .lattice import LatticeGeometry, QubitIndex, Site
 from .pauli import PAULI_CODE, PauliOperator
 
 
 class TQOViolationError(Exception):
     """A neutral cluster admits no creation operator near its enclosing cube."""
-
-
-@dataclass(frozen=True)
-class ScaleParams:
-    """Length-scale bookkeeping: the aspect constant and the unit ladder.
-
-    ``alpha`` is the no-strings aspect constant (15 for the cubic code family),
-    ``xi(p) = (10 * alpha) ** p`` the level-p unit of length, ``ltqo`` the
-    locality scale for neutrality solves (defaults to ``L // 2``).
-    """
-
-    alpha: float = 15.0
-    ltqo: int | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.alpha < math.inf:  # NaN and infinity fail too
-            raise InputError("alpha must be at least 1 and finite")
-        if self.ltqo is not None and self.ltqo < 1:
-            raise InputError("ltqo must be at least 1")
-
-    def xi(self, p: int) -> float:
-        return float(10 * self.alpha) ** p
-
-    def ltqo_for(self, geometry: LatticeGeometry) -> int:
-        return self.ltqo if self.ltqo is not None else geometry.L // 2
 
 
 def occupied_cubes(syndrome_or_cubes: Iterable) -> frozenset[Site]:

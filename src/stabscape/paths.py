@@ -232,7 +232,7 @@ def logical_zbar(code: CodeInstance, u: Site) -> PauliOperator:
     # the sites of one x-plane are L**2 consecutive site indices
     flat = ((u[0] - 1) % g.L * g.L**2 + np.arange(g.L**2, dtype=np.int64)) * g.q
     zwords = gf2.from_indices(flat, g.n_qubits)
-    return PauliOperator(g, gf2.zeros(g.n_qubits), zwords)
+    return PauliOperator._adopt(g, gf2.zeros(g.n_qubits), zwords)
 
 
 def verify_logical(

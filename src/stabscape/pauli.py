@@ -43,12 +43,21 @@ class PauliOperator:
         self.xwords.flags.writeable = False
         self.zwords.flags.writeable = False
 
+    @classmethod
+    def _adopt(cls, geometry: LatticeGeometry, xwords: np.ndarray, zwords: np.ndarray) -> "PauliOperator":
+        """An operator on uint64 words its caller just made and holds nowhere
+        else: no copy, and the words turn read-only."""
+        op = cls.__new__(cls)
+        op.geometry, op.xwords, op.zwords = geometry, xwords, zwords
+        xwords.flags.writeable = zwords.flags.writeable = False
+        return op
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, geometry: LatticeGeometry) -> "PauliOperator":
         nb = geometry.n_qubits
-        return cls(geometry, gf2.zeros(nb), gf2.zeros(nb))
+        return cls._adopt(geometry, gf2.zeros(nb), gf2.zeros(nb))
 
     @classmethod
     def from_terms(
@@ -65,7 +74,7 @@ class PauliOperator:
     def from_codes(cls, geometry: LatticeGeometry, qubits, paulis) -> "PauliOperator":
         """Product of single-qubit Paulis given as qubit ids and Pauli codes."""
         x, z = stacked_words(geometry, qubits, paulis, 0, 1)
-        return cls(geometry, x[0], z[0])
+        return cls._adopt(geometry, x[0], z[0])
 
     @classmethod
     def single(cls, geometry: LatticeGeometry, qubit: QubitIndex, p: str) -> "PauliOperator":
@@ -73,7 +82,7 @@ class PauliOperator:
 
     @classmethod
     def from_symplectic(cls, geometry: LatticeGeometry, vec: np.ndarray) -> "PauliOperator":
-        return cls(geometry, *gf2.split_halves(vec, geometry.n_qubits))
+        return cls._adopt(geometry, *gf2.split_halves(vec, geometry.n_qubits))
 
     # -- group structure ---------------------------------------------------
 
@@ -83,7 +92,7 @@ class PauliOperator:
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         self._check_same(other)
-        return PauliOperator(self.geometry, self.xwords ^ other.xwords, self.zwords ^ other.zwords)
+        return PauliOperator._adopt(self.geometry, self.xwords ^ other.xwords, self.zwords ^ other.zwords)
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import CodeInstance, Defect, InputError, Syndrome
-from .defects import ScaleParams, cluster_partitions, dense_runs, neutralities, set_distance
+from .codes import CodeInstance, Defect, InputError, ScaleParams, Syndrome
+from .defects import cluster_partitions, dense_runs, neutralities, set_distance
 from .lattice import LatticeGeometry, Site
 from .pauli import PauliOperator
 from .paths import ErrorPath, walk_events

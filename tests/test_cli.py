@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stabscape
+import stabscape.paths  # the pyramid tests patch paths, which cli's runners read when they run
 from conftest import reference_csv_bytes, reference_footprint_box, to_bool_array
 from stabscape.cli import (
     DEFAULTS,
@@ -109,14 +109,14 @@ def test_product_identity_fails_on_a_repeated_step(tmp_path, monkeypatch, repeat
     """The pyramid's 4^p X steps hit distinct qubits, so the product has
     one X per step and no Z part; a path that repeats a step cancels a
     qubit and fails the check."""
-    pyramid_path = stabscape.cli.pyramid_path
+    pyramid_path = stabscape.paths.pyramid_path
 
     def path_with_repeat(code, p, u):
         path = pyramid_path(code, p, u)
         keep = np.arange(len(path) + 1) % len(path) if repeat else np.arange(len(path))
         return stabscape.paths.ErrorPath(path.sites[keep], path.subs[keep], path.paulis[keep])
 
-    monkeypatch.setattr(stabscape.cli, "pyramid_path", path_with_repeat)
+    monkeypatch.setattr(stabscape.paths, "pyramid_path", path_with_repeat)
     assert run(tmp_path, "pyramid", "--code", "cubic1", "--L", "16", "--p", "2") == (1 if repeat else 0)
     report = json.loads(report_bytes(tmp_path, "pyramid"))
     assert [c["status"] for c in report["checks"] if c["name"] == "product_identity"] == ["fail" if repeat else "pass"]
@@ -580,6 +580,38 @@ def test_logical_basis_memory_stays_near_the_stabilizer_rref():
                          env=child_env(), capture_output=True, text=True, check=True)
     before, after = (int(line) for line in out.stdout.splitlines()[-2:])
     assert after - before <= 30 * 1024  # ru_maxrss is in KiB
+
+
+def loaded_modules(script: str) -> set[str]:
+    """The stabscape modules a new interpreter holds after running ``script``,
+    without the package prefix (the package itself as ``stabscape``)."""
+    script += "\nimport sys\nprint(*sorted(sys.modules))\n"
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
+    return {name.removeprefix("stabscape.") for name in out.stdout.split() if name.partition(".")[0] == "stabscape"}
+
+
+def test_building_a_code_loads_no_analysis_module():
+    """``import stabscape`` loads a public name's module on first use, so
+    building a code loads the code layer alone."""
+    script = "import stabscape\nstabscape.get_code('cubic1', 4)"
+    assert loaded_modules(script) == {"stabscape", "codes", "gf2", "lattice", "pauli", "specs"}
+
+
+@pytest.mark.parametrize("argv, analyses", [
+    (["check", "--code", "toric3d", "--L", "3"], set()),
+    (["syndrome", "--code", "cubic1", "--L", "4", "--op", "XI@1,2,3"], set()),
+    (["pyramid", "--code", "cubic1", "--L", "4"], {"paths"}),
+    (["barrier", "--code", "cubic1", "--L", "2", "--target", "pyramid:1"], {"oracle", "paths"}),
+    (["distance", "--code", "toric2d", "--L", "3"], {"oracle", "paths"}),
+    (["strings", "--code", "toric2d", "--L", "6", "--alpha", "3"], {"defects"}),
+    (["rg", "--code", "cubic1", "--L", "8", "--p", "2"], {"defects", "paths", "rg"}),
+    (["fractal", "--code", "cubic1", "--L", "8", "--p", "2"], {"defects", "paths", "rg"}),
+], ids=lambda arg: arg[0] if isinstance(arg, list) else "-".join(sorted(arg)) or "none")
+def test_a_cold_run_loads_only_its_analysis_modules(tmp_path, argv, analyses):
+    """Each runner imports its analysis modules itself: a one-job run in a
+    new interpreter loads exactly the ones its subcommand uses."""
+    script = f"from stabscape.cli import main\nassert main({argv + ['--out', str(tmp_path)]!r}) == 0"
+    assert loaded_modules(script) & {"defects", "oracle", "paths", "rg"} == analyses
 
 
 def test_reports_byte_identical(tmp_path):

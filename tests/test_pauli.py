@@ -1,5 +1,7 @@
 """Phase-free Pauli algebra: products, the symplectic form, support."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,19 @@ def test_operator_copies_the_callers_words():
     assert p.is_identity()
     with pytest.raises(ValueError):
         p.xwords[0] = 1
+
+
+def test_built_operators_own_read_only_words(cubic4):
+    """``from_codes`` (under ``from_terms``), ``from_symplectic``,
+    ``identity``, the product and ``paths.logical_zbar`` keep the words they
+    built without a copy: every array is read-only and shares memory with no
+    other operator's and not with the symplectic vector it came from."""
+    from stabscape.paths import logical_zbar
+
+    a, b = op(((0, 0), "X"), ((1, 2), "Y")), op(((1, 2), "Z"))
+    vec = a.symplectic()
+    built = [a, b, a * b, PauliOperator.from_symplectic(GEO, vec), PauliOperator.identity(GEO),
+             PauliOperator.identity(GEO), logical_zbar(cubic4, (0, 0, 0)), logical_zbar(cubic4, (1, 0, 0))]
+    words = [w for p in built for w in (p.xwords, p.zwords)]
+    assert not any(w.flags.writeable for w in words)
+    assert not any(np.shares_memory(u, v) for u, v in combinations(words + [vec], 2))
